@@ -160,8 +160,9 @@ def bench_flagship_full(results, thr):
 def bench_featurize(results, thr):
     """Axis-A scaling workload: the cesium featurize pipeline —
     conv-hash shuffle → general features on every series + Lomb-Scargle
-    on hot conversations.  Per-series kernels are cache-resident
-    (FREQ_CHUNK=64), so this is the pipeline whose throughput tracks
+    on hot conversations.  Per-series kernels work on per-series
+    arrays (an O(n) NUFFT scan mesh, FREQ_CHUNK × n direct-sum
+    blocks), so this is the pipeline whose throughput tracks
     cluster CPU count; the rollup path is DRAM-bound and cannot scale
     4× inside one box (see BASELINE.md)."""
     import ray.data

@@ -17,11 +17,14 @@ fitted by weighted ridge regression with weights w_i = 1/(e_i² +
 sys_err²) and penalty λ_h = tone_control · (h² − 1) on the harmonic
 coefficients (λ_1 = 0: the fundamental is unpenalized).  Selection
 scan uses the 1-harmonic generalized LS periodogram (Zechmeister &
-Kürster 2009 normal equations), chunked over the frequency grid:
-f ∈ {df, 2df, …, fmax},  df = 1/(ofac·T),  fmax = 0.5·n/T  (mean
-Nyquist), numf capped at MAX_NUMF.  A linear trend is fitted
-(weighted LS) and removed before the scan; its slope is the
-``linear_trend`` feature.
+Kürster 2009 normal equations) on the grid f ∈ {df, 2df, …, fmax},
+df = 1/(ofac·T),  fmax = 0.5·n/T  (mean Nyquist), numf capped at
+MAX_NUMF.  The scan's trig sums come from a non-uniform FFT in
+O(n + numf·log numf); the grid points that may hold the maximum are
+re-scored by direct sums, so the selected frequency is the direct
+sums' argmax (``_gls_uniform``).  A linear trend is fitted (weighted
+LS) and removed before the scan; its slope is the ``linear_trend``
+feature.
 """
 
 from __future__ import annotations
@@ -29,12 +32,10 @@ from __future__ import annotations
 import numpy as np
 
 MAX_NUMF = 20_000
-# frequency-chunk size for the vectorized scan: the _gls_uniform hot
-# path holds ONE complex phasor matrix (chunk × n × 16 B — 1 MB at
-# 32 × 2000), so 32 keeps each concurrent task's working set inside
-# its core's private L2 instead of fighting for shared L3/DRAM at
-# 32-way (single-core time is flat across 16–128; the generic path's
-# trig temporaries are ~6 × chunk × n doubles and also fit)
+# frequency-chunk size of _gls_periodogram's direct sums: its ~6
+# (chunk × n) float64 temporaries take 1.5 KB per sample.  The fine
+# refinement (21 points) and the scan's re-scoring (usually 1 point)
+# fit in one chunk.
 FREQ_CHUNK = 32
 
 
@@ -50,76 +51,82 @@ def _weighted_linear_trend(t, m, w):
     return float(slope), float(ybar - slope * tbar)
 
 
-# chunks between exact-trig re-seeds of the rotation recurrence in
-# _gls_uniform: phase error grows ~steps·eps, so 16 steps keeps the
-# recurrence within ~4e-15 of direct evaluation
-RESEED_CHUNKS = 16
+# Type-1 non-uniform FFT of _gls_uniform (Gaussian gridding, Greengard
+# & Lee, SIAM Rev. 46:443, 2004): each sample spreads onto the
+# 2·NUFFT_SPREAD nearest points of a mesh at least 2× oversampled over
+# the modes it serves.  In mesh steps d the kernel is exp(-π·d²/16),
+# e^{-9π} ≈ 5e-13 at the cut, so the trig sums carry ~1e-12 of Σ|c|.
+NUFFT_SPREAD = 12
+# Exact re-scoring of the fast scan: a fast power p misses the direct
+# sum by at most RESCORE_PAD/|D| (D = CC·SS − CS², the trig moments'
+# determinant; ~1e-13/|D| measured, so the pad has a 1000× margin).
+# Let lo be the largest lower bound p − pad.  Every point whose upper
+# bound reaches (1 − RESCORE_RTOL)·lo, or whose pad exceeds
+# RESCORE_RTOL·lo, is re-scored by _gls_periodogram: the scan's argmax
+# is then that of the direct sums, and every other power is within
+# ~1e-9·lo of its direct sum.
+RESCORE_PAD = 1e-10
+RESCORE_RTOL = 1e-6
+
+
+def _nufft_geometry(x, K):
+    """Spreading plan of a type-1 NUFFT giving modes k = 0..K at sample
+    phases ``x`` (radians, ≥ 0).  Modes are centred on k0 = K//2 by
+    folding exp(i·k0·x) into the kernel, so the Gaussian deconvolution
+    factor stays ≤ e^π for every k."""
+    k0 = K // 2
+    Mr = 1 << (4 * (K - k0) + 3).bit_length()  # ≥ 2 × (modes + 2)
+    u = x * (Mr / (2 * np.pi))  # sample positions in mesh steps
+    m0 = np.floor(u)
+    lag = np.arange(1 - NUFFT_SPREAD, NUFFT_SPREAD + 1)
+    kern = np.exp((-np.pi / 16) * ((u - m0)[:, None] - lag) ** 2)
+    kern = kern * np.exp(1j * k0 * x)[:, None]
+    idx = ((m0.astype(np.int64)[:, None] + lag) % Mr).ravel()
+    kp = np.arange(-k0, K - k0 + 1)
+    deconv = 0.25 * np.exp(kp * kp * (16 * np.pi / Mr**2))
+    return idx, kern.real.ravel(), kern.imag.ravel(), Mr, kp % Mr, deconv
+
+
+def _nufft(geom, c):
+    """Σ_i c_i·exp(i·k·x_i) for k = 0..K of real strengths ``c``."""
+    idx, kre, kim, Mr, at, deconv = geom
+    cr = np.repeat(c, 2 * NUFFT_SPREAD)
+    mesh = np.bincount(idx, kre * cr, Mr) + 1j * np.bincount(idx, kim * cr, Mr)
+    return deconv * (Mr * np.fft.ifft(mesh))[at]
 
 
 def _gls_uniform(t, y, w, df, numf, cache=None):
     """Fast GLS periodogram on the UNIFORM grid f_j = j·df, j=1..numf.
 
     Same statistic as ``_gls_periodogram`` (floating-mean χ² reduction,
-    weights summing to 1) restructured for throughput and DRAM traffic:
+    weights summing to 1), in O(n + numf·log numf) instead of O(n·numf):
 
     - double-angle identity: Σw·cos², Σw·sin², Σw·cos·sin at f_j come
-      from the FIRST moments (Σw·cos, Σw·sin) at f_{2j} on a 2×
-      extended grid — no (F,n) elementwise product temporaries at all;
-    - trig by rotation recurrence: each frequency chunk's complex
-      phasor matrix E = exp(i·ω_j t) is the previous chunk's rotated
-      by exp(i·F·df·t) (one fused in-place complex multiply), re-seeded
-      with exact cos/sin every RESEED_CHUNKS chunks — ~90% of the
-      cos/sin calls become multiply-adds (values differ from direct
-      evaluation by ≲1e-14 relative, documented numerics change);
-    - the weight-only moments depend on (t, w, df) but not y: pass a
-      ``cache`` dict to reuse them across pre-whitening iterations —
-      iterations 2+ skip the extended half of the grid entirely.
+      from the FIRST moments (Σw·cos, Σw·sin) at f_{2j}, so only the
+      trig sums Σw·e^{ijx} (j ≤ 2·numf) and Σw·(y−Ȳ)·e^{ijx} (j ≤ numf)
+      are needed, x = 2π·df·(t − t[0]);
+    - both come from one type-1 NUFFT plan (``_nufft_geometry``);
+    - the plan and the weight sums depend on (t, w, df) but not y: pass
+      a ``cache`` dict to reuse them across pre-whitening iterations;
+    - the points that may hold the maximum, or whose fast power is not
+      accurate enough (RESCORE_PAD, RESCORE_RTOL), are re-scored by
+      ``_gls_periodogram`` on ``t − t[0]``, so the argmax is that of
+      the direct sums.
     """
     Y = float((w * y).sum())
     yc = y - Y
     YY = float((w * yc * yc).sum())
     if YY <= 0:
         return np.zeros(numf)
-    n = len(t)
-    F = FREQ_CHUNK
-    wyc = (w * yc).astype(np.complex128)
-    dft = (2 * np.pi * df) * t
-    hit = cache is not None and "cw" in cache
-    if hit:
-        cwsw = cache["cw"]
-        J = numf
+    tz = t - t[0]
+    if cache is not None and "cw" in cache:
+        geom, cwsw = cache["geom"], cache["cw"]
     else:
-        J = 2 * numf
-        cwsw = np.empty(J + 1, dtype=np.complex128)  # 1-indexed
-        cwsw[0] = 0.0
-    ydots = np.empty(numf + 1, dtype=np.complex128)
-    wc = w.astype(np.complex128)
-    rot = np.empty(n, dtype=np.complex128)
-    rot.real = np.cos(F * dft)
-    rot.imag = np.sin(F * dft)
-    E = np.empty((F, n), dtype=np.complex128)
-    nchunks = (J + F - 1) // F
-    for ci in range(nchunks):
-        j0 = ci * F + 1
-        jn = min(F, J - ci * F)
-        if ci % RESEED_CHUNKS == 0:
-            ph = np.multiply.outer(
-                np.arange(j0, j0 + jn, dtype=np.float64), dft)
-            E.real[:jn] = np.cos(ph)
-            E.imag[:jn] = np.sin(ph)
-        else:
-            np.multiply(E, rot, out=E)
-        if j0 <= numf:
-            k = min(jn, numf - j0 + 1)
-            ydots[j0:j0 + k] = E[:k] @ wyc
-            if not hit:
-                cwsw[j0:j0 + k] = E[:k] @ wc
-                if k < jn:
-                    cwsw[j0 + k:j0 + jn] = E[k:jn] @ wc
-        else:
-            cwsw[j0:j0 + jn] = E[:jn] @ wc
-    if cache is not None and not hit:
-        cache["cw"] = cwsw
+        geom = _nufft_geometry((2 * np.pi * df) * tz, 2 * numf)
+        cwsw = _nufft(geom, w)
+        if cache is not None:
+            cache["geom"], cache["cw"] = geom, cwsw
+    ydots = _nufft(geom, w * yc)
     j = np.arange(1, numf + 1)
     C = cwsw[j].real
     S = cwsw[j].imag
@@ -133,7 +140,13 @@ def _gls_uniform(t, y, w, df, numf, cache=None):
     D = CC * SS - CS * CS
     with np.errstate(divide="ignore", invalid="ignore"):
         p = (SS * YC**2 + CC * YS**2 - 2 * CS * YC * YS) / (YY * D)
-    return np.clip(np.where(np.isfinite(p), p, 0.0), 0.0, 1.0)
+        pad = RESCORE_PAD / np.abs(D)
+    p = np.clip(np.where(np.isfinite(p), p, 0.0), 0.0, 1.0)
+    lo = (p - pad).max()
+    top = np.flatnonzero((p + pad >= (1.0 - RESCORE_RTOL) * lo)
+                         | (pad > RESCORE_RTOL * lo))
+    p[top] = _gls_periodogram(tz, y, w, df * (top + 1))
+    return p
 
 
 def _gls_periodogram(t, y, w, freqs):
@@ -141,8 +154,8 @@ def _gls_periodogram(t, y, w, freqs):
 
     Returns array of power ∈ [0,1] = fractional χ² reduction.
     Weights must sum to 1.  Chunked to bound memory at
-    FREQ_CHUNK × n.  (Generic-grid path — the uniform scan grid goes
-    through ``_gls_uniform``.)
+    FREQ_CHUNK × n.  The exact reference of ``_gls_uniform``, which
+    calls it to re-score its candidates, and the fine-refinement kernel.
     """
     Y = (w * y).sum()
     yc = y - Y

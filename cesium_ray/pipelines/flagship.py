@@ -400,12 +400,15 @@ def run_flagship(
 
     ``balance_ls``: keep LS inline (fused, one exchange) but place the
     LS-hot conversations onto partitions by LPT cost balancing
-    (stages/partition.py::lpt_assignment, cost ~ turns²: the LS scan
-    grid AND the per-sample work both grow with n).  Kills the
-    straggler tail (measured 16.8 s max task vs 8.5 s mean at 32-way)
-    for the price of one tiny keyed count pass.  Bit-identical
-    outputs; only which part-pid file holds which conversation
-    changes."""
+    (stages/partition.py::lpt_assignment, cost weight turns²).  The
+    weight models an O(n²) scan, but the LS scan is an O(n log n)
+    NUFFT: traced perfbench ``full`` runs (one CPU of a Xeon VM) spend
+    ~21 ms per LS series of 1000–1500 points, so turns² over-weights
+    the largest conversations (a placement change is not measurable at
+    1 CPU).  Against a quadratic scan it cut the straggler tail (16.8 s
+    max task vs 8.5 s mean at 32-way) for the price of one tiny keyed
+    count pass.  Bit-identical outputs; only which part-pid file holds
+    which conversation changes."""
     if isinstance(turns, str):
         turns = ray.data.read_parquet(turns)
     ds = normalize_turns(turns)
