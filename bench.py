@@ -98,7 +98,6 @@ def bench_flagship_rollup(results, thr):
         codec=False,
         gapfill_tier=None,
         resume=False,
-        concurrency="tasks",
     )
     dt = time.time() - t0
     results["flagship_rollup"] = round(dt, 3)
@@ -139,14 +138,11 @@ def bench_flagship_full(results, thr):
         ls_min_turns=1000,
         # LPT-balanced placement of LS-hot convs (straggler-tail fix:
         # plain hash placement left one partition ~2x past the mean at
-        # 32-way — measured max task 17.8s vs 10.4s balanced; the
-        # decoupled _ls_pass alternative re-ships 80% of this Zipf-hot
-        # corpus and loses the rollup/LS overlap, so inline+LPT wins)
+        # 32-way — measured max task 17.8s vs 10.4s balanced)
         balance_ls=True,
         codec=True,
         gapfill_tier="1m",
         resume=False,
-        concurrency="tasks",  # elastic task pool — no actor ramp-up
     )
     dt = time.time() - t0
     results["flagship_full"] = round(dt, 3)
@@ -191,7 +187,6 @@ def bench_featurize(results, thr):
         codec=False,
         gapfill_tier=None,
         resume=False,
-        concurrency="tasks",  # cache-resident kernels: full-width task pool
     )
     dt = time.time() - t0
     results["featurize"] = round(dt, 3)

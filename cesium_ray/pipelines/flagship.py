@@ -43,9 +43,9 @@ from ..state.manifest import Manifest, ManifestRow, partition_fingerprint
 
 
 def _points_frame(codes, uniques, ts_us, tidx, channels) -> pd.DataFrame:
-    """Long-format points from derive_channel_arrays output — shared
-    by the inline processor and the decoupled LS pass so both produce
-    bit-identical extractor input."""
+    """Long-format points (conv_id, channel, ts, value, turn_idx) from
+    derive_channel_arrays output — the input of gap-fill, the codec and
+    both feature extractors."""
     conv_str = np.asarray(uniques)[codes]
     ts_dt = ts_us.astype("datetime64[us]")
     return pd.concat(
@@ -251,6 +251,9 @@ class PartitionProcessor:
                 )
                 metrics["feature_rows"] += len(ls_feats)
 
+        # checksum over the output counts only (before the timing/pid
+        # fields), so identical runs give identical manifests
+        checksum = f"{zlib.crc32(str(sorted(metrics.items())).encode()):08x}"
         metrics["duration_s"] = round(_time.time() - _t0, 3)
         metrics["worker_pid"] = os.getpid()
         metrics["t_end"] = _time.time()
@@ -260,228 +263,88 @@ class PartitionProcessor:
                 input_fingerprint=fp,
                 rows_in=len(df),
                 rows_out=int(metrics["rollup_rows"]),
-                checksum=f"{zlib.crc32(str(sorted(metrics.items())).encode()):08x}",
+                checksum=checksum,
                 state="done",
             )
         )
         return pd.DataFrame([metrics])
 
 
-def _ls_pass(
-    ds: ray.data.Dataset,
-    out_root: str,
-    ls_features,
-    ls_min_turns: int,
-    max_feature_turns: int,
-    num_partitions: int,
-    resume: bool,
-    by: str = "conv_id",
-    order=("turn_idx",),
-) -> pd.DataFrame:
-    """Decoupled Lomb-Scargle pass at its own (finer) partition grain.
+def _hot_sizes(ds: ray.data.Dataset, by: str, lo: int, hi: int) -> pd.DataFrame:
+    """Turn counts of the conversations with ``lo ≤ n ≤ hi`` (columns
+    ``by``, ``n``): map-side partial counts → one tiny keyed exchange
+    whose reduce applies the range filter, so the driver receives only
+    the LPT candidates — bounded by skew, not by corpus size."""
+    # call-time import: group_apply's caller module names the traced
+    # size pass (perfbench patches partition.group_apply after import)
+    from ..stages.partition import group_apply
 
-    Running LS as a second stage lets hot conversations spread over
-    ``num_partitions`` fine partitions while rollup/gapfill/codec keep
-    their coarser, fixed-cost-friendly grain.  Extra cost: one tiny
-    keyed count exchange + one hot-rows exchange + the lost
-    rollup/LS overlap — on a Zipf-hot corpus where hot convs hold
-    most rows this LOSES to inline LPT balancing (see run_flagship's
-    ``balance_ls`` and the measured numbers in its docstring); it wins
-    when hot convs are a small fraction of a huge corpus (skip
-    re-shipping the cold tail).  The hot-conv id list is
-    driver-collected and broadcast via ray.put — bounded by skew
-    (convs with ≥ ls_min_turns turns), not by corpus size."""
-    if ls_features == "ls":
-        from ..oracle.graphs import LS_FEATURES
-
-        ls_features = list(LS_FEATURES)
-
-    # 1. per-conv sizes: map-side partials → one tiny keyed exchange
     def _counts(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(by, as_index=False, observed=True).size()
         return g.rename(columns={"size": "n"})
 
-    from ..stages.partition import group_apply
+    def _hot(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby(by, as_index=False, observed=True)["n"].sum()
+        return g[(g["n"] >= lo) & (g["n"] <= hi)]
 
-    sizes = group_apply(
+    return group_apply(
         ds.select_columns([by]).map_batches(_counts, batch_format="pandas"),
-        lambda df: df.groupby(by, as_index=False, observed=True)["n"].sum(),
-        num_partitions=32, key=by,
+        _hot, num_partitions=32, key=by,
     ).to_pandas()
-    hot = sizes[(sizes["n"] >= ls_min_turns)
-                & (sizes["n"] <= max_feature_turns)][by].to_numpy()
-    if len(hot) == 0:
-        return pd.DataFrame()
-    hot_ref = ray.put(np.sort(hot.astype(str)))
-
-    def _filter_hot(df: pd.DataFrame) -> pd.DataFrame:
-        want = ray.get(hot_ref)
-        k = df[by].to_numpy(str)
-        pos = np.clip(np.searchsorted(want, k), 0, len(want) - 1)
-        return df[want[pos] == k]
-
-    hot_ds = ds.map_batches(_filter_hot, batch_format="pandas")
-    parted = with_partition(hot_ds, num_partitions, key=by,
-                            dict_cols=(by,))
-    extractor = FeatureExtractor(
-        features_to_use=list(ls_features),
-        ls_kwargs={"day": 86400.0, "ofac": 2.0},
-    )
-    manifest = Manifest(out_root, "flagship_ls")
-
-    def process(part: pd.DataFrame) -> pd.DataFrame:
-        _t0 = _time.time()
-        pid = f"ls-{int(part['_part'].iloc[0]):05d}"
-        df = part.drop(columns=["_part"])
-        fp = partition_fingerprint(df)
-        base = {
-            "partition_id": pid, "input_fingerprint": fp,
-            "rows_in": len(df), "points": 0, "rollup_rows": 0,
-            "gapfilled_rows": 0, "chunk_rows": 0, "payload_bytes": 0,
-            "feature_rows": 0, "oversize_convs": 0, "skipped": False,
-            "worker_pid": os.getpid(),
-        }
-        if resume and manifest.is_done(pid, fp):
-            base.update(skipped=True,
-                        duration_s=round(_time.time() - _t0, 3),
-                        t_end=_time.time())
-            return pd.DataFrame([base])
-        codes, uniques, ts_us, tidx, channels = derive_channel_arrays(
-            df, by=by, order=order)
-        pts = _points_frame(codes, uniques, ts_us, tidx, channels)
-        feats = extractor(pts)
-        _atomic_file_write(
-            feats,
-            os.path.join(out_root, "features_ls", f"part={pid}",
-                         "data.parquet"),
-        )
-        base.update(points=len(codes) * len(channels),
-                    feature_rows=len(feats),
-                    duration_s=round(_time.time() - _t0, 3),
-                    t_end=_time.time())
-        manifest.mark(ManifestRow(
-            partition_id=pid, input_fingerprint=fp, rows_in=len(df),
-            rows_out=len(feats),
-            checksum=f"{zlib.crc32(str(len(feats)).encode()):08x}",
-            state="done",
-        ))
-        return pd.DataFrame([base])
-
-    return parted.groupby("_part").map_groups(
-        process, batch_format="pandas").to_pandas()
 
 
 def run_flagship(
     turns: ray.data.Dataset | str,
     out_root: str,
     num_partitions: int = 64,
-    concurrency="tasks",
-    ls_partitions: int | None = None,
     balance_ls: bool = False,
     **proc_kw,
 ) -> pd.DataFrame:
     """Run the flagship pipeline; returns the per-partition metrics
     table (small — one row per partition).
 
-    ``concurrency``: "tasks" (default — elastic task pool, no actor
-    ramp-up; measured fastest AND best-scaling at every CPU count),
-    None (autoscaling actor pool), or an explicit (min, max) pool.
+    ``proc_kw`` configures ``PartitionProcessor``; it is constructed
+    once here, so an unknown keyword raises ``TypeError`` before any
+    data moves.  Partitions run as an elastic task pool (no actor
+    ramp-up: every CPU picks up a partition task the moment the
+    exchange finishes).
 
-    ``ls_partitions``: when set (and ``ls_features`` is requested),
-    the Lomb-Scargle family runs as a SECOND stage at this finer
-    partition grain instead of inside the coarse flagship partitions —
-    see _ls_pass.  Results are bit-identical; only the features_ls
-    file layout changes (part=ls-*).  Measured on the 2M-turn bench
-    (Zipf-hot: 853 LS-hot convs hold 80% of rows) the second exchange
-    + lost rollup/LS overlap make this SLOWER than inline (53 vs 45 s
-    @32) — prefer ``balance_ls`` there; the split pays off when hot
-    convs are few and the corpus is huge (skip re-shipping the cold
-    99%).
-
-    ``balance_ls``: keep LS inline (fused, one exchange) but place the
-    LS-hot conversations onto partitions by LPT cost balancing
-    (stages/partition.py::lpt_assignment, cost weight turns²).  The
+    ``balance_ls``: place the LS-hot conversations onto partitions by
+    LPT cost balancing (stages/partition.py::lpt_assignment, cost
+    weight turns²) instead of by hash; needs ``ls_features``.  The
     weight models an O(n²) scan, but the LS scan is an O(n log n)
     NUFFT: traced perfbench ``full`` runs (one CPU of a Xeon VM) spend
     ~21 ms per LS series of 1000–1500 points, so turns² over-weights
     the largest conversations (a placement change is not measurable at
     1 CPU).  Against a quadratic scan it cut the straggler tail (16.8 s
     max task vs 8.5 s mean at 32-way) for the price of one tiny keyed
-    count pass.  Bit-identical outputs; only which part-pid file holds
-    which conversation changes."""
+    count pass (``_hot_sizes``).  Bit-identical outputs; only which
+    part-pid file holds which conversation changes."""
+    proc = PartitionProcessor(out_root=out_root, **proc_kw)
     if isinstance(turns, str):
         turns = ray.data.read_parquet(turns)
     ds = normalize_turns(turns)
     keep = [c for c in ["conv_id", "turn_idx", "ts", "text_len", "value"] if c in ds.columns()]
     ds = ds.select_columns(keep)
-    split_ls = ls_partitions is not None and proc_kw.get("ls_features")
-    if split_ls:
-        ls_features = proc_kw.pop("ls_features")
-        ls_min_turns = proc_kw.pop("ls_min_turns", 500)
     override = None
-    if balance_ls and proc_kw.get("ls_features") and not split_ls:
-        from ..stages.partition import group_apply, lpt_assignment
+    if balance_ls and proc.ls_extractor is not None:
+        from ..stages.partition import lpt_assignment  # call-time, as in _hot_sizes
 
-        by = proc_kw.get("by", "conv_id")
-        lo = proc_kw.get("ls_min_turns", 500)
-        hi_cap = proc_kw.get("max_feature_turns", 200_000)
-
-        def _counts(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby(by, as_index=False, observed=True).size()
-            return g.rename(columns={"size": "n"})
-
-        sizes = group_apply(
-            ds.select_columns([by]).map_batches(
-                _counts, batch_format="pandas"),
-            lambda df: df.groupby(by, as_index=False,
-                                  observed=True)["n"].sum(),
-            num_partitions=32, key=by,
-        ).to_pandas()
-        hot = sizes[(sizes["n"] >= lo) & (sizes["n"] <= hi_cap)]
+        hot = _hot_sizes(ds, proc.by, proc.ls_min_turns, proc.max_feature_turns)
         if len(hot):
             n = hot["n"].to_numpy(np.float64)
             override = lpt_assignment(
-                hot[by].to_numpy(), n * n, num_partitions)
+                hot[proc.by].to_numpy(), n * n, num_partitions)
     # conv_id rides the exchange dictionary-encoded (~2 B/row instead
     # of ~17); text_len is int32 — the shuffle is the single-box
     # scaling floor, so shuffled bytes are minimized at the source
     parted = with_partition(ds, num_partitions, key="conv_id",
                             dict_cols=("conv_id",), override=override)
-    if concurrency == "tasks":
-        # elastic task pool: no actor ramp-up — every CPU picks up a
-        # partition task the moment the exchange finishes (worker
-        # processes are reused, so import cost amortizes after wave 1)
-        ctor_kw = {"out_root": out_root, **proc_kw}
 
-        def process(df: pd.DataFrame, _kw=ctor_kw) -> pd.DataFrame:
-            return PartitionProcessor(**_kw)(df)
+    # map_groups needs a named function, not a callable instance
+    def process(df: pd.DataFrame) -> pd.DataFrame:
+        return proc(df)
 
-        metrics = parted.groupby("_part").map_groups(
-            process, batch_format="pandas"
-        ).to_pandas()
-    else:
-        if concurrency is None:
-            # autoscaling (ncpu//2, ncpu): full-size fixed pools
-            # deadlock the upstream shuffle on small clusters; a
-            # half-size floor avoids the slow 1-actor ramp-up without
-            # starving the exchange
-            ncpu = int(ray.cluster_resources().get("CPU", 4))
-            hi = max(1, min(ncpu, num_partitions))
-            concurrency = (max(1, hi // 2), hi)
-        metrics = parted.groupby("_part").map_groups(
-            PartitionProcessor,
-            batch_format="pandas",
-            fn_constructor_kwargs={"out_root": out_root, **proc_kw},
-            concurrency=concurrency,
-        ).to_pandas()
-    if split_ls:
-        extra = _ls_pass(
-            ds, out_root, ls_features, ls_min_turns,
-            proc_kw.get("max_feature_turns", 200_000), ls_partitions,
-            proc_kw.get("resume", True),
-            by=proc_kw.get("by", "conv_id"),
-            order=proc_kw.get("order", ("turn_idx",)),
-        )
-        if len(extra):
-            metrics = pd.concat([metrics, extra], ignore_index=True)
-    return metrics
+    return parted.groupby("_part").map_groups(
+        process, batch_format="pandas"
+    ).to_pandas()

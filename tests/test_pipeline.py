@@ -180,54 +180,6 @@ def test_giant_conversation_guard(tmp_path):
     assert "conv-small" in set(feats.conv_id)
 
 
-def test_ls_split_pass_bit_identical(tmp_path):
-    """Decoupled fine-grained LS pass (ls_partitions) produces
-    BIT-IDENTICAL Lomb-Scargle features to the inline path — only the
-    features_ls file layout changes (part=ls-*)."""
-    import glob as _glob
-
-    from cesium_ray.synth import generate_turns
-
-    turns = generate_turns(60, seed=13, max_turns=400)
-    ls = ["freq1_freq", "freq1_amplitude1", "freq1_signif",
-          "linear_trend", "freq_varrat"]
-
-    def run(out, **kw):
-        m = run_flagship(
-            ray.data.from_arrow(turns), out, num_partitions=4,
-            tiers=("1d",), codec=False, gapfill_tier=None,
-            ls_features=ls, ls_min_turns=100, resume=False, **kw)
-        files = _glob.glob(f"{out}/features_ls/part=*/data.parquet")
-        df = (pd.concat([pd.read_parquet(f) for f in files])
-              .sort_values(["conv_id", "channel"], kind="mergesort")
-              .reset_index(drop=True))
-        return m, df
-
-    m_in, inline = run(str(tmp_path / "inline"))
-    m_sp, split = run(str(tmp_path / "split"), ls_partitions=16)
-    pd.testing.assert_frame_equal(inline, split, check_exact=True)
-    # split metrics carry the LS rows under ls-* partition ids
-    assert m_sp.partition_id.str.startswith("ls-").any()
-    assert (m_sp.feature_rows.sum() == m_in.feature_rows.sum())
-
-
-def test_ls_split_resume(tmp_path):
-    """Second run of the split LS pass skips every ls partition."""
-    from cesium_ray.synth import generate_turns
-
-    turns = generate_turns(30, seed=21, max_turns=300)
-    out = str(tmp_path / "o")
-    kw = dict(num_partitions=4, tiers=("1d",), codec=False,
-              gapfill_tier=None, ls_features=["freq1_freq"],
-              ls_min_turns=100, ls_partitions=8)
-    run_flagship(ray.data.from_arrow(generate_turns(30, seed=21,
-                                                    max_turns=300)),
-                 out, **kw)
-    m2 = run_flagship(ray.data.from_arrow(turns), out, **kw)
-    lsrows = m2[m2.partition_id.str.startswith("ls-")]
-    assert len(lsrows) and lsrows.skipped.all()
-
-
 def test_balance_ls_bit_identical(tmp_path):
     """LPT cost-balanced placement of LS-hot convs changes only which
     part-pid holds which conversation — every product (tiers,
@@ -259,3 +211,69 @@ def test_balance_ls_bit_identical(tmp_path):
     bal = run(str(tmp_path / "bal"), balance_ls=True)
     for k in plain:
         pd.testing.assert_frame_equal(plain[k], bal[k], check_exact=True)
+
+
+def test_hot_sizes_only_hot_keys(tmp_path):
+    """The LPT size pass hands the driver exactly the conversations with
+    lo ≤ n ≤ hi, with pandas' counts.  With lo above every size it is
+    empty, and balance_ls falls back to hash placement."""
+    import glob as _glob
+
+    from cesium_ray.pipelines.flagship import _hot_sizes
+    from cesium_ray.synth import generate_turns
+
+    turns = generate_turns(60, seed=13, max_turns=400)
+    sizes = turns.to_pandas().groupby("conv_id").size()
+    lo, hi = 100, 300
+    want = sizes[(sizes >= lo) & (sizes <= hi)].sort_index()
+    # the range cuts keys on both sides
+    assert 0 < len(want) < (sizes >= lo).sum() < len(sizes)
+    got = _hot_sizes(ray.data.from_arrow(turns), "conv_id", lo, hi)
+    assert sorted(got.columns) == ["conv_id", "n"]
+    pd.testing.assert_series_equal(
+        got.set_index("conv_id")["n"].sort_index(), want, check_names=False)
+
+    top = int(sizes.max()) + 1
+    assert len(_hot_sizes(ray.data.from_arrow(turns), "conv_id", top, 10**9)) == 0
+
+    def run(out, **kw):
+        run_flagship(
+            ray.data.from_arrow(turns), out, num_partitions=4,
+            tiers=("1d",), codec=False, gapfill_tier=None,
+            ls_features=["freq1_freq"], ls_min_turns=top, resume=False, **kw)
+        return {os.path.relpath(f, out): pd.read_parquet(f)
+                for f in _glob.glob(f"{out}/tier=1d/date=*/part-*.parquet")}
+
+    plain = run(str(tmp_path / "plain"))
+    bal = run(str(tmp_path / "bal"), balance_ls=True)
+    assert plain and sorted(plain) == sorted(bal)
+    for k in plain:
+        pd.testing.assert_frame_equal(plain[k], bal[k], check_exact=True)
+
+
+def test_manifest_checksum_deterministic(tmp_path):
+    """Two identical runs into two fresh roots write equal manifest
+    checksums (timing and worker pid stay out of the crc)."""
+    from cesium_ray.state.manifest import Manifest
+    from cesium_ray.synth import generate_turns
+
+    turns = generate_turns(40, seed=5)
+    rows = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        run_flagship(ray.data.from_arrow(turns), out, num_partitions=4,
+                     tiers=("1m", "1h"), codec=True, gapfill_tier="1m",
+                     features=["mean", "std"], resume=False)
+        rows.append(Manifest(out, "flagship").rows()
+                    .sort_values("partition_id").reset_index(drop=True))
+    assert len(rows[0]) == 4
+    assert rows[0].checksum.tolist() == rows[1].checksum.tolist()
+
+
+def test_unknown_keyword_fails_fast(tmp_path, tiny_turns):
+    """A removed or misspelled keyword raises a plain TypeError on the
+    driver, not a RayTaskError from inside a partition task."""
+    with pytest.raises(TypeError) as ei:
+        run_flagship(ray.data.from_arrow(tiny_turns), str(tmp_path / "o"),
+                     num_partitions=4, ls_partitions=8)
+    assert not isinstance(ei.value, ray.exceptions.RayError)
