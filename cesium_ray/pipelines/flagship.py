@@ -6,7 +6,9 @@
         sort (M2) → derive channels → rollup 1m/1h/1d (G4, exact
         p50/p99) → gap-fill (G2) → Gorilla/DoD chunks (G3) →
         [optional] cesium feature extraction (T1)
-    → atomic partitioned writes + per-partition manifest (G7)
+    → atomic partitioned writes (each tier frame is converted to
+      Arrow once, sorted by day, and written as one zero-copy slice
+      per date file) + per-partition manifest (G7)
     → returns a small metrics table (lineage).
 
 Scale design: exactly one all-to-all exchange (the conv_id groupby);
@@ -19,12 +21,15 @@ so adding tiers/products costs zero extra shuffles.  Outputs are
 
 from __future__ import annotations
 
+import glob
 import os
 import time as _time
 import zlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
@@ -65,13 +70,14 @@ def _points_frame(codes, uniques, ts_us, tidx, channels) -> pd.DataFrame:
     )
 
 
-def _atomic_file_write(df: pd.DataFrame, path: str):
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
+def _atomic_file_write(data: pa.Table | pd.DataFrame, path: str):
+    """Write one parquet file via ``path.tmp`` + ``os.replace``; a
+    DataFrame is converted here, a Table is written as given."""
+    if isinstance(data, pd.DataFrame):
+        data = pa.Table.from_pandas(data, preserve_index=False)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp)
+    pq.write_table(data, tmp)
     os.replace(tmp, path)
 
 
@@ -140,28 +146,38 @@ class PartitionProcessor:
         self.manifest = Manifest(out_root, "flagship")
 
     def _write_dated(self, df: pd.DataFrame, tier: str, pid: str, time_col: str):
-        import glob
-
-        n = 0
+        """Write ``df`` as one ``date=<d>/part-<pid>.parquet`` file per
+        day of ``time_col`` (rows with a NaT time are dropped) and
+        return the rows written.  The frame is converted to Arrow once,
+        ordered by day with one stable sort (row order within a day is
+        kept), and each day is written as a zero-copy slice."""
+        day = df[time_col].to_numpy("datetime64[D]")
+        order = np.argsort(day, kind="stable")
+        order = order[: len(order) - np.isnat(day).sum()]  # NaT sorts last
+        sd = day[order]
+        table = pa.Table.from_pandas(df, preserve_index=False).take(order)
+        cuts = np.flatnonzero(sd[1:] != sd[:-1]) + 1
+        bounds = zip(np.r_[0, cuts], np.r_[cuts, len(sd)]) if len(sd) else ()
         written = set()
-        for day, grp in df.groupby(df[time_col].dt.date, sort=True):
+        for a, b in bounds:
+            d = str(sd[a])
+            # one module-level writer call per file: the trace counts files by call
             _atomic_file_write(
-                grp.reset_index(drop=True),
-                os.path.join(
-                    self.out_root, f"tier={tier}", f"date={day}", f"part-{pid}.parquet"
-                ),
+                table.slice(a, b - a),
+                os.path.join(self.out_root, f"tier={tier}", f"date={d}",
+                             f"part-{pid}.parquet"),
             )
-            written.add(str(day))
-            n += len(grp)
-        # sweep stale date files from a previous generation of THIS
-        # partition: a recompute spanning fewer/different dates must not
-        # leave old tier=/date= files mixing generations (ADVICE round 1)
-        for p in glob.glob(
-            os.path.join(self.out_root, f"tier={tier}", "date=*", f"part-{pid}.parquet")
-        ):
+            written.add(d)
+        # sweep this partition's files in dates it did not write now:
+        # a previous generation's (a recompute spanning fewer/different
+        # dates must not mix generations, ADVICE round 1) and any .tmp
+        # a kill between write and rename left there (a .tmp in a date
+        # written now was just replaced by that write)
+        for p in glob.glob(os.path.join(self.out_root, f"tier={tier}", "date=*",
+                                        f"part-{pid}.parquet*")):
             if os.path.basename(os.path.dirname(p))[5:] not in written:
                 os.remove(p)
-        return n
+        return len(sd)
 
     def __call__(self, part: pd.DataFrame) -> pd.DataFrame:
         _t0 = _time.time()
