@@ -6361,9 +6361,11 @@ def q_pagerank(sf_dir):
 def _pagerank_sql(iters: int = 10) -> str:
     """The engine's fixed-round update unrolled as chained CTEs —
     each pr{i} is a plain aggregation over pr{i-1} (no recursive-CTE
-    aggregation restrictions), every float op mirrored."""
+    aggregation restrictions), every float op mirrored.  Each step reads
+    its predecessor twice, so it is MATERIALIZED: inlined, the plan
+    doubles per step (2^iters)."""
     step = """
-pr{i} AS (
+pr{i} AS MATERIALIZED (
   SELECT n2.node,
          (1.0 - 0.85)/nn.nd
          + 0.85*(coalesce(f.inflow, 0.0) + d.dang/nn.nd) AS r

@@ -339,9 +339,14 @@ def run_flagship(
     proc = PartitionProcessor(out_root=out_root, **proc_kw)
     if isinstance(turns, str):
         turns = ray.data.read_parquet(turns)
-    ds = normalize_turns(turns)
-    keep = [c for c in ["conv_id", "turn_idx", "ts", "text_len", "value"] if c in ds.columns()]
-    ds = ds.select_columns(keep)
+    # kept columns come from the input schema (file/Arrow metadata, no
+    # execution); normalize_batch adds text_len when only text is there.
+    # Asking the mapped dataset instead runs read → normalize once more
+    # (a limit=1 execution) just to learn its output schema.
+    cols = turns.columns()
+    keep = [c for c in ("conv_id", "turn_idx", "ts", "text_len", "value")
+            if c in cols or (c == "text_len" and "text" in cols)]
+    ds = normalize_turns(turns).select_columns(keep)
     override = None
     if balance_ls and proc.ls_extractor is not None:
         from ..stages.partition import lpt_assignment  # call-time, as in _hot_sizes

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray.data
 
@@ -277,3 +279,64 @@ def test_unknown_keyword_fails_fast(tmp_path, tiny_turns):
         run_flagship(ray.data.from_arrow(tiny_turns), str(tmp_path / "o"),
                      num_partitions=4, ls_partitions=8)
     assert not isinstance(ei.value, ray.exceptions.RayError)
+
+
+@pytest.mark.parametrize(
+    "run_kw, want",
+    [({}, 1),
+     # the LPT size pass is the one extra execution
+     ({"balance_ls": True, "ls_features": "ls", "ls_min_turns": 100}, 2)],
+    ids=["plain", "balance_ls"],
+)
+def test_flagship_runs_one_execution(tiny_turns, tmp_path, monkeypatch, run_kw, want):
+    """A flagship call starts one Ray Data execution per pass: the kept
+    columns come from the input schema, not from a limit=1 probe of the
+    normalized plan.  ``ExecutionPlan.execute_to_iterator`` is a private
+    Ray 2.49 hook; every streaming execution (to_pandas, and the schema
+    probe of a mapped dataset) goes through it."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    calls = []
+    real = ExecutionPlan.execute_to_iterator
+
+    def counted(self, *a, **kw):
+        calls.append(1)
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", counted)
+    m = run_flagship(ray.data.from_arrow(tiny_turns), str(tmp_path / "o"),
+                     num_partitions=4, **run_kw)
+    assert len(m) == 4 and m.rows_in.sum() == tiny_turns.num_rows
+    assert len(calls) == want
+
+
+def _with_value(t):
+    return t.append_column("value", pa.array(np.arange(t.num_rows) * 0.25))
+
+
+def _text_len_only(t):
+    tl = pc.cast(pc.utf8_length(t["text"]), pa.int32())
+    return t.drop(["text"]).append_column("text_len", tl)
+
+
+@pytest.mark.parametrize("shape", [None, _with_value, _text_len_only],
+                         ids=["text", "text+value", "text_len"])
+def test_flagship_keeps_normalized_columns(tiny_turns, tmp_path, shape):
+    """The columns kept from the input schema are the ones the
+    normalized batch has: text_len when the input has text or
+    text_len, value when the input has it.  The tier channels equal
+    those of the rule applied to ``normalize_batch``'s output."""
+    from cesium_ray.stages.normalize import normalize_batch
+
+    inp = shape(tiny_turns) if shape else tiny_turns
+    norm = normalize_batch(inp)
+    keep = [c for c in ["conv_id", "turn_idx", "ts", "text_len", "value"]
+            if c in norm.column_names]
+    want = set(derive_channels_pandas(norm.select(keep).to_pandas()).channel)
+    out = str(tmp_path / "o")
+    run_flagship(ray.data.from_arrow(inp), out, num_partitions=4,
+                 tiers=("1h",), codec=False, gapfill_tier=None, resume=False)
+    got = pd.concat([pd.read_parquet(f) for f in
+                     glob.glob(f"{out}/tier=1h/date=*/part-*.parquet")])
+    assert "text_len" in want
+    assert set(got.channel) == want
