@@ -15,6 +15,8 @@ Scale shape:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import ray.data
@@ -1264,6 +1266,93 @@ def k_anonymity(
     })
 
 
+_NO_TIME = np.iinfo(np.int64).max
+
+
+def _survival_cells(df: pd.DataFrame, key: str, type_col: str,
+                    ts_col: str, start_type: str,
+                    event_type: str) -> pd.DataFrame:
+    """One partition's (key, t0, tp, tmax) cells, ascending by key:
+    t0 = the key's first ``start_type`` time, tp = its first
+    ``event_type`` time STRICTLY after t0 (-1 when either is absent),
+    tmax = its latest time over ALL events (a key without a start
+    event still sets the global censor time).  One stable sort by key,
+    then min/max ``reduceat`` over the key segments — no per-key loop."""
+    k = df[key].to_numpy()
+    order = np.argsort(k, kind="stable")
+    k = k[order]
+    tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)[order]
+    et = df[type_col].to_numpy()[order]
+    new = np.r_[True, k[1:] != k[:-1]]
+    starts = np.flatnonzero(new)
+    gid = np.cumsum(new) - 1
+    t0 = np.minimum.reduceat(
+        np.where(et == start_type, tus, _NO_TIME), starts)
+    tp = np.minimum.reduceat(
+        np.where((et == event_type) & (tus > t0[gid]), tus, _NO_TIME),
+        starts)
+    return pd.DataFrame({key: k[starts].astype(np.int64),
+                         "t0": np.where(t0 == _NO_TIME, -1, t0),
+                         "tp": np.where(tp == _NO_TIME, -1, tp),
+                         "tmax": np.maximum.reduceat(tus, starts)})
+
+
+def _survival_durations(ds, key, type_col, ts_col, start_type,
+                        event_type, num_partitions):
+    """The survival family's one keyed exchange: ``_survival_cells``
+    per partition, then each started key's right-censored duration
+    (first later ``event_type`` − t0, else global max ts − t0) and its
+    observed flag.  Returns int64 ``(key, dur, obs)`` arrays, or None
+    when no key has a start event."""
+    cells = group_apply(
+        ds.select_columns([key, type_col, ts_col]),
+        functools.partial(_survival_cells, key=key, type_col=type_col,
+                          ts_col=ts_col, start_type=start_type,
+                          event_type=event_type),
+        num_partitions=num_partitions, key=key,
+    ).to_pandas()
+    if not len(cells):
+        return None
+    tmax = int(cells["tmax"].max())
+    cells = cells[cells["t0"] >= 0]
+    if not len(cells):
+        return None
+    tp = cells["tp"].to_numpy(np.int64)
+    obs = tp >= 0
+    dur = np.where(obs, tp, tmax) - cells["t0"].to_numpy(np.int64)
+    return cells[key].to_numpy(np.int64), dur, obs
+
+
+def _event_counts(evt_times: np.ndarray, dur: np.ndarray,
+                  obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact int64 counts at each ascending event time t: subjects at
+    risk (duration ≥ t) and observed events (duration == t), all times
+    at once by ``searchsorted`` on sorted durations."""
+    s = np.sort(dur)
+    so = np.sort(dur[obs])
+    n_risk = len(s) - np.searchsorted(s, evt_times, "left")
+    d = (np.searchsorted(so, evt_times, "right")
+         - np.searchsorted(so, evt_times, "left"))
+    return n_risk, d
+
+
+def _km_steps(dur: np.ndarray, obs: np.ndarray):
+    """The Kaplan–Meier steps: distinct observed durations ascending,
+    their n_at_risk and deaths, and S(t) = exp(Σ ln(1 − d/n)) as a
+    list of floats.  The sum runs one scalar op at a time in ascending
+    t, the op sequence of the SQL twins' ordered prefix, so the
+    floats agree bit for bit."""
+    evt_times = np.unique(dur[obs])
+    n_risk, d = _event_counts(evt_times, dur, obs)
+    surv = []
+    logsum = 0.0
+    for n, k in zip(n_risk.tolist(), d.tolist()):
+        logsum += float(np.log(1.0 - float(k) / n)) if k < n \
+            else float("-inf")
+        surv.append(float(np.exp(logsum)))
+    return evt_times, n_risk, d, surv
+
+
 def kaplan_meier(
     ds: ray.data.Dataset,
     key: str = "user_id",
@@ -1282,60 +1371,17 @@ def kaplan_meier(
     deaths, and S(t) = exp(Σ ln(1 − d/n)) — computed as the identical
     log-sum-exp op sequence the SQL twin uses, so the floats agree.
     All counts exact int64."""
-    from .partition import group_apply
-
-    def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for uid, g in df.groupby(key, observed=True):
-            tus = g[ts_col].to_numpy("datetime64[us]").view(np.int64)
-            et = g[type_col].to_numpy()
-            st = tus[et == start_type]
-            if not len(st):
-                # keys without a start event still contribute their
-                # max ts to the global censor time (oracle's mx CTE
-                # is max over ALL events) — emit a t0=-1 sentinel row
-                out.append((int(uid), -1, -1, int(tus.max())))
-                continue
-            t0 = int(st.min())
-            ev = tus[(et == event_type) & (tus > t0)]
-            out.append((int(uid), t0,
-                        int(ev.min()) if len(ev) else -1,
-                        int(tus.max())))
-        return pd.DataFrame(out, columns=[key, "t0", "tp", "tmax"])
-
-    cells = group_apply(
-        ds.select_columns([key, type_col, ts_col]),
-        per_key, num_partitions=num_partitions, key=key,
-    ).to_pandas()
-    if not len(cells):
+    got = _survival_durations(ds, key, type_col, ts_col, start_type,
+                              event_type, num_partitions)
+    if got is None:
         return pd.DataFrame({"duration_us": pd.Series(dtype="int64"),
                              "n_risk": pd.Series(dtype="int64"),
                              "n_events": pd.Series(dtype="int64"),
                              "survival": pd.Series(dtype="float64")})
-    tmax = int(cells["tmax"].max())
-    # global censor time = max ts over ALL events (every event belongs
-    # to some key and every key emits a tmax row, start event or not)
-    cells = cells[cells["t0"] >= 0]
-    if not len(cells):
-        return pd.DataFrame({"duration_us": pd.Series(dtype="int64"),
-                             "n_risk": pd.Series(dtype="int64"),
-                             "n_events": pd.Series(dtype="int64"),
-                             "survival": pd.Series(dtype="float64")})
-    obs = cells["tp"].to_numpy(np.int64) >= 0
-    dur = np.where(obs, cells["tp"].to_numpy(np.int64),
-                   tmax) - cells["t0"].to_numpy(np.int64)
-    evt_times = np.unique(dur[obs])
-    rows = []
-    logsum = 0.0
-    for t in evt_times:
-        n_risk = int((dur >= t).sum())
-        d = int((dur[obs] == t).sum())
-        logsum += float(np.log(1.0 - float(d) / n_risk)) \
-            if d < n_risk else float("-inf")
-        rows.append((int(t), np.int64(n_risk), np.int64(d),
-                     float(np.exp(logsum))))
-    return pd.DataFrame(rows, columns=["duration_us", "n_risk",
-                                       "n_events", "survival"])
+    evt_times, n_risk, d, surv = _km_steps(*got[1:])
+    return pd.DataFrame({"duration_us": evt_times, "n_risk": n_risk,
+                         "n_events": d,
+                         "survival": np.array(surv, np.float64)})
 
 
 def zipf_exponent(
@@ -4549,58 +4595,27 @@ def rmst(
     event-time order (the same ordered-prefix device the KM oracle
     uses), so engine and SQL walk identical float op sequences;
     durations, τ and all counts are exact int64."""
-    from .partition import group_apply
-
-    def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for uid, g in df.groupby(key, observed=True):
-            tus = g[ts_col].to_numpy("datetime64[us]").view(np.int64)
-            et = g[type_col].to_numpy()
-            st = tus[et == start_type]
-            if not len(st):
-                out.append((int(uid), -1, -1, int(tus.max())))
-                continue
-            t0 = int(st.min())
-            ev = tus[(et == event_type) & (tus > t0)]
-            out.append((int(uid), t0,
-                        int(ev.min()) if len(ev) else -1,
-                        int(tus.max())))
-        return pd.DataFrame(out, columns=[key, "t0", "tp", "tmax"])
-
-    cells = group_apply(
-        ds.select_columns([key, type_col, ts_col]),
-        per_key, num_partitions=num_partitions, key=key,
-    ).to_pandas()
+    got = _survival_durations(ds, key, type_col, ts_col, start_type,
+                              event_type, num_partitions)
     cols = {"n_durations": pd.Series(dtype="int64"),
             "n_events": pd.Series(dtype="int64"),
             "tau_us": pd.Series(dtype="int64"),
             "rmst_days": pd.Series(dtype="float64"),
             "rmst_share": pd.Series(dtype="float64")}
-    if not len(cells):
+    if got is None:
         return pd.DataFrame(cols)
-    tmax = int(cells["tmax"].max())
-    cells = cells[cells["t0"] >= 0]
-    if not len(cells):
-        return pd.DataFrame(cols)
-    obs = cells["tp"].to_numpy(np.int64) >= 0
-    dur = np.where(obs, cells["tp"].to_numpy(np.int64),
-                   tmax) - cells["t0"].to_numpy(np.int64)
+    _, dur, obs = got
     tau = int(dur.max())
-    evt_times = np.unique(dur[obs])
+    evt_times, _, _, surv = _km_steps(dur, obs)
     if not len(evt_times) or tau <= 0:
         return pd.DataFrame(cols)
     acc = 0.0
-    logsum = 0.0
     s_prev = 1.0
     t_prev = 0
-    for t in evt_times:
-        n_risk = int((dur >= t).sum())
-        d = int((dur[obs] == t).sum())
-        acc = acc + s_prev * float(int(t) - t_prev)
-        logsum += float(np.log(1.0 - float(d) / n_risk)) \
-            if d < n_risk else float("-inf")
-        s_prev = float(np.exp(logsum))
-        t_prev = int(t)
+    for t, s_t in zip(evt_times.tolist(), surv):
+        acc = acc + s_prev * float(t - t_prev)
+        s_prev = s_t
+        t_prev = t
     r = acc + s_prev * float(tau - t_prev)
     # report in DAYS, not µs: the ~1e11-µs magnitude would expose
     # the last-ulp difference between this sequential walk and the
@@ -4633,66 +4648,31 @@ def gehan_wilcoxon(
     Durations/censor rule are identical to kaplan_meier's cells.
     Definite orderings only: i beats j iff j converted AND
     (t_i > t_j, or t_i = t_j with i censored).  Per-subject Gehan
-    scores G = A − B come from exact cumulative (duration, status)
-    histogram counts; W = Σ_{cohort A} G and the permutation
+    scores G = A − B come from exact counts by ``searchsorted`` on
+    the sorted pooled and observed durations; W = Σ_{cohort A} G and the permutation
     variance n·m·ΣG²/(N(N−1)) use Python-int/HUGEINT sums (G² is
     O(N²), overflows int64 at ~10⁵ subjects); z = W/√Var is the
     one closing."""
-    from .partition import group_apply
-
-    def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for uid, g in df.groupby(key, observed=True):
-            tus = g[ts_col].to_numpy("datetime64[us]").view(np.int64)
-            et = g[type_col].to_numpy()
-            st = tus[et == start_type]
-            if not len(st):
-                out.append((int(uid), -1, -1, int(tus.max())))
-                continue
-            t0 = int(st.min())
-            ev = tus[(et == event_type) & (tus > t0)]
-            out.append((int(uid), t0,
-                        int(ev.min()) if len(ev) else -1,
-                        int(tus.max())))
-        return pd.DataFrame(out, columns=[key, "t0", "tp", "tmax"])
-
-    cells = group_apply(
-        ds.select_columns([key, type_col, ts_col]),
-        per_key, num_partitions=num_partitions, key=key,
-    ).to_pandas()
+    got = _survival_durations(ds, key, type_col, ts_col, start_type,
+                              event_type, num_partitions)
     cols = {"n_a": pd.Series(dtype="int64"),
             "n_b": pd.Series(dtype="int64"),
             "w_gehan": pd.Series(dtype="int64"),
             "z_stat": pd.Series(dtype="float64")}
-    if not len(cells):
+    if got is None:
         return pd.DataFrame(cols)
-    tmax = int(cells["tmax"].max())
-    cells = cells[cells["t0"] >= 0]
-    if not len(cells):
-        return pd.DataFrame(cols)
-    obs = cells["tp"].to_numpy(np.int64) >= 0
-    dur = np.where(obs, cells["tp"].to_numpy(np.int64),
-                   tmax) - cells["t0"].to_numpy(np.int64)
-    grp_a = (cells[key].to_numpy(np.int64) % 2) == 0
+    kid, dur, obs = got
+    grp_a = (kid % 2) == 0
     n, m = int(grp_a.sum()), int((~grp_a).sum())
     if n == 0 or m == 0:
         return pd.DataFrame(cols)
     N = n + m
-    # pooled (duration, status) histogram with cumulative counts
-    hdf = pd.DataFrame({"t": dur, "o": obs.astype(np.int64)})
-    hist = hdf.groupby("t", as_index=False).agg(
-        c_all=("o", "size"), c_obs=("o", "sum")) \
-        .sort_values("t").reset_index(drop=True)
-    ht = hist["t"].to_numpy(np.int64)
-    call = hist["c_all"].to_numpy(np.int64)
-    cobs = hist["c_obs"].to_numpy(np.int64)
-    cum_all = np.cumsum(call)
-    cum_obs = np.cumsum(cobs)
-    idx = np.searchsorted(ht, dur)
-    obs_lt = cum_obs[idx] - cobs[idx]          # observed with t < t_i
-    obs_eq = cobs[idx]
-    all_gt = int(cum_all[-1]) - cum_all[idx]   # subjects with t > t_i
-    cens_eq = call[idx] - cobs[idx]
+    s_all, s_obs = np.sort(dur), np.sort(dur[obs])
+    obs_lt = np.searchsorted(s_obs, dur, "left")   # observed with t < t_i
+    obs_eq = np.searchsorted(s_obs, dur, "right") - obs_lt
+    le = np.searchsorted(s_all, dur, "right")
+    all_gt = N - le                                # subjects with t > t_i
+    cens_eq = le - np.searchsorted(s_all, dur, "left") - obs_eq
     oi = obs.astype(np.int64)
     # A_i: observed strictly before, plus observed at t_i when i
     # is censored; B_i (only if i observed): later subjects plus
@@ -5407,57 +5387,28 @@ def logrank_test(
     ints from cumulative tails, and the float E/V terms accumulate
     in ascending event-time order (the ordered-prefix device) —
     z = (O−E)/√V closes."""
-    from .partition import group_apply
-
-    def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for uid, g in df.groupby(key, observed=True):
-            tus = g[ts_col].to_numpy("datetime64[us]").view(np.int64)
-            et = g[type_col].to_numpy()
-            st = tus[et == start_type]
-            if not len(st):
-                out.append((int(uid), -1, -1, int(tus.max())))
-                continue
-            t0 = int(st.min())
-            ev = tus[(et == event_type) & (tus > t0)]
-            out.append((int(uid), t0,
-                        int(ev.min()) if len(ev) else -1,
-                        int(tus.max())))
-        return pd.DataFrame(out, columns=[key, "t0", "tp", "tmax"])
-
-    cells = group_apply(
-        ds.select_columns([key, type_col, ts_col]),
-        per_key, num_partitions=num_partitions, key=key,
-    ).to_pandas()
+    got = _survival_durations(ds, key, type_col, ts_col, start_type,
+                              event_type, num_partitions)
     cols = {"n_a": pd.Series(dtype="int64"),
             "n_b": pd.Series(dtype="int64"),
             "o_minus_e": pd.Series(dtype="float64"),
             "z_stat": pd.Series(dtype="float64")}
-    if not len(cells):
+    if got is None:
         return pd.DataFrame(cols)
-    tmax = int(cells["tmax"].max())
-    cells = cells[cells["t0"] >= 0]
-    if not len(cells):
-        return pd.DataFrame(cols)
-    obs = cells["tp"].to_numpy(np.int64) >= 0
-    dur = np.where(obs, cells["tp"].to_numpy(np.int64),
-                   tmax) - cells["t0"].to_numpy(np.int64)
-    grp_a = (cells[key].to_numpy(np.int64) % 2) == 0
+    kid, dur, obs = got
+    grp_a = (kid % 2) == 0
     na, nb = int(grp_a.sum()), int((~grp_a).sum())
     if na == 0 or nb == 0:
         return pd.DataFrame(cols)
     evt_times = np.unique(dur[obs])
     if not len(evt_times):
         return pd.DataFrame(cols)
+    n_all, d_all = _event_counts(evt_times, dur, obs)
+    n_a, d_a = _event_counts(evt_times, dur[grp_a], obs[grp_a])
     ome = 0.0
     var = 0.0
-    for t in evt_times:
-        at = dur >= t
-        n_t = int(at.sum())
-        n1 = int((at & grp_a).sum())
-        dmask = obs & (dur == t)
-        d_t = int(dmask.sum())
-        d1 = int((dmask & grp_a).sum())
+    for n_t, n1, d_t, d1 in zip(n_all.tolist(), n_a.tolist(),
+                                d_all.tolist(), d_a.tolist()):
         if n_t < 2:
             continue
         e1 = float(n1) * float(d_t) / float(n_t)

@@ -25,8 +25,9 @@ def norm(df: pd.DataFrame) -> pd.DataFrame:
 def main(sf="/root/testdata/sf0.01", only=None):
     import ray
 
-    ray.init(address="local", num_cpus=16, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
+    ray.init(address="local", num_cpus=min(16, len(os.sched_getaffinity(0))),
+             include_dashboard=False, ignore_reinit_error=True,
+             logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False

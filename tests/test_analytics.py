@@ -320,6 +320,97 @@ def test_kaplan_meier_censor_from_nonsignup_key(ray_session):
     assert abs(km.loc[50, "survival"] - 0.5) < 1e-12
 
 
+def _loop_survival_cells(df):
+    """Per-key loop oracle for the survival kernel's partition cells."""
+    out = []
+    for uid, g in df.groupby("user_id", observed=True):
+        tus = g["ts"].to_numpy("datetime64[us]").view(np.int64)
+        et = g["event_type"].to_numpy()
+        st = tus[et == "signup"]
+        if not len(st):
+            out.append((int(uid), -1, -1, int(tus.max())))
+            continue
+        t0 = int(st.min())
+        ev = tus[(et == "purchase") & (tus > t0)]
+        out.append((int(uid), t0, int(ev.min()) if len(ev) else -1,
+                    int(tus.max())))
+    return pd.DataFrame(out, columns=["user_id", "t0", "tp", "tmax"])
+
+
+def _loop_survival_closings(kid, dur, obs):
+    """Per-event-time rescan oracle: KM rows, RMST area and log-rank
+    (O−E, V), each float op in the engine's order."""
+    grp_a = kid % 2 == 0
+    rows, logsum, acc, s_prev, t_prev = [], 0.0, 0.0, 1.0, 0
+    ome, var = 0.0, 0.0
+    for t in np.unique(dur[obs]):
+        at = dur >= t
+        n_t, n1 = int(at.sum()), int((at & grp_a).sum())
+        dmask = obs & (dur == t)
+        d_t, d1 = int(dmask.sum()), int((dmask & grp_a).sum())
+        acc = acc + s_prev * float(int(t) - t_prev)
+        logsum += float(np.log(1.0 - float(d_t) / n_t)) \
+            if d_t < n_t else float("-inf")
+        s_prev, t_prev = float(np.exp(logsum)), int(t)
+        rows.append((int(t), n_t, d_t, s_prev))
+        if n_t >= 2:
+            ome = ome + (float(d1) - float(n1) * float(d_t) / float(n_t))
+            var = var + (float(n1) * float(n_t - n1) * float(d_t)
+                         * float(n_t - d_t)
+                         / (float(n_t) * float(n_t) * float(n_t - 1)))
+    return rows, acc + s_prev * float(int(dur.max()) - t_prev), ome, var
+
+
+def test_survival_kernel_matches_loops(monkeypatch):
+    """Ray-free: the survival family's sort + reduceat partition cells
+    equal the per-key loop's frame, and the searchsorted event counts
+    give the old per-event-time loop's KM/RMST/log-rank floats
+    exactly (==, not close)."""
+    from cesium_ray.stages import analytics
+
+    def frame(rows):
+        df = pd.DataFrame(rows, columns=["user_id", "event_type", "t"])
+        df["ts"] = pd.to_datetime(df["t"], unit="s")
+        return df[["user_id", "event_type", "ts"]]
+
+    cases = [
+        [(2, "signup", 10), (1, "view", 500), (2, "purchase", 20)],
+        [(3, "signup", 100), (3, "purchase", 100)],        # at t0: not after
+        [(4, "purchase", 5), (4, "purchase", 8), (4, "signup", 50)],
+        [(5, "signup", 30), (5, "signup", 10), (5, "purchase", 20),
+         (5, "signup", 60)],                               # earliest wins
+        [(6, "signup", 0), (6, "purchase", 70), (6, "purchase", 40),
+         (6, "purchase", 90), (6, "view", 95)],
+        [(7, "signup", 3)],                                # single row
+    ]
+    cases.append([r for c in cases for r in c][::-1])
+    for rows in cases:
+        df = frame(rows)
+        got = analytics._survival_cells(df, "user_id", "event_type", "ts",
+                                        "signup", "purchase")
+        assert got.equals(_loop_survival_cells(df)), rows
+
+    rng = np.random.default_rng(7)
+    n = 400
+    kid = np.arange(n, dtype=np.int64)
+    dur = rng.integers(1, 60, n).astype(np.int64) * 10**6   # many ties
+    obs = rng.random(n) < 0.6
+    dur[:2], obs[:2] = 30 * 10**6, [True, False]   # censored at an event
+    dur[2], obs[2] = 10**9, True                   # lone tail: n_t = 1
+    monkeypatch.setattr(analytics, "_survival_durations",
+                        lambda *a: (kid, dur, obs))
+    rows, r, ome, var = _loop_survival_closings(kid, dur, obs)
+    km = analytics.kaplan_meier(None)
+    assert list(km.itertuples(index=False, name=None)) == rows
+    assert km["survival"].iloc[-1] == 0.0
+    rm = analytics.rmst(None)
+    assert rm["rmst_days"].iloc[0] == r / 86400000000.0
+    assert rm["rmst_share"].iloc[0] == r / float(dur.max())
+    lr = analytics.logrank_test(None)
+    assert lr["o_minus_e"].iloc[0] == ome
+    assert lr["z_stat"].iloc[0] == ome / float(np.sqrt(var))
+
+
 def test_zipf_exponent_recovers_alpha(ray_session):
     """CSN estimator recovers the generating exponent on synthetic
     Zipf counts within sampling tolerance."""
