@@ -618,8 +618,8 @@ def bench_tsdb_math(results, thr):
         ("topk_per_day", lambda: topk_per_window(
             base, k=10, bucket_s=86400, num_partitions=NCPU).count()),
         ("hll_distinct", lambda: hll_distinct(base)),
-        ("cohort_retention", lambda: cohort_retention(
-            base, num_partitions=NCPU).count()),
+        ("cohort_retention", lambda: len(cohort_retention(
+            base, num_partitions=NCPU))),
         ("funnel", lambda: int(funnel_steps(
             base, steps=("user", "assistant", "tool"),
             num_partitions=NCPU)["n_users"].iloc[-1])),

@@ -90,11 +90,6 @@ def flux_percentiles(m):
     return np.percentile(m, _FLUX_QS, method="linear")
 
 
-def _flux_percentile(m, lo, hi):
-    p_lo, p_hi = np.percentile(m, [lo, hi], method="linear")
-    return p_hi - p_lo
-
-
 def flux_percentile_ratio(m, k, pcts=None):  # ::flux_percentile_ratio_mid{k}
     """(P(50+k/2) − P(50−k/2)) / (P95 − P5)  for k ∈ {20,35,50,65,80}."""
     if pcts is None:

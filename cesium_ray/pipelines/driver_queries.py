@@ -32,9 +32,10 @@ import ray.data
 
 from ..oracle.gapfill import gapfill_pandas
 from ..oracle.rollup import duck_quantile, rollup_pandas
+from ..schema import EVENT_ID, EVENT_TYPE, TS, USER_ID, VALUE
 from ..stages.partition import group_apply
 
-EVENT_COLS = ["event_id", "ts", "user_id", "event_type", "value", "props"]
+EVENT_COLS = [EVENT_ID, TS, USER_ID, EVENT_TYPE, VALUE, "props"]
 
 # events.value is generated with exactly 2 decimals (verified against
 # /root/testdata: round(v·100) is integer for every row) → exact int64

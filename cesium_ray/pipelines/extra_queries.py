@@ -2876,14 +2876,14 @@ def q_cohort_retention(sf_dir):
     """★-checked retention triangle (stages/analytics.py): distinct
     users active per (first-seen cohort day, age in days).  Users are
     whole within a partition, so map-side cell counts are already
-    distinct-user counts; the cohort-keyed exchange carries cells
-    bounded by days², not rows."""
+    distinct-user counts; the driver sums cells bounded by days², not
+    rows."""
     from ..stages.analytics import cohort_retention
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    out = cohort_retention(ev, num_partitions=8).to_pandas()
+    out = cohort_retention(ev, num_partitions=8)
     return (out.sort_values(["cohort_day", "age_days"])
             .reset_index(drop=True))
 

@@ -90,21 +90,17 @@ class PartitionProcessor:
         tiers=("1m", "1h", "1d"),
         write_points: bool = False,
         gapfill_tier: str | None = "1m",
-        gapfill_method: str = "locf",
         codec: bool = True,
         features=None,  # None → skip; list of names or "general"
         ls_features=None,  # None → skip; "ls" or list; hot convs only
         ls_min_turns: int = 500,
         max_feature_turns: int = 200_000,
-        by: str = "conv_id",
-        order=("turn_idx",),
         resume: bool = True,
     ):
         self.out_root = out_root
         self.tiers = tiers
         self.write_points = write_points
         self.gapfill_tier = gapfill_tier
-        self.gapfill_method = gapfill_method
         self.codec = ChunkCodec() if codec else None
         if features == "general":
             from ..oracle.graphs import GENERAL_FEATURES
@@ -140,8 +136,6 @@ class PartitionProcessor:
         # process them: those kernels are linear + vectorized) and
         # counted in metrics['oversize_convs'] for lineage.
         self.max_feature_turns = max_feature_turns
-        self.by = by
-        self.order = order
         self.resume = resume
         self.manifest = Manifest(out_root, "flagship")
 
@@ -202,9 +196,7 @@ class PartitionProcessor:
         # fused array path: factorize + sort ONCE, then all tiers /
         # products reuse the same derived arrays (bit-identical stats to
         # the oracle's rollup_pandas — shared _grouped_stats kernel)
-        codes, uniques, ts_us, tidx, channels = derive_channel_arrays(
-            df, by=self.by, order=self.order
-        )
+        codes, uniques, ts_us, tidx, channels = derive_channel_arrays(df)
         n_points = len(codes) * len(channels)
         metrics = {
             "partition_id": pid, "input_fingerprint": fp, "rows_in": len(df),
@@ -226,7 +218,7 @@ class PartitionProcessor:
             r = rollup_arrays(codes, uniques, ts_us, channels, tier, key_name="conv_id")
             metrics["rollup_rows"] += self._write_dated(r, tier, pid, "bucket")
         if self.gapfill_tier:
-            gf = gapfill_pandas(pts, self.gapfill_tier, self.gapfill_method)
+            gf = gapfill_pandas(pts, self.gapfill_tier)
             _atomic_file_write(
                 gf,
                 os.path.join(
@@ -286,9 +278,9 @@ class PartitionProcessor:
         return pd.DataFrame([metrics])
 
 
-def _hot_sizes(ds: ray.data.Dataset, by: str, lo: int, hi: int) -> pd.DataFrame:
+def _hot_sizes(ds: ray.data.Dataset, lo: int, hi: int) -> pd.DataFrame:
     """Turn counts of the conversations with ``lo ≤ n ≤ hi`` (columns
-    ``by``, ``n``): map-side partial counts → one tiny keyed exchange
+    ``conv_id``, ``n``): map-side partial counts → one tiny keyed exchange
     whose reduce applies the range filter, so the driver receives only
     the LPT candidates — bounded by skew, not by corpus size."""
     # call-time import: group_apply's caller module names the traced
@@ -296,16 +288,17 @@ def _hot_sizes(ds: ray.data.Dataset, by: str, lo: int, hi: int) -> pd.DataFrame:
     from ..stages.partition import group_apply
 
     def _counts(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(by, as_index=False, observed=True).size()
+        g = df.groupby("conv_id", as_index=False, observed=True).size()
         return g.rename(columns={"size": "n"})
 
     def _hot(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(by, as_index=False, observed=True)["n"].sum()
+        g = df.groupby("conv_id", as_index=False, observed=True)["n"].sum()
         return g[(g["n"] >= lo) & (g["n"] <= hi)]
 
     return group_apply(
-        ds.select_columns([by]).map_batches(_counts, batch_format="pandas"),
-        _hot, num_partitions=32, key=by,
+        ds.select_columns(["conv_id"]).map_batches(
+            _counts, batch_format="pandas"),
+        _hot, num_partitions=32, key="conv_id",
     ).to_pandas()
 
 
@@ -351,11 +344,11 @@ def run_flagship(
     if balance_ls and proc.ls_extractor is not None:
         from ..stages.partition import lpt_assignment  # call-time, as in _hot_sizes
 
-        hot = _hot_sizes(ds, proc.by, proc.ls_min_turns, proc.max_feature_turns)
+        hot = _hot_sizes(ds, proc.ls_min_turns, proc.max_feature_turns)
         if len(hot):
             n = hot["n"].to_numpy(np.float64)
             override = lpt_assignment(
-                hot[proc.by].to_numpy(), n * n, num_partitions)
+                hot["conv_id"].to_numpy(), n * n, num_partitions)
     # conv_id rides the exchange dictionary-encoded (~2 B/row instead
     # of ~17); text_len is int32 — the shuffle is the single-box
     # scaling floor, so shuffled bytes are minimized at the source

@@ -21,6 +21,12 @@ TURNS = pa.schema(
     ]
 )
 
+# ------------------------------------------------------ driver events
+# Column names of the driver's ``events`` table: the one schema every
+# stream operator in stages/{tsmath,analytics,window}.py reads.
+USER_ID, EVENT_ID, EVENT_TYPE, TS, VALUE = (
+    "user_id", "event_id", "event_type", "ts", "value")
+
 # ------------------------------------------------- long-format channels
 # One row per (turn, channel).  ``value`` is null for turn_latency at
 # turn 0 (no predecessor) — nulls are counted separately in rollups
@@ -89,19 +95,6 @@ CHUNKS = pa.schema(
         ("crc", pa.uint32()),
     ]
 )
-
-# ---------------------------------------------------------- featureset
-# cesium's featureset is a pandas DataFrame with MultiIndex columns
-# (feature, channel) (cesium/featurize.py::assemble_featureset).  Arrow
-# has no MultiIndex: we emit one row per (conv_id, channel) with flat
-# float64 feature columns (SURVEY.md §1.2).
-
-
-def features_schema(feature_names: list[str]) -> pa.Schema:
-    cols = [("conv_id", pa.string()), ("channel", pa.string())]
-    cols += [(name, pa.float64()) for name in feature_names]
-    return pa.schema(cols)
-
 
 # ------------------------------------------------------------ manifest
 MANIFEST = pa.schema(

@@ -6,8 +6,8 @@ arithmetic so the SQL twins are bit-identical.
 Scale shape:
 - cohort_retention: one user-keyed exchange; each partition reduces
   its users to distinct (cohort_day, age_days) cells WITH partial
-  counts, so the second exchange (cohort-keyed) carries cells —
-  bounded by days², not by users or rows.
+  counts, summed driver-side — cells are bounded by days², not by
+  users or rows.
 - funnel_steps: one user-keyed exchange; per partition a constant
   number (len(steps)) of masked min-reduce passes — no per-user loop;
   output is len(steps) rows per partition, summed driver-side.
@@ -21,6 +21,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
+from ..schema import EVENT_ID, EVENT_TYPE, TS, USER_ID, VALUE
 from .partition import group_apply
 
 _DAY_US = np.int64(86_400_000_000)
@@ -28,19 +29,17 @@ _DAY_US = np.int64(86_400_000_000)
 
 def cohort_retention(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
-) -> ray.data.Dataset:
+) -> pd.DataFrame:
     """Per (cohort day = a user's first-seen day, age in days): the
     number of distinct users active — the retention triangle.
     Returns (cohort_day, age_days, n_users) with cohort_day in epoch
     days."""
 
     def per_user_cells(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts_col], kind="mergesort")
-        g = df[key].to_numpy()
-        day = df[ts_col].to_numpy("datetime64[us]").view(np.int64) // _DAY_US
+        df = df.sort_values([USER_ID, TS], kind="mergesort")
+        g = df[USER_ID].to_numpy()
+        day = df[TS].to_numpy("datetime64[us]").view(np.int64) // _DAY_US
         new = np.r_[True, g[1:] != g[:-1]]
         gid = np.cumsum(new) - 1
         cohort = day[new][gid]  # first row per user is its min day (sorted)
@@ -56,24 +55,16 @@ def cohort_retention(
         return out
 
     cells = group_apply(ds, per_user_cells, num_partitions=num_partitions,
-                        key=key)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["cohort_day", "age_days"], as_index=False)["_n"].sum()
-        return out.rename(columns={"_n": "n_users"})
-
+                        key=USER_ID).to_pandas()
     # users are whole within a partition, so partial counts are already
-    # distinct-user counts; the cohort-keyed exchange just sums them
-    return group_apply(cells, merge, num_partitions=num_partitions,
-                       key="cohort_day")
+    # distinct-user counts; the driver just sums them
+    return (cells.groupby(["cohort_day", "age_days"], as_index=False)["_n"]
+            .sum().rename(columns={"_n": "n_users"}))
 
 
 def funnel_steps(
     ds: ray.data.Dataset,
     steps: tuple = ("signup", "click", "purchase"),
-    key: str = "user_id",
-    ts_col: str = "ts",
-    type_col: str = "event_type",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Strict-order funnel: a user reaches step i+1 only via an event
@@ -83,10 +74,10 @@ def funnel_steps(
     steps = tuple(steps)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key], kind="mergesort")
-        g = df[key].to_numpy()
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        et = df[type_col].to_numpy()
+        df = df.sort_values([USER_ID], kind="mergesort")
+        g = df[USER_ID].to_numpy()
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        et = df[EVENT_TYPE].to_numpy()
         new = np.r_[True, g[1:] != g[:-1]]
         gid = np.cumsum(new) - 1
         n_users = int(gid[-1]) + 1 if len(gid) else 0
@@ -107,7 +98,7 @@ def funnel_steps(
         })
 
     parts = group_apply(ds, per_part, num_partitions=num_partitions,
-                        key=key).to_pandas()
+                        key=USER_ID).to_pandas()
     out = (parts.groupby(["step_idx", "step"], as_index=False)["_n"].sum()
            .rename(columns={"_n": "n_users"}))
     return out.sort_values("step_idx").reset_index(drop=True)
@@ -116,8 +107,6 @@ def funnel_steps(
 def distinct_per_window(
     ds: ray.data.Dataset,
     bucket_s: int = 86400,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Exact distinct-key count per time bucket (the daily-active-users
@@ -127,13 +116,13 @@ def distinct_per_window(
     step = np.int64(bucket_s) * 1_000_000
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         out = pd.DataFrame({"bucket_us": (tus // step) * step,
-                            key: df[key].to_numpy()})
-        return out.drop_duplicates(["bucket_us", key])
+                            USER_ID: df[USER_ID].to_numpy()})
+        return out.drop_duplicates(["bucket_us", USER_ID])
 
     def count(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.drop_duplicates(["bucket_us", key])
+        d = df.drop_duplicates(["bucket_us", USER_ID])
         out = d.groupby("bucket_us", as_index=False).size()
         return out.rename(columns={"size": "n_users"})
 
@@ -144,9 +133,6 @@ def distinct_per_window(
 
 def percent_rank_in_group(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
-    id_col: str = "event_id",
     num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Tie-aware percent rank of each row's value within its group —
@@ -154,11 +140,11 @@ def percent_rank_in_group(
     single-row groups.  One sort + run-boundary scan per partition."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, val_col, id_col], kind="mergesort")
+        df = df.sort_values([USER_ID, VALUE, EVENT_ID], kind="mergesort")
         if not len(df):
-            return df[[key, id_col, val_col]].assign(pr=np.zeros(0))
-        g = df[key].to_numpy()
-        v = df[val_col].to_numpy()
+            return df[[USER_ID, EVENT_ID, VALUE]].assign(pr=np.zeros(0))
+        g = df[USER_ID].to_numpy()
+        v = df[VALUE].to_numpy()
         new_k = np.r_[True, g[1:] != g[:-1]]
         new_v = np.r_[True, new_k[1:] | (v[1:] != v[:-1])]
         idx = np.arange(len(g))
@@ -169,19 +155,15 @@ def percent_rank_in_group(
         r = (vstart - kstart).astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             pr = np.where(n > 1, r / (n - 1).astype(np.float64), 0.0)
-        out = df[[key, id_col, val_col]].copy()
+        out = df[[USER_ID, EVENT_ID, VALUE]].copy()
         out["pr"] = pr
         return out.reset_index(drop=True)
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=key)
+    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
 
 
 def group_profile(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
-    attr_col: str = "event_type",
     num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Per-key lifecycle profile: row count, first/last timestamp,
@@ -191,30 +173,28 @@ def group_profile(
     first/last SQL aggregates)."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts_col, order_col], kind="mergesort")
-        g = df[key].to_numpy()
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        a = df[attr_col].to_numpy()
+        df = df.sort_values([USER_ID, TS, EVENT_ID], kind="mergesort")
+        g = df[USER_ID].to_numpy()
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        a = df[EVENT_TYPE].to_numpy()
         new = np.r_[True, g[1:] != g[:-1]]
         starts = np.flatnonzero(new)
         ends = np.r_[starts[1:], len(g)] - 1
         return pd.DataFrame({
-            key: g[starts],
+            USER_ID: g[starts],
             "n": (np.r_[starts[1:], len(g)] - starts).astype(np.int64),
-            "first_ts": df[ts_col].to_numpy()[starts],
-            "last_ts": df[ts_col].to_numpy()[ends],
-            "first_" + attr_col: a[starts],
-            "last_" + attr_col: a[ends],
+            "first_ts": df[TS].to_numpy()[starts],
+            "last_ts": df[TS].to_numpy()[ends],
+            "first_" + EVENT_TYPE: a[starts],
+            "last_" + EVENT_TYPE: a[ends],
             "span_s": ((tus[ends] - tus[starts]) // 1_000_000).astype(np.int64),
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=key)
+    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
 
 
 def group_mode(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
     num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Exact per-key mode of a categorical column (ties broken by the
@@ -224,31 +204,30 @@ def group_mode(
     the shuffle carries ≤ keys × |attr alphabet| cells, not rows."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby([key, attr], as_index=False).size()
+        return (df.groupby([USER_ID, EVENT_TYPE], as_index=False).size()
                 .rename(columns={"size": "_n"}))
 
     cells = ds.map_batches(partial, batch_format="pandas")
 
     def pick(df: pd.DataFrame) -> pd.DataFrame:
-        agg = df.groupby([key, attr], as_index=False)["_n"].sum()
-        agg = agg.sort_values([key, "_n", attr],
+        agg = df.groupby([USER_ID, EVENT_TYPE], as_index=False)["_n"].sum()
+        agg = agg.sort_values([USER_ID, "_n", EVENT_TYPE],
                               ascending=[True, False, True],
                               kind="mergesort")
-        top = agg.groupby(key, as_index=False).head(1)
-        return (top.rename(columns={attr: "mode_" + attr, "_n": "n"})
+        top = agg.groupby(USER_ID, as_index=False).head(1)
+        return (top.rename(columns={EVENT_TYPE: "mode_" + EVENT_TYPE,
+                                    "_n": "n"})
                 .reset_index(drop=True))
 
-    return group_apply(cells, pick, num_partitions=num_partitions, key=key)
+    return group_apply(cells, pick, num_partitions=num_partitions, key=USER_ID)
 
 
 def cooccurrence_pairs(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Global co-occurrence counts: for every unordered pair of
-    distinct ``attr`` values seen under the same key, the number of
+    distinct ``event_type`` values seen under the same key, the number of
     keys exhibiting both.  Map-side distinct (key, attr) cells → one
     hash exchange on key → per-partition vectorized self-merge
     (bounded by |alphabet|² per key) → tiny pair-count combine on the
@@ -257,22 +236,23 @@ def cooccurrence_pairs(
     attrs — documented partitioning assumption."""
 
     def distinct_cells(df: pd.DataFrame) -> pd.DataFrame:
-        return df[[key, attr]].drop_duplicates()
+        return df[[USER_ID, EVENT_TYPE]].drop_duplicates()
 
     cells = ds.map_batches(distinct_cells, batch_format="pandas")
 
     def pair_counts(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.drop_duplicates([key, attr])
-        m = d.merge(d, on=key, suffixes=("_a", "_b"))
-        m = m[m[attr + "_a"] < m[attr + "_b"]]
-        out = (m.groupby([attr + "_a", attr + "_b"], as_index=False)
+        d = df.drop_duplicates([USER_ID, EVENT_TYPE])
+        m = d.merge(d, on=USER_ID, suffixes=("_a", "_b"))
+        m = m[m[EVENT_TYPE + "_a"] < m[EVENT_TYPE + "_b"]]
+        out = (m.groupby([EVENT_TYPE + "_a", EVENT_TYPE + "_b"],
+                         as_index=False)
                .size().rename(columns={"size": "_n",
-                                       attr + "_a": "type_a",
-                                       attr + "_b": "type_b"}))
+                                       EVENT_TYPE + "_a": "type_a",
+                                       EVENT_TYPE + "_b": "type_b"}))
         return out
 
     parts = group_apply(cells, pair_counts,
-                        num_partitions=num_partitions, key=key).to_pandas()
+                        num_partitions=num_partitions, key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame({"type_a": pd.Series(dtype=object),
                              "type_b": pd.Series(dtype=object),
@@ -284,75 +264,66 @@ def cooccurrence_pairs(
             .reset_index(drop=True))
 
 
-def grouping_sets_rollup(
-    ds: ray.data.Dataset,
-    dim: str = "event_type",
-    ts_col: str = "ts",
-    value: str = "value",
-    value_scale: int = 100,
-) -> pd.DataFrame:
-    """GROUPING SETS ((dim, day), (dim), (day), ()) in ONE input pass:
-    map-side combine to finest-grain (dim, day-bucket) cells; all four
-    aggregation levels derive from the cell table by re-summing exact
-    int64 partials (order-independent, so every level is bit-exact).
-    Rolled-up dimensions emit NULL, SQL-style.  The exchange carries
-    cells (dims × days), never rows."""
+def grouping_sets_rollup(ds: ray.data.Dataset) -> pd.DataFrame:
+    """GROUPING SETS ((event_type, day), (event_type), (day), ()) in ONE
+    input pass: map-side combine to finest-grain (event_type,
+    day-bucket) cells; all four aggregation levels derive from the cell
+    table by re-summing exact int64 partials (order-independent, so
+    every level is bit-exact).  Rolled-up dimensions emit NULL,
+    SQL-style.  The exchange carries cells (types × days), never
+    rows."""
     day_us = 86_400_000_000
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        v = df[value].to_numpy(np.float64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        v = df[VALUE].to_numpy(np.float64)
         ok = ~np.isnan(v)
-        cents = np.where(ok, np.round(v * value_scale), 0.0).astype(np.int64)
+        cents = np.where(ok, np.round(v * 100), 0.0).astype(np.int64)
         g = pd.DataFrame({
-            dim: df[dim].to_numpy(),
+            EVENT_TYPE: df[EVENT_TYPE].to_numpy(),
             "bucket_us": (tus // day_us) * day_us,
             "_c": np.ones(len(df), np.int64),
             "_vc": ok.astype(np.int64),
             "_s": cents,
         })
-        return g.groupby([dim, "bucket_us"], as_index=False).sum()
+        return g.groupby([EVENT_TYPE, "bucket_us"], as_index=False).sum()
 
     # keyed pre-combine: the driver receives ≤ dims × days final
     # cells, never blocks × cells (int partials are order-free)
     cells = (group_apply(
         ds.map_batches(partial, batch_format="pandas"),
-        lambda df: df.groupby([dim, "bucket_us"], as_index=False).sum(),
-        num_partitions=4, key=dim).to_pandas()
-        .groupby([dim, "bucket_us"], as_index=False).sum())
+        lambda df: df.groupby([EVENT_TYPE, "bucket_us"], as_index=False).sum(),
+        num_partitions=4, key=EVENT_TYPE).to_pandas()
+        .groupby([EVENT_TYPE, "bucket_us"], as_index=False).sum())
 
     def level(keep: list) -> pd.DataFrame:
         if keep:
             agg = cells.groupby(keep, as_index=False)[["_c", "_vc", "_s"]].sum()
         else:
             agg = cells[["_c", "_vc", "_s"]].sum().to_frame().T
-        if dim not in keep:
-            agg[dim] = None
+        if EVENT_TYPE not in keep:
+            agg[EVENT_TYPE] = None
         if "bucket_us" not in keep:
             agg["bucket_us"] = np.nan
         return agg
 
     out = pd.concat(
-        [level([dim, "bucket_us"]), level([dim]), level(["bucket_us"]),
-         level([])], ignore_index=True)
+        [level([EVENT_TYPE, "bucket_us"]), level([EVENT_TYPE]),
+         level(["bucket_us"]), level([])], ignore_index=True)
     out["n"] = out["_c"].to_numpy(np.int64)
     s = out["_s"].to_numpy(np.float64)
     vc = out["_vc"].to_numpy(np.int64)
-    out["sum_value"] = np.where(vc > 0, s / value_scale, np.nan)
+    out["sum_value"] = np.where(vc > 0, s / 100, np.nan)
     # float64 (NaN for rolled-up rows), matching DuckDB's pandas
     # conversion of nullable BIGINT; day-epoch µs < 2^53 stays exact
     out["bucket_us"] = out["bucket_us"].to_numpy(np.float64)
-    return (out[[dim, "bucket_us", "n", "sum_value"]]
-            .sort_values([dim, "bucket_us"], na_position="first")
+    return (out[[EVENT_TYPE, "bucket_us", "n", "sum_value"]]
+            .sort_values([EVENT_TYPE, "bucket_us"], na_position="first")
             .reset_index(drop=True))
 
 
 def transition_matrix(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
-    ts_col: str = "ts",
-    order: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Markov transition counts: for every ordered pair of consecutive
@@ -368,15 +339,15 @@ def transition_matrix(
             return pd.DataFrame({"type_from": pd.Series(dtype=object),
                                  "type_to": pd.Series(dtype=object),
                                  "_n": pd.Series(dtype="int64")})
-        codes, _ = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order].to_numpy(np.int64)
+        codes, _ = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, codes))
         c = codes[perm]
         # integer-code the alphabet once; pair cells via bincount on
         # from*|A|+to (the object-dtype pair groupby was the hot spot:
         # 3x the whole-kernel cost at 2M rows)
-        acode, alphabet = pd.factorize(df[attr])
+        acode, alphabet = pd.factorize(df[EVENT_TYPE])
         a = acode[perm]
         same = c[1:] == c[:-1]  # consecutive rows of the same key
         na = len(alphabet)
@@ -389,7 +360,7 @@ def transition_matrix(
                              "_n": cnt[nz].astype(np.int64)})
 
     parts = group_apply(ds, cells, num_partitions=num_partitions,
-                        key=key).to_pandas()
+                        key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame({"type_from": pd.Series(dtype=object),
                              "type_to": pd.Series(dtype=object),
@@ -403,8 +374,6 @@ def transition_matrix(
 
 def user_growth(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Growth accounting: per day, the number of first-seen keys and
@@ -415,21 +384,21 @@ def user_growth(
     day-count cells (bounded by the calendar) and prefix-sums."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         day = (tus // _DAY_US) * _DAY_US
-        g = pd.DataFrame({key: df[key].to_numpy(), "_d": day})
-        return g.groupby(key, as_index=False)["_d"].min()
+        g = pd.DataFrame({USER_ID: df[USER_ID].to_numpy(), "_d": day})
+        return g.groupby(USER_ID, as_index=False)["_d"].min()
 
     cells = ds.map_batches(partial, batch_format="pandas")
 
     def day_counts(df: pd.DataFrame) -> pd.DataFrame:
-        first = df.groupby(key, as_index=False)["_d"].min()
+        first = df.groupby(USER_ID, as_index=False)["_d"].min()
         out = (first.groupby("_d", as_index=False).size()
                .rename(columns={"_d": "bucket_us", "size": "_n"}))
         return out
 
     parts = group_apply(cells, day_counts,
-                        num_partitions=num_partitions, key=key).to_pandas()
+                        num_partitions=num_partitions, key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame({"bucket_us": pd.Series(dtype="int64"),
                              "new_users": pd.Series(dtype="int64"),
@@ -444,23 +413,21 @@ def user_growth(
 
 def type_variety(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
-    """Variety histogram: for each distinct-``attr`` count k, the
+    """Variety histogram: for each distinct-``event_type`` count k, the
     number of keys exhibiting exactly k distinct values — the
     engagement-breadth distribution.  Map-side distinct (key, attr)
     cells → one key-hash exchange → per-partition nunique + histogram
     cells (≤ |alphabet| rows per partition) → driver combine."""
 
     def distinct_cells(df: pd.DataFrame) -> pd.DataFrame:
-        return df[[key, attr]].drop_duplicates()
+        return df[[USER_ID, EVENT_TYPE]].drop_duplicates()
 
     cells = ds.map_batches(distinct_cells, batch_format="pandas")
 
     def hist(df: pd.DataFrame) -> pd.DataFrame:
-        k = (df.drop_duplicates([key, attr]).groupby(key).size()
+        k = (df.drop_duplicates([USER_ID, EVENT_TYPE]).groupby(USER_ID).size()
              .to_numpy(np.int64))
         if not len(k):
             return pd.DataFrame({"n_types": pd.Series(dtype="int64"),
@@ -471,7 +438,7 @@ def type_variety(
                              "_n": cnt[nz].astype(np.int64)})
 
     parts = group_apply(cells, hist, num_partitions=num_partitions,
-                        key=key).to_pandas()
+                        key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame({"n_types": pd.Series(dtype="int64"),
                              "n_users": pd.Series(dtype="int64")})
@@ -484,8 +451,6 @@ def type_variety(
 
 def share_of_bucket(
     ds: ray.data.Dataset,
-    attr: str = "event_type",
-    ts_col: str = "ts",
     bucket_s: int = 86400,
 ) -> pd.DataFrame:
     """Percent-of-total enrichment: each (attr, time-bucket) cell's
@@ -497,22 +462,23 @@ def share_of_bucket(
     span = np.int64(bucket_s) * 1_000_000
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        b = (df[ts_col].to_numpy("datetime64[us]").astype(np.int64)
+        b = (df[TS].to_numpy("datetime64[us]").astype(np.int64)
              // span) * span
-        g = (pd.DataFrame({attr: df[attr].to_numpy(), "bucket_us": b})
-             .groupby([attr, "bucket_us"], as_index=False).size())
+        g = (pd.DataFrame({EVENT_TYPE: df[EVENT_TYPE].to_numpy(),
+                           "bucket_us": b})
+             .groupby([EVENT_TYPE, "bucket_us"], as_index=False).size())
         return g.rename(columns={"size": "cnt"})
 
     # per-block partials reduce through a keyed exchange first: the
     # driver receives ≤ attrs × buckets final cells, never blocks × cells
     parts = group_apply(
         ds.map_batches(partial, batch_format="pandas"),
-        lambda df: df.groupby([attr, "bucket_us"],
+        lambda df: df.groupby([EVENT_TYPE, "bucket_us"],
                               as_index=False)["cnt"].sum(),
-        num_partitions=4, key=attr,
+        num_partitions=4, key=EVENT_TYPE,
     ).to_pandas()
     if parts.empty:
-        return pd.DataFrame({attr: pd.Series(dtype=object),
+        return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
                              "bucket_us": pd.Series(dtype="int64"),
                              "cnt": pd.Series(dtype="int64"),
                              "share": pd.Series(dtype="float64")})
@@ -521,21 +487,17 @@ def share_of_bucket(
     cells["cnt"] = cells["cnt"].astype(np.int64)
     cells["share"] = cells["cnt"].to_numpy(np.float64) \
         / tot.to_numpy(np.float64)
-    return (cells.sort_values([attr, "bucket_us"])
+    return (cells.sort_values([EVENT_TYPE, "bucket_us"])
             .reset_index(drop=True))
 
 
 def sequence_pattern_count(
     ds: ray.data.Dataset,
     pattern: str,
-    key: str = "user_id",
-    attr: str = "event_type",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Sequence-pattern mining: encode each key's (ts, order)-ordered
-    ``attr`` stream as a string (first character of each value) and
+    ``event_type`` stream as a string (first character of each value) and
     count non-overlapping regex matches — "error recovered into
     purchase"-style behavioral motifs that funnels (subsequence) and
     transitions (bigrams) cannot express.
@@ -555,17 +517,17 @@ def sequence_pattern_count(
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
-            return pd.DataFrame({key: pd.Series(dtype="int64"),
+            return pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
                                  "seq_len": pd.Series(dtype="int64"),
                                  "n_matches": pd.Series(dtype="int64")})
-        nonempty = df[attr].astype(str).str.len() > 0
+        nonempty = df[EVENT_TYPE].astype(str).str.len() > 0
         df = df[nonempty] if not nonempty.all() else df
         if not len(df):
-            return pd.DataFrame({key: pd.Series(dtype="int64"),
+            return pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
                                  "seq_len": pd.Series(dtype="int64"),
                                  "n_matches": pd.Series(dtype="int64")})
-        kc, kuniq = pd.factorize(df[key])
-        ac, auniq = pd.factorize(df[attr])
+        kc, kuniq = pd.factorize(df[USER_ID])
+        ac, auniq = pd.factorize(df[EVENT_TYPE])
         heads = "".join(str(v)[0] for v in auniq)
         try:
             encoded = heads.encode("ascii")
@@ -574,8 +536,8 @@ def sequence_pattern_count(
                 "sequence_pattern_count needs ASCII attr first "
                 f"characters (got {heads!r})") from e
         first_char = np.frombuffer(encoded, dtype=np.uint8)
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, kc))
         k = kc[perm]
         chars = first_char[ac[perm]]
@@ -588,27 +550,24 @@ def sequence_pattern_count(
             keys.append(kuniq[k[s]])
             lens.append(e - s)
             hits.append(len(rx.findall(seq)))
-        return pd.DataFrame({key: np.asarray(keys),
+        return pd.DataFrame({USER_ID: np.asarray(keys),
                              "seq_len": np.asarray(lens, dtype=np.int64),
                              "n_matches": np.asarray(hits, dtype=np.int64)})
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def lateness_report(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    arrival_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Out-of-order arrival diagnostics (the watermark-sizing input
     for any event-time streaming consumer): replay each key's events
-    in ARRIVAL order (``arrival_col``) and flag rows whose event time
+    in ARRIVAL order (``event_id``) and flag rows whose event time
     is strictly below the running event-time maximum; report per key
     the late count, worst lateness (µs), and late fraction.
 
@@ -618,16 +577,16 @@ def lateness_report(
     boundaries without a loop)."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "n_late": pd.Series(dtype="int64"),
                 "max_late_us": pd.Series(dtype="int64"),
                 "frac_late": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, _ = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        arr = df[arrival_col].to_numpy(np.int64)
+        kc, _ = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        arr = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((arr, kc))
         k, t = kc[perm], tus[perm]
         tn = t - t.min()
@@ -651,16 +610,16 @@ def lateness_report(
         # rows are key-sorted: reduceat beats the slow ufunc.at scatter
         ml = np.maximum.reduceat(lateness, key_start).astype(np.int64)
         return pd.DataFrame({
-            key: df[key].to_numpy()[perm][new_key],
+            USER_ID: df[USER_ID].to_numpy()[perm][new_key],
             "n": n, "n_late": nl, "max_late_us": ml,
             "frac_late": nl.astype(np.float64) / n.astype(np.float64),
         })
 
     out = group_apply(ds, fn, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return fn(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def profile_columns(
@@ -740,11 +699,9 @@ def profile_columns(
 
 def type_entropy(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
-    """Per-key Shannon entropy of the ``attr`` distribution (nats),
+    """Per-key Shannon entropy of the ``event_type`` distribution (nats),
     via H = ln(n) − (Σ c·ln c)/n over exact int64 per-type counts —
     the behavioral-diversity feature.  The float combination mirrors
     the SQL expression op-for-op; the Σ over a key's handful of type
@@ -755,14 +712,14 @@ def type_entropy(
     cells, then per-key ``add.reduceat`` over c·ln(c) terms."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "n_types": pd.Series(dtype="int64"),
                 "entropy": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        ac, _ = pd.factorize(df[attr])
+        kc, kuniq = pd.factorize(df[USER_ID])
+        ac, _ = pd.factorize(df[EVENT_TYPE])
         perm = np.lexsort((ac, kc))
         k, a = kc[perm], ac[perm]
         cell = np.flatnonzero(np.r_[True, (k[1:] != k[:-1])
@@ -775,29 +732,26 @@ def type_entropy(
         s = np.add.reduceat(cf * np.log(cf), kstart)
         nf = n.astype(np.float64)
         return pd.DataFrame({
-            key: np.asarray(kuniq)[ck[kstart]],
+            USER_ID: np.asarray(kuniq)[ck[kstart]],
             "n": n.astype(np.int64),
             "n_types": np.diff(np.r_[kstart, len(c)]).astype(np.int64),
             "entropy": np.log(nf) - s / nf,
         })
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def pagerank_types(
     ds: ray.data.Dataset,
-    damping: float = 0.85,
     iters: int = 10,
-    key: str = "user_id",
-    attr: str = "event_type",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """PageRank over the event-type transition graph: nodes are the
-    distinct ``attr`` values, edge weights are the Markov transition
+    distinct ``event_type`` values, edge weights are the Markov transition
     counts (``transition_matrix``), damping 0.85, uniform init,
     dangling mass redistributed uniformly, a FIXED ``iters`` rounds —
     deterministic, so the SQL twin (the same update unrolled as
@@ -812,19 +766,18 @@ def pagerank_types(
 
         r' = 0.15/N + 0.85·(Σ_in (r_src·n)/w_src + dang/N)
     """
-    edges = transition_matrix(ds, key=key, attr=attr,
-                              num_partitions=num_partitions)
+    edges = transition_matrix(ds, num_partitions=num_partitions)
 
     def distinct_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({attr: df[attr].unique()})
+        return pd.DataFrame({EVENT_TYPE: df[EVENT_TYPE].unique()})
 
     nodes = np.sort(
-        ds.select_columns([attr])
+        ds.select_columns([EVENT_TYPE])
         .map_batches(distinct_partial, batch_format="pandas")
-        .to_pandas()[attr].unique())
+        .to_pandas()[EVENT_TYPE].unique())
     n_nodes = len(nodes)
     if n_nodes == 0:
-        return pd.DataFrame({attr: pd.Series(dtype=object),
+        return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
                              "out_n": pd.Series(dtype="int64"),
                              "pagerank": pd.Series(dtype="float64")})
     idx = pd.Series(np.arange(n_nodes), index=nodes)
@@ -841,16 +794,14 @@ def pagerank_types(
         inflow = np.zeros(n_nodes)
         np.add.at(inflow, dst, contrib)
         dang = r[w == 0].sum()
-        r = (1.0 - damping) / nd + damping * (inflow + dang / nd)
-    return pd.DataFrame({attr: nodes, "out_n": w, "pagerank": r})
+        r = (1.0 - 0.85) / nd + 0.85 * (inflow + dang / nd)
+    return pd.DataFrame({EVENT_TYPE: nodes, "out_n": w, "pagerank": r})
 
 
 def decayed_topk(
     ds: ray.data.Dataset,
     half_life_days: float = 1.0,
     top: int = 20,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Recency-weighted activity ranking: each event contributes
@@ -865,37 +816,35 @@ def decayed_topk(
     argument).  One key exchange of (key, decayed-partial) cells —
     each block pre-sums its keys, so the exchange carries cells, not
     rows."""
-    tmax = int(pd.Timestamp(ds.max(ts_col)).value) // 1000
+    tmax = int(pd.Timestamp(ds.max(TS)).value) // 1000
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         age = (np.float64(tmax) - tus.astype(np.float64)) \
             / 86_400_000_000.0 / half_life_days
         w = np.power(0.5, age)
-        g = (pd.DataFrame({key: df[key], "w": w, "one": np.int64(1)})
-             .groupby(key, as_index=False)
+        g = (pd.DataFrame({USER_ID: df[USER_ID], "w": w, "one": np.int64(1)})
+             .groupby(USER_ID, as_index=False)
              .agg(w=("w", "sum"), n=("one", "sum")))
         g["n"] = g["n"].astype(np.int64)
         return g
 
     from .partition import group_apply
     merged = group_apply(
-        ds.select_columns([key, ts_col]).map_batches(
+        ds.select_columns([USER_ID, TS]).map_batches(
             cells, batch_format="pandas"),
-        lambda df: df.groupby(key, as_index=False).agg(
+        lambda df: df.groupby(USER_ID, as_index=False).agg(
             w=("w", "sum"), n=("n", "sum")),
-        num_partitions=num_partitions, key=key).to_pandas()
+        num_partitions=num_partitions, key=USER_ID).to_pandas()
     merged["n"] = merged["n"].astype(np.int64)
     out = merged.rename(columns={"w": "decayed"})
-    return (out.sort_values(["decayed", key],
+    return (out.sort_values(["decayed", USER_ID],
                             ascending=[False, True])
-            .head(top).reset_index(drop=True)[[key, "n", "decayed"]])
+            .head(top).reset_index(drop=True)[[USER_ID, "n", "decayed"]])
 
 
 def transition_pmi(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Pointwise mutual information over consecutive event-type pairs
@@ -907,8 +856,7 @@ def transition_pmi(
 
     Distributed cost = the transition exchange; the |alphabet|²
     marginal algebra is driver-side broadcast-small."""
-    e = transition_matrix(ds, key=key, attr=attr,
-                          num_partitions=num_partitions)
+    e = transition_matrix(ds, num_partitions=num_partitions)
     if e.empty:
         return pd.DataFrame({"type_from": pd.Series(dtype=object),
                              "type_to": pd.Series(dtype=object),
@@ -978,17 +926,13 @@ def corr_matrix(
 def touch_attribution(
     ds: ray.data.Dataset,
     conversion: str = "purchase",
-    key: str = "user_id",
-    attr: str = "event_type",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
     lookback_s: int = 7 * 86400,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Marketing-style conversion attribution: for every
     ``conversion`` event, credit the FIRST and LAST non-conversion
     touch inside the lookback window, then aggregate credited
-    conversions per channel (= ``attr`` value) for both models.
+    conversions per channel (= ``event_type`` value) for both models.
 
     One key-hash exchange (a user's events stay whole), one lexsort
     per partition, searchsorted window bounds — no per-row Python.
@@ -998,15 +942,15 @@ def touch_attribution(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {attr: pd.Series(dtype=object),
+        cols = {EVENT_TYPE: pd.Series(dtype=object),
                 "first_touch": pd.Series(dtype="int64"),
                 "last_touch": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, _ = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
-        av = df[attr].to_numpy()
+        kc, _ = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
+        av = df[EVENT_TYPE].to_numpy()
         perm = np.lexsort((oid, tus, kc))
         k, t, a = kc[perm], tus[perm], av[perm]
         is_conv = a == conversion
@@ -1032,28 +976,27 @@ def touch_attribution(
             np.add.at(lcnt, touch_c[hi[ok] - 1], 1)
         used = np.flatnonzero(fcnt | lcnt)
         return pd.DataFrame({
-            attr: np.asarray(auniq)[used],
+            EVENT_TYPE: np.asarray(auniq)[used],
             "first_touch": fcnt[used],
             "last_touch": lcnt[used],
         })
 
     cells = group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=key).to_pandas()
+                        key=USER_ID).to_pandas()
     if not len(cells):
-        return pd.DataFrame({attr: [], "first_touch": [],
+        return pd.DataFrame({EVENT_TYPE: [], "first_touch": [],
                              "last_touch": [], "n_conversions": []})
-    out = (cells.groupby(attr, as_index=False)[["first_touch",
+    out = (cells.groupby(EVENT_TYPE, as_index=False)[["first_touch",
                                                 "last_touch"]].sum())
     out["first_touch"] = out["first_touch"].astype(np.int64)
     out["last_touch"] = out["last_touch"].astype(np.int64)
     n_conv = np.int64(out["first_touch"].sum())
     out["n_conversions"] = n_conv
-    return out.sort_values(attr, kind="mergesort").reset_index(drop=True)
+    return out.sort_values(EVENT_TYPE, kind="mergesort").reset_index(drop=True)
 
 
 def gini_coefficient(
     ds: ray.data.Dataset,
-    key: str = "user_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Gini inequality coefficient of per-key activity: over the
@@ -1067,15 +1010,15 @@ def gini_coefficient(
     from .partition import group_apply
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(key, as_index=False, observed=True).size()
+        g = df.groupby(USER_ID, as_index=False, observed=True).size()
         return g.rename(columns={"size": "cnt"})
 
     counts = group_apply(
-        ds.select_columns([key]).map_batches(partial,
+        ds.select_columns([USER_ID]).map_batches(partial,
                                              batch_format="pandas"),
-        lambda df: df.groupby(key, as_index=False,
+        lambda df: df.groupby(USER_ID, as_index=False,
                               observed=True)["cnt"].sum(),
-        num_partitions=num_partitions, key=key,
+        num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     x = np.sort(counts["cnt"].to_numpy(np.int64), kind="mergesort")
     n = len(x)
@@ -1095,13 +1038,7 @@ def gini_coefficient(
     })
 
 
-def psi_drift(
-    ds: ray.data.Dataset,
-    val_col: str = "value",
-    ts_col: str = "ts",
-    n_bins: int = 10,
-    num_partitions: int = 8,
-) -> pd.DataFrame:
+def psi_drift(ds: ray.data.Dataset, num_partitions: int = 8) -> pd.DataFrame:
     """Population Stability Index — the ML data-drift health check:
     split the stream at the EXACT global median timestamp, bin both
     halves by the reference half's value deciles, and report
@@ -1118,12 +1055,12 @@ def psi_drift(
     def kspace(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "g": np.zeros(len(df), np.int8),
-            "v": np.rint(df[val_col].to_numpy(np.float64)
+            "v": np.rint(df[VALUE].to_numpy(np.float64)
                          * 100.0).astype(np.int64),
-            "t": df[ts_col].to_numpy("datetime64[us]").view(np.int64),
+            "t": df[TS].to_numpy("datetime64[us]").view(np.int64),
         })
 
-    mat = ds.select_columns([val_col, ts_col]).map_batches(
+    mat = ds.select_columns([VALUE, TS]).map_batches(
         kspace, batch_format="pandas").materialize()
     med = float(grouped_rank_quantiles(
         mat, "g", "t", ps=(0.5,))["q_0"].iloc[0])
@@ -1132,12 +1069,12 @@ def psi_drift(
     def ref_only(df: pd.DataFrame) -> pd.DataFrame:
         return df[df["t"].to_numpy(np.int64) <= ray.get(med_ref)]
 
-    qs = tuple((i + 1) / n_bins for i in range(n_bins - 1))
+    qs = tuple((i + 1) / 10 for i in range(9))
     bounds = grouped_rank_quantiles(
         mat.map_batches(ref_only, batch_format="pandas").materialize(),
         "g", "v", ps=qs)
     bvals = np.array([float(bounds[f"q_{i}"].iloc[0])
-                      for i in range(n_bins - 1)])
+                      for i in range(9)])
     b_ref = ray.put((med, bvals))
 
     def bin_counts(df: pd.DataFrame) -> pd.DataFrame:
@@ -1162,15 +1099,15 @@ def psi_drift(
     ).to_pandas()
     piv = (cells.pivot_table(index="bin", columns="side", values="c",
                              aggfunc="sum", fill_value=0)
-           .reindex(range(n_bins), fill_value=0))
+           .reindex(range(10), fill_value=0))
     c_ref = piv.get(0, pd.Series(0, index=piv.index)).to_numpy(np.int64)
     c_cur = piv.get(1, pd.Series(0, index=piv.index)).to_numpy(np.int64)
     n_ref, n_cur = int(c_ref.sum()), int(c_cur.sum())
-    p = (c_ref + 0.5) / (n_ref + n_bins / 2.0)
-    q = (c_cur + 0.5) / (n_cur + n_bins / 2.0)
+    p = (c_ref + 0.5) / (n_ref + 10 / 2.0)
+    q = (c_cur + 0.5) / (n_cur + 10 / 2.0)
     contrib = (p - q) * np.log(p / q)
     return pd.DataFrame({
-        "bin": np.arange(n_bins, dtype=np.int64),
+        "bin": np.arange(10, dtype=np.int64),
         "c_ref": c_ref, "c_cur": c_cur,
         "n_ref": np.int64(n_ref), "n_cur": np.int64(n_cur),
         "contrib": contrib, "psi": float(contrib.sum()),
@@ -1179,10 +1116,6 @@ def psi_drift(
 
 def record_highs(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key running-record analysis: how many events set a new
@@ -1192,16 +1125,16 @@ def record_highs(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64"),
                 "n_records": pd.Series(dtype="int64"),
                 "final_max": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
-        vq = np.rint(df[val_col].to_numpy(np.float64) * 100.0).astype(
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
+        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
             np.int64)
         perm = np.lexsort((oid, tus, kc))
         k, v = kc[perm], vq[perm]
@@ -1219,8 +1152,8 @@ def record_highs(
         return pd.DataFrame(out, columns=list(cols))
 
     return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=key).to_pandas()
-            .sort_values(key, kind="mergesort").reset_index(drop=True))
+                        key=USER_ID).to_pandas()
+            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
 def k_anonymity(
@@ -1297,19 +1230,18 @@ def _survival_cells(df: pd.DataFrame, key: str, type_col: str,
                          "tmax": np.maximum.reduceat(tus, starts)})
 
 
-def _survival_durations(ds, key, type_col, ts_col, start_type,
-                        event_type, num_partitions):
+def _survival_durations(ds, num_partitions):
     """The survival family's one keyed exchange: ``_survival_cells``
-    per partition, then each started key's right-censored duration
-    (first later ``event_type`` − t0, else global max ts − t0) and its
-    observed flag.  Returns int64 ``(key, dur, obs)`` arrays, or None
-    when no key has a start event."""
+    per partition, then each signed-up user's right-censored duration
+    (first later 'purchase' − t0, else global max ts − t0) and its
+    observed flag.  Returns int64 ``(user_id, dur, obs)`` arrays, or
+    None when no user has a 'signup' event."""
     cells = group_apply(
-        ds.select_columns([key, type_col, ts_col]),
-        functools.partial(_survival_cells, key=key, type_col=type_col,
-                          ts_col=ts_col, start_type=start_type,
-                          event_type=event_type),
-        num_partitions=num_partitions, key=key,
+        ds.select_columns([USER_ID, EVENT_TYPE, TS]),
+        functools.partial(_survival_cells, key=USER_ID, type_col=EVENT_TYPE,
+                          ts_col=TS, start_type="signup",
+                          event_type="purchase"),
+        num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     if not len(cells):
         return None
@@ -1320,7 +1252,7 @@ def _survival_durations(ds, key, type_col, ts_col, start_type,
     tp = cells["tp"].to_numpy(np.int64)
     obs = tp >= 0
     dur = np.where(obs, tp, tmax) - cells["t0"].to_numpy(np.int64)
-    return cells[key].to_numpy(np.int64), dur, obs
+    return cells[USER_ID].to_numpy(np.int64), dur, obs
 
 
 def _event_counts(evt_times: np.ndarray, dur: np.ndarray,
@@ -1355,24 +1287,18 @@ def _km_steps(dur: np.ndarray, obs: np.ndarray):
 
 def kaplan_meier(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    type_col: str = "event_type",
-    ts_col: str = "ts",
-    start_type: str = "signup",
-    event_type: str = "purchase",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Kaplan–Meier survival estimator for time-to-conversion: each
-    key's duration runs from its first ``start_type`` event to its
-    first LATER ``event_type`` event (right-censored at the global max
+    key's duration runs from its first 'signup' event to its
+    first LATER 'purchase' event (right-censored at the global max
     timestamp when none).  One keyed exchange reduces to one
     (duration, observed) cell per key; the curve itself is over
     distinct observed-event times: n_at_risk (durations ≥ t), d
     deaths, and S(t) = exp(Σ ln(1 − d/n)) — computed as the identical
     log-sum-exp op sequence the SQL twin uses, so the floats agree.
     All counts exact int64."""
-    got = _survival_durations(ds, key, type_col, ts_col, start_type,
-                              event_type, num_partitions)
+    got = _survival_durations(ds, num_partitions)
     if got is None:
         return pd.DataFrame({"duration_us": pd.Series(dtype="int64"),
                              "n_risk": pd.Series(dtype="int64"),
@@ -1386,7 +1312,6 @@ def kaplan_meier(
 
 def zipf_exponent(
     ds: ray.data.Dataset,
-    key: str = "user_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Discrete power-law (Zipf) exponent of per-key activity via the
@@ -1399,15 +1324,15 @@ def zipf_exponent(
     from .partition import group_apply
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(key, as_index=False, observed=True).size()
+        g = df.groupby(USER_ID, as_index=False, observed=True).size()
         return g.rename(columns={"size": "cnt"})
 
     counts = group_apply(
-        ds.select_columns([key]).map_batches(partial,
+        ds.select_columns([USER_ID]).map_batches(partial,
                                              batch_format="pandas"),
-        lambda df: df.groupby(key, as_index=False,
+        lambda df: df.groupby(USER_ID, as_index=False,
                               observed=True)["cnt"].sum(),
-        num_partitions=num_partitions, key=key,
+        num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     x = counts["cnt"].to_numpy(np.int64)
     n = len(x)
@@ -1471,9 +1396,6 @@ def chi_square_independence(
 
 def auc_mann_whitney(
     ds: ray.data.Dataset,
-    label_col: str = "event_type",
-    positive: str = "purchase",
-    score_col: str = "value",
     num_partitions: int = 8,
 ) -> pd.DataFrame:
     """ROC-AUC of a score against a binary label via the
@@ -1489,15 +1411,15 @@ def auc_mann_whitney(
     from .partition import group_apply
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        s = np.rint(df[score_col].to_numpy(np.float64) * 100.0).astype(
+        s = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
             np.int64)
-        y = (df[label_col].to_numpy() == positive)
+        y = (df[EVENT_TYPE].to_numpy() == "purchase")
         g = (pd.DataFrame({"s": s, "y": y.astype(np.int64)})
              .groupby(["s", "y"], as_index=False).size())
         return g.rename(columns={"size": "c"})
 
     cells = group_apply(
-        ds.select_columns([label_col, score_col]).map_batches(
+        ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
             partial, batch_format="pandas"),
         lambda df: df.groupby(["s", "y"], as_index=False)["c"].sum(),
         num_partitions=num_partitions, key="s",
@@ -1527,7 +1449,6 @@ _BENFORD_P = [0.0] + [float(np.log10(1.0 + 1.0 / d)) for d in range(1, 10)]
 
 def benford_digits(
     ds: ray.data.Dataset,
-    val_col: str = "value",
     num_partitions: int = 8,
 ) -> pd.DataFrame:
     """Benford's-law first-digit audit — the data-forensics classic
@@ -1541,7 +1462,7 @@ def benford_digits(
     from .partition import group_apply
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = np.abs(np.rint(df[val_col].to_numpy(np.float64)
+        v = np.abs(np.rint(df[VALUE].to_numpy(np.float64)
                            * 100.0).astype(np.int64))
         v = v[v > 0]
         while_big = v.copy()
@@ -1557,7 +1478,7 @@ def benford_digits(
         return g.rename(columns={"size": "c"})
 
     cells = group_apply(
-        ds.select_columns([val_col]).map_batches(
+        ds.select_columns([VALUE]).map_batches(
             partial, batch_format="pandas"),
         lambda df: df.groupby("d", as_index=False)["c"].sum(),
         num_partitions=num_partitions, key="d",
@@ -1579,14 +1500,7 @@ def benford_digits(
     })
 
 
-def runs_test(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def runs_test(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Wald–Wolfowitz runs test per key: is the above/below-median
     sign sequence random in time?  Median from the shared
     duck_quantile kernel; values equal to the median are dropped
@@ -1597,17 +1511,17 @@ def runs_test(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_used": pd.Series(dtype="int64"),
                 "n_runs": pd.Series(dtype="int64"),
                 "z_runs": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
-        vq = np.rint(df[val_col].to_numpy(np.float64) * 100.0).astype(
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
+        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
             np.int64)
         perm = np.lexsort((oid, tus, kc))
         k, v = kc[perm], vq[perm]
@@ -1634,16 +1548,11 @@ def runs_test(
         return pd.DataFrame(out, columns=list(cols))
 
     return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=key).to_pandas()
-            .sort_values(key, kind="mergesort").reset_index(drop=True))
+                        key=USER_ID).to_pandas()
+            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
-def ks_drift(
-    ds: ray.data.Dataset,
-    val_col: str = "value",
-    ts_col: str = "ts",
-    num_partitions: int = 8,
-) -> pd.DataFrame:
+def ks_drift(ds: ray.data.Dataset, num_partitions: int = 8) -> pd.DataFrame:
     """Two-sample Kolmogorov–Smirnov drift statistic between the
     first and second half of the stream (split at the exact global
     median timestamp, like ``psi_drift``): D = max |F₁ − F₂| over
@@ -1658,12 +1567,12 @@ def ks_drift(
     def kspace(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "g": np.zeros(len(df), np.int8),
-            "v": np.rint(df[val_col].to_numpy(np.float64)
+            "v": np.rint(df[VALUE].to_numpy(np.float64)
                          * 100.0).astype(np.int64),
-            "t": df[ts_col].to_numpy("datetime64[us]").view(np.int64),
+            "t": df[TS].to_numpy("datetime64[us]").view(np.int64),
         })
 
-    mat = ds.select_columns([val_col, ts_col]).map_batches(
+    mat = ds.select_columns([VALUE, TS]).map_batches(
         kspace, batch_format="pandas").materialize()
     med = float(grouped_rank_quantiles(
         mat, "g", "t", ps=(0.5,))["q_0"].iloc[0])
@@ -1704,11 +1613,7 @@ def ks_drift(
 
 def bootstrap_mean_ci(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
     n_boot: int = 200,
-    lo_p: float = 0.025,
-    hi_p: float = 0.975,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Percentile-bootstrap confidence interval for the per-key mean
@@ -1724,7 +1629,7 @@ def bootstrap_mean_ci(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64"),
                 "mean_all": pd.Series(dtype="float64"),
                 "ci_lo": pd.Series(dtype="float64"),
@@ -1732,8 +1637,8 @@ def bootstrap_mean_ci(
         if not len(df):
             return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[key])
-        vq = np.rint(df[val_col].to_numpy(np.float64) * 100.0).astype(
+        kc, kuniq = pd.factorize(df[USER_ID])
+        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
             np.int64)
         order = np.argsort(kc, kind="stable")
         k, v = kc[order], vq[order]
@@ -1757,19 +1662,17 @@ def bootstrap_mean_ci(
             ms = np.sort(means, kind="mergesort")
             out.append((uid, np.int64(n),
                         float(int(vk.sum())) / n / 100.0,
-                        float(duck_quantile(ms, lo_p)),
-                        float(duck_quantile(ms, hi_p))))
+                        float(duck_quantile(ms, 0.025)),
+                        float(duck_quantile(ms, 0.975))))
         return pd.DataFrame(out, columns=list(cols))
 
     return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=key).to_pandas()
-            .sort_values(key, kind="mergesort").reset_index(drop=True))
+                        key=USER_ID).to_pandas()
+            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
 def jarque_bera(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key Jarque–Bera normality statistic over the value column:
@@ -1787,17 +1690,17 @@ def jarque_bera(
     exchange; per partition one factorize + reduceat."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "skew_g1": pd.Series(dtype="float64"),
                 "kurt_g2": pd.Series(dtype="float64"),
                 "jb": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
+        kc, kuniq = pd.factorize(df[USER_ID])
         order = np.argsort(kc, kind="stable")
         k = kc[order]
-        v = df[val_col].to_numpy(np.float64)[order]
+        v = df[VALUE].to_numpy(np.float64)[order]
         x = np.rint(v * 100.0).astype(np.int64)
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
         n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
@@ -1813,22 +1716,19 @@ def jarque_bera(
             g1 = m3 / m2 ** 1.5
             g2 = m4 / (m2 * m2)
             jb = nf / 6.0 * (g1 * g1 + 0.25 * (g2 - 3.0) * (g2 - 3.0))
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
                             "skew_g1": g1, "kurt_g2": g2, "jb": jb})
         return res[(res["n"] >= 4) & (m2 > 0.0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def welch_ttest(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key Welch two-sample t-test comparing weekday vs weekend
@@ -1848,7 +1748,7 @@ def welch_ttest(
     weekend rows and a positive pooled standard error."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_wd": pd.Series(dtype="int64"),
                 "n_we": pd.Series(dtype="int64"),
                 "mean_wd": pd.Series(dtype="float64"),
@@ -1857,11 +1757,11 @@ def welch_ttest(
                 "df_w": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         dow = (tus // _DAY_US + 4) % 7
         we = ((dow == 0) | (dow == 6)).astype(np.int64)
-        x = np.rint(df[val_col].to_numpy(np.float64)
+        x = np.rint(df[VALUE].to_numpy(np.float64)
                     * 100.0).astype(np.int64)
         nk = len(kuniq)
         cell = kc * 2 + we
@@ -1882,7 +1782,7 @@ def welch_ttest(
             dfw = (se2 * se2
                    / (w1 * w1 / (n1 - 1.0) + w2 * w2 / (n2 - 1.0)))
             res = pd.DataFrame({
-                key: np.asarray(kuniq),
+                USER_ID: np.asarray(kuniq),
                 "n_wd": cnt[:, 0].astype(np.int64),
                 "n_we": cnt[:, 1].astype(np.int64),
                 "mean_wd": (s1 / n1) / 100.0,
@@ -1891,22 +1791,18 @@ def welch_ttest(
         return res[(res["n_wd"] >= 2) & (res["n_we"] >= 2) & (se2 > 0.0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def markov_entropy_rate(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
-    ts_col: str = "ts",
-    order: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key entropy rate of the first-order Markov chain over the
-    (ts, order)-sorted ``attr`` stream: with transition counts c_ab
+    (ts, order)-sorted ``event_type`` stream: with transition counts c_ab
     and from-state totals c_a, H = −Σ_ab (c_ab/T)·ln(c_ab/c_a) nats
     per step (T = total transitions) — 0 for a fully deterministic
     next-event-type process, ln|A| for uniform noise; the
@@ -1921,15 +1817,15 @@ def markov_entropy_rate(
     T ≥ 1 transition.  One key-hash exchange; no per-key Python."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_trans": pd.Series(dtype="int64"),
                 "entropy_rate": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order].to_numpy(np.int64)
-        acode, alphabet = pd.factorize(df[attr])
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
+        acode, alphabet = pd.factorize(df[EVENT_TYPE])
         perm = np.lexsort((oid, tus, kc))
         k, a = kc[perm], acode[perm].astype(np.int64)
         same = k[1:] == k[:-1]
@@ -1949,20 +1845,19 @@ def markov_entropy_rate(
                            minlength=nk)
         with np.errstate(invalid="ignore", divide="ignore"):
             h = -(sumw) / tt.astype(np.float64)
-        res = pd.DataFrame({key: np.asarray(kuniq),
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq),
                             "n_trans": tt, "entropy_rate": h})
         return res[res["n_trans"] >= 1]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def theil_index(
     ds: ray.data.Dataset,
-    key: str = "user_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Corpus-level Theil T inequality index of per-key event counts,
@@ -1981,13 +1876,13 @@ def theil_index(
             return pd.DataFrame({"u": pd.Series(dtype="int64"),
                                  "c": pd.Series(dtype="int64"),
                                  "s1": pd.Series(dtype="float64")})
-        cnt = df.groupby(key, sort=False).size().to_numpy(np.int64)
+        cnt = df.groupby(USER_ID, sort=False).size().to_numpy(np.int64)
         cf = cnt.astype(np.float64)
         return pd.DataFrame({"u": [len(cnt)], "c": [int(cnt.sum())],
                              "s1": [float((cf * np.log(cf)).sum())]})
 
     parts = group_apply(ds, partial, num_partitions=num_partitions,
-                        key=key).to_pandas()
+                        key=USER_ID).to_pandas()
     u = int(parts["u"].sum())
     c = int(parts["c"].sum())
     if u == 0 or c == 0:
@@ -2002,8 +1897,6 @@ def theil_index(
 
 def rising_keys(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Share-drift detector: split the dataset's time range at its
@@ -2020,29 +1913,29 @@ def rising_keys(
     half get c = 0 in the other, score still exact.  Drops keys with
     score = 0 (stable keys) to bound output to the drifting set."""
 
-    lohi = ds.select_columns([ts_col]).aggregate(
-        ray.data.aggregate.Min(ts_col), ray.data.aggregate.Max(ts_col))
-    lo = pd.Timestamp(lohi[f"min({ts_col})"]).value // 1000
-    hi = pd.Timestamp(lohi[f"max({ts_col})"]).value // 1000
+    lohi = ds.select_columns([TS]).aggregate(
+        ray.data.aggregate.Min(TS), ray.data.aggregate.Max(TS))
+    lo = pd.Timestamp(lohi[f"min({TS})"]).value // 1000
+    hi = pd.Timestamp(lohi[f"max({TS})"]).value // 1000
     mid = (lo + hi) // 2
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
-            return pd.DataFrame({key: pd.Series(dtype="int64"),
+            return pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
                                  "c1": pd.Series(dtype="int64"),
                                  "c2": pd.Series(dtype="int64")})
-        kc, kuniq = pd.factorize(df[key])
-        t = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        t = df[TS].to_numpy("datetime64[us]").view(np.int64)
         second = t > mid
         nk = len(kuniq)
         c1 = np.bincount(kc[~second], minlength=nk).astype(np.int64)
         c2 = np.bincount(kc[second], minlength=nk).astype(np.int64)
-        return pd.DataFrame({key: np.asarray(kuniq),
+        return pd.DataFrame({USER_ID: np.asarray(kuniq),
                              "c1": c1, "c2": c2})
 
     per = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
-    cols = {key: pd.Series(dtype="int64"),
+                      key=USER_ID).to_pandas()
+    cols = {USER_ID: pd.Series(dtype="int64"),
             "c1": pd.Series(dtype="int64"),
             "c2": pd.Series(dtype="int64"),
             "score": pd.Series(dtype="int64"),
@@ -2057,18 +1950,15 @@ def rising_keys(
     with np.errstate(invalid="ignore", divide="ignore"):
         delta = c2.astype(np.float64) / float(t2) \
             - c1.astype(np.float64) / float(t1)
-    res = pd.DataFrame({key: per[key].to_numpy(np.int64),
+    res = pd.DataFrame({USER_ID: per[USER_ID].to_numpy(np.int64),
                         "c1": c1, "c2": c2, "score": score,
                         "share_delta": delta})
     return (res[res["score"] != 0]
-            .sort_values(key).reset_index(drop=True))
+            .sort_values(USER_ID).reset_index(drop=True))
 
 
 def rfm_segmentation(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Classic RFM customer segmentation: per key the Recency
@@ -2090,20 +1980,20 @@ def rfm_segmentation(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        v = np.rint(df[val_col].to_numpy(np.float64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        v = np.rint(df[VALUE].to_numpy(np.float64)
                     * 100.0).astype(np.int64)
-        tmp = pd.DataFrame({key: df[key].to_numpy(),
+        tmp = pd.DataFrame({USER_ID: df[USER_ID].to_numpy(),
                             "t": tus, "v": v})
-        a = tmp.groupby(key, as_index=False, observed=True).agg(
+        a = tmp.groupby(USER_ID, as_index=False, observed=True).agg(
             last_t=("t", "max"), freq=("t", "size"), mon=("v", "sum"))
         return a
 
     cells = group_apply(
-        ds.select_columns([key, ts_col, val_col]),
-        per_key, num_partitions=num_partitions, key=key,
+        ds.select_columns([USER_ID, TS, VALUE]),
+        per_key, num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
-    cols = {key: pd.Series(dtype="int64"),
+    cols = {USER_ID: pd.Series(dtype="int64"),
             "recency_us": pd.Series(dtype="int64"),
             "freq": pd.Series(dtype="int64"),
             "monetary": pd.Series(dtype="float64"),
@@ -2114,7 +2004,7 @@ def rfm_segmentation(
     if not len(cells):
         return pd.DataFrame(cols)
     hi = int(cells["last_t"].max())
-    uid = cells[key].to_numpy()
+    uid = cells[USER_ID].to_numpy()
     rec = hi - cells["last_t"].to_numpy(np.int64)
     freq = cells["freq"].to_numpy(np.int64)
     mon = cells["mon"].to_numpy(np.int64)
@@ -2130,18 +2020,16 @@ def rfm_segmentation(
     r_s = score(rec, True)
     f_s = score(freq, False)
     m_s = score(mon, False)
-    out = pd.DataFrame({key: uid, "recency_us": rec, "freq": freq,
+    out = pd.DataFrame({USER_ID: uid, "recency_us": rec, "freq": freq,
                         "monetary": mon.astype(np.float64) / 100.0,
                         "r_score": r_s, "f_score": f_s,
                         "m_score": m_s,
                         "rfm": 100 * r_s + 10 * f_s + m_s})
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def basket_lift(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    item_col: str = "event_type",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Market-basket association over users-as-baskets: for every
@@ -2160,31 +2048,31 @@ def basket_lift(
     from .partition import group_apply
 
     def distinct_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df[[key, item_col]].drop_duplicates()
+        return df[[USER_ID, EVENT_TYPE]].drop_duplicates()
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates()
-        m = d.merge(d, on=key)
-        ax, bx = item_col + "_x", item_col + "_y"
+        m = d.merge(d, on=USER_ID)
+        ax, bx = EVENT_TYPE + "_x", EVENT_TYPE + "_y"
         p = m[m[ax] < m[bx]]
         pc = p.groupby([ax, bx], as_index=False, observed=True).size()
-        sc = d.groupby(item_col, as_index=False, observed=True).size()
+        sc = d.groupby(EVENT_TYPE, as_index=False, observed=True).size()
         out = pd.concat([
             pd.DataFrame({"kind": "p", "a": pc[ax].to_numpy(object),
                           "b": pc[bx].to_numpy(object),
                           "cnt": pc["size"].to_numpy(np.int64)}),
-            pd.DataFrame({"kind": "s", "a": sc[item_col]
+            pd.DataFrame({"kind": "s", "a": sc[EVENT_TYPE]
                           .to_numpy(object), "b": "",
                           "cnt": sc["size"].to_numpy(np.int64)}),
             pd.DataFrame({"kind": ["n"], "a": [""], "b": [""],
-                          "cnt": [np.int64(d[key].nunique())]}),
+                          "cnt": [np.int64(d[USER_ID].nunique())]}),
         ], ignore_index=True)
         return out
 
     parts = group_apply(
-        ds.select_columns([key, item_col]).map_batches(
+        ds.select_columns([USER_ID, EVENT_TYPE]).map_batches(
             distinct_partial, batch_format="pandas"),
-        cells, num_partitions=num_partitions, key=key,
+        cells, num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     cols = {"type_a": pd.Series(dtype=object),
             "type_b": pd.Series(dtype=object),
@@ -2218,8 +2106,6 @@ def basket_lift(
 
 def pareto_concentration(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    pcts: tuple = (1, 5, 10, 25, 50),
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Activity-concentration (Lorenz) curve points: for each
@@ -2238,15 +2124,15 @@ def pareto_concentration(
     from .partition import group_apply
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(key, as_index=False, observed=True).size()
+        g = df.groupby(USER_ID, as_index=False, observed=True).size()
         return g.rename(columns={"size": "cnt"})
 
     counts = group_apply(
-        ds.select_columns([key]).map_batches(partial,
+        ds.select_columns([USER_ID]).map_batches(partial,
                                              batch_format="pandas"),
-        lambda df: df.groupby(key, as_index=False,
+        lambda df: df.groupby(USER_ID, as_index=False,
                               observed=True)["cnt"].sum(),
-        num_partitions=num_partitions, key=key,
+        num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     cols = {"pct": pd.Series(dtype="int64"),
             "n_top_keys": pd.Series(dtype="int64"),
@@ -2255,13 +2141,13 @@ def pareto_concentration(
     if counts.empty:
         return pd.DataFrame(cols)
     c = counts["cnt"].to_numpy(np.int64)
-    uid = counts[key].to_numpy()
+    uid = counts[USER_ID].to_numpy()
     perm = np.lexsort((uid, -c))
     cs = np.cumsum(c[perm])
     n = len(c)
     total = int(cs[-1])
     rows = []
-    for p in pcts:
+    for p in (1, 5, 10, 25, 50):
         k = max(1, int(p) * n // 100)
         top = int(cs[k - 1])
         rows.append((np.int64(p), np.int64(k), np.int64(top),
@@ -2269,11 +2155,7 @@ def pareto_concentration(
     return pd.DataFrame(rows, columns=list(cols))
 
 
-def rank_compare(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-) -> pd.DataFrame:
+def rank_compare(ds: ray.data.Dataset) -> pd.DataFrame:
     """Pairwise Mann–Whitney U with tie-corrected normal z plus
     Cliff's delta for EVERY ordered pair of categories (a < b) of a
     bounded-alphabet column — the nonparametric "do these two event
@@ -2291,15 +2173,15 @@ def rank_compare(
     frames."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[val_col].to_numpy(np.float64)
+        v = df[VALUE].to_numpy(np.float64)
         ok = ~np.isnan(v)                   # mirror: WHERE value IS NOT NULL
         k = np.rint(v[ok] * 100.0).astype(np.int64)
-        g = pd.DataFrame({"t": df[type_col].to_numpy(object)[ok],
+        g = pd.DataFrame({"t": df[EVENT_TYPE].to_numpy(object)[ok],
                           "k": k}).groupby(
             ["t", "k"], as_index=False, observed=True).size()
         return g.rename(columns={"size": "c"})
 
-    parts = ds.select_columns([type_col, val_col]).map_batches(
+    parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
     cols = {"type_a": pd.Series(dtype=object),
             "type_b": pd.Series(dtype=object),
@@ -2351,11 +2233,7 @@ def rank_compare(
     return pd.DataFrame(rows, columns=list(cols))
 
 
-def kruskal_wallis(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-) -> pd.DataFrame:
+def kruskal_wallis(ds: ray.data.Dataset) -> pd.DataFrame:
     """Kruskal–Wallis rank test across ALL categories of a bounded-
     alphabet column at once — the k-group extension of rank_compare's
     pairwise Mann–Whitney: doubled rank sums 2R_i per group are EXACT
@@ -2372,15 +2250,15 @@ def kruskal_wallis(
     (lift to float beyond — sandbox is ≪ that)."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[val_col].to_numpy(np.float64)
+        v = df[VALUE].to_numpy(np.float64)
         ok = ~np.isnan(v)
         k = np.rint(v[ok] * 100.0).astype(np.int64)
-        g = pd.DataFrame({"t": df[type_col].to_numpy(object)[ok],
+        g = pd.DataFrame({"t": df[EVENT_TYPE].to_numpy(object)[ok],
                           "k": k}).groupby(
             ["t", "k"], as_index=False, observed=True).size()
         return g.rename(columns={"size": "c"})
 
-    parts = ds.select_columns([type_col, val_col]).map_batches(
+    parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
     cols = {"event_type": pd.Series(dtype=object),
             "n_i": pd.Series(dtype="int64"),
@@ -2424,8 +2302,6 @@ def kruskal_wallis(
 
 def activity_corr_pairs(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     top_n: int = 20,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
@@ -2447,15 +2323,15 @@ def activity_corr_pairs(
     from .partition import group_apply
 
     def cnt_partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(key, as_index=False, observed=True).size()
+        g = df.groupby(USER_ID, as_index=False, observed=True).size()
         return g.rename(columns={"size": "cnt"})
 
     counts = group_apply(
-        ds.select_columns([key]).map_batches(cnt_partial,
+        ds.select_columns([USER_ID]).map_batches(cnt_partial,
                                              batch_format="pandas"),
-        lambda df: df.groupby(key, as_index=False,
+        lambda df: df.groupby(USER_ID, as_index=False,
                               observed=True)["cnt"].sum(),
-        num_partitions=num_partitions, key=key,
+        num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     cols = {"user_a": pd.Series(dtype="int64"),
             "user_b": pd.Series(dtype="int64"),
@@ -2465,32 +2341,32 @@ def activity_corr_pairs(
     if counts.empty:
         return pd.DataFrame(cols)
     c = counts["cnt"].to_numpy(np.int64)
-    u = counts[key].to_numpy(np.int64)
+    u = counts[USER_ID].to_numpy(np.int64)
     perm = np.lexsort((u, -c))[:top_n]
     chosen = np.sort(u[perm])
 
     def hour_cells(df: pd.DataFrame) -> pd.DataFrame:
-        m = np.isin(df[key].to_numpy(), chosen)
+        m = np.isin(df[USER_ID].to_numpy(), chosen)
         d = df.loc[m]
-        hb = d[ts_col].to_numpy("datetime64[us]").view(np.int64) \
+        hb = d[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
-        g = pd.DataFrame({key: d[key].to_numpy(np.int64),
+        g = pd.DataFrame({USER_ID: d[USER_ID].to_numpy(np.int64),
                           "hb": hb}).groupby(
-            [key, "hb"], as_index=False, observed=True).size()
+            [USER_ID, "hb"], as_index=False, observed=True).size()
         return g.rename(columns={"size": "c"})
 
     cells = group_apply(
-        ds.select_columns([key, ts_col]).map_batches(
+        ds.select_columns([USER_ID, TS]).map_batches(
             hour_cells, batch_format="pandas"),
-        lambda df: df.groupby([key, "hb"], as_index=False,
+        lambda df: df.groupby([USER_ID, "hb"], as_index=False,
                               observed=True)["c"].sum(),
-        num_partitions=num_partitions, key=key,
+        num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     if cells.empty:
         return pd.DataFrame(cols)
     H = int(cells["hb"].max() - cells["hb"].min() + 1)
     per = {}
-    for uid, g in cells.groupby(key):
+    for uid, g in cells.groupby(USER_ID):
         hb = g["hb"].to_numpy(np.int64)
         cc = g["c"].to_numpy(np.int64)
         per[int(uid)] = (dict(zip(hb, cc)), int(cc.sum()),
@@ -2521,11 +2397,7 @@ def activity_corr_pairs(
     return pd.DataFrame(rows, columns=list(cols))
 
 
-def anova_f(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-) -> pd.DataFrame:
+def anova_f(ds: ray.data.Dataset) -> pd.DataFrame:
     """Classic one-way ANOVA across ALL categories of a bounded-
     alphabet column: between/within sums of squares from EXACT int64
     per-group moments (n_i, Σx, Σx² in k-space),
@@ -2540,16 +2412,16 @@ def anova_f(
     term S²/N, the two ratios."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[val_col].to_numpy(np.float64)
+        v = df[VALUE].to_numpy(np.float64)
         ok = ~np.isnan(v)
         k = np.rint(v[ok] * 100.0).astype(np.int64)
-        g = pd.DataFrame({"t": df[type_col].to_numpy(object)[ok],
+        g = pd.DataFrame({"t": df[EVENT_TYPE].to_numpy(object)[ok],
                           "k": k, "k2": k * k}).groupby(
             "t", as_index=False, observed=True).agg(
             n=("k", "size"), s=("k", "sum"), q=("k2", "sum"))
         return g
 
-    parts = ds.select_columns([type_col, val_col]).map_batches(
+    parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
     cols = {"event_type": pd.Series(dtype=object),
             "n_i": pd.Series(dtype="int64"),
@@ -2642,11 +2514,7 @@ def cramers_v(
         "chi2": [chi2], "cramers_v": [v]})
 
 
-def levene_bf(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-) -> pd.DataFrame:
+def levene_bf(ds: ray.data.Dataset) -> pd.DataFrame:
     """Brown–Forsythe (median-based Levene) test of variance
     homogeneity across categories: each observation becomes its
     absolute deviation from the GROUP MEDIAN and a one-way ANOVA F
@@ -2661,15 +2529,15 @@ def levene_bf(
     partials; driver closing over |alphabet|·|domain| cells."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[val_col].to_numpy(np.float64)
+        v = df[VALUE].to_numpy(np.float64)
         ok = ~np.isnan(v)
         k = np.rint(v[ok] * 100.0).astype(np.int64)
-        g = pd.DataFrame({"t": df[type_col].to_numpy(object)[ok],
+        g = pd.DataFrame({"t": df[EVENT_TYPE].to_numpy(object)[ok],
                           "k": k}).groupby(
             ["t", "k"], as_index=False, observed=True).size()
         return g.rename(columns={"size": "c"})
 
-    parts = ds.select_columns([type_col, val_col]).map_batches(
+    parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
     cols = {"event_type": pd.Series(dtype=object),
             "n_i": pd.Series(dtype="int64"),
@@ -2723,8 +2591,6 @@ def levene_bf(
 
 def wilcoxon_shift(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Wilcoxon signed-rank test of the corpus-wide activity shift
@@ -2744,30 +2610,30 @@ def wilcoxon_shift(
 
     # two-pass: global window bounds first (cheap aggregate), then
     # per-key half counts against the broadcast midpoint
-    bounds = ds.select_columns([ts_col]).map_batches(
+    bounds = ds.select_columns([TS]).map_batches(
         lambda df: pd.DataFrame({
-            "lo": [df[ts_col].to_numpy("datetime64[us]")
+            "lo": [df[TS].to_numpy("datetime64[us]")
                    .view(np.int64).min()],
-            "hi": [df[ts_col].to_numpy("datetime64[us]")
+            "hi": [df[TS].to_numpy("datetime64[us]")
                    .view(np.int64).max()]}),
         batch_format="pandas").to_pandas()
     lo, hi = int(bounds["lo"].min()), int(bounds["hi"].max())
     mid = (lo + hi) // 2
 
     def half_counts(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         second = tus > mid
-        g = pd.DataFrame({key: df[key].to_numpy(),
+        g = pd.DataFrame({USER_ID: df[USER_ID].to_numpy(),
                           "c1": (~second).astype(np.int64),
                           "c2": second.astype(np.int64)})
-        return g.groupby(key, as_index=False, observed=True).sum()
+        return g.groupby(USER_ID, as_index=False, observed=True).sum()
 
     cells = group_apply(
-        ds.select_columns([key, ts_col]).map_batches(
+        ds.select_columns([USER_ID, TS]).map_batches(
             half_counts, batch_format="pandas"),
-        lambda df: df.groupby(key, as_index=False,
+        lambda df: df.groupby(USER_ID, as_index=False,
                               observed=True)[["c1", "c2"]].sum(),
-        num_partitions=num_partitions, key=key,
+        num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     cols = {"m": pd.Series(dtype="int64"),
             "n_pos": pd.Series(dtype="int64"),
@@ -2802,10 +2668,6 @@ def wilcoxon_shift(
 
 def trigram_entropy(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    type_col: str = "event_type",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Corpus order-2 Markov (trigram) conditional entropy of the
@@ -2828,12 +2690,12 @@ def trigram_entropy(
                "cnt": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(out)
-        kc, _ = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
+        kc, _ = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, kc))
         k = kc[perm]
-        t = df[type_col].to_numpy(object)[perm]
+        t = df[EVENT_TYPE].to_numpy(object)[perm]
         if len(t) < 3:
             return pd.DataFrame(out)
         same = k[1:] == k[:-1]
@@ -2844,8 +2706,8 @@ def trigram_entropy(
         return g.rename(columns={"size": "cnt"})
 
     parts = group_apply(
-        ds.select_columns([key, type_col, ts_col, order_col]),
-        cells, num_partitions=num_partitions, key=key,
+        ds.select_columns([USER_ID, EVENT_TYPE, TS, EVENT_ID]),
+        cells, num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     cols = {"n_trigrams": pd.Series(dtype="int64"),
             "n_cells": pd.Series(dtype="int64"),
@@ -2873,11 +2735,7 @@ def trigram_entropy(
         "h2": [h2], "perplexity": [float(np.exp(h2))]})
 
 
-def median_test(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-) -> pd.DataFrame:
+def median_test(ds: ray.data.Dataset) -> pd.DataFrame:
     """Mood's median test across categories: count each group's
     observations strictly above / not above the GRAND median and
     χ²-test the resulting k×2 contingency table — the coarsest but
@@ -2893,15 +2751,15 @@ def median_test(
     repeated."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[val_col].to_numpy(np.float64)
+        v = df[VALUE].to_numpy(np.float64)
         ok = ~np.isnan(v)
         k = np.rint(v[ok] * 100.0).astype(np.int64)
-        g = pd.DataFrame({"t": df[type_col].to_numpy(object)[ok],
+        g = pd.DataFrame({"t": df[EVENT_TYPE].to_numpy(object)[ok],
                           "k": k}).groupby(
             ["t", "k"], as_index=False, observed=True).size()
         return g.rename(columns={"size": "c"})
 
-    parts = ds.select_columns([type_col, val_col]).map_batches(
+    parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
     cols = {"event_type": pd.Series(dtype=object),
             "n_above": pd.Series(dtype="int64"),
@@ -2947,11 +2805,7 @@ def median_test(
         "chi2": np.full(len(g), chi2)})
 
 
-def bartlett_test(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-) -> pd.DataFrame:
+def bartlett_test(ds: ray.data.Dataset) -> pd.DataFrame:
     """Bartlett's test of variance homogeneity across ALL categories
     of a bounded-alphabet column — the normal-theory member that
     completes the spread ladder (levene_bf = robust center-distance,
@@ -2967,16 +2821,16 @@ def bartlett_test(
     partials; driver closing over |alphabet| cells."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[val_col].to_numpy(np.float64)
+        v = df[VALUE].to_numpy(np.float64)
         ok = ~np.isnan(v)
         k = np.rint(v[ok] * 100.0).astype(np.int64)
-        g = pd.DataFrame({"t": df[type_col].to_numpy(object)[ok],
+        g = pd.DataFrame({"t": df[EVENT_TYPE].to_numpy(object)[ok],
                           "k": k, "k2": k * k}).groupby(
             "t", as_index=False, observed=True).agg(
             n=("k", "size"), s=("k", "sum"), q=("k2", "sum"))
         return g
 
-    parts = ds.select_columns([type_col, val_col]).map_batches(
+    parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
     cols = {"event_type": pd.Series(dtype=object),
             "n_i": pd.Series(dtype="int64"),
@@ -3021,8 +2875,6 @@ def bartlett_test(
 
 def friedman_test(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    type_col: str = "event_type",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Friedman blocked rank test: does per-block activity differ
@@ -3046,19 +2898,19 @@ def friedman_test(
     from .partition import group_apply
 
     def cell_partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby([key, type_col], as_index=False,
+        g = df.groupby([USER_ID, EVENT_TYPE], as_index=False,
                        observed=True).size()
         return g.rename(columns={"size": "c"})
 
-    cells_ds = ds.select_columns([key, type_col]).map_batches(
+    cells_ds = ds.select_columns([USER_ID, EVENT_TYPE]).map_batches(
         cell_partial, batch_format="pandas")
 
     def type_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({type_col: df[type_col].unique()})
+        return pd.DataFrame({EVENT_TYPE: df[EVENT_TYPE].unique()})
 
     types = sorted(
         cells_ds.map_batches(type_partial, batch_format="pandas")
-        .to_pandas()[type_col].unique().tolist())
+        .to_pandas()[EVENT_TYPE].unique().tolist())
     kg = len(types)
     t_index = {t: i for i, t in enumerate(types)}
     cols = {"event_type": pd.Series(dtype=object),
@@ -3078,10 +2930,10 @@ def friedman_test(
                "nu": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(out)
-        g = df.groupby([key, type_col], as_index=False,
+        g = df.groupby([USER_ID, EVENT_TYPE], as_index=False,
                        observed=True)["c"].sum()
-        uc, uu = pd.factorize(g[key])
-        tc = g[type_col].map(t_index).to_numpy(np.int64)
+        uc, uu = pd.factorize(g[USER_ID])
+        tc = g[EVENT_TYPE].map(t_index).to_numpy(np.int64)
         M = np.zeros((len(uu), kg), np.int64)
         M[uc, tc] = g["c"].to_numpy(np.int64)
         less = (M[:, None, :] < M[:, :, None]).sum(axis=2)
@@ -3099,7 +2951,7 @@ def friedman_test(
 
     parts = group_apply(cells_ds, per_part,
                         num_partitions=num_partitions,
-                        key=key).to_pandas()
+                        key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame(cols)
     agg = parts.groupby("t", as_index=False).agg(
@@ -3126,11 +2978,7 @@ def friedman_test(
         "chi2_tie": np.full(kg, chi2 / c)})
 
 
-def jonckheere_terpstra(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-) -> pd.DataFrame:
+def jonckheere_terpstra(ds: ray.data.Dataset) -> pd.DataFrame:
     """Jonckheere–Terpstra ordered-alternative test: is there a
     monotone value trend ACROSS groups taken in their natural
     (lexicographic) order?  JT = Σ_{i<j} U_ij where U_ij counts
@@ -3152,15 +3000,15 @@ def jonckheere_terpstra(
     |alphabet|·|value domain| cells."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[val_col].to_numpy(np.float64)
+        v = df[VALUE].to_numpy(np.float64)
         ok = ~np.isnan(v)
         k = np.rint(v[ok] * 100.0).astype(np.int64)
-        g = pd.DataFrame({"t": df[type_col].to_numpy(object)[ok],
+        g = pd.DataFrame({"t": df[EVENT_TYPE].to_numpy(object)[ok],
                           "k": k}).groupby(
             ["t", "k"], as_index=False, observed=True).size()
         return g.rename(columns={"size": "c"})
 
-    parts = ds.select_columns([type_col, val_col]).map_batches(
+    parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
     cols = {"event_type": pd.Series(dtype=object),
             "n_i": pd.Series(dtype="int64"),
@@ -3220,9 +3068,6 @@ def jonckheere_terpstra(
 
 def cochran_q(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    type_col: str = "event_type",
-    ts_col: str = "ts",
     window_us: int = 7 * 86400 * 10**6,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
@@ -3244,16 +3089,16 @@ def cochran_q(
     driver sees k + a-few-scalars partials per partition."""
     from .partition import group_apply
 
-    tmax = int(pd.Timestamp(ds.max(ts_col)).value) // 1000
+    tmax = int(pd.Timestamp(ds.max(TS)).value) // 1000
     lo = tmax - int(window_us)
 
     def cell_partial(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").astype(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").astype(np.int64)
         m = tus >= lo
-        g = df.loc[m, [key, type_col]].drop_duplicates()
+        g = df.loc[m, [USER_ID, EVENT_TYPE]].drop_duplicates()
         return g.reset_index(drop=True)
 
-    cells = ds.select_columns([key, type_col, ts_col]).map_batches(
+    cells = ds.select_columns([USER_ID, EVENT_TYPE, TS]).map_batches(
         cell_partial, batch_format="pandas")
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -3264,11 +3109,11 @@ def cochran_q(
                "nb": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(out)
-        u = df[[key, type_col]].drop_duplicates()
-        gj = u.groupby(type_col, as_index=False).size() \
+        u = df[[USER_ID, EVENT_TYPE]].drop_duplicates()
+        gj = u.groupby(EVENT_TYPE, as_index=False).size() \
             .rename(columns={"size": "g"})
-        ri = u.groupby(key).size().to_numpy(np.int64)
-        res = pd.DataFrame({"t": gj[type_col].to_numpy(object),
+        ri = u.groupby(USER_ID).size().to_numpy(np.int64)
+        res = pd.DataFrame({"t": gj[EVENT_TYPE].to_numpy(object),
                             "g": gj["g"].to_numpy(np.int64)})
         res["r1"] = 0
         res["r2"] = 0
@@ -3280,7 +3125,7 @@ def cochran_q(
 
     parts = group_apply(cells, per_part,
                         num_partitions=num_partitions,
-                        key=key).to_pandas()
+                        key=USER_ID).to_pandas()
     cols = {"event_type": pd.Series(dtype=object),
             "g_count": pd.Series(dtype="int64"),
             "n_blocks": pd.Series(dtype="int64"),
@@ -3314,15 +3159,10 @@ def cochran_q(
 
 def mcnemar_halves(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    type_col: str = "event_type",
-    ts_col: str = "ts",
-    etype_a: str = "purchase",
-    etype_b: str = "error",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """McNemar paired-proportion test: per block (key), the binary
-    outcome "fired MORE ``etype_a`` than ``etype_b`` events" in the
+    outcome "fired MORE 'purchase' than 'error' events" in the
     FIRST vs SECOND half of the global time range (split at the
     integer-µs midpoint) — an exact-integer comparison per half, so
     the indicator itself needs no float.  The discordant counts
@@ -3336,25 +3176,25 @@ def mcnemar_halves(
     driver sees a 2×2 table per partition."""
     from .partition import group_apply
 
-    tmax = int(pd.Timestamp(ds.max(ts_col)).value) // 1000
-    tmin = int(pd.Timestamp(ds.min(ts_col)).value) // 1000
+    tmax = int(pd.Timestamp(ds.max(TS)).value) // 1000
+    tmin = int(pd.Timestamp(ds.min(TS)).value) // 1000
     tmid = (tmin + tmax) // 2
 
     def cnt_partial(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").astype(np.int64)
-        et = df[type_col].to_numpy(object)
-        ha = et == etype_a
-        hb = et == etype_b
+        tus = df[TS].to_numpy("datetime64[us]").astype(np.int64)
+        et = df[EVENT_TYPE].to_numpy(object)
+        ha = et == "purchase"
+        hb = et == "error"
         h1 = tus < tmid
         g = pd.DataFrame({
-            key: df[key].to_numpy(np.int64),
+            USER_ID: df[USER_ID].to_numpy(np.int64),
             "a1": (ha & h1).astype(np.int64),
             "b1": (hb & h1).astype(np.int64),
             "a2": (ha & ~h1).astype(np.int64),
             "b2": (hb & ~h1).astype(np.int64)})
-        return g.groupby(key, as_index=False).sum()
+        return g.groupby(USER_ID, as_index=False).sum()
 
-    cells = ds.select_columns([key, type_col, ts_col]).map_batches(
+    cells = ds.select_columns([USER_ID, EVENT_TYPE, TS]).map_batches(
         cnt_partial, batch_format="pandas")
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -3364,7 +3204,7 @@ def mcnemar_halves(
                 "b": pd.Series(dtype="int64"),
                 "c": pd.Series(dtype="int64"),
                 "d": pd.Series(dtype="int64")})
-        g = df.groupby(key, as_index=False)[
+        g = df.groupby(USER_ID, as_index=False)[
             ["a1", "b1", "a2", "b2"]].sum()
         x1 = (g["a1"].to_numpy(np.int64)
               > g["b1"].to_numpy(np.int64)).astype(np.int64)
@@ -3378,7 +3218,7 @@ def mcnemar_halves(
 
     parts = group_apply(cells, per_part,
                         num_partitions=num_partitions,
-                        key=key).to_pandas()
+                        key=USER_ID).to_pandas()
     cols = {"n_both": pd.Series(dtype="int64"),
             "n_first_only": pd.Series(dtype="int64"),
             "n_second_only": pd.Series(dtype="int64"),
@@ -3406,8 +3246,6 @@ def mcnemar_halves(
 
 def sign_test_halves(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Paired sign test on per-block activity: did each key fire
@@ -3423,19 +3261,19 @@ def sign_test_halves(
     reach the driver."""
     from .partition import group_apply
 
-    tmax = int(pd.Timestamp(ds.max(ts_col)).value) // 1000
-    tmin = int(pd.Timestamp(ds.min(ts_col)).value) // 1000
+    tmax = int(pd.Timestamp(ds.max(TS)).value) // 1000
+    tmin = int(pd.Timestamp(ds.min(TS)).value) // 1000
     tmid = (tmin + tmax) // 2
 
     def cnt_partial(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").astype(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").astype(np.int64)
         g = pd.DataFrame({
-            key: df[key].to_numpy(np.int64),
+            USER_ID: df[USER_ID].to_numpy(np.int64),
             "c1": (tus < tmid).astype(np.int64),
             "c2": (tus >= tmid).astype(np.int64)})
-        return g.groupby(key, as_index=False).sum()
+        return g.groupby(USER_ID, as_index=False).sum()
 
-    cells = ds.select_columns([key, ts_col]).map_batches(
+    cells = ds.select_columns([USER_ID, TS]).map_batches(
         cnt_partial, batch_format="pandas")
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -3444,7 +3282,7 @@ def sign_test_halves(
                 "p": pd.Series(dtype="int64"),
                 "m": pd.Series(dtype="int64"),
                 "t": pd.Series(dtype="int64")})
-        g = df.groupby(key, as_index=False)[["c1", "c2"]].sum()
+        g = df.groupby(USER_ID, as_index=False)[["c1", "c2"]].sum()
         c1 = g["c1"].to_numpy(np.int64)
         c2 = g["c2"].to_numpy(np.int64)
         return pd.DataFrame({
@@ -3454,7 +3292,7 @@ def sign_test_halves(
 
     parts = group_apply(cells, per_part,
                         num_partitions=num_partitions,
-                        key=key).to_pandas()
+                        key=USER_ID).to_pandas()
     cols = {"n_plus": pd.Series(dtype="int64"),
             "n_minus": pd.Series(dtype="int64"),
             "n_ties": pd.Series(dtype="int64"),
@@ -3476,28 +3314,23 @@ def sign_test_halves(
         "z_stat": [z]})
 
 
-def _two_sample_hist(
-    ds: ray.data.Dataset,
-    type_col: str,
-    val_col: str,
-    type_x: str,
-    type_y: str,
-) -> pd.DataFrame:
+def _two_sample_hist(ds: ray.data.Dataset) -> pd.DataFrame:
     """Shared map-side partial for the two-sample EDF/scale tests:
-    exact (k = round(value·100), cx, cy) histogram cells for the two
-    requested categories.  Cells are bounded by the value domain, so
-    the driver-side closing never sees row-scale data."""
+    exact (k = round(value·100), cx, cy) histogram cells for the
+    'click' (x) and 'view' (y) samples.  Cells are bounded by the
+    value domain, so the driver-side closing never sees row-scale
+    data."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[val_col].to_numpy(np.float64)
-        t = df[type_col].to_numpy(object)
-        ok = ~np.isnan(v) & ((t == type_x) | (t == type_y))
+        v = df[VALUE].to_numpy(np.float64)
+        t = df[EVENT_TYPE].to_numpy(object)
+        ok = ~np.isnan(v) & ((t == "click") | (t == "view"))
         k = np.rint(v[ok] * 100.0).astype(np.int64)
-        isx = (t[ok] == type_x).astype(np.int64)
+        isx = (t[ok] == "click").astype(np.int64)
         g = pd.DataFrame({"k": k, "cx": isx, "cy": 1 - isx})
         return g.groupby("k", as_index=False).sum()
 
-    parts = ds.select_columns([type_col, val_col]).map_batches(
+    parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
     if parts.empty:
         return parts
@@ -3505,13 +3338,7 @@ def _two_sample_hist(
         .sort_values("k").reset_index(drop=True)
 
 
-def cvm_two_sample(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def cvm_two_sample(ds: ray.data.Dataset) -> pd.DataFrame:
     """Two-sample Cramér–von Mises statistic in its tie-robust
     EDF-functional form: T = NM/(N+M) · Σ_k (l_k/(N+M)) ·
     (F_N(k) − G_M(k))² with the pooled EDF as the integrator —
@@ -3524,7 +3351,7 @@ def cvm_two_sample(
     accumulates PYTHON ints over the (value-domain-bounded)
     histogram and the oracle mirrors in HUGEINT; the single closing
     division is the only float."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "t_stat": pd.Series(dtype="float64")}
@@ -3549,13 +3376,7 @@ def cvm_two_sample(
         "t_stat": [float(num) / float(den)]})
 
 
-def ansari_bradley(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def ansari_bradley(ds: ray.data.Dataset) -> pd.DataFrame:
     """Ansari–Bradley two-sample scale test with mid-rank ties:
     scores run 1, 2, … toward the middle from BOTH ends, so a
     sample squeezed toward the pooled median scores high.  Doubled
@@ -3569,7 +3390,7 @@ def ansari_bradley(
 
     Completes the scale ladder next to levene_bf/bartlett (moment
     tests) with a fully nonparametric member."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "w_twice": pd.Series(dtype="int64"),
@@ -3604,13 +3425,7 @@ def ansari_bradley(
         "z_stat": [z]})
 
 
-def mood_scale(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def mood_scale(ds: ray.data.Dataset) -> pd.DataFrame:
     """Mood two-sample squared-rank scale test: T = Σ_X
     (r_i − (N+1)/2)², mid-ranks for ties.  In doubled rank space
     e_k = d2_k − (N+1) is an exact int and T4 = 4T = Σ cx_k·e_k²;
@@ -3619,7 +3434,7 @@ def mood_scale(
     pooled rows → Python-int driver / HUGEINT oracle).  The
     squared-deviation sibling of ansari_bradley (different score
     function, same machinery)."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "t_quad": pd.Series(dtype="int64"),
@@ -3654,13 +3469,7 @@ def mood_scale(
         "z_stat": [z]})
 
 
-def brunner_munzel(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def brunner_munzel(ds: ray.data.Dataset) -> pd.DataFrame:
     """Brunner–Munzel heteroscedastic rank test (the "generalized
     Wilcoxon"): tests P(X<Y) + ½P(X=Y) = ½ WITHOUT assuming equal
     variances or shapes — the rank ladder's Welch analogue, next to
@@ -3675,7 +3484,7 @@ def brunner_munzel(
     Closings (p̂ = Py/2nm and W = num2 / (N·√(VX/(n²(n−1)) +
     VY/(m²(m−1)))·... standard scipy form) are the mirrored float
     expressions."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "p_hat": pd.Series(dtype="float64"),
@@ -3725,13 +3534,7 @@ def brunner_munzel(
         "w_stat": [w]})
 
 
-def cucconi_test(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def cucconi_test(ds: ray.data.Dataset) -> pd.DataFrame:
     """Cucconi two-sample location–scale test: combines the squared
     ranks from BOTH ends (U on R², V on (N+1−R)²) with their exact
     negative correlation ρ into one elliptic statistic
@@ -3748,7 +3551,7 @@ def cucconi_test(
     ints; U = nuU/(2√D), V = nuV/(2√D) with
     D = mn(N+1)(2N+1)(8N+11)/5 and
     ρ = 2(N²−4)/((2N+1)(8N+11)) − 1 close as mirrored floats."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "u_stat": pd.Series(dtype="float64"),
@@ -3788,11 +3591,7 @@ def cucconi_test(
         "u_stat": [u], "v_stat": [v], "c_stat": [c]})
 
 
-def dagostino_k2(
-    ds: ray.data.Dataset,
-    group_col: str = "event_type",
-    val_col: str = "value",
-) -> pd.DataFrame:
+def dagostino_k2(ds: ray.data.Dataset) -> pd.DataFrame:
     """D'Agostino–Pearson K² omnibus normality test per group: the
     skewness z (D'Agostino 1970 transform) and kurtosis z
     (Anscombe–Glynn 1983) combined as K² = z₁² + z₂² ~ χ²(2) —
@@ -3808,22 +3607,22 @@ def dagostino_k2(
     twin.  One bounded-alphabet reduce, no exchange."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[val_col].to_numpy(np.float64)
-        g = df[group_col].to_numpy(object)
+        v = df[VALUE].to_numpy(np.float64)
+        g = df[EVENT_TYPE].to_numpy(object)
         ok = ~np.isnan(v)
         k = np.rint(v[ok] * 100.0).astype(np.int64)
-        d = pd.DataFrame({group_col: g[ok], "n": 1, "s1": k,
+        d = pd.DataFrame({EVENT_TYPE: g[ok], "n": 1, "s1": k,
                           "s2": k * k})
         # k³/k⁴ overflow int64 in bulk — object (Python int) sums
         d["s3"] = [int(x) ** 3 for x in k]
         d["s4"] = [int(x) ** 4 for x in k]
-        return d.groupby(group_col, as_index=False).agg(
+        return d.groupby(EVENT_TYPE, as_index=False).agg(
             n=("n", "sum"), s1=("s1", "sum"), s2=("s2", "sum"),
             s3=("s3", "sum"), s4=("s4", "sum"))
 
-    parts = ds.select_columns([group_col, val_col]).map_batches(
+    parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {group_col: pd.Series(dtype=object),
+    cols = {EVENT_TYPE: pd.Series(dtype=object),
             "n": pd.Series(dtype="int64"),
             "skew_g1": pd.Series(dtype="float64"),
             "kurt_b2": pd.Series(dtype="float64"),
@@ -3833,7 +3632,7 @@ def dagostino_k2(
     if parts.empty:
         return pd.DataFrame(cols)
     rows = []
-    for gname, g in parts.groupby(group_col):
+    for gname, g in parts.groupby(EVENT_TYPE):
         n = int(g["n"].sum())
         if n < 20:        # Anscombe–Glynn needs n ≥ 20
             continue
@@ -3888,17 +3687,10 @@ def dagostino_k2(
     if not rows:
         return pd.DataFrame(cols)
     return pd.DataFrame(rows, columns=list(cols)) \
-        .sort_values(group_col).reset_index(drop=True)
+        .sort_values(EVENT_TYPE).reset_index(drop=True)
 
 
-def cox_stuart(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def cox_stuart(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Cox–Stuart trend test per key: pair each of the first
     ⌊n/2⌋ points with the point c = n − ⌊n/2⌋ positions later
     (the middle point drops out when n is odd) and sign-test the
@@ -3910,17 +3702,17 @@ def cox_stuart(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "n_plus": pd.Series(dtype="int64"),
                 "n_minus": pd.Series(dtype="int64"),
                 "z_stat": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        s = df.sort_values([key, ts_col, order_col],
+        s = df.sort_values([USER_ID, TS, EVENT_ID],
                            kind="mergesort")
-        kc, kuniq = pd.factorize(s[key])
-        x = np.rint(s[val_col].to_numpy(np.float64) * 100.0) \
+        kc, kuniq = pd.factorize(s[USER_ID])
+        x = np.rint(s[VALUE].to_numpy(np.float64) * 100.0) \
             .astype(np.int64)
         order = np.argsort(kc, kind="stable")
         k, xs = kc[order], x[order]
@@ -3949,25 +3741,19 @@ def cox_stuart(
         return pd.DataFrame(rows, columns=list(cols))
 
     out = group_apply(
-        ds.select_columns([key, ts_col, val_col, order_col]),
-        per_key, num_partitions=num_partitions, key=key,
+        ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
+        per_key, num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     if out.empty:
-        return pd.DataFrame({key: pd.Series(dtype="int64"),
+        return pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
                              "n": pd.Series(dtype="int64"),
                              "n_plus": pd.Series(dtype="int64"),
                              "n_minus": pd.Series(dtype="int64"),
                              "z_stat": pd.Series(dtype="float64")})
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def hodges_lehmann(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def hodges_lehmann(ds: ray.data.Dataset) -> pd.DataFrame:
     """Hodges–Lehmann shift estimator between two samples: the
     median of ALL n·m pairwise differences y_j − x_i — the robust
     location-shift companion to the rank tests (wilcoxon_shift
@@ -3984,15 +3770,15 @@ def hodges_lehmann(
     without a float).  hl_shift = hl2/20 is the one closing."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[val_col].to_numpy(np.float64)
-        t = df[type_col].to_numpy(object)
-        ok = ~np.isnan(v) & ((t == type_x) | (t == type_y))
+        v = df[VALUE].to_numpy(np.float64)
+        t = df[EVENT_TYPE].to_numpy(object)
+        ok = ~np.isnan(v) & ((t == "click") | (t == "view"))
         k = np.rint(v[ok] * 10.0).astype(np.int64)
-        isx = (t[ok] == type_x).astype(np.int64)
+        isx = (t[ok] == "click").astype(np.int64)
         g = pd.DataFrame({"k": k, "cx": isx, "cy": 1 - isx})
         return g.groupby("k", as_index=False).sum()
 
-    hist = ds.select_columns([type_col, val_col]).map_batches(
+    hist = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
@@ -4028,12 +3814,7 @@ def hodges_lehmann(
         "hl_shift": [float(hl2) / 20.0]})
 
 
-def page_trend(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    num_quarters: int = 4,
-) -> pd.DataFrame:
+def page_trend(ds: ray.data.Dataset, num_quarters: int = 4) -> pd.DataFrame:
     """Page's L trend test for ordered alternatives: blocks are
     keys, treatments the ``num_quarters`` ORDERED quarters of the
     global time range, the observation per (block, quarter) the
@@ -4050,18 +3831,18 @@ def page_trend(
     (2·√(b·k²(k+1)(k²−1)/144)) (midrank ties make σ an
     approximation — documented; counts and L2 stay exact)."""
     k = int(num_quarters)
-    t0 = int(pd.Timestamp(ds.min(ts_col)).value) // 1000
-    t1 = int(pd.Timestamp(ds.max(ts_col)).value) // 1000
+    t0 = int(pd.Timestamp(ds.min(TS)).value) // 1000
+    t1 = int(pd.Timestamp(ds.max(TS)).value) // 1000
     span = t1 - t0 + 1
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         qt = np.minimum(k - 1, (tus - t0) * k // span)
-        g = pd.DataFrame({key: df[key].to_numpy(), "qt": qt})
-        c = g.groupby([key, "qt"], as_index=False).size()
+        g = pd.DataFrame({USER_ID: df[USER_ID].to_numpy(), "qt": qt})
+        c = g.groupby([USER_ID, "qt"], as_index=False).size()
         return c.rename(columns={"size": "c"})
 
-    cells = ds.select_columns([key, ts_col]).map_batches(
+    cells = ds.select_columns([USER_ID, TS]).map_batches(
         partial, batch_format="pandas").to_pandas()
     cols = {"n_blocks": pd.Series(dtype="int64"),
             "n_quarters": pd.Series(dtype="int64"),
@@ -4069,8 +3850,8 @@ def page_trend(
             "z_stat": pd.Series(dtype="float64")}
     if cells.empty:
         return pd.DataFrame(cols)
-    cells = cells.groupby([key, "qt"], as_index=False)["c"].sum()
-    uc, uu = pd.factorize(cells[key])
+    cells = cells.groupby([USER_ID, "qt"], as_index=False)["c"].sum()
+    uc, uu = pd.factorize(cells[USER_ID])
     M = np.zeros((len(uu), k), np.int64)
     M[uc, cells["qt"].to_numpy(np.int64)] = \
         cells["c"].to_numpy(np.int64)
@@ -4090,13 +3871,7 @@ def page_trend(
         "z_stat": [z]})
 
 
-def hbos_anomalies(
-    ds: ray.data.Dataset,
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
-    top: int = 20,
-) -> pd.DataFrame:
+def hbos_anomalies(ds: ray.data.Dataset, top: int = 20) -> pd.DataFrame:
     """HBOS (histogram-based outlier score, Goldstein–Dengel 2012)
     over two bounded feature histograms — the value's 500-centi-k
     bin and the hour of day: score = −ln(p_bin) − ln(p_hour),
@@ -4113,15 +3888,15 @@ def hbos_anomalies(
     import ray as _ray
 
     def feat(df: pd.DataFrame) -> pd.DataFrame:
-        k = np.rint(df[val_col].to_numpy(np.float64) * 100.0) \
+        k = np.rint(df[VALUE].to_numpy(np.float64) * 100.0) \
             .astype(np.int64)
         vb = np.minimum(np.maximum(k + 5000, 0) // 500, 20)
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         hr = (tus // 3_600_000_000) % 24
-        return pd.DataFrame({order_col: df[order_col].to_numpy(),
+        return pd.DataFrame({EVENT_ID: df[EVENT_ID].to_numpy(),
                              "vbin": vb, "hour": hr})
 
-    feats = ds.select_columns([order_col, ts_col, val_col]) \
+    feats = ds.select_columns([EVENT_ID, TS, VALUE]) \
         .map_batches(feat, batch_format="pandas")
 
     def cell_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -4136,7 +3911,7 @@ def hbos_anomalies(
     cells = feats.map_batches(cell_partial, batch_format="pandas") \
         .to_pandas().groupby(["dim", "cell"], as_index=False)["c"] \
         .sum()
-    cols = {order_col: pd.Series(dtype="int64"),
+    cols = {EVENT_ID: pd.Series(dtype="int64"),
             "vbin": pd.Series(dtype="int64"),
             "hour": pd.Series(dtype="int64"),
             "c_vbin": pd.Series(dtype="int64"),
@@ -4155,16 +3930,16 @@ def hbos_anomalies(
         nn, cvd, chd = _ray.get(ref)
         a = df["vbin"].map(cvd).to_numpy(np.int64)
         b = df["hour"].map(chd).to_numpy(np.int64)
-        d = pd.DataFrame({order_col: df[order_col].to_numpy(),
+        d = pd.DataFrame({EVENT_ID: df[EVENT_ID].to_numpy(),
                           "vbin": df["vbin"].to_numpy(np.int64),
                           "hour": df["hour"].to_numpy(np.int64),
                           "c_vbin": a, "c_hour": b,
                           "prod": a * b})
-        return d.sort_values(["prod", order_col],
+        return d.sort_values(["prod", EVENT_ID],
                              kind="mergesort").head(top)
 
     cand = feats.map_batches(score_topk, batch_format="pandas") \
-        .to_pandas().sort_values(["prod", order_col],
+        .to_pandas().sort_values(["prod", EVENT_ID],
                                  kind="mergesort").head(top)
     nf = float(n)
     sc = (np.log(nf)
@@ -4176,13 +3951,7 @@ def hbos_anomalies(
     return out
 
 
-def kuiper_test(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def kuiper_test(ds: ray.data.Dataset) -> pd.DataFrame:
     """Kuiper two-sample test: V = D⁺ + D⁻ = max(F−G) + max(G−F)
     over the pooled value grid — the rotation-invariant sibling of
     ks_drift (KS reads one max and is blind to equal-and-opposite
@@ -4193,7 +3962,7 @@ def kuiper_test(
     D⁺ = max(d)/nm and D⁻ = max(−d)/nm; the deviations travel with
     the shared value histogram and the two closings are the only
     floats."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "d_plus": pd.Series(dtype="float64"),
@@ -4219,13 +3988,7 @@ def kuiper_test(
         "v_stat": [float(dp + dm) / nm]})
 
 
-def wasserstein1(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def wasserstein1(ds: ray.data.Dataset) -> pd.DataFrame:
     """1-D Wasserstein-1 (earth mover's) distance between the two
     samples' value distributions: W₁ = ∫|F_n − G_m| dx over the
     pooled grid — the AREA between the EDFs, where ks/kuiper read
@@ -4236,7 +3999,7 @@ def wasserstein1(
     num = Σ_k Δk·|m·CX_k − n·CY_k| is an exact Python int
     (HUGEINT oracle), and W₁ = num/(n·m·100) — descaled back to
     value units — is the single closing."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "w1_dist": pd.Series(dtype="float64")}
@@ -4259,13 +4022,7 @@ def wasserstein1(
         "w1_dist": [w1]})
 
 
-def energy_distance(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def energy_distance(ds: ray.data.Dataset) -> pd.DataFrame:
     """Székely–Rizzo energy distance between the two value
     distributions: D² = 2·E|X−Y| − E|X−X'| − E|Y−Y'| — zero iff
     the distributions are equal, metric-strength sensitivity where
@@ -4277,7 +4034,7 @@ def energy_distance(
     exact Python ints (HUGEINT oracle) over the shared histogram
     and D² = 2A/(nm·100) − B/(n²·100) − C/(m²·100) is the one
     mirrored float expression."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "e_xy": pd.Series(dtype="float64"),
@@ -4311,13 +4068,7 @@ def energy_distance(
         "energy_d2": [2.0 * exy - exx - eyy]})
 
 
-def lepage_test(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def lepage_test(ds: ray.data.Dataset) -> pd.DataFrame:
     """Lepage two-sample location–scale omnibus: L = z_W² + z_A² —
     the tie-corrected Wilcoxon rank-sum z (location) plus the
     Ansari–Bradley z (scale), both over the shared exact value
@@ -4329,7 +4080,7 @@ def lepage_test(
     int64; W2 = Σcx·r2, the tie term T = Σ(l³−l), and the Ansari
     moments S1/S2 are exact Python ints (HUGEINT oracle); the two
     z closings and L are the mirrored float expressions."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "z_wilcoxon": pd.Series(dtype="float64"),
@@ -4376,13 +4127,7 @@ def lepage_test(
         "lepage_l": [zw * zw + za * za]})
 
 
-def qte_profile(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def qte_profile(ds: ray.data.Dataset) -> pd.DataFrame:
     """Quantile treatment effects at the quartiles: the per-group
     type-1 (inverse-EDF) 25/50/75 % order statistics and their
     differences — where hodges_lehmann reports ONE robust shift,
@@ -4392,7 +4137,7 @@ def qte_profile(
     Entirely exact: quantile q_p = smallest value with
     cum ≥ ⌈p·n⌉ on the shared integer histogram; the three
     qte_* closings descale the integer differences by /100."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "q25_x": pd.Series(dtype="int64"),
@@ -4434,15 +4179,8 @@ def qte_profile(
         "qte_75": [float(qy[2] - qx[2]) / 100.0]})
 
 
-def yuen_trimmed(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-    trim_pct: int = 20,
-) -> pd.DataFrame:
-    """Yuen's trimmed-mean two-sample test (20 % default): compares
+def yuen_trimmed(ds: ray.data.Dataset) -> pd.DataFrame:
+    """Yuen's trimmed-mean two-sample test (20 % trimming): compares
     the central 60 % of each distribution with winsorized-variance
     standard errors — the robust-location member of the ladder
     (welch_ttest breaks under heavy tails; wilcoxon reads ranks
@@ -4456,7 +4194,7 @@ def yuen_trimmed(
     closings mirror float-for-float: SSw = Qw − Sw²/n,
     d = SSw/(h(h−1)), t = (St_x/h_x − St_y/h_y)/(100·√(d_x+d_y))
     — descaled to value units."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "h_x": pd.Series(dtype="int64"),
@@ -4472,7 +4210,7 @@ def yuen_trimmed(
         n = int(c.sum())
         if n == 0:
             return None
-        g = n * trim_pct // 100
+        g = n * 20 // 100
         h = n - 2 * g
         if h <= 1:
             return None
@@ -4513,11 +4251,7 @@ def yuen_trimmed(
         "yuen_t": [t]})
 
 
-def hill_tail(
-    ds: ray.data.Dataset,
-    val_col: str = "value",
-    tail_k: int = 100,
-) -> pd.DataFrame:
+def hill_tail(ds: ray.data.Dataset, tail_k: int = 100) -> pd.DataFrame:
     """Hill estimator of the upper-tail index over positive values:
     α̂ = 1/H with H = (1/k)·Σ_{i≤k} ln(x_(i)/x_(k+1)) on the k
     largest observations — the standard POT tail-heaviness number
@@ -4531,14 +4265,14 @@ def hill_tail(
     closings."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        kk = np.rint(df[val_col].to_numpy(np.float64) * 100.0) \
+        kk = np.rint(df[VALUE].to_numpy(np.float64) * 100.0) \
             .astype(np.int64)
         kk = kk[kk >= 1]
         g = pd.DataFrame({"k": kk})
         c = g.groupby("k", as_index=False).size()
         return c.rename(columns={"size": "c"})
 
-    hist = ds.select_columns([val_col]).map_batches(
+    hist = ds.select_columns([VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
     cols = {"n_pos": pd.Series(dtype="int64"),
             "tail_k": pd.Series(dtype="int64"),
@@ -4575,15 +4309,7 @@ def hill_tail(
         "alpha": [1.0 / h]})
 
 
-def rmst(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    type_col: str = "event_type",
-    ts_col: str = "ts",
-    start_type: str = "signup",
-    event_type: str = "purchase",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def rmst(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Restricted mean survival time: RMST(τ) = ∫₀^τ S(t)dt under
     the same Kaplan–Meier curve as ``kaplan_meier`` (identical
     cells, censor rule and log-sum-exp S values), with
@@ -4595,8 +4321,7 @@ def rmst(
     event-time order (the same ordered-prefix device the KM oracle
     uses), so engine and SQL walk identical float op sequences;
     durations, τ and all counts are exact int64."""
-    got = _survival_durations(ds, key, type_col, ts_col, start_type,
-                              event_type, num_partitions)
+    got = _survival_durations(ds, num_partitions)
     cols = {"n_durations": pd.Series(dtype="int64"),
             "n_events": pd.Series(dtype="int64"),
             "tau_us": pd.Series(dtype="int64"),
@@ -4632,11 +4357,6 @@ def rmst(
 
 def gehan_wilcoxon(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    type_col: str = "event_type",
-    ts_col: str = "ts",
-    start_type: str = "signup",
-    event_type: str = "purchase",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Gehan's generalized Wilcoxon test for right-censored
@@ -4653,8 +4373,7 @@ def gehan_wilcoxon(
     variance n·m·ΣG²/(N(N−1)) use Python-int/HUGEINT sums (G² is
     O(N²), overflows int64 at ~10⁵ subjects); z = W/√Var is the
     one closing."""
-    got = _survival_durations(ds, key, type_col, ts_col, start_type,
-                              event_type, num_partitions)
+    got = _survival_durations(ds, num_partitions)
     cols = {"n_a": pd.Series(dtype="int64"),
             "n_b": pd.Series(dtype="int64"),
             "w_gehan": pd.Series(dtype="int64"),
@@ -4696,9 +4415,6 @@ def gehan_wilcoxon(
 
 def cuped_effect(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """CUPED (controlled-experiment using pre-experiment data,
@@ -4715,20 +4431,20 @@ def cuped_effect(
     ρ² are the mirrored float closings (descaled /100)."""
     from .partition import group_apply
 
-    t0 = int(pd.Timestamp(ds.min(ts_col)).value) // 1000
-    t1 = int(pd.Timestamp(ds.max(ts_col)).value) // 1000
+    t0 = int(pd.Timestamp(ds.min(TS)).value) // 1000
+    t1 = int(pd.Timestamp(ds.max(TS)).value) // 1000
     tmid = (t0 + t1) // 2
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        k = np.rint(df[val_col].to_numpy(np.float64) * 100.0) \
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        k = np.rint(df[VALUE].to_numpy(np.float64) * 100.0) \
             .astype(np.int64)
         pre = tus <= tmid
-        g = pd.DataFrame({key: df[key].to_numpy(),
+        g = pd.DataFrame({USER_ID: df[USER_ID].to_numpy(),
                           "x": np.where(pre, k, 0),
                           "y": np.where(pre, 0, k)})
-        u = g.groupby(key, as_index=False)[["x", "y"]].sum()
-        t = (u[key].to_numpy(np.int64) % 2) == 1
+        u = g.groupby(USER_ID, as_index=False)[["x", "y"]].sum()
+        t = (u[USER_ID].to_numpy(np.int64) % 2) == 1
         x = u["x"].to_numpy(np.int64)
         y = u["y"].to_numpy(np.int64)
         return pd.DataFrame({
@@ -4744,8 +4460,8 @@ def cuped_effect(
             "sy_c": [int(y[~t].sum())]})
 
     parts = group_apply(
-        ds.select_columns([key, ts_col, val_col]),
-        per_key, num_partitions=num_partitions, key=key,
+        ds.select_columns([USER_ID, TS, VALUE]),
+        per_key, num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     cols = {"n_users": pd.Series(dtype="int64"),
             "n_treat": pd.Series(dtype="int64"),
@@ -4785,13 +4501,7 @@ def cuped_effect(
         "rho2": [rho2]})
 
 
-def did_effect(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def did_effect(ds: ray.data.Dataset) -> pd.DataFrame:
     """Difference-in-differences on per-event value means: cohorts
     are the deterministic odd-key treatment split, periods the two
     halves of the global time range, and
@@ -4802,15 +4512,15 @@ def did_effect(
     Four exact (cohort, period) cells of (Σk, count) through
     map-side partials — no keyed exchange at all; the four means
     and the DiD closing are the mirrored floats (descaled /100)."""
-    t0 = int(pd.Timestamp(ds.min(ts_col)).value) // 1000
-    t1 = int(pd.Timestamp(ds.max(ts_col)).value) // 1000
+    t0 = int(pd.Timestamp(ds.min(TS)).value) // 1000
+    t1 = int(pd.Timestamp(ds.max(TS)).value) // 1000
     tmid = (t0 + t1) // 2
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        k = np.rint(df[val_col].to_numpy(np.float64) * 100.0) \
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        k = np.rint(df[VALUE].to_numpy(np.float64) * 100.0) \
             .astype(np.int64)
-        treat = (df[key].to_numpy(np.int64) % 2) == 1
+        treat = (df[USER_ID].to_numpy(np.int64) % 2) == 1
         post = tus > tmid
         g = pd.DataFrame({"t": treat.astype(np.int64),
                           "p": post.astype(np.int64), "k": k})
@@ -4818,7 +4528,7 @@ def did_effect(
             s=("k", "sum"), n=("k", "size"))
         return c
 
-    cells = ds.select_columns([key, ts_col, val_col]).map_batches(
+    cells = ds.select_columns([USER_ID, TS, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas() \
         .groupby(["t", "p"], as_index=False)[["s", "n"]].sum()
     cols = {"mean_pre_c": pd.Series(dtype="float64"),
@@ -4839,18 +4549,9 @@ def did_effect(
         "did": [did]})
 
 
-def sprt_conversion(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    type_col: str = "event_type",
-    convert_type: str = "purchase",
-    p0: float = 0.3,
-    p1: float = 0.4,
-    alpha: float = 0.05,
-    beta: float = 0.05,
-) -> pd.DataFrame:
+def sprt_conversion(ds: ray.data.Dataset) -> pd.DataFrame:
     """Wald's sequential probability ratio test on the per-key
-    conversion rate (did the key ever fire ``convert_type``): walk
+    conversion rate (did the key ever fire 'purchase'): walk
     keys in key order and stop the first time the log-likelihood
     ratio leaves (ln(β/(1−α)), ln((1−β)/α)) — the streaming A/B
     stopping rule that fixed-horizon tests can't give.
@@ -4862,16 +4563,16 @@ def sprt_conversion(
     conversion counts, immune to summation order."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        conv = df.groupby(key, observed=True)[type_col].agg(
+        conv = df.groupby(USER_ID, observed=True)[EVENT_TYPE].agg(
             lambda s: int((s.to_numpy(object)
-                           == convert_type).any()))
-        return pd.DataFrame({key: conv.index.to_numpy(np.int64),
+                           == "purchase").any()))
+        return pd.DataFrame({USER_ID: conv.index.to_numpy(np.int64),
                              "c": conv.to_numpy(np.int64)})
 
-    users = ds.select_columns([key, type_col]).map_batches(
+    users = ds.select_columns([USER_ID, EVENT_TYPE]).map_batches(
         partial, batch_format="pandas").to_pandas() \
-        .groupby(key, as_index=False)["c"].max() \
-        .sort_values(key).reset_index(drop=True)
+        .groupby(USER_ID, as_index=False)["c"].max() \
+        .sort_values(USER_ID).reset_index(drop=True)
     cols = {"n_keys": pd.Series(dtype="int64"),
             "n_conversions": pd.Series(dtype="int64"),
             "decision": pd.Series(dtype=object),
@@ -4879,10 +4580,10 @@ def sprt_conversion(
             "llr_final": pd.Series(dtype="float64")}
     if users.empty:
         return pd.DataFrame(cols)
-    la = float(np.log(p1 / p0))
-    lb = float(np.log((1.0 - p1) / (1.0 - p0)))
-    up = float(np.log((1.0 - beta) / alpha))
-    lo = float(np.log(beta / (1.0 - alpha)))
+    la = float(np.log(0.4 / 0.3))
+    lb = float(np.log((1.0 - 0.4) / (1.0 - 0.3)))
+    up = float(np.log((1.0 - 0.05) / 0.05))
+    lo = float(np.log(0.05 / (1.0 - 0.05)))
     c = np.cumsum(users["c"].to_numpy(np.int64))
     i = np.arange(1, len(users) + 1, dtype=np.int64)
     llr = c.astype(np.float64) * la \
@@ -4905,13 +4606,7 @@ def sprt_conversion(
         "llr_final": [lf]})
 
 
-def mutual_information(
-    ds: ray.data.Dataset,
-    col_a: str = "event_type",
-    col_b: str = "hour",
-    ts_col: str = "ts",
-    num_partitions: int = 8,
-) -> pd.DataFrame:
+def mutual_information(ds: ray.data.Dataset) -> pd.DataFrame:
     """Mutual information and Theil's uncertainty coefficients
     between two bounded-alphabet columns (event type × hour of
     day): I(A;B) = H(A) + H(B) − H(A,B) in nats, U(A|B) =
@@ -4926,14 +4621,14 @@ def mutual_information(
     float device — then three mirrored closings."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         hr = (tus // 3_600_000_000) % 24
-        g = pd.DataFrame({"a": df[col_a].to_numpy(object),
+        g = pd.DataFrame({"a": df[EVENT_TYPE].to_numpy(object),
                           "b": hr})
         return g.groupby(["a", "b"], as_index=False).size() \
             .rename(columns={"size": "c"})
 
-    cells = ds.select_columns([col_a, ts_col]).map_batches(
+    cells = ds.select_columns([EVENT_TYPE, TS]).map_batches(
         partial, batch_format="pandas").to_pandas() \
         .groupby(["a", "b"], as_index=False)["c"].sum()
     cols = {"n": pd.Series(dtype="int64"),
@@ -4970,14 +4665,7 @@ def mutual_information(
         "u_a_given_b": [mi / ha], "u_b_given_a": [mi / hb]})
 
 
-def peacock_ks2d(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    ts_col: str = "ts",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def peacock_ks2d(ds: ray.data.Dataset) -> pd.DataFrame:
     """Peacock's two-dimensional KS test between the click and view
     populations over (value, hour-of-day): D = the max |F−G| over
     all four quadrant orientations at every occupied grid point —
@@ -4991,18 +4679,18 @@ def peacock_ks2d(
     max/(n·m) is the single closing."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[val_col].to_numpy(np.float64)
-        t = df[type_col].to_numpy(object)
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        ok = ~np.isnan(v) & ((t == type_x) | (t == type_y))
+        v = df[VALUE].to_numpy(np.float64)
+        t = df[EVENT_TYPE].to_numpy(object)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        ok = ~np.isnan(v) & ((t == "click") | (t == "view"))
         k = np.rint(v[ok] * 100.0).astype(np.int64)
         hr = (tus[ok] // 3_600_000_000) % 24
-        isx = (t[ok] == type_x).astype(np.int64)
+        isx = (t[ok] == "click").astype(np.int64)
         g = pd.DataFrame({"k": k, "h": hr, "cx": isx,
                           "cy": 1 - isx})
         return g.groupby(["k", "h"], as_index=False).sum()
 
-    cells = ds.select_columns([type_col, val_col, ts_col]) \
+    cells = ds.select_columns([EVENT_TYPE, VALUE, TS]) \
         .map_batches(partial, batch_format="pandas").to_pandas() \
         .groupby(["k", "h"], as_index=False)[["cx", "cy"]].sum()
     cols = {"n_x": pd.Series(dtype="int64"),
@@ -5042,13 +4730,7 @@ def peacock_ks2d(
         "d_stat": [float(best) / (float(n) * float(m))]})
 
 
-def anderson_darling_2s(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def anderson_darling_2s(ds: ray.data.Dataset) -> pd.DataFrame:
     """Two-sample Anderson–Darling test in the Scholz–Stephens
     (1987) midrank form — the tail-weighted member that completes
     the EDF ladder (ks_drift reads the max gap, kuiper both tails,
@@ -5062,7 +4744,7 @@ def anderson_darling_2s(
     pooled rows), divided term-by-term and accumulated in
     ascending cell order — the ordered-prefix float device — then
     closed as A² = (Σx/n + Σy/m)·(N−1)/N²."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "a2_stat": pd.Series(dtype="float64")}
@@ -5098,16 +4780,10 @@ def anderson_darling_2s(
         "a2_stat": [a2]})
 
 
-def two_proportion(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    type_col: str = "event_type",
-    convert_type: str = "purchase",
-    baseline_type: str = "error",
-) -> pd.DataFrame:
+def two_proportion(ds: ray.data.Dataset) -> pd.DataFrame:
     """Two-proportion z-test with Wilson 95 % intervals on the
-    per-key success flag "more ``convert_type`` than
-    ``baseline_type`` events" (mcnemar's per-user indicator), even
+    per-key success flag "more 'purchase' than
+    'error' events" (mcnemar's per-user indicator), even
     vs odd cohorts — the conversion-rate A/B primitive underneath
     sprt (sequential) and auc_score (ranking): pooled-variance z
     plus a Wilson interval per cohort (the CI that behaves at
@@ -5118,19 +4794,19 @@ def two_proportion(
     closings (z* = 1.96 literal)."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        t = df[type_col].to_numpy(object)
-        g = pd.DataFrame({key: df[key].to_numpy(),
-                          "p": (t == convert_type)
+        t = df[EVENT_TYPE].to_numpy(object)
+        g = pd.DataFrame({USER_ID: df[USER_ID].to_numpy(),
+                          "p": (t == "purchase")
                           .astype(np.int64),
-                          "e": (t == baseline_type)
+                          "e": (t == "error")
                           .astype(np.int64)})
-        return g.groupby(key, as_index=False)[["p", "e"]].sum()
+        return g.groupby(USER_ID, as_index=False)[["p", "e"]].sum()
 
-    agg = ds.select_columns([key, type_col]).map_batches(
+    agg = ds.select_columns([USER_ID, EVENT_TYPE]).map_batches(
         partial, batch_format="pandas").to_pandas() \
-        .groupby(key, as_index=False)[["p", "e"]].sum()
+        .groupby(USER_ID, as_index=False)[["p", "e"]].sum()
     users = pd.DataFrame({
-        key: agg[key].to_numpy(np.int64),
+        USER_ID: agg[USER_ID].to_numpy(np.int64),
         "c": (agg["p"].to_numpy(np.int64)
               > agg["e"].to_numpy(np.int64)).astype(np.int64)})
     cols = {"n_a": pd.Series(dtype="int64"),
@@ -5144,7 +4820,7 @@ def two_proportion(
             "wilson_hi_b": pd.Series(dtype="float64")}
     if users.empty:
         return pd.DataFrame(cols)
-    even = (users[key].to_numpy(np.int64) % 2) == 0
+    even = (users[USER_ID].to_numpy(np.int64) % 2) == 0
     c = users["c"].to_numpy(np.int64)
     na, nb = int(even.sum()), int((~even).sum())
     ca, cb = int(c[even].sum()), int(c[~even].sum())
@@ -5179,11 +4855,7 @@ def two_proportion(
         "wilson_lo_b": [lb], "wilson_hi_b": [hb]})
 
 
-def lincoln_petersen(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-) -> pd.DataFrame:
+def lincoln_petersen(ds: ray.data.Dataset) -> pd.DataFrame:
     """Lincoln–Petersen capture–recapture population estimate: the
     keys active in the first half of the time range are the
     "marked" sample, the second half the recapture, and
@@ -5195,20 +4867,20 @@ def lincoln_petersen(
     Membership counts are exact via per-key first/second-half
     flags (one bounded exchange); the Chapman estimate and its
     variance are mirrored float closings."""
-    t0 = int(pd.Timestamp(ds.min(ts_col)).value) // 1000
-    t1 = int(pd.Timestamp(ds.max(ts_col)).value) // 1000
+    t0 = int(pd.Timestamp(ds.min(TS)).value) // 1000
+    t1 = int(pd.Timestamp(ds.max(TS)).value) // 1000
     tmid = (t0 + t1) // 2
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        g = pd.DataFrame({key: df[key].to_numpy(),
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        g = pd.DataFrame({USER_ID: df[USER_ID].to_numpy(),
                           "a": (tus <= tmid).astype(np.int64),
                           "b": (tus > tmid).astype(np.int64)})
-        return g.groupby(key, as_index=False)[["a", "b"]].max()
+        return g.groupby(USER_ID, as_index=False)[["a", "b"]].max()
 
-    users = ds.select_columns([key, ts_col]).map_batches(
+    users = ds.select_columns([USER_ID, TS]).map_batches(
         partial, batch_format="pandas").to_pandas() \
-        .groupby(key, as_index=False)[["a", "b"]].max()
+        .groupby(USER_ID, as_index=False)[["a", "b"]].max()
     cols = {"n_first": pd.Series(dtype="int64"),
             "n_second": pd.Series(dtype="int64"),
             "n_both": pd.Series(dtype="int64"),
@@ -5234,13 +4906,7 @@ def lincoln_petersen(
         "n_hat": [nhat], "var_hat": [var]})
 
 
-def effect_sizes(
-    ds: ray.data.Dataset,
-    type_col: str = "event_type",
-    val_col: str = "value",
-    type_x: str = "click",
-    type_y: str = "view",
-) -> pd.DataFrame:
+def effect_sizes(ds: ray.data.Dataset) -> pd.DataFrame:
     """Standardized effect sizes between the two samples: Cohen's
     d (pooled-SD mean gap), Hedges' g (d times the small-sample
     correction 1 − 3/(4·df − 1)) and Cliff's δ (the ordinal
@@ -5252,7 +4918,7 @@ def effect_sizes(
     int64/Python-int over the shared histogram; d, g and δ are
     mirrored float closings (δ's numerator 2·#{y>x} − … is exact
     before its single /2nm division)."""
-    hist = _two_sample_hist(ds, type_col, val_col, type_x, type_y)
+    hist = _two_sample_hist(ds)
     cols = {"n_x": pd.Series(dtype="int64"),
             "n_y": pd.Series(dtype="int64"),
             "cohens_d": pd.Series(dtype="float64"),
@@ -5300,13 +4966,7 @@ def effect_sizes(
         "cliffs_delta": [delta]})
 
 
-def risk_ratios(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    type_col: str = "event_type",
-    convert_type: str = "purchase",
-    baseline_type: str = "error",
-) -> pd.DataFrame:
+def risk_ratios(ds: ray.data.Dataset) -> pd.DataFrame:
     """Odds ratio and relative risk with 95 % log-scale intervals
     for the even/odd-cohort 2×2 success table (same flag as
     two_proportion) — the epidemiological effect pair: RR for
@@ -5317,17 +4977,17 @@ def risk_ratios(
     bounds are mirrored exp/ln float closings."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        t = df[type_col].to_numpy(object)
-        g = pd.DataFrame({key: df[key].to_numpy(),
-                          "p": (t == convert_type)
+        t = df[EVENT_TYPE].to_numpy(object)
+        g = pd.DataFrame({USER_ID: df[USER_ID].to_numpy(),
+                          "p": (t == "purchase")
                           .astype(np.int64),
-                          "e": (t == baseline_type)
+                          "e": (t == "error")
                           .astype(np.int64)})
-        return g.groupby(key, as_index=False)[["p", "e"]].sum()
+        return g.groupby(USER_ID, as_index=False)[["p", "e"]].sum()
 
-    agg = ds.select_columns([key, type_col]).map_batches(
+    agg = ds.select_columns([USER_ID, EVENT_TYPE]).map_batches(
         partial, batch_format="pandas").to_pandas() \
-        .groupby(key, as_index=False)[["p", "e"]].sum()
+        .groupby(USER_ID, as_index=False)[["p", "e"]].sum()
     cols = {"a": pd.Series(dtype="int64"),
             "b": pd.Series(dtype="int64"),
             "c": pd.Series(dtype="int64"),
@@ -5340,7 +5000,7 @@ def risk_ratios(
             "rr_hi": pd.Series(dtype="float64")}
     if agg.empty:
         return pd.DataFrame(cols)
-    even = (agg[key].to_numpy(np.int64) % 2) == 0
+    even = (agg[USER_ID].to_numpy(np.int64) % 2) == 0
     succ = agg["p"].to_numpy(np.int64) > agg["e"].to_numpy(np.int64)
     a = int((even & succ).sum())       # exposed (even) success
     b = int((even & ~succ).sum())
@@ -5369,11 +5029,6 @@ def risk_ratios(
 
 def logrank_test(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    type_col: str = "event_type",
-    ts_col: str = "ts",
-    start_type: str = "signup",
-    event_type: str = "purchase",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Log-rank (Mantel–Cox) test between the even/odd cohorts'
@@ -5387,8 +5042,7 @@ def logrank_test(
     ints from cumulative tails, and the float E/V terms accumulate
     in ascending event-time order (the ordered-prefix device) —
     z = (O−E)/√V closes."""
-    got = _survival_durations(ds, key, type_col, ts_col, start_type,
-                              event_type, num_partitions)
+    got = _survival_durations(ds, num_partitions)
     cols = {"n_a": pd.Series(dtype="int64"),
             "n_b": pd.Series(dtype="int64"),
             "o_minus_e": pd.Series(dtype="float64"),

@@ -53,7 +53,6 @@ def with_partition(
     ds: ray.data.Dataset,
     num_partitions: int,
     key: str = "conv_id",
-    bucket_us: np.ndarray | None = None,
     salt_tier_s: int | None = None,
     dict_cols: tuple = (),
     override: dict | None = None,

@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
+from ..schema import EVENT_ID, EVENT_TYPE, TS, USER_ID, VALUE
 from .partition import group_apply
 
 _US = np.int64(1_000_000)
@@ -36,10 +37,6 @@ def _quantize(v: np.ndarray) -> np.ndarray:
 def ohlc_rollup(
     ds: ray.data.Dataset,
     bucket_s: int = 3600,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Per (series, bucket): open/high/low/close/count — the
@@ -49,16 +46,16 @@ def ohlc_rollup(
     step = np.int64(bucket_s) * _US
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts_col, order_col], kind="mergesort")
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        df = df.sort_values([USER_ID, TS, EVENT_ID], kind="mergesort")
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         b = (tus // step) * step
-        g = df[key].to_numpy()
-        v = df[val_col].to_numpy(np.float64)
+        g = df[USER_ID].to_numpy()
+        v = df[VALUE].to_numpy(np.float64)
         new = np.r_[True, (g[1:] != g[:-1]) | (b[1:] != b[:-1])]
         starts = np.flatnonzero(new)
         ends = np.r_[starts[1:], len(g)] - 1
         return pd.DataFrame({
-            key: g[starts],
+            USER_ID: g[starts],
             "bucket_us": b[starts],
             "open": v[starts],
             "high": np.maximum.reduceat(v, starts) if len(starts) else v[:0],
@@ -67,16 +64,12 @@ def ohlc_rollup(
             "n": (np.r_[starts[1:], len(g)] - starts).astype(np.int64),
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=key)
+    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
 
 
 def time_weighted_avg(
     ds: ray.data.Dataset,
     bucket_s: int = 86400,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Per (series, bucket): the LOCF time-weighted average — each
@@ -87,11 +80,11 @@ def time_weighted_avg(
     step = np.int64(bucket_s) * _US
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts_col, order_col], kind="mergesort")
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        df = df.sort_values([USER_ID, TS, EVENT_ID], kind="mergesort")
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         b = (tus // step) * step
-        g = df[key].to_numpy()
-        k = _quantize(df[val_col].to_numpy())
+        g = df[USER_ID].to_numpy()
+        k = _quantize(df[VALUE].to_numpy())
         new = np.r_[True, (g[1:] != g[:-1]) | (b[1:] != b[:-1])]
         starts = np.flatnonzero(new)
         n = len(starts)
@@ -112,22 +105,19 @@ def time_weighted_avg(
                 sk.astype(np.float64) / (counts.astype(np.float64) * 100.0),
             )
         return pd.DataFrame({
-            key: g[starts],
+            USER_ID: g[starts],
             "bucket_us": b[starts],
             "twa": twa,
             "span_us": span.astype(np.int64),
             "n": counts.astype(np.int64),
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=key)
+    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
 
 
 def zscore_anomalies(
     ds: ray.data.Dataset,
     thresh: float = 2.5,
-    key: str = "user_id",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Flag rows whose value sits > ``thresh`` population standard
@@ -136,11 +126,11 @@ def zscore_anomalies(
     (skk/n − (sk/n)², IEEE-identical); σ = 0 series flag nothing."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, order_col], kind="mergesort")
+        df = df.sort_values([USER_ID, EVENT_ID], kind="mergesort")
         if not len(df):
-            return df[[key, order_col, val_col]].assign(z=np.zeros(0))
-        g = df[key].to_numpy()
-        k = _quantize(df[val_col].to_numpy())
+            return df[[USER_ID, EVENT_ID, VALUE]].assign(z=np.zeros(0))
+        g = df[USER_ID].to_numpy()
+        k = _quantize(df[VALUE].to_numpy())
         new = np.r_[True, g[1:] != g[:-1]]
         gid = np.cumsum(new) - 1
         starts = np.flatnonzero(new)
@@ -156,36 +146,31 @@ def zscore_anomalies(
             sigma = np.sqrt(var)
             z = (k - mu[gid]) / sigma[gid]
         keep = (sigma[gid] > 0.0) & (np.abs(z) > thresh)
-        out = df.loc[keep, [key, order_col, val_col]].copy()
+        out = df.loc[keep, [USER_ID, EVENT_ID, VALUE]].copy()
         out["z"] = z[keep]
         return out.reset_index(drop=True)
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=key)
+    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
 
 
-def diurnal_profile(
-    ds: ray.data.Dataset,
-    group_col: str = "event_type",
-    ts_col: str = "ts",
-    val_col: str = "value",
-) -> pd.DataFrame:
+def diurnal_profile(ds: ray.data.Dataset) -> pd.DataFrame:
     """Mean value and count by (group, UTC hour-of-day) — the seasonal
     baseline profile.  Map-side partial combine: each block reduces to
     ≤ groups×24 cells of exact int sums, so the final exchange carries
     a few hundred rows regardless of input size."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         hour = ((tus // (3600 * _US)) % 24).astype(np.int64)
-        k = _quantize(df[val_col].to_numpy())
-        gv, gcode = np.unique(df[group_col].to_numpy(), return_inverse=True)
+        k = _quantize(df[VALUE].to_numpy())
+        gv, gcode = np.unique(df[EVENT_TYPE].to_numpy(), return_inverse=True)
         cell = gcode * 24 + hour
         ncell = len(gv) * 24
         cnt = np.bincount(cell, minlength=ncell)
         sk = np.bincount(cell, weights=k, minlength=ncell).astype(np.int64)
         nz = np.flatnonzero(cnt)
         return pd.DataFrame({
-            group_col: gv[nz // 24],
+            EVENT_TYPE: gv[nz // 24],
             "hour": (nz % 24).astype(np.int64),
             "_cnt": cnt[nz].astype(np.int64),
             "_sk": sk[nz],
@@ -197,20 +182,17 @@ def diurnal_profile(
     cells = ds.map_batches(partial, batch_format="pandas")
     parts = group_apply(
         cells,
-        lambda df: df.groupby([group_col, "hour"], as_index=False).sum(),
-        num_partitions=4, key=group_col).to_pandas()
-    agg = parts.groupby([group_col, "hour"], as_index=False).agg(
+        lambda df: df.groupby([EVENT_TYPE, "hour"], as_index=False).sum(),
+        num_partitions=4, key=EVENT_TYPE).to_pandas()
+    agg = parts.groupby([EVENT_TYPE, "hour"], as_index=False).agg(
         n=("_cnt", "sum"), sk=("_sk", "sum"))
     agg["mean_value"] = agg["sk"].to_numpy(np.float64) / (
         agg["n"].to_numpy(np.float64) * 100.0)
-    return agg[[group_col, "hour", "n", "mean_value"]]
+    return agg[[EVENT_TYPE, "hour", "n", "mean_value"]]
 
 
 def trend_corr(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Per series: Pearson correlation between value and elapsed time
@@ -221,13 +203,14 @@ def trend_corr(
     point) emit NaN."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts_col], kind="mergesort")
+        df = df.sort_values([USER_ID, TS], kind="mergesort")
         if not len(df):
-            return pd.DataFrame({key: df[key], "n": np.zeros(0, np.int64),
+            return pd.DataFrame({USER_ID: df[USER_ID],
+                                 "n": np.zeros(0, np.int64),
                                  "trend_r": np.zeros(0)})
-        g = df[key].to_numpy()
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        x = _quantize(df[val_col].to_numpy())
+        g = df[USER_ID].to_numpy()
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        x = _quantize(df[VALUE].to_numpy())
         new = np.r_[True, g[1:] != g[:-1]]
         gid = np.cumsum(new) - 1
         starts = np.flatnonzero(new)
@@ -246,22 +229,15 @@ def trend_corr(
             denom = np.sqrt(n * sxx - sx * sx) * np.sqrt(n * syy - sy * sy)
             r = np.where(denom > 0.0, (n * sxy - sx * sy) / denom, np.nan)
         return pd.DataFrame({
-            key: g[new],
+            USER_ID: g[new],
             "n": n.astype(np.int64),
             "trend_r": r,
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=key)
+    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
 
 
-def irate(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
-    num_partitions: int = 16,
-) -> ray.data.Dataset:
+def irate(ds: ray.data.Dataset, num_partitions: int = 16) -> ray.data.Dataset:
     """PromQL ``irate``: instantaneous rate from the LAST TWO samples
     of each series (reset-aware: a negative delta means the counter
     restarted, so the current value is the increase).  Single-point
@@ -269,10 +245,10 @@ def irate(
     row_number-based SQL twin is bit-identical."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts_col, order_col], kind="mergesort")
-        g = df[key].to_numpy()
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        k = _quantize(df[val_col].to_numpy())
+        df = df.sort_values([USER_ID, TS, EVENT_ID], kind="mergesort")
+        g = df[USER_ID].to_numpy()
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        k = _quantize(df[VALUE].to_numpy())
         new = np.r_[True, g[1:] != g[:-1]]
         last = np.r_[new[1:], True]
         li = np.flatnonzero(last)            # last row per series
@@ -285,21 +261,17 @@ def irate(
             r = np.where(multi & (dt_s > 0),
                          (inc.astype(np.float64) / 100.0) / dt_s, np.nan)
         return pd.DataFrame({
-            key: g[li],
-            "last_ts": df[ts_col].to_numpy()[li],
+            USER_ID: g[li],
+            "last_ts": df[TS].to_numpy()[li],
             "irate_per_sec": r,
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=key)
+    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
 
 
 def ewma_last(
     ds: ray.data.Dataset,
     alpha: float = 0.3,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Final EWMA level per series (yᵢ = α·xᵢ + (1−α)·yᵢ₋₁, y₀ = x₀),
@@ -312,9 +284,9 @@ def ewma_last(
         raise ValueError("alpha in (0, 1]")
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts_col, order_col], kind="mergesort")
-        g = df[key].to_numpy()
-        v = df[val_col].to_numpy(np.float64)
+        df = df.sort_values([USER_ID, TS, EVENT_ID], kind="mergesort")
+        g = df[USER_ID].to_numpy()
+        v = df[VALUE].to_numpy(np.float64)
         new = np.r_[True, g[1:] != g[:-1]]
         gid = np.cumsum(new) - 1
         ng = int(gid[-1]) + 1 if len(gid) else 0
@@ -326,39 +298,32 @@ def ewma_last(
         w = alpha * np.power(1.0 - alpha, from_end)
         w[new] = np.power(1.0 - alpha, counts[gid[new]] - 1)  # y0 term
         lvl = np.bincount(gid, weights=w * v, minlength=ng)
-        return pd.DataFrame({key: g[new], "ewma": lvl,
+        return pd.DataFrame({USER_ID: g[new], "ewma": lvl,
                              "n": counts.astype(np.int64)})
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=key)
+    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
 
 
-def _delta_fn(key, attr, ts_col, order_col):
-    """Per-partition kernel: (attr, int64-µs lead-delta) rows for
-    consecutive same-(key, attr) events in (ts, order) order."""
-
-    def deltas(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({attr: pd.Series(dtype=object),
-                                 "_dt": pd.Series(dtype="int64")})
-        kc, _ = pd.factorize(df[key])
-        ac, auniq = pd.factorize(df[attr])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, ac, kc))
-        k, a, t = kc[perm], ac[perm], tus[perm]
-        same = (k[1:] == k[:-1]) & (a[1:] == a[:-1])
-        return pd.DataFrame({attr: np.asarray(auniq)[a[:-1][same]],
-                             "_dt": t[1:][same] - t[:-1][same]})
-
-    return deltas
+def _deltas(df: pd.DataFrame) -> pd.DataFrame:
+    """Per-partition kernel: (event_type, int64-µs lead-delta) rows for
+    consecutive same-(user_id, event_type) events in (ts, event_id)
+    order."""
+    if not len(df):
+        return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
+                             "_dt": pd.Series(dtype="int64")})
+    kc, _ = pd.factorize(df[USER_ID])
+    ac, auniq = pd.factorize(df[EVENT_TYPE])
+    tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+    oid = df[EVENT_ID].to_numpy(np.int64)
+    perm = np.lexsort((oid, tus, ac, kc))
+    k, a, t = kc[perm], ac[perm], tus[perm]
+    same = (k[1:] == k[:-1]) & (a[1:] == a[:-1])
+    return pd.DataFrame({EVENT_TYPE: np.asarray(auniq)[a[:-1][same]],
+                         "_dt": t[1:][same] - t[:-1][same]})
 
 
 def interarrival_quantiles_scan(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """``interarrival_quantiles`` with the 10¹²-row quantile plan:
@@ -369,9 +334,9 @@ def interarrival_quantiles_scan(
     Bit-identical output (same duck_quantile lerp)."""
     from .selection import grouped_rank_quantiles
 
-    d = group_apply(ds, _delta_fn(key, attr, ts_col, order_col),
-                    num_partitions=num_partitions, key=key).materialize()
-    out = grouped_rank_quantiles(d, attr, "_dt", ps=(0.5, 0.99))
+    d = group_apply(ds, _deltas,
+                    num_partitions=num_partitions, key=USER_ID).materialize()
+    out = grouped_rank_quantiles(d, EVENT_TYPE, "_dt", ps=(0.5, 0.99))
     out = out.rename(columns={"n": "n_gaps", "q_0": "p50_us",
                               "q_1": "p99_us"})
     # Python round(x, 6), matching interarrival_quantiles' qtl exactly
@@ -382,14 +347,10 @@ def interarrival_quantiles_scan(
 
 def interarrival_quantiles(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> ray.data.Dataset:
-    """Per ``attr`` value: count and exact p50/p99 of the inter-arrival
-    time (µs) between consecutive same-``attr`` events within each
+    """Per ``event_type``: count and exact p50/p99 of the inter-arrival
+    time (µs) between consecutive same-``event_type`` events within each
     key's (ts, order)-sorted stream — lead() deltas, quantile_cont
     lerp (oracle/rollup.py::duck_quantile, bit-equal to DuckDB).
 
@@ -406,36 +367,29 @@ def interarrival_quantiles(
     bits with only map-side partials."""
     from ..oracle.rollup import duck_quantile
 
-    d = group_apply(ds, _delta_fn(key, attr, ts_col, order_col),
-                    num_partitions=num_partitions, key=key)
+    d = group_apply(ds, _deltas,
+                    num_partitions=num_partitions, key=USER_ID)
 
     def qtl(df: pd.DataFrame) -> pd.DataFrame:
         names, ns, p50s, p99s = [], [], [], []
-        for a, g in df.groupby(attr):  # bounded by the attr alphabet
+        for a, g in df.groupby(EVENT_TYPE):  # bounded by the event_type alphabet
             v = np.sort(g["_dt"].to_numpy(np.float64))
             names.append(a)
             ns.append(len(v))
             p50s.append(round(duck_quantile(v, 0.5), 6))
             p99s.append(round(duck_quantile(v, 0.99), 6))
         return pd.DataFrame({
-            attr: pd.Series(names, dtype=object),
+            EVENT_TYPE: pd.Series(names, dtype=object),
             "n_gaps": pd.Series(ns, dtype="int64"),
             "p50_us": pd.Series(p50s, dtype="float64"),
             "p99_us": pd.Series(p99s, dtype="float64"),
         })
 
-    return group_apply(d, qtl, num_partitions=8, key=attr)
+    return group_apply(d, qtl, num_partitions=8, key=EVENT_TYPE)
 
 
-def dwell_time(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
-    """Time-in-state: total µs spent in each ``attr`` state, where each
+def dwell_time(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+    """Time-in-state: total µs spent in each ``event_type`` state, where each
     consecutive pair of a key's (ts, order)-sorted events attributes
     the elapsed time to the EARLIER event's attr (a key's last event
     contributes nothing) — the role/tool time-attribution view of a
@@ -445,13 +399,13 @@ def dwell_time(
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
-            return pd.DataFrame({attr: pd.Series(dtype=object),
+            return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
                                  "_n": pd.Series(dtype="int64"),
                                  "_us": pd.Series(dtype="int64")})
-        kc, _ = pd.factorize(df[key])
-        ac, auniq = pd.factorize(df[attr])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
+        kc, _ = pd.factorize(df[USER_ID])
+        ac, auniq = pd.factorize(df[EVENT_TYPE])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, kc))
         k, a, t = kc[perm], ac[perm], tus[perm]
         same = k[1:] == k[:-1]
@@ -461,29 +415,24 @@ def dwell_time(
         n = np.bincount(src, minlength=na)
         us = np.bincount(src, weights=dt, minlength=na).astype(np.int64)
         nz = np.flatnonzero(n)
-        return pd.DataFrame({attr: np.asarray(auniq)[nz],
+        return pd.DataFrame({EVENT_TYPE: np.asarray(auniq)[nz],
                              "_n": n[nz].astype(np.int64),
                              "_us": us[nz]})
 
     parts = group_apply(ds, cells, num_partitions=num_partitions,
-                        key=key).to_pandas()
+                        key=USER_ID).to_pandas()
     if parts.empty:
-        return pd.DataFrame({attr: pd.Series(dtype=object),
+        return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
                              "n": pd.Series(dtype="int64"),
                              "total_us": pd.Series(dtype="int64")})
-    out = (parts.groupby(attr, as_index=False)[["_n", "_us"]].sum()
+    out = (parts.groupby(EVENT_TYPE, as_index=False)[["_n", "_us"]].sum()
            .rename(columns={"_n": "n", "_us": "total_us"}))
     out["n"] = out["n"].astype(np.int64)
     out["total_us"] = out["total_us"].astype(np.int64)
-    return out.sort_values(attr).reset_index(drop=True)
+    return out.sort_values(EVENT_TYPE).reset_index(drop=True)
 
 
-def weekly_profile(
-    ds: ray.data.Dataset,
-    group_col: str = "event_type",
-    ts_col: str = "ts",
-    val_col: str = "value",
-) -> pd.DataFrame:
+def weekly_profile(ds: ray.data.Dataset) -> pd.DataFrame:
     """Count + exact mean value by (group, day-of-week, UTC
     hour-of-day) — the 7×24 seasonality grid extending
     diurnal_profile.  dow uses pure epoch arithmetic
@@ -494,14 +443,14 @@ def weekly_profile(
     semantics)."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[val_col].to_numpy(np.float64)
+        v = df[VALUE].to_numpy(np.float64)
         ok = ~np.isnan(v)
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)[ok]
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)[ok]
         k = _quantize(v[ok])
         day = tus // (86400 * _US)
         dow = ((day + 4) % 7).astype(np.int64)
         hour = ((tus // (3600 * _US)) % 24).astype(np.int64)
-        gv, gcode = np.unique(df[group_col].to_numpy()[ok],
+        gv, gcode = np.unique(df[EVENT_TYPE].to_numpy()[ok],
                               return_inverse=True)
         cell = (gcode * 7 + dow) * 24 + hour
         ncell = len(gv) * 168
@@ -509,7 +458,7 @@ def weekly_profile(
         sk = np.bincount(cell, weights=k, minlength=ncell).astype(np.int64)
         nz = np.flatnonzero(cnt)
         return pd.DataFrame({
-            group_col: gv[nz // 168],
+            EVENT_TYPE: gv[nz // 168],
             "dow": ((nz % 168) // 24).astype(np.int64),
             "hour": (nz % 24).astype(np.int64),
             "_cnt": cnt[nz].astype(np.int64),
@@ -521,37 +470,30 @@ def weekly_profile(
     cells = ds.map_batches(partial, batch_format="pandas")
     parts = group_apply(
         cells,
-        lambda df: df.groupby([group_col, "dow", "hour"],
+        lambda df: df.groupby([EVENT_TYPE, "dow", "hour"],
                               as_index=False).sum(),
-        num_partitions=4, key=group_col).to_pandas()
+        num_partitions=4, key=EVENT_TYPE).to_pandas()
     if parts.empty:
-        return pd.DataFrame({group_col: pd.Series(dtype=object),
+        return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
                              "dow": pd.Series(dtype="int64"),
                              "hour": pd.Series(dtype="int64"),
                              "n": pd.Series(dtype="int64"),
                              "mean_value": pd.Series(dtype="float64")})
-    agg = parts.groupby([group_col, "dow", "hour"], as_index=False).agg(
+    agg = parts.groupby([EVENT_TYPE, "dow", "hour"], as_index=False).agg(
         n=("_cnt", "sum"), sk=("_sk", "sum"))
     agg["n"] = agg["n"].astype(np.int64)
     agg["mean_value"] = agg["sk"].to_numpy(np.float64) / (
         agg["n"].to_numpy(np.float64) * 100.0)
-    return (agg[[group_col, "dow", "hour", "n", "mean_value"]]
-            .sort_values([group_col, "dow", "hour"]).reset_index(drop=True))
+    return (agg[[EVENT_TYPE, "dow", "hour", "n", "mean_value"]]
+            .sort_values([EVENT_TYPE, "dow", "hour"]).reset_index(drop=True))
 
 
-def run_stats(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def run_stats(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Per-key run-length structure of an attribute stream
     (gaps-and-islands over VALUE changes, complementing
     ``interval_merge``'s time-gap islands): for each key's
     (ts, order)-sorted events, a *run* is a maximal block of
-    consecutive equal ``attr`` values.  Emits per key: event count,
+    consecutive equal ``event_type`` values.  Emits per key: event count,
     run count, longest run, first/last attr, and mean run length —
     the turn-taking shape of a transcript (role-alternation
     violations show up as max_run > 1; cesium has no analogue, this
@@ -564,7 +506,7 @@ def run_stats(
     """
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64"),
                 "n_runs": pd.Series(dtype="int64"),
                 "max_run": pd.Series(dtype="int64"),
@@ -573,10 +515,10 @@ def run_stats(
                 "mean_run_len": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        ac, auniq = pd.factorize(df[attr])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        ac, auniq = pd.factorize(df[EVENT_TYPE])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, kc))
         k, a = kc[perm], ac[perm]
         new_key = np.r_[True, k[1:] != k[:-1]]
@@ -594,7 +536,7 @@ def run_stats(
         last_idx = np.r_[key_start[1:] - 1, len(k) - 1]
         au = np.asarray(auniq, dtype=object)
         return pd.DataFrame({
-            key: np.asarray(kuniq)[k[key_start]],
+            USER_ID: np.asarray(kuniq)[k[key_start]],
             "n_events": n_events.astype(np.int64),
             "n_runs": n_runs.astype(np.int64),
             "max_run": max_run.astype(np.int64),
@@ -605,19 +547,15 @@ def run_stats(
         })
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def time_since_event(
     ds: ray.data.Dataset,
     marker: str,
-    key: str = "user_id",
-    attr: str = "event_type",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Conditional LOCF enrichment: for every event, the exact µs
@@ -634,13 +572,13 @@ def time_since_event(
     def enrich(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame({
-                key: pd.Series(dtype="int64"),
-                order_col: pd.Series(dtype="int64"),
+                USER_ID: pd.Series(dtype="int64"),
+                EVENT_ID: pd.Series(dtype="int64"),
                 "since_us": pd.Series(dtype="float64")})
-        kc, _ = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
-        mark = (df[attr].to_numpy() == marker)
+        kc, _ = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
+        mark = (df[EVENT_TYPE].to_numpy() == marker)
         perm = np.lexsort((oid, tus, kc))
         k, t, m = kc[perm], tus[perm], mark[perm]
         n = len(k)
@@ -652,24 +590,20 @@ def time_since_event(
         valid = prior >= seg_start
         since = np.full(n, np.nan)
         since[valid] = (t[valid] - t[prior[valid]]).astype(np.float64)
-        return pd.DataFrame({key: df[key].to_numpy()[perm],
-                             order_col: oid[perm],
+        return pd.DataFrame({USER_ID: df[USER_ID].to_numpy()[perm],
+                             EVENT_ID: oid[perm],
                              "since_us": since})
 
     out = group_apply(ds, enrich, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return enrich(pd.DataFrame())
-    return out.sort_values([key, order_col]).reset_index(drop=True)
+    return out.sort_values([USER_ID, EVENT_ID]).reset_index(drop=True)
 
 
 def lttb_downsample(
     ds: ray.data.Dataset,
     n_out: int = 10,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Largest-Triangle-Three-Buckets downsampling (Steinarsson 2013),
@@ -696,7 +630,7 @@ def lttb_downsample(
     M = n_out - 2
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({key: pd.Series(dtype="int64"),
+        empty = pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
                               "rn": pd.Series(dtype="int64"),
                               "x_us": pd.Series(dtype="int64"),
                               "k": pd.Series(dtype="int64")})
@@ -705,15 +639,15 @@ def lttb_downsample(
         # null values carry no shape: drop BEFORE rn assignment
         # (mirror: WHERE value IS NOT NULL) — an unfiltered NaN would
         # rint→INT64_MIN and hijack every bucket's area argmax
-        ok = ~np.isnan(df[val_col].to_numpy(np.float64))
+        ok = ~np.isnan(df[VALUE].to_numpy(np.float64))
         if not ok.all():
             df = df[ok]
             if not len(df):
                 return empty
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        kv = np.rint(df[val_col].to_numpy(np.float64) * 100.0).astype(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        kv = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, kc))
         kcode, t, y = kc[perm], tus[perm], kv[perm]
         starts = np.flatnonzero(np.r_[True, kcode[1:] != kcode[:-1]])
@@ -752,23 +686,20 @@ def lttb_downsample(
             out_rn.extend(sel.tolist())
             out_x.extend(x[sel].astype(np.int64).tolist())
             out_y.extend(y[s:e][sel].tolist())
-        return pd.DataFrame({key: np.asarray(out_key),
+        return pd.DataFrame({USER_ID: np.asarray(out_key),
                              "rn": np.asarray(out_rn, dtype=np.int64),
                              "x_us": np.asarray(out_x, dtype=np.int64),
                              "k": np.asarray(out_y, dtype=np.int64)})
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values([key, "rn"]).reset_index(drop=True)
+    return out.sort_values([USER_ID, "rn"]).reset_index(drop=True)
 
 
 def linear_trend_per_key(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key OLS trend (slope in value-units/second + intercept) of
@@ -782,16 +713,16 @@ def linear_trend_per_key(
     NaN values propagate (SQL twin emits NULL for those keys)."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "slope_per_s": pd.Series(dtype="float64"),
                 "intercept": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        df = df.sort_values([key, ts_col], kind="mergesort")
-        g = df[key].to_numpy()
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        v = df[val_col].to_numpy(np.float64)
+        df = df.sort_values([USER_ID, TS], kind="mergesort")
+        g = df[USER_ID].to_numpy()
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        v = df[VALUE].to_numpy(np.float64)
         new = np.r_[True, g[1:] != g[:-1]]
         gid = np.cumsum(new) - 1
         starts = np.flatnonzero(new)
@@ -829,27 +760,22 @@ def linear_trend_per_key(
         bad = has_nan | (den == 0.0)
         slope[bad] = np.nan
         intercept[bad] = np.nan
-        return pd.DataFrame({key: g[starts], "n": n,
+        return pd.DataFrame({USER_ID: g[starts], "n": n,
                              "slope_per_s": slope,
                              "intercept": intercept})
 
     out = group_apply(ds, fn, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return fn(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def weighted_value_quantiles(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
-    """Duration-weighted quantiles per ``attr``: each event's value is
+    """Duration-weighted quantiles per ``event_type``: each event's value is
     weighted by the µs until the same key's next event (the dwell
     credit — a key's last event carries no weight), and the weighted
     p50/p90 is the smallest value whose cumulative weight reaches
@@ -865,14 +791,14 @@ def weighted_value_quantiles(
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
-            return pd.DataFrame({attr: pd.Series(dtype=object),
+            return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
                                  "y": pd.Series(dtype="int64"),
                                  "_w": pd.Series(dtype="int64"),
                                  "_c": pd.Series(dtype="int64")})
-        kc, _ = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
-        v = df[val_col].to_numpy(np.float64)
+        kc, _ = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
+        v = df[VALUE].to_numpy(np.float64)
         perm = np.lexsort((oid, tus, kc))
         k, t = kc[perm], tus[perm]
         vv = v[perm]
@@ -881,15 +807,15 @@ def weighted_value_quantiles(
         y = vv[:-1][same]
         ok = ~np.isnan(y)
         g = pd.DataFrame({
-            attr: df[attr].to_numpy()[perm][:-1][same][ok],
+            EVENT_TYPE: df[EVENT_TYPE].to_numpy()[perm][:-1][same][ok],
             "y": np.rint(y[ok] * 100.0).astype(np.int64),
             "_w": w[ok],
             "_c": np.ones(int(ok.sum()), dtype=np.int64),
         })
-        return g.groupby([attr, "y"], as_index=False).sum()
+        return g.groupby([EVENT_TYPE, "y"], as_index=False).sum()
 
     def per_attr(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {attr: pd.Series(dtype=object),
+        cols = {EVENT_TYPE: pd.Series(dtype=object),
                 "n": pd.Series(dtype="int64"),
                 "total_w_us": pd.Series(dtype="int64"),
                 "w_p50": pd.Series(dtype="float64"),
@@ -897,7 +823,7 @@ def weighted_value_quantiles(
         if not len(df):
             return pd.DataFrame(cols)
         out = []
-        for a, g in df.groupby(attr):
+        for a, g in df.groupby(EVENT_TYPE):
             g = (g[["y", "_w", "_c"]].groupby("y", as_index=False)
                  .sum().sort_values("y"))
             wts = g["_w"].to_numpy(np.int64)
@@ -908,26 +834,22 @@ def weighted_value_quantiles(
             p90 = ys[np.argmax(10 * cw >= 9 * W)]
             out.append((a, int(g["_c"].sum()), W,
                         p50 / 100.0, p90 / 100.0))
-        return pd.DataFrame(out, columns=[attr, "n", "total_w_us",
+        return pd.DataFrame(out, columns=[EVENT_TYPE, "n", "total_w_us",
                                           "w_p50", "w_p90"])
 
     cell_ds = group_apply(ds, cells, num_partitions=num_partitions,
-                          key=key)
+                          key=USER_ID)
     out = group_apply(cell_ds, per_attr, num_partitions=4,
-                      key=attr).to_pandas()
+                      key=EVENT_TYPE).to_pandas()
     if out.empty:
         return per_attr(pd.DataFrame())
     out["n"] = out["n"].astype(np.int64)
     out["total_w_us"] = out["total_w_us"].astype(np.int64)
-    return out.sort_values(attr).reset_index(drop=True)
+    return out.sort_values(EVENT_TYPE).reset_index(drop=True)
 
 
 def max_drawdown(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key maximum drawdown of the (ts, order)-sorted value
@@ -943,24 +865,24 @@ def max_drawdown(
     Python loop."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "max_drawdown": pd.Series(dtype="float64"),
                 "peak_value": pd.Series(dtype="float64"),
                 "n_events": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, kc))
         k = kc[perm]
-        v = _quantize(df[val_col].to_numpy())[perm]
+        v = _quantize(df[VALUE].to_numpy())[perm]
         rmax = pd.Series(v).groupby(k).cummax().to_numpy(np.int64)
         dd = rmax - v                       # int64, ≥ 0
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
         n = np.diff(np.r_[starts, len(k)])
         return pd.DataFrame({
-            key: np.asarray(kuniq)[k[starts]],
+            USER_ID: np.asarray(kuniq)[k[starts]],
             "max_drawdown": np.maximum.reduceat(dd, starts)
                               .astype(np.float64) / 100.0,
             "peak_value": np.maximum.reduceat(v, starts)
@@ -969,16 +891,14 @@ def max_drawdown(
         })
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def longest_streak(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key longest run of consecutive ACTIVE DAYS (gaps-and-
@@ -993,7 +913,7 @@ def longest_streak(
     day_us = np.int64(86_400) * _US
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_active_days": pd.Series(dtype="int64"),
                 "n_streaks": pd.Series(dtype="int64"),
                 "longest_streak": pd.Series(dtype="int64"),
@@ -1001,8 +921,8 @@ def longest_streak(
                 "last_day": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        day = (df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        day = (df[TS].to_numpy("datetime64[us]").view(np.int64)
                // day_us)
         perm = np.lexsort((day, kc))
         k, d = kc[perm], day[perm]
@@ -1017,7 +937,7 @@ def longest_streak(
         key_start = np.flatnonzero(new_key)
         key_end = np.r_[key_start[1:], len(k)] - 1
         return pd.DataFrame({
-            key: np.asarray(kuniq)[k[key_start]],
+            USER_ID: np.asarray(kuniq)[k[key_start]],
             "n_active_days": np.diff(np.r_[key_start, len(k)])
                                .astype(np.int64),
             "n_streaks": np.diff(np.r_[first_run, len(run_len)])
@@ -1029,17 +949,15 @@ def longest_streak(
         })
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def burst_detect(
     ds: ray.data.Dataset,
     window_s: int = 300,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key peak burst rate: the maximum number of events inside
@@ -1055,14 +973,14 @@ def burst_detect(
     win = np.int64(window_s) * _US
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "max_burst": pd.Series(dtype="int64"),
                 "burst_ts_us": pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         perm = np.lexsort((tus, kc))
         k, t = kc[perm], tus[perm]
         # shift each key's times into a disjoint range: offset by
@@ -1083,26 +1001,22 @@ def burst_detect(
         _, firsts = np.unique(seg[hid], return_index=True)
         at = t[hid[firsts]]
         return pd.DataFrame({
-            key: np.asarray(kuniq)[k[starts]],
+            USER_ID: np.asarray(kuniq)[k[starts]],
             "max_burst": mx.astype(np.int64),
             "burst_ts_us": at.astype(np.int64),
             "n_events": n.astype(np.int64),
         })
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def acf_lags(
     ds: ray.data.Dataset,
     max_lag: int = 3,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key sample autocorrelation of the (ts, order)-sorted value
@@ -1123,25 +1037,25 @@ def acf_lags(
     elementwise products + ``add.reduceat`` — no per-key loop."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64")}
         for L in range(1, max_lag + 1):
             cols[f"acf{L}"] = pd.Series(dtype="float64")
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, kc))
         k = kc[perm]
-        x = _quantize(df[val_col].to_numpy())[perm]
+        x = _quantize(df[VALUE].to_numpy())[perm]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
         n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
         s = np.add.reduceat(x, starts)
         q = np.add.reduceat(x * x, starts)
         mu = s.astype(np.float64) / n.astype(np.float64)
         den = q.astype(np.float64) - mu * s.astype(np.float64)
-        out = {key: np.asarray(kuniq)[k[starts]], "n": n}
+        out = {USER_ID: np.asarray(kuniq)[k[starts]], "n": n}
         m = len(x)
         for L in range(1, max_lag + 1):
             valid = np.zeros(m, bool)
@@ -1166,18 +1080,14 @@ def acf_lags(
         return res[(res["n"] > max_lag) & (den != 0.0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def changepoint_split(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key single change-point detection: the split of the
@@ -1203,7 +1113,7 @@ def changepoint_split(
     cumsum, and reduceat argmax — no per-key loop."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "split_t": pd.Series(dtype="int64"),
                 "split_ts_us": pd.Series(dtype="int64"),
@@ -1213,10 +1123,10 @@ def changepoint_split(
                 "score": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
-        x = _quantize(df[val_col].to_numpy())
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
+        x = _quantize(df[VALUE].to_numpy())
         perm = np.lexsort((oid, tus, kc))
         k, t_us, xv = kc[perm], tus[perm], x[perm]
         kstart = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -1244,7 +1154,7 @@ def changepoint_split(
         mean_r = ((sw - slw).astype(np.float64)
                   / (nw - tw).astype(np.float64)) / 100.0
         return pd.DataFrame({
-            key: np.asarray(kuniq)[k[win]],
+            USER_ID: np.asarray(kuniq)[k[win]],
             "n": nw,
             "split_t": tw,
             "split_ts_us": t_us[win],
@@ -1255,18 +1165,13 @@ def changepoint_split(
         })
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def seasonal_anomaly(
-    ds: ray.data.Dataset,
-    sigma: float = 3.0,
-    ts_col: str = "ts",
-    val_col: str = "value",
-) -> pd.DataFrame:
+def seasonal_anomaly(ds: ray.data.Dataset, sigma: float = 3.0) -> pd.DataFrame:
     """Seasonally-adjusted anomaly thresholding: per hour-of-day,
     fit mean/SD from exact int64 k-space sums (pass 1, map-side
     cells), broadcast the tiny 24-row profile, then count values
@@ -1280,9 +1185,9 @@ def seasonal_anomaly(
     the anomaly COUNTS (ints) hash-match."""
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         h = (tus // np.int64(3_600_000_000)) % np.int64(24)
-        x = _quantize(df[val_col].to_numpy())
+        x = _quantize(df[VALUE].to_numpy())
         g = (pd.DataFrame({"h": h, "x": x, "xx": x * x})
              .groupby("h", as_index=False)
              .agg(n=("x", "size"), s=("x", "sum"), q=("xx", "sum")))
@@ -1290,7 +1195,7 @@ def seasonal_anomaly(
             g[c] = g[c].astype(np.int64)
         return g
 
-    prof = (ds.select_columns([ts_col, val_col])
+    prof = (ds.select_columns([TS, VALUE])
             .map_batches(cells, batch_format="pandas")
             .to_pandas().groupby("h", as_index=False).sum())
     n = prof["n"].to_numpy(np.int64)
@@ -1305,17 +1210,17 @@ def seasonal_anomaly(
 
     def flag(df: pd.DataFrame) -> pd.DataFrame:
         hours, lo_, hi_ = ray.get(ref)
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         h = (tus // np.int64(3_600_000_000)) % np.int64(24)
         pos = np.searchsorted(hours, h)
-        xf = _quantize(df[val_col].to_numpy()).astype(np.float64) / 100.0
+        xf = _quantize(df[VALUE].to_numpy()).astype(np.float64) / 100.0
         out = (xf < lo_[pos]) | (xf > hi_[pos])
         g = (pd.DataFrame({"h": h, "a": out.astype(np.int64)})
              .groupby("h", as_index=False)["a"].sum())
         g["a"] = g["a"].astype(np.int64)
         return g
 
-    anom = (ds.select_columns([ts_col, val_col])
+    anom = (ds.select_columns([TS, VALUE])
             .map_batches(flag, batch_format="pandas")
             .to_pandas().groupby("h", as_index=False)["a"].sum())
     out = pd.DataFrame({
@@ -1329,10 +1234,6 @@ def seasonal_anomaly(
 
 def scd2_history(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    attr: str = "event_type",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Slowly-Changing-Dimension Type-2 history: turn an attribute
@@ -1349,18 +1250,18 @@ def scd2_history(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
-                attr: pd.Series(dtype=object),
+        cols = {USER_ID: pd.Series(dtype="int64"),
+                EVENT_TYPE: pd.Series(dtype=object),
                 "valid_from": pd.Series(dtype="datetime64[us]"),
                 "valid_to": pd.Series(dtype="datetime64[us]"),
                 "version_no": pd.Series(dtype="int64"),
                 "is_current": pd.Series(dtype=bool)}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        ac, auniq = pd.factorize(df[attr])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        ac, auniq = pd.factorize(df[EVENT_TYPE])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, kc))
         k, a, t = kc[perm], ac[perm], tus[perm]
         new_key = np.r_[True, k[1:] != k[:-1]]
@@ -1377,8 +1278,8 @@ def scd2_history(
         valid_to = vt.view("datetime64[us]").copy()
         valid_to[~nxt_same] = np.datetime64("NaT")
         return pd.DataFrame({
-            key: np.asarray(kuniq)[rk].astype(np.int64),
-            attr: np.asarray(auniq)[ra],
+            USER_ID: np.asarray(kuniq)[rk].astype(np.int64),
+            EVENT_TYPE: np.asarray(auniq)[ra],
             "valid_from": rt.view("datetime64[us]"),
             "valid_to": valid_to,
             "version_no": version.astype(np.int64),
@@ -1386,26 +1287,21 @@ def scd2_history(
         })
 
     return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=key).to_pandas()
-            .sort_values([key, "version_no"], kind="mergesort")
+                        key=USER_ID).to_pandas()
+            .sort_values([USER_ID, "version_no"], kind="mergesort")
             .reset_index(drop=True))
 
 
 def theilsen_trend(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
-    max_events: int = 2000,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Theil–Sen robust trend per key: the MEDIAN of all pairwise
     slopes (Δvalue / Δseconds over pairs with distinct timestamps) —
     the outlier-resistant alternative to the least-squares
-    ``linear_trend``.  O(n²) pairs per key, capped at ``max_events``
+    ``linear_trend``.  O(n²) pairs per key, capped at 2000 events
     (same documented guard as the cadence pairwise-Δt histogram —
-    capped keys report their first ``max_events`` events by
+    capped keys report their first 2000 events by
     (ts, order) and ``capped = true``).  One key-hash exchange; pairs
     enumerate vectorized via triu indices; the median is the shared
     ``duck_quantile`` kernel (bit-exact to SQL quantile_cont)."""
@@ -1413,7 +1309,7 @@ def theilsen_trend(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64"),
                 "n_pairs": pd.Series(dtype="int64"),
                 "ts_slope_per_s": pd.Series(dtype="float64"),
@@ -1421,18 +1317,18 @@ def theilsen_trend(
         if not len(df):
             return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
-        vals = df[val_col].to_numpy(np.float64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
+        vals = df[VALUE].to_numpy(np.float64)
         perm = np.lexsort((oid, tus, kc))
         k, t, v = kc[perm], tus[perm], vals[perm]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
         ends = np.r_[starts[1:], len(k)]
         for s, e in zip(starts, ends):
             n_all = e - s
-            capped = n_all > max_events
-            e2 = s + min(n_all, max_events)
+            capped = n_all > 2000
+            e2 = s + min(n_all, 2000)
             tk, vk = t[s:e2], v[s:e2]
             iu, ju = np.triu_indices(e2 - s, k=1)
             dt_us = tk[ju] - tk[iu]
@@ -1448,17 +1344,12 @@ def theilsen_trend(
         return pd.DataFrame(out, columns=list(cols))
 
     return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=key).to_pandas()
-            .sort_values(key, kind="mergesort").reset_index(drop=True))
+                        key=USER_ID).to_pandas()
+            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
 def mann_kendall(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
-    max_events: int = 2000,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Mann–Kendall trend test per key (the nonparametric companion
@@ -1471,7 +1362,7 @@ def mann_kendall(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64"),
                 "s_stat": pd.Series(dtype="int64"),
                 "var_s18": pd.Series(dtype="int64"),
@@ -1480,12 +1371,12 @@ def mann_kendall(
         if not len(df):
             return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         # int-space values (the driver data is 2-decimal quantized):
         # sign comparisons in exact int64, like the oracle
-        vq = np.rint(df[val_col].to_numpy(np.float64) * 100.0).astype(
+        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
             np.int64)
         perm = np.lexsort((oid, tus, kc))
         k, v = kc[perm], vq[perm]
@@ -1493,8 +1384,8 @@ def mann_kendall(
         ends = np.r_[starts[1:], len(k)]
         for s, e in zip(starts, ends):
             n_all = e - s
-            capped = n_all > max_events
-            e2 = s + min(n_all, max_events)
+            capped = n_all > 2000
+            e2 = s + min(n_all, 2000)
             vk = v[s:e2]
             n = len(vk)
             iu, ju = np.triu_indices(n, k=1)
@@ -1514,16 +1405,12 @@ def mann_kendall(
         return pd.DataFrame(out, columns=list(cols))
 
     return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=key).to_pandas()
-            .sort_values(key, kind="mergesort").reset_index(drop=True))
+                        key=USER_ID).to_pandas()
+            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
 def trimmed_mean(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
-    lo_p: float = 0.1,
-    hi_p: float = 0.9,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key trimmed mean: average of the int-quantized values
@@ -1537,7 +1424,7 @@ def trimmed_mean(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64"),
                 "n_kept": pd.Series(dtype="int64"),
                 "mean_all": pd.Series(dtype="float64"),
@@ -1545,8 +1432,8 @@ def trimmed_mean(
         if not len(df):
             return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[key])
-        vq = np.rint(df[val_col].to_numpy(np.float64) * 100.0).astype(
+        kc, kuniq = pd.factorize(df[USER_ID])
+        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
             np.int64)
         order = np.argsort(kc, kind="stable")
         k, v = kc[order], vq[order]
@@ -1555,8 +1442,8 @@ def trimmed_mean(
         for s, e in zip(starts, ends):
             vk = np.sort(v[s:e], kind="mergesort")
             n = len(vk)
-            lo = duck_quantile(vk.astype(np.float64), lo_p)
-            hi = duck_quantile(vk.astype(np.float64), hi_p)
+            lo = duck_quantile(vk.astype(np.float64), 0.1)
+            hi = duck_quantile(vk.astype(np.float64), 0.9)
             keep = vk[(vk >= lo) & (vk <= hi)]
             out.append((
                 int(np.asarray(kuniq)[k[s]]), np.int64(n),
@@ -1568,15 +1455,12 @@ def trimmed_mean(
         return pd.DataFrame(out, columns=list(cols))
 
     return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=key).to_pandas()
-            .sort_values(key, kind="mergesort").reset_index(drop=True))
+                        key=USER_ID).to_pandas()
+            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
 def robust_anomalies(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
-    threshold: float = 3.5,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Modified z-score anomaly counts per key (Iglewicz–Hoaglin):
@@ -1590,7 +1474,7 @@ def robust_anomalies(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64"),
                 "med": pd.Series(dtype="float64"),
                 "mad": pd.Series(dtype="float64"),
@@ -1598,8 +1482,8 @@ def robust_anomalies(
         if not len(df):
             return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[key])
-        vq = np.rint(df[val_col].to_numpy(np.float64) * 100.0).astype(
+        kc, kuniq = pd.factorize(df[USER_ID])
+        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
             np.int64)
         order = np.argsort(kc, kind="stable")
         k, v = kc[order], vq[order]
@@ -1612,7 +1496,7 @@ def robust_anomalies(
             mad = duck_quantile(np.sort(ad, kind="mergesort"), 0.5)
             if mad > 0:
                 mz = 0.6745 * (vk - med) / mad
-                n_anom = int((np.abs(mz) > threshold).sum())
+                n_anom = int((np.abs(mz) > 3.5).sum())
             else:
                 n_anom = 0
             out.append((int(np.asarray(kuniq)[k[s]]),
@@ -1621,16 +1505,12 @@ def robust_anomalies(
         return pd.DataFrame(out, columns=list(cols))
 
     return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=key).to_pandas()
-            .sort_values(key, kind="mergesort").reset_index(drop=True))
+                        key=USER_ID).to_pandas()
+            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
 def spearman_trend(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Spearman rank correlation of value against time per key — the
@@ -1656,15 +1536,15 @@ def spearman_trend(
         return out
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64"),
                 "spearman": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        vq = np.rint(df[val_col].to_numpy(np.float64) * 100.0).astype(
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
             np.int64)
         order = np.argsort(kc, kind="stable")
         k, t, v = kc[order], tus[order], vq[order]
@@ -1688,18 +1568,12 @@ def spearman_trend(
         return pd.DataFrame(out, columns=list(cols))
 
     return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=key).to_pandas()
-            .sort_values(key, kind="mergesort").reset_index(drop=True))
+                        key=USER_ID).to_pandas()
+            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
 def cusum_alarms(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
-    drift_k: int = 100,
-    threshold_h: int = 2000,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """One-sided tabular CUSUM per key over int-quantized deviations
@@ -1715,17 +1589,17 @@ def cusum_alarms(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64"),
                 "max_cusum_scaled": pd.Series(dtype="int64"),
                 "n_alarms": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
-        vq = np.rint(df[val_col].to_numpy(np.float64) * 100.0).astype(
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
+        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
             np.int64)
         perm = np.lexsort((oid, tus, kc))
         k, v = kc[perm], vq[perm]
@@ -1736,35 +1610,35 @@ def cusum_alarms(
             n = len(vk)
             tot = int(vk.sum())
             # scaled deviations: d_i = x_i·n − tot − k·n  (all int64)
-            d = vk.astype(np.int64) * n - tot - drift_k * n
+            d = vk.astype(np.int64) * n - tot - 100 * n
             p = np.cumsum(d)
             # S_i = P_i − min(P_0..P_i) with P_0 = 0 (inclusive
             # running min — the classic reflection identity for the
             # clamped recurrence max(0, S+d))
             run_min = np.minimum.accumulate(np.r_[np.int64(0), p])[1:]
             su = p - run_min
-            alarms = int((su > threshold_h * n).sum())
+            alarms = int((su > 2000 * n).sum())
             out.append((int(np.asarray(kuniq)[k[s]]), np.int64(n),
                         np.int64(int(su.max()) if n else 0),
                         np.int64(alarms)))
         return pd.DataFrame(out, columns=list(cols))
 
     return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=key).to_pandas()
-            .sort_values(key, kind="mergesort").reset_index(drop=True))
+                        key=USER_ID).to_pandas()
+            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
-def _sorted_streams(df: pd.DataFrame, key, ts_col, val_col, order_col):
-    """Shared prep: factorize key, (ts, order)-sort within key, return
-    (codes, uniques, sorted codes k, int64-µs ts, quantized int64 x,
-    group starts, group sizes n)."""
-    kc, kuniq = pd.factorize(df[key])
-    tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-    oid = df[order_col].to_numpy(np.int64)
+def _sorted_streams(df: pd.DataFrame):
+    """Shared prep: factorize user_id, (ts, event_id)-sort within it,
+    return (codes, uniques, sorted codes k, int64-µs ts, quantized
+    int64 x, group starts, group sizes n)."""
+    kc, kuniq = pd.factorize(df[USER_ID])
+    tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+    oid = df[EVENT_ID].to_numpy(np.int64)
     perm = np.lexsort((oid, tus, kc))
     k = kc[perm]
     t = tus[perm]
-    x = _quantize(df[val_col].to_numpy())[perm]
+    x = _quantize(df[VALUE].to_numpy())[perm]
     starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
     n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
     return kuniq, k, t, x, starts, n
@@ -1773,10 +1647,6 @@ def _sorted_streams(df: pd.DataFrame, key, ts_col, val_col, order_col):
 def variance_ratio(
     ds: ray.data.Dataset,
     ks: tuple = (2, 4),
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key Lo–MacKinlay variance-ratio test statistic: for each
@@ -1797,14 +1667,13 @@ def variance_ratio(
     lags = (1,) + tuple(ks)
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64")}
         for L in ks:
             cols[f"vr{L}"] = pd.Series(dtype="float64")
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         m = len(x)
         v = {}
         for L in lags:
@@ -1817,7 +1686,7 @@ def variance_ratio(
             q = np.add.reduceat(d * d, starts).astype(np.float64)
             nl = np.maximum(n - L, 1).astype(np.float64)
             v[L] = (q - s * s / nl) / nl
-        out = {key: np.asarray(kuniq)[k[starts]], "n": n}
+        out = {USER_ID: np.asarray(kuniq)[k[starts]], "n": n}
         with np.errstate(invalid="ignore", divide="ignore"):
             for L in ks:
                 out[f"vr{L}"] = v[L] / (np.float64(L) * v[1])
@@ -1825,20 +1694,13 @@ def variance_ratio(
         return res[(res["n"] > max(ks)) & (v[1] != 0.0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def xcorr_gap(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def xcorr_gap(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Per-key cross-correlation between the value channel and the
     interarrival-gap channel of the same (ts, order)-sorted stream:
     r0 = corr(x_t, g_t) (does a large value coincide with a long wait
@@ -1857,14 +1719,13 @@ def xcorr_gap(
     are dropped on both sides."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_pairs": pd.Series(dtype="int64"),
                 "r0": pd.Series(dtype="float64"),
                 "r1": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, t, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, t, x, starts, n = _sorted_streams(df)
         m = len(x)
         valid = np.zeros(m, bool)
         valid[1:] = k[1:] == k[:-1]
@@ -1881,7 +1742,7 @@ def xcorr_gap(
 
         nf = (n - 1).astype(np.float64)
         sy, syy = sums(g), sums(g * g)
-        out = {key: np.asarray(kuniq)[k[starts]],
+        out = {USER_ID: np.asarray(kuniq)[k[starts]],
                "n_pairs": (n - 1)}
         deny = nf * syy - sy * sy
         for name, xi in (("r0", xc), ("r1", xp)):
@@ -1896,18 +1757,14 @@ def xcorr_gap(
         return res.drop(columns=["_d_r0", "_d_r1"])
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def perm_entropy(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key order-3 permutation entropy (Bandt–Pompe 2002): each
@@ -1927,13 +1784,12 @@ def perm_entropy(
     fewer than 3 events are dropped on both sides."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_pat": pd.Series(dtype="int64"),
                 "pe": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         m = len(x)
         if m < 3:
             return pd.DataFrame(cols)
@@ -1954,34 +1810,26 @@ def perm_entropy(
                 np.maximum(cnt, 1).astype(np.float64)), 0.0)
             h = (np.log(npat.astype(np.float64))
                  - cl.sum(axis=1) / npat.astype(np.float64))
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
                             "n_pat": npat,
                             "pe": h / np.log(6.0)})
         return res[res["n_pat"] >= 1]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 _HURST_SIZES = (8, 16, 32)
 
 
-def hurst_rs(
-    ds: ray.data.Dataset,
-    sizes: tuple = _HURST_SIZES,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def hurst_rs(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Per-key Hurst exponent by classic rescaled-range (R/S)
     analysis (Hurst 1951; Mandelbrot–Wallis): the (ts, order)-sorted
     stream is chopped into consecutive windows of each size w ∈
-    ``sizes``; per window the cumulative-deviation range
+    (8, 16, 32); per window the cumulative-deviation range
     R = max(0, max_j Z_j) − min(0, min_j Z_j),  Z_j = Σ_{i≤j}(x_i−x̄)
     is rescaled by the population std, averaged over windows, and the
     Hurst exponent is the OLS slope of ln⟨R/S⟩ against ln w —
@@ -1997,24 +1845,22 @@ def hurst_rs(
     slope = (np·Σlw·y − Σlw·Σy)/(np·Σlw² − (Σlw)²),  y = ln⟨rs⟩
     are mirrored op-for-op (≤ window-count float terms; ulp-below-
     round6).  Zero-variance windows are dropped; keys must yield ≥ 1
-    valid window at EVERY size (so n ≥ max(sizes)) on both sides.
+    valid window at EVERY size (so n ≥ 32) on both sides.
     One key-hash exchange; per partition O(n) reduceat per size."""
-    sizes = tuple(sorted(sizes))
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64")}
-        for w in sizes:
+        for w in _HURST_SIZES:
             cols[f"rs{w}"] = pd.Series(dtype="float64")
         cols["hurst"] = pd.Series(dtype="float64")
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         nk = len(starts)
         cs = np.cumsum(x)
         ars = {}
-        for w in sizes:
+        for w in _HURST_SIZES:
             nwin = n // w                       # windows per key
             tot = int(nwin.sum())
             if tot == 0:
@@ -2049,16 +1895,16 @@ def hurst_rs(
             with np.errstate(invalid="ignore", divide="ignore"):
                 ars[w] = (ssum / scnt.astype(np.float64), scnt)
         keep = np.ones(nk, bool)
-        for w in sizes:
+        for w in _HURST_SIZES:
             keep &= ars[w][1] >= 1
-        out = {key: np.asarray(kuniq)[k[starts]], "n": n}
-        lw = np.array([np.log(np.float64(w)) for w in sizes])
-        npts = np.float64(len(sizes))
+        out = {USER_ID: np.asarray(kuniq)[k[starts]], "n": n}
+        lw = np.array([np.log(np.float64(w)) for w in _HURST_SIZES])
+        npts = np.float64(len(_HURST_SIZES))
         slw, slw2 = lw.sum(), (lw * lw).sum()
         sy = np.zeros(nk)
         sxy = np.zeros(nk)
         with np.errstate(invalid="ignore", divide="ignore"):
-            for i, w in enumerate(sizes):
+            for i, w in enumerate(_HURST_SIZES):
                 y = np.log(ars[w][0])
                 out[f"rs{w}"] = ars[w][0]
                 sy = sy + y
@@ -2069,19 +1915,15 @@ def hurst_rs(
         return res[keep]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def ljung_box(
     ds: ray.data.Dataset,
     max_lag: int = 3,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key Ljung–Box portmanteau whiteness statistic
@@ -2094,24 +1936,19 @@ def ljung_box(
     dropped on both sides."""
     from .tsmath import acf_lags  # same-module; explicit for grep
 
-    a = acf_lags(ds, max_lag=max_lag, key=key, ts_col=ts_col,
-                 val_col=val_col, order_col=order_col,
-                 num_partitions=num_partitions)
+    a = acf_lags(ds, max_lag=max_lag, num_partitions=num_partitions)
     nf = a["n"].to_numpy(np.float64)
     q = np.zeros(len(a))
     for L in range(1, max_lag + 1):
         ak = a[f"acf{L}"].to_numpy(np.float64)
         q = q + ak * ak / (nf - np.float64(L))
-    out = a[[key, "n"]].copy()
+    out = a[[USER_ID, "n"]].copy()
     out["q_lb"] = nf * (nf + 2.0) * q
     return out.reset_index(drop=True)
 
 
 def trend_seasonal_strength(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key trend and seasonality strength (the Wang–Hyndman
@@ -2134,15 +1971,15 @@ def trend_seasonal_strength(
     time axis or zero detrended variance are dropped on both sides."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "trend_strength": pd.Series(dtype="float64"),
                 "seasonal_strength": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        x = _quantize(df[val_col].to_numpy())
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        x = _quantize(df[VALUE].to_numpy())
         nk = len(kuniq)
         # τ = whole seconds since the key's first event (int64)
         tmin = np.full(nk, np.iinfo(np.int64).max)
@@ -2190,24 +2027,20 @@ def trend_seasonal_strength(
             vardeseas = (qx - snm2) / nf
             fs = np.maximum(0.0, 1.0 - varrem / varr)
             ft = np.maximum(0.0, 1.0 - varrem / vardeseas)
-        res = pd.DataFrame({key: np.asarray(kuniq), "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq), "n": n,
                             "trend_strength": ft,
                             "seasonal_strength": fs})
         return res[(dent > 0.0) & (varr > 0.0) & (vardeseas > 0.0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def turning_points(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key turning-points randomness test: count strict local
@@ -2225,14 +2058,13 @@ def turning_points(
     Keys with n < 3 are dropped on both sides."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "n_turns": pd.Series(dtype="int64"),
                 "z_tp": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         m = len(x)
         if m < 3:
             return pd.DataFrame(cols)
@@ -2246,25 +2078,18 @@ def turning_points(
         with np.errstate(invalid="ignore", divide="ignore"):
             z = ((t.astype(np.float64) - 2.0 * (nf - 2.0) / 3.0)
                  / np.sqrt((16.0 * nf - 29.0) / 90.0))
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
                             "n_turns": t, "z_tp": z})
         return res[res["n"] >= 3]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def ar1_fit(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def ar1_fit(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Per-key AR(1) / discrete Ornstein–Uhlenbeck fit by the moment
     (Yule–Walker) estimator: φ = acf₁ of the (ts, order)-sorted
     stream, innovation variance σ²_ε = (1 − φ²)·Var(x), and the mean-
@@ -2279,15 +2104,14 @@ def ar1_fit(
     dropped on both sides."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "phi": pd.Series(dtype="float64"),
                 "sigma2_eps": pd.Series(dtype="float64"),
                 "half_life": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         m = len(x)
         s = np.add.reduceat(x, starts).astype(np.float64)
         q = np.add.reduceat(x * x, starts).astype(np.float64)
@@ -2312,26 +2136,19 @@ def ar1_fit(
             sig2 = den / nf * (1.0 - phi * phi) / 10000.0
             hl = np.where((phi > 0.0) & (phi < 1.0),
                           -np.log(2.0) / np.log(np.abs(phi)), np.nan)
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
                             "phi": phi, "sigma2_eps": sig2,
                             "half_life": hl})
         return res[(res["n"] >= 3) & (den != 0.0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def burstiness(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def burstiness(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Per-key Goh–Barabási burstiness B = (σ−μ)/(σ+μ) of the
     inter-arrival gaps plus the memory coefficient M = Pearson r of
     consecutive gap pairs (Goh & Barabási 2008, EPL 81) — B → −1 for
@@ -2349,14 +2166,13 @@ def burstiness(
     One key-hash exchange; no per-row Python."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_gaps": pd.Series(dtype="int64"),
                 "b_burst": pd.Series(dtype="float64"),
                 "m_memory": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, t, _, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, t, _, starts, n = _sorted_streams(df)
         ng_len = len(starts)
         gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
         same = k[1:] == k[:-1]
@@ -2402,25 +2218,20 @@ def burstiness(
                 (npf * sab.astype(np.float64)
                  - sa.astype(np.float64) * sb.astype(np.float64))
                 / (np.sqrt(vx) * np.sqrt(vy)), np.nan)
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
                             "n_gaps": ng, "b_burst": bb,
                             "m_memory": mm})
         return res[(res["n_gaps"] >= 3) & (npair >= 2)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def kendall_tau(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
-    max_events: int = 2000,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key Kendall tau-b rank correlation between value and time
@@ -2432,25 +2243,24 @@ def kendall_tau(
     stream: for the n(n−1)/2 ordered pairs i<j, C = #(Δt>0 ∧ Δx>0),
     D = #(Δt>0 ∧ Δx<0), n1 = #(Δx=0) value ties, n2 = #(Δt=0) time
     ties; tau_b = (C−D)/√((n0−n1)(n0−n2)) closes in one mirrored
-    float expression.  O(n²) pairs per key, capped at ``max_events``
+    float expression.  O(n²) pairs per key, capped at 2000 events
     (the Theil–Sen guard: capped keys report their first
-    ``max_events`` events).  One key-hash exchange."""
+    2000 events).  One key-hash exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64"),
                 "tau_b": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, t, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, t, x, starts, n = _sorted_streams(df)
         ends = np.r_[starts[1:], len(k)]
         rows = []
         for s, e in zip(starts, ends):
             n_all = int(e - s)
             if n_all < 2:
                 continue
-            e2 = s + min(n_all, max_events)
+            e2 = s + min(n_all, 2000)
             tk, xk = t[s:e2], x[s:e2]
             iu, ju = np.triu_indices(e2 - s, k=1)
             dt = tk[ju] - tk[iu]
@@ -2467,20 +2277,17 @@ def kendall_tau(
             rows.append((np.asarray(kuniq)[k[s]], e2 - s, tau))
         if not rows:
             return pd.DataFrame(cols)
-        return pd.DataFrame(rows, columns=[key, "n_events", "tau_b"])
+        return pd.DataFrame(rows, columns=[USER_ID, "n_events", "tau_b"])
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def seasonal_naive_mase(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    season_hours: int = 24,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key seasonal-naive forecast backtest on the hourly
@@ -2496,24 +2303,24 @@ def seasonal_naive_mase(
     float op is the final mirrored (sae/ns)/(nae/nn) ratio.  The
     dense grid is span-bounded (retention window: 1 year ≈ 8.8k
     cells/key), built with one bincount per key — no per-row Python.
-    Keys need span > season_hours and a nonzero naive scale.
+    Keys need span > 24 hours and a nonzero naive scale.
     One key-hash exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_hours": pd.Series(dtype="int64"),
                 "mase": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        hb = df[ts_col].to_numpy("datetime64[us]").view(np.int64) \
+        kc, kuniq = pd.factorize(df[USER_ID])
+        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
         order = np.argsort(kc, kind="stable")
         k, h = kc[order], hb[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
         ends = np.r_[starts[1:], len(k)]
         rows = []
-        m = season_hours
+        m = 24
         for s, e in zip(starts, ends):
             hk = h[s:e]
             mn, mx = int(hk.min()), int(hk.max())
@@ -2530,23 +2337,16 @@ def seasonal_naive_mase(
             rows.append((np.asarray(kuniq)[k[s]], span, mase))
         if not rows:
             return pd.DataFrame(cols)
-        return pd.DataFrame(rows, columns=[key, "n_hours", "mase"])
+        return pd.DataFrame(rows, columns=[USER_ID, "n_hours", "mase"])
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def pacf_lags(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def pacf_lags(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Per-key PARTIAL autocorrelation at lags 1–3 via the
     Durbin–Levinson recursion closed over the sample ACF — the
     AR-order-identification companion of ``acf_lags`` (PACF cuts off
@@ -2566,15 +2366,14 @@ def pacf_lags(
     exchange; no per-key Python loop."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "pacf1": pd.Series(dtype="float64"),
                 "pacf2": pd.Series(dtype="float64"),
                 "pacf3": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         s = np.add.reduceat(x, starts)
         q = np.add.reduceat(x * x, starts)
         nf = n.astype(np.float64)
@@ -2607,23 +2406,19 @@ def pacf_lags(
             d3 = 1.0 - phi21 * r1 - p2 * r2
             p3 = np.where(d3 != 0.0,
                           (r3 - phi21 * r2 - p2 * r1) / d3, np.nan)
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
                             "pacf1": r1, "pacf2": p2, "pacf3": p3})
         return res[(res["n"] > 3) & (den != 0.0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def durbin_watson(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key Durbin–Watson serial-correlation statistic of the
@@ -2639,14 +2434,13 @@ def durbin_watson(
     n ≥ 2 and nonzero variance.  One key-hash exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "dw": pd.Series(dtype="float64"),
                 "vn": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         s = np.add.reduceat(x, starts)
         q = np.add.reduceat(x * x, starts)
         nf = n.astype(np.float64)
@@ -2660,21 +2454,19 @@ def durbin_watson(
         with np.errstate(invalid="ignore", divide="ignore"):
             dw = sd2.astype(np.float64) / den
             vn = dw * (nf / (nf - 1.0))
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
                             "dw": dw, "vn": vn})
         return res[(res["n"] > 1) & (den != 0.0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def count_dispersion(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key point-process dispersion of the DENSE hourly activity
@@ -2691,14 +2483,14 @@ def count_dispersion(
     expression.  Keys need span ≥ 2 hours.  One key-hash exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_hours": pd.Series(dtype="int64"),
                 "fano": pd.Series(dtype="float64"),
                 "allan": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        hb = df[ts_col].to_numpy("datetime64[us]").view(np.int64) \
+        kc, kuniq = pd.factorize(df[USER_ID])
+        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
         order = np.argsort(kc, kind="stable")
         k, h = kc[order], hb[order]
@@ -2724,23 +2516,18 @@ def count_dispersion(
         if not rows:
             return pd.DataFrame(cols)
         return pd.DataFrame(
-            rows, columns=[key, "n_hours", "fano", "allan"])
+            rows, columns=[USER_ID, "n_hours", "fano", "allan"])
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def sample_entropy(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     tolerance: int = 500,
-    max_events: int = 2000,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key sample entropy SampEn(m=1, r) of the (ts, order)-sorted
@@ -2754,28 +2541,27 @@ def sample_entropy(
     ``tolerance`` r is in quantized int units (value·100; default 500
     = 5.0 raw units ≈ 0.17σ of the synthetic value stream).  A and B
     are EXACT integer pair counts; SampEn closes in one mirrored
-    −ln(A/B).  O(n²) pairs per key, capped at ``max_events`` (the
-    kendall_tau guard — capped keys report their first ``max_events``
+    −ln(A/B).  O(n²) pairs per key, capped at 2000 events (the
+    kendall_tau guard — capped keys report their first 2000
     events).  Keys need n ≥ 3 and A, B > 0 (keys with no length-2
     match are dropped on both sides).  One key-hash exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64"),
                 "b_pairs": pd.Series(dtype="int64"),
                 "a_pairs": pd.Series(dtype="int64"),
                 "sampen": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         ends = np.r_[starts[1:], len(k)]
         rows = []
         for s, e in zip(starts, ends):
             n_all = int(e - s)
             if n_all < 3:
                 continue
-            e2 = s + min(n_all, max_events)
+            e2 = s + min(n_all, 2000)
             xk = x[s:e2]
             nk = e2 - s
             iu, ju = np.triu_indices(nk - 1, k=1)
@@ -2789,20 +2575,18 @@ def sample_entropy(
                          -np.log(float(ap) / float(bp))))
         if not rows:
             return pd.DataFrame(cols)
-        return pd.DataFrame(rows, columns=[key, "n_events", "b_pairs",
+        return pd.DataFrame(rows, columns=[USER_ID, "n_events", "b_pairs",
                                            "a_pairs", "sampen"])
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def peak_rate(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     window_s: int = 86400,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
@@ -2821,13 +2605,13 @@ def peak_rate(
     exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_events": pd.Series(dtype="int64"),
                 "peak_cnt": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         perm = np.lexsort((tus, kc))
         k, t = kc[perm], tus[perm]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -2840,20 +2624,17 @@ def peak_rate(
             lo = np.searchsorted(tk, tk, side="left")
             rows.append((np.asarray(kuniq)[k[s]], e - s,
                          int((hi - lo).max())))
-        return pd.DataFrame(rows, columns=[key, "n_events", "peak_cnt"])
+        return pd.DataFrame(rows, columns=[USER_ID, "n_events", "peak_cnt"])
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def exp_gap_fit(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key exponential fit of the inter-arrival gaps + the
@@ -2871,15 +2652,15 @@ def exp_gap_fit(
     exchange; per key one sort + vectorized scan."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_gaps": pd.Series(dtype="int64"),
                 "lam_per_s": pd.Series(dtype="float64"),
                 "ks_exp": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, kc))
         k, t = kc[perm], tus[perm]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -2904,22 +2685,17 @@ def exp_gap_fit(
                          da if da > db else db))
         if not rows:
             return pd.DataFrame(cols)
-        return pd.DataFrame(rows, columns=[key, "n_gaps", "lam_per_s",
+        return pd.DataFrame(rows, columns=[USER_ID, "n_gaps", "lam_per_s",
                                            "ks_exp"])
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def day_streak(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def day_streak(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Per-key longest consecutive-active-day streak: number of
     distinct UTC days with ≥ 1 event and the maximum run of adjacent
     days — the classic engagement/retention "streak" metric
@@ -2930,13 +2706,13 @@ def day_streak(
     key-hash exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_active_days": pd.Series(dtype="int64"),
                 "max_streak": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        day = df[ts_col].to_numpy("datetime64[us]").view(np.int64) \
+        kc, kuniq = pd.factorize(df[USER_ID])
+        day = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 86_400_000_000
         pair = np.unique(np.stack([kc.astype(np.int64), day], axis=1),
                          axis=0)
@@ -2950,21 +2726,18 @@ def day_streak(
             runs = np.diff(np.r_[-1, brk, len(dk) - 1])
             rows.append((np.asarray(kuniq)[k[s]], e - s,
                          int(runs.max())))
-        return pd.DataFrame(rows, columns=[key, "n_active_days",
+        return pd.DataFrame(rows, columns=[USER_ID, "n_active_days",
                                            "max_streak"])
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def seasonal_power(
     ds: ray.data.Dataset,
-    periods: tuple = (24, 12),
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key single-bin Fourier seasonality power on the DENSE
@@ -2983,26 +2756,25 @@ def seasonal_power(
     and SS > 0.  One key-hash exchange; one bincount per key."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_hours": pd.Series(dtype="int64")}
-        for p in periods:
+        for p in (24, 12):
             cols[f"r2_{p}h"] = pd.Series(dtype="float64")
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        hb = df[ts_col].to_numpy("datetime64[us]").view(np.int64) \
+        kc, kuniq = pd.factorize(df[USER_ID])
+        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
         order = np.argsort(kc, kind="stable")
         k, h = kc[order], hb[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
         ends = np.r_[starts[1:], len(k)]
-        pmax = max(periods)
         rows = []
         for s, e in zip(starts, ends):
             hk = h[s:e]
             mn, mx = int(hk.min()), int(hk.max())
             span = mx - mn + 1
-            if span <= pmax:
+            if span <= 24:
                 continue
             cnt = np.bincount(hk - mn, minlength=span)
             sc = int(cnt.sum())
@@ -3015,7 +2787,7 @@ def seasonal_power(
             cf = cnt.astype(np.float64)
             t = np.arange(span, dtype=np.int64)
             rec = [np.asarray(kuniq)[k[s]], span]
-            for p in periods:
+            for p in (24, 12):
                 ph = 2.0 * np.pi * (t % p).astype(np.float64) / float(p)
                 co, si = np.cos(ph), np.sin(ph)
                 cq = float((cf * co).sum()) - mu * float(co.sum())
@@ -3027,17 +2799,14 @@ def seasonal_power(
         return pd.DataFrame(rows, columns=list(cols))
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def haar_energy(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    levels: int = 3,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key un-normalized Haar wavelet detail energies of the
@@ -3051,24 +2820,24 @@ def haar_energy(
 
     Every quantity is an EXACT integer (sums/differences/squares of
     counts — no float anywhere); the relative energy fractions are
-    left to the caller.  Keys need span ≥ 2^levels hours.  One
+    left to the caller.  Keys need span ≥ 2^3 hours.  One
     key-hash exchange; one bincount + vectorized halvings per key."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_hours": pd.Series(dtype="int64")}
-        for lv in range(1, levels + 1):
+        for lv in range(1, 3 + 1):
             cols[f"e{lv}"] = pd.Series(dtype="int64")
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        hb = df[ts_col].to_numpy("datetime64[us]").view(np.int64) \
+        kc, kuniq = pd.factorize(df[USER_ID])
+        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
         order = np.argsort(kc, kind="stable")
         k, h = kc[order], hb[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
         ends = np.r_[starts[1:], len(k)]
-        need = 1 << levels
+        need = 1 << 3
         rows = []
         for s, e in zip(starts, ends):
             hk = h[s:e]
@@ -3078,7 +2847,7 @@ def haar_energy(
                 continue
             a = np.bincount(hk - mn, minlength=span)
             rec = [np.asarray(kuniq)[k[s]], span]
-            for _ in range(levels):
+            for _ in range(3):
                 m = len(a) // 2
                 left, right = a[:2 * m:2], a[1:2 * m:2]
                 d = left - right
@@ -3090,16 +2859,14 @@ def haar_energy(
         return pd.DataFrame(rows, columns=list(cols))
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def gumbel_maxima(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key Gumbel (EV-I) moment fit of DAILY BLOCK MAXIMA of the
@@ -3116,14 +2883,14 @@ def gumbel_maxima(
     exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_days": pd.Series(dtype="int64"),
                 "gum_mu": pd.Series(dtype="float64"),
                 "gum_beta": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        hb = df[ts_col].to_numpy("datetime64[us]").view(np.int64) \
+        kc, kuniq = pd.factorize(df[USER_ID])
+        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
         order = np.argsort(kc, kind="stable")
         k, h = kc[order], hb[order]
@@ -3152,20 +2919,18 @@ def gumbel_maxima(
             rows.append((np.asarray(kuniq)[k[s]], nd, mu, beta))
         if not rows:
             return pd.DataFrame(cols)
-        return pd.DataFrame(rows, columns=[key, "n_days", "gum_mu",
+        return pd.DataFrame(rows, columns=[USER_ID, "n_days", "gum_mu",
                                            "gum_beta"])
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def gini_values(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key Gini mean difference of the value distribution,
@@ -3181,13 +2946,13 @@ def gini_values(
     One key-hash exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "gmd": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        x = _quantize(df[val_col].to_numpy())
+        kc, kuniq = pd.factorize(df[USER_ID])
+        x = _quantize(df[VALUE].to_numpy())
         perm = np.lexsort((x, kc))
         k, xs = kc[perm], x[perm]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -3199,21 +2964,19 @@ def gini_values(
         nf = n.astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             gmd = num.astype(np.float64) / (nf * (nf - 1.0) / 2.0)
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
                             "n": n, "gmd": gmd})
         return res[res["n"] >= 2]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def quartile_cv(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key robust quartile spread from EXACT type-1 order
@@ -3228,14 +2991,14 @@ def quartile_cv(
     One key-hash exchange; one lexsort, no per-key loop."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "iqr": pd.Series(dtype="int64"),
                 "cqv": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        x = _quantize(df[val_col].to_numpy())
+        kc, kuniq = pd.factorize(df[USER_ID])
+        x = _quantize(df[VALUE].to_numpy())
         perm = np.lexsort((x, kc))
         k, xs = kc[perm], x[perm]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -3247,21 +3010,19 @@ def quartile_cv(
         with np.errstate(invalid="ignore", divide="ignore"):
             cqv = np.where(den != 0.0,
                            iqr.astype(np.float64) / den, np.nan)
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
                             "n": n, "iqr": iqr, "cqv": cqv})
         return res[res["n"] >= 4]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def daily_profile_drift(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key daily-rhythm drift: for each ACTIVE day, the KL
@@ -3279,14 +3040,14 @@ def daily_profile_drift(
     exchange; no per-key Python loop."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_days": pd.Series(dtype="int64"),
                 "max_kl": pd.Series(dtype="float64"),
                 "mean_kl": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        hb = df[ts_col].to_numpy("datetime64[us]").view(np.int64) \
+        kc, kuniq = pd.factorize(df[USER_ID])
+        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
         day = hb // 24
         hod = (hb % 24).astype(np.int64)
@@ -3315,27 +3076,21 @@ def daily_profile_drift(
         sm = np.bincount(dk, weights=kl, minlength=nk)
         with np.errstate(invalid="ignore", divide="ignore"):
             mean = sm / ndays.astype(np.float64)
-        res = pd.DataFrame({key: np.asarray(kuniq),
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq),
                             "n_days": ndays, "max_kl": mx,
                             "mean_kl": mean})
         return res[res["n_days"] >= 2]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def count_acf(
-    ds: ray.data.Dataset,
-    lags: tuple = (1, 24),
-    key: str = "user_id",
-    ts_col: str = "ts",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def count_acf(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Per-key autocorrelation of the DENSE hourly ACTIVITY series at
-    the given lags (defaults 1 and 24): acf_L = Σ(c_t−μ)(c_{t−L}−μ) /
+    lags 1 and 24: acf_L = Σ(c_t−μ)(c_{t−L}−μ) /
     Σ(c_t−μ)² over the zero-filled hourly count grid — the shift-based
     rhythm detector (acf₂₄ high ⇒ same-hour-tomorrow activity repeats)
     complementing the phase-coherent ``seasonal_power`` and the
@@ -3347,26 +3102,25 @@ def count_acf(
     span > max(lag) and nonzero variance.  One key-hash exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_hours": pd.Series(dtype="int64")}
-        for lg in lags:
+        for lg in (1, 24):
             cols[f"cacf{lg}"] = pd.Series(dtype="float64")
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        hb = df[ts_col].to_numpy("datetime64[us]").view(np.int64) \
+        kc, kuniq = pd.factorize(df[USER_ID])
+        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
         order = np.argsort(kc, kind="stable")
         k, h = kc[order], hb[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
         ends = np.r_[starts[1:], len(k)]
-        lmax = max(lags)
         rows = []
         for s, e in zip(starts, ends):
             hk = h[s:e]
             mn, mx = int(hk.min()), int(hk.max())
             span = mx - mn + 1
-            if span <= lmax:
+            if span <= 24:
                 continue
             c = np.bincount(hk - mn, minlength=span).astype(np.int64)
             sc = int(c.sum())
@@ -3377,7 +3131,7 @@ def count_acf(
             if den == 0.0:
                 continue
             rec = [np.asarray(kuniq)[k[s]], span]
-            for lg in lags:
+            for lg in (1, 24):
                 sxy = int((c[lg:] * c[:-lg]).sum())
                 sh = int(c[:-lg].sum())
                 st = int(c[lg:].sum())
@@ -3390,16 +3144,14 @@ def count_acf(
         return pd.DataFrame(rows, columns=list(cols))
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def circadian_phase(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key circular statistics of event time-of-day on the 24 h
@@ -3417,14 +3169,14 @@ def circadian_phase(
     would amplify last-ulp noise).  One key-hash exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "resultant": pd.Series(dtype="float64"),
                 "mean_hour": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        tod = df[ts_col].to_numpy("datetime64[us]").view(np.int64) \
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tod = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             % 86_400_000_000
         ang = 2.0 * np.pi * tod.astype(np.float64) / 86_400_000_000.0
         nk = len(kuniq)
@@ -3437,23 +3189,18 @@ def circadian_phase(
             ph = np.arctan2(sn, cs) * (24.0 / (2.0 * np.pi))
             ph = np.where(ph < 0.0, ph + 24.0, ph)
             ph = np.where(r > 0.01, ph, np.nan)
-        res = pd.DataFrame({key: np.asarray(kuniq), "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq), "n": n,
                             "resultant": r, "mean_hour": ph})
         return res[res["n"] >= 1]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def hour_runs(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def hour_runs(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Per-key activity run-length profile of the DENSE hourly grid:
     consecutive active hours (≥ 1 event) form active runs, the
     zero-count hours between them idle runs; reports run counts, the
@@ -3468,7 +3215,7 @@ def hour_runs(
     key-hash exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_hours": pd.Series(dtype="int64"),
                 "active_runs": pd.Series(dtype="int64"),
                 "max_active_run": pd.Series(dtype="int64"),
@@ -3476,8 +3223,8 @@ def hour_runs(
                 "mean_idle_run": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        hb = df[ts_col].to_numpy("datetime64[us]").view(np.int64) \
+        kc, kuniq = pd.factorize(df[USER_ID])
+        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
         order = np.argsort(kc, kind="stable")
         k, h = kc[order], hb[order]
@@ -3507,18 +3254,13 @@ def hour_runs(
         return pd.DataFrame(rows, columns=list(cols))
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def lmoments(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def lmoments(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Per-key sample L-moments (Hosking 1990): L-scale λ₂ and the
     L-moment ratios L-skewness τ₃ = λ₃/λ₂ and L-kurtosis τ₄ = λ₄/λ₂
     from the probability-weighted moments
@@ -3538,15 +3280,15 @@ def lmoments(
     One key-hash exchange; one lexsort, no per-key loop."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "l2": pd.Series(dtype="float64"),
                 "t3": pd.Series(dtype="float64"),
                 "t4": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        x = _quantize(df[val_col].to_numpy())
+        kc, kuniq = pd.factorize(df[USER_ID])
+        x = _quantize(df[VALUE].to_numpy())
         perm = np.lexsort((x, kc))
         k, xs = kc[perm], x[perm]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -3573,23 +3315,19 @@ def lmoments(
             l4 = 20.0 * b3 - 30.0 * b2 + 12.0 * b1 - b0
             t3 = np.where(l2 != 0.0, l3 / l2, np.nan)
             t4 = np.where(l2 != 0.0, l4 / l2, np.nan)
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
                             "l2": l2, "t3": t3, "t4": t4})
         return res[(res["n"] >= 4) & (l2 != 0.0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def hjorth_params(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key Hjorth parameters (Hjorth 1970) of the (ts, order)-
@@ -3612,15 +3350,14 @@ def hjorth_params(
     One key-hash exchange, one lexsort, no per-key loop."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "activity": pd.Series(dtype="float64"),
                 "mobility": pd.Series(dtype="float64"),
                 "complexity": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         s1 = np.add.reduceat(x, starts)
         s2 = np.add.reduceat(x * x, starts)
         gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
@@ -3654,24 +3391,20 @@ def hjorth_params(
             activity = vx / 1e4
             mobility = np.sqrt(vd / vx)
             complexity = np.sqrt(vdd / vd) / mobility
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
                             "activity": activity, "mobility": mobility,
                             "complexity": complexity})
         return res[(n >= 3) & (vx > 0) & (vd > 0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def teager_energy(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key Teager–Kaiser energy operator profile (Kaiser 1990):
@@ -3688,14 +3421,13 @@ def teager_energy(
     n ≥ 3.  One key-hash exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_psi": pd.Series(dtype="int64"),
                 "mean_psi": pd.Series(dtype="float64"),
                 "neg_share": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         if len(x) < 3:
             return pd.DataFrame(cols)
         gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
@@ -3713,24 +3445,20 @@ def teager_energy(
                 / npsi.astype(np.float64) / 1e4
             neg_share = neg.astype(np.float64) \
                 / npsi.astype(np.float64)
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
                             "n_psi": npsi, "mean_psi": mean_psi,
                             "neg_share": neg_share})
         return res[n >= 3]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def fractal_dims(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key waveform fractal dimensions of the (ts, order)-sorted
@@ -3749,15 +3477,14 @@ def fractal_dims(
     exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "n_delta": pd.Series(dtype="int64"),
                 "pfd": pd.Series(dtype="float64"),
                 "katz_fd": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
         same = k[1:] == k[:-1]
         d = x[1:] - x[:-1]
@@ -3781,24 +3508,20 @@ def fractal_dims(
             lg1 = np.log10(nf - 1.0)
             katz = lg1 / (lg1 + np.log10(
                 D.astype(np.float64) / L.astype(np.float64)))
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
                             "n_delta": nd, "pfd": pfd,
                             "katz_fd": katz})
         return res[(n >= 3) & (L > 0) & (D > 0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def page_hinkley(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key offline Page–Hinkley mean-shift statistics of the
@@ -3819,14 +3542,13 @@ def page_hinkley(
     groupby cummin/cummax (C-vectorized), no Python per-key loop."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "ph_up": pd.Series(dtype="float64"),
                 "ph_down": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         sid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
         s1 = np.add.reduceat(x, starts)
         dev = np.repeat(n, n) * x - np.repeat(s1, n)   # n·xᵢ − Σx
@@ -3847,21 +3569,19 @@ def page_hinkley(
                 / (n.astype(np.float64) * 100.0)
             ph_down = dn.astype(np.float64) \
                 / (n.astype(np.float64) * 100.0)
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
                             "ph_up": ph_up, "ph_down": ph_down})
         return res[n >= 2]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def grubbs_stat(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key Grubbs extreme-outlier statistic (Grubbs 1950)
@@ -3881,14 +3601,14 @@ def grubbs_stat(
     ids."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "max_dev": pd.Series(dtype="float64"),
                 "grubbs_g": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        x = _quantize(df[val_col].to_numpy())
+        kc, kuniq = pd.factorize(df[USER_ID])
+        x = _quantize(df[VALUE].to_numpy())
         order = np.argsort(kc, kind="stable")
         k, xs = kc[order], x[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -3905,23 +3625,19 @@ def grubbs_stat(
             var = (s2.astype(np.float64)
                    - mu * s1.astype(np.float64)) / (nf - 1.0)
             g = mx / np.sqrt(var)
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
                             "max_dev": mx / 100.0, "grubbs_g": g})
         return res[(n >= 3) & (var > 0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def monotone_runs(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key monotone-run profile of the (ts, order)-sorted value
@@ -3936,7 +3652,7 @@ def monotone_runs(
     no per-key loop.  Keys need n ≥ 2 (at least one difference)."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "longest_up": pd.Series(dtype="int64"),
                 "longest_down": pd.Series(dtype="int64"),
@@ -3944,8 +3660,7 @@ def monotone_runs(
                 "n_runs": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         if len(x) < 2:
             return pd.DataFrame(cols)
         same = k[1:] == k[:-1]
@@ -3973,27 +3688,19 @@ def monotone_runs(
         np.maximum.at(dn, rgrp[rsign == -1], rlen[rsign == -1])
         np.maximum.at(fl, rgrp[rsign == 0], rlen[rsign == 0])
         np.add.at(nr, rgrp, 1)
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
                             "longest_up": up, "longest_down": dn,
                             "longest_flat": fl, "n_runs": nr})
         return res[n >= 2]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def variogram(
-    ds: ray.data.Dataset,
-    lags: tuple = (1, 2, 4, 8),
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def variogram(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     """Corpus structure function (index-lag semivariogram) of the
     per-key value streams: γ(h) = Σ(x_{i+h} − x_i)² / (2·N_h) over
     all within-key pairs at each index lag h — the astronomy
@@ -4003,9 +3710,9 @@ def variogram(
     robust-to-mean-level view.
 
     Pair sums and counts are EXACT int64 in k-space (one vectorized
-    shift-compare pass per lag — |lags| is a small constant); the
+    shift-compare pass per lag h ∈ (1, 2, 4, 8)); the
     γ descale /(2N_h·10⁴) is the only float closing.  One key-hash
-    exchange; cells (|lags| rows per partition) combine driver-side."""
+    exchange; cells (4 rows per partition) combine driver-side."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {"lag": pd.Series(dtype="int64"),
@@ -4013,10 +3720,9 @@ def variogram(
                 "ss": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         rows = []
-        for h in lags:
+        for h in (1, 2, 4, 8):
             h = int(h)
             if len(x) <= h:
                 rows.append((h, 0, 0))
@@ -4028,7 +3734,7 @@ def variogram(
         return pd.DataFrame(rows, columns=list(cols))
 
     parts = group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=key).to_pandas()
+                        key=USER_ID).to_pandas()
     cols = {"lag": pd.Series(dtype="int64"),
             "n_pairs": pd.Series(dtype="int64"),
             "ss": pd.Series(dtype="int64"),
@@ -4048,10 +3754,7 @@ def variogram(
         .reset_index(drop=True)
 
 
-def load_factor(
-    ds: ray.data.Dataset,
-    ts_col: str = "ts",
-) -> pd.DataFrame:
+def load_factor(ds: ray.data.Dataset) -> pd.DataFrame:
     """Daily peak-to-mean load profile of the whole event stream:
     per UTC day, the event count, the busiest hour's count and the
     load factor peak/(n/24) — the capacity-planning number (1.0 =
@@ -4064,14 +3767,14 @@ def load_factor(
     factor is one mirrored float closing."""
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         day = tus // 86_400_000_000
         hour = (tus // 3_600_000_000) % 24
         g = pd.DataFrame({"day": day, "hour": hour}).groupby(
             ["day", "hour"], as_index=False).size()
         return g.rename(columns={"size": "c"})
 
-    parts = ds.select_columns([ts_col]).map_batches(
+    parts = ds.select_columns([TS]).map_batches(
         cells, batch_format="pandas").to_pandas()
     cols = {"day": pd.Series(dtype="int64"),
             "n_events": pd.Series(dtype="int64"),
@@ -4095,10 +3798,6 @@ def load_factor(
 
 def time_reversal(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key time-reversal asymmetry of the (ts, order)-sorted
@@ -4115,14 +3814,13 @@ def time_reversal(
     exchange."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_diff": pd.Series(dtype="int64"),
                 "d3_sum": pd.Series(dtype="int64"),
                 "trev": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         same = k[1:] == k[:-1]
         d = x[1:] - x[:-1]
         gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
@@ -4136,25 +3834,21 @@ def time_reversal(
             m2 = s2.astype(np.float64) / nd
             m3 = s3.astype(np.float64) / nd
             trev = m3 / (m2 * np.sqrt(m2))
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
                             "n_diff": (n - 1), "d3_sum": s3,
                             "trev": trev})
         return res[(n >= 2) & (s2 > 0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def c3_nonlinearity(
     ds: ray.data.Dataset,
     lag: int = 1,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key c3 nonlinearity statistic (Schreiber & Schmitz 1997):
@@ -4171,14 +3865,13 @@ def c3_nonlinearity(
     h = int(lag)
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_terms": pd.Series(dtype="int64"),
                 "c3_sum": pd.Series(dtype="int64"),
                 "c3": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         if len(x) <= 2 * h:
             return pd.DataFrame(cols)
         ok = (k[2 * h:] == k[:-2 * h])
@@ -4191,24 +3884,20 @@ def c3_nonlinearity(
         np.add.at(cnt, g2, 1)
         with np.errstate(invalid="ignore", divide="ignore"):
             c3 = s.astype(np.float64) / cnt.astype(np.float64) / 1e6
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
                             "n_terms": cnt, "c3_sum": s, "c3": c3})
         return res[cnt > 0]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def energy_chunks(
     ds: ray.data.Dataset,
     n_chunks: int = 8,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key energy-ratio-by-chunks profile: the (ts, order)-sorted
@@ -4224,15 +3913,14 @@ def energy_chunks(
     C = int(n_chunks)
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "chunk": pd.Series(dtype="int64"),
                 "n_c": pd.Series(dtype="int64"),
                 "e_sum": pd.Series(dtype="int64"),
                 "share": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
         rank0 = np.arange(len(k), dtype=np.int64) \
             - np.repeat(starts, n)
@@ -4247,24 +3935,22 @@ def energy_chunks(
         with np.errstate(invalid="ignore", divide="ignore"):
             share = e.astype(np.float64) / tot.astype(np.float64)
         res = pd.DataFrame({
-            key: np.asarray(kuniq)[k[starts]][
+            USER_ID: np.asarray(kuniq)[k[starts]][
                 np.arange(len(e)) // C],
             "chunk": np.arange(len(e), dtype=np.int64) % C,
             "n_c": cnt, "e_sum": e, "share": share})
         return res[keep & (tot > 0)]
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values([key, "chunk"]).reset_index(drop=True)
+    return out.sort_values([USER_ID, "chunk"]).reset_index(drop=True)
 
 
 def binned_entropy(
     ds: ray.data.Dataset,
     n_bins: int = 10,
-    key: str = "user_id",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key binned entropy of the value distribution: each key's
@@ -4281,14 +3967,14 @@ def binned_entropy(
     B = int(n_bins)
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "bins_used": pd.Series(dtype="int64"),
                 "entropy": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        x = _quantize(df[val_col].to_numpy())
+        kc, kuniq = pd.factorize(df[USER_ID])
+        x = _quantize(df[VALUE].to_numpy())
         order = np.argsort(kc, kind="stable")
         k, xs = kc[order], x[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -4308,26 +3994,24 @@ def binned_entropy(
             clc = np.where(cm > 0, cf * np.log(
                 np.where(cm > 0, cf, 1.0)), 0.0)
             h = np.log(nf) - clc.sum(axis=1) / nf
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
                             "n": n,
                             "bins_used": (cm > 0).sum(axis=1)
                             .astype(np.int64),
                             "entropy": h})
         return res
 
-    out = group_apply(ds.select_columns([key, val_col]), per_key,
+    out = group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
                       num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def psd_profile(
     ds: ray.data.Dataset,
     n_freqs: int = 8,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key low-frequency Fourier power profile of the DENSE
@@ -4347,7 +4031,7 @@ def psd_profile(
     J = int(n_freqs)
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "j": pd.Series(dtype="int64"),
                 "n_hours": pd.Series(dtype="int64"),
                 "power": pd.Series(dtype="float64"),
@@ -4355,8 +4039,8 @@ def psd_profile(
                 "slope": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        hb = df[ts_col].to_numpy("datetime64[us]").view(np.int64) \
+        kc, kuniq = pd.factorize(df[USER_ID])
+        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
         order = np.argsort(kc, kind="stable")
         k, h = kc[order], hb[order]
@@ -4401,20 +4085,16 @@ def psd_profile(
             return pd.DataFrame(cols)
         return pd.DataFrame(rows, columns=list(cols))
 
-    out = group_apply(ds.select_columns([key, ts_col]), per_key,
+    out = group_apply(ds.select_columns([USER_ID, TS]), per_key,
                       num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values([key, "j"]).reset_index(drop=True)
+    return out.sort_values([USER_ID, "j"]).reset_index(drop=True)
 
 
 def extreme_locations(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key locations of the extrema in the (ts, order)-sorted
@@ -4428,7 +4108,7 @@ def extreme_locations(
     closings, mirrored by row_number window twins."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "first_max": pd.Series(dtype="int64"),
                 "last_max": pd.Series(dtype="int64"),
@@ -4438,8 +4118,7 @@ def extreme_locations(
                 "last_min_rel": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, _, x, starts, n = _sorted_streams(df)
         gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
         rank0 = np.arange(len(k), dtype=np.int64) \
             - np.repeat(starts, n)
@@ -4458,7 +4137,7 @@ def extreme_locations(
         np.maximum.at(lmin, gid[ismin], rank0[ismin])
         nf = n.astype(np.float64)
         res = pd.DataFrame({
-            key: np.asarray(kuniq)[k[starts]], "n": n,
+            USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
             "first_max": fmax, "last_max": lmax,
             "first_min": fmin, "last_min": lmin,
             "first_max_rel": fmax.astype(np.float64) / nf,
@@ -4466,16 +4145,14 @@ def extreme_locations(
         return res
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def weibull_gaps(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key Weibull fit of the inter-event gap distribution via
@@ -4497,15 +4174,15 @@ def weibull_gaps(
     n_gaps ≥ 2, nonzero gap variance and μ > 0."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n_gaps": pd.Series(dtype="int64"),
                 "mean_gap_s": pd.Series(dtype="float64"),
                 "gap_cv": pd.Series(dtype="float64"),
                 "weibull_k": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         perm = np.lexsort((tus, kc))
         k, t = kc[perm], tus[perm]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -4527,26 +4204,22 @@ def weibull_gaps(
             # exp/ln composition (not **): the proven mirrored-float
             # idiom — DuckDB twin closes as exp(-1.086*ln(cv))
             kk = np.exp(-1.086 * np.log(cv))
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
                             "n_gaps": n - 1,
                             "mean_gap_s": mu,
                             "gap_cv": cv, "weibull_k": kk})
         return res[(n >= 3) & (var > 0) & (mu > 0)]
 
-    out = group_apply(ds.select_columns([key, ts_col]), per_key,
+    out = group_apply(ds.select_columns([USER_ID, TS]), per_key,
                       num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def complexity_profile(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key complexity-invariant-distance profile of the (ts,
@@ -4563,7 +4236,7 @@ def complexity_profile(
     Σ(Δx)² ≤ n·(2·100·max|v|)² — fine to ~10⁸ rows/key."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "sum_abs_change": pd.Series(dtype="int64"),
                 "ce_sq": pd.Series(dtype="int64"),
@@ -4572,8 +4245,7 @@ def complexity_profile(
                 "msd": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, t, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, t, x, starts, n = _sorted_streams(df)
         same = k[1:] == k[:-1]
         gid = np.cumsum(np.r_[True, ~same]) - 1
         g1 = gid[1:][same]
@@ -4592,26 +4264,22 @@ def complexity_profile(
             cid = np.sqrt(ces.astype(np.float64))
             mac = sac.astype(np.float64) / (nf - 1.0)
             msd = msd_num.astype(np.float64) / (2.0 * (nf - 2.0))
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
                             "n": n, "sum_abs_change": sac,
                             "ce_sq": ces, "cid": cid,
                             "mean_abs_change": mac, "msd": msd})
         return res[keep]
 
     out = group_apply(
-        ds.select_columns([key, ts_col, val_col, order_col]),
-        per_key, num_partitions=num_partitions, key=key).to_pandas()
+        ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
+        per_key, num_partitions=num_partitions, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def strike_profile(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key mean-relative run structure of the value stream, ALL
@@ -4628,7 +4296,7 @@ def strike_profile(
     float closing at all."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "sum_x": pd.Series(dtype="int64"),
                 "n_above": pd.Series(dtype="int64"),
@@ -4637,8 +4305,7 @@ def strike_profile(
                 "n_cross": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, t, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, t, x, starts, n = _sorted_streams(df)
         S = np.add.reduceat(x, starts)
         n_r = np.repeat(n, n)
         s_r = np.repeat(S, n)
@@ -4663,7 +4330,7 @@ def strike_profile(
         flips = same & (above[1:] != above[:-1])
         ncross = np.zeros(len(starts), np.int64)
         np.add.at(ncross, gid[1:][flips], 1)
-        return pd.DataFrame({key: np.asarray(kuniq)[k[starts]],
+        return pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
                              "n": n, "sum_x": S,
                              "n_above": nab,
                              "longest_above": longest(above),
@@ -4671,19 +4338,15 @@ def strike_profile(
                              "n_cross": ncross})
 
     out = group_apply(
-        ds.select_columns([key, ts_col, val_col, order_col]),
-        per_key, num_partitions=num_partitions, key=key).to_pandas()
+        ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
+        per_key, num_partitions=num_partitions, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def index_mass_quantile(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key tsfresh index-mass-quantile profile: the smallest
@@ -4699,7 +4362,7 @@ def index_mass_quantile(
     O(n) per-partition cumsums."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "total_abs": pd.Series(dtype="int64"),
                 "idx_25": pd.Series(dtype="int64"),
@@ -4710,8 +4373,7 @@ def index_mass_quantile(
                 "rel_75": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kuniq, k, t, x, starts, n = _sorted_streams(
-            df, key, ts_col, val_col, order_col)
+        kuniq, k, t, x, starts, n = _sorted_streams(df)
         a = np.abs(x)
         cs = np.cumsum(a)
         base = np.repeat(np.r_[0, cs[np.r_[starts[1:], len(a)] - 1]
@@ -4730,7 +4392,7 @@ def index_mass_quantile(
                 .astype(np.int64)
         keep = tot > 0
         nf = n.astype(np.float64)
-        res = pd.DataFrame({key: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
                             "n": n, "total_abs": tot,
                             "idx_25": idx[25], "idx_50": idx[50],
                             "idx_75": idx[75],
@@ -4740,17 +4402,15 @@ def index_mass_quantile(
         return res[keep]
 
     out = group_apply(
-        ds.select_columns([key, ts_col, val_col, order_col]),
-        per_key, num_partitions=num_partitions, key=key).to_pandas()
+        ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
+        per_key, num_partitions=num_partitions, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def ratio_beyond_sigma(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key share of points beyond 1σ / 2σ of the key's own mean
@@ -4765,7 +4425,7 @@ def ratio_beyond_sigma(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "n_beyond_1s": pd.Series(dtype="int64"),
                 "n_beyond_2s": pd.Series(dtype="int64"),
@@ -4773,8 +4433,8 @@ def ratio_beyond_sigma(
                 "ratio_2s": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        x = _quantize(df[val_col].to_numpy())
+        kc, kuniq = pd.factorize(df[USER_ID])
+        x = _quantize(df[VALUE].to_numpy())
         order = np.argsort(kc, kind="stable")
         k, xs = kc[order], x[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -4793,24 +4453,22 @@ def ratio_beyond_sigma(
         np.add.at(c1, seg, b1.astype(np.int64))
         np.add.at(c2, seg, b2.astype(np.int64))
         return pd.DataFrame({
-            key: np.asarray(kuniq)[k[starts]],
+            USER_ID: np.asarray(kuniq)[k[starts]],
             "n": n, "n_beyond_1s": c1, "n_beyond_2s": c2,
             "ratio_1s": c1.astype(np.float64) / n.astype(np.float64),
             "ratio_2s": c2.astype(np.float64)
             / n.astype(np.float64)})
 
-    out = group_apply(ds.select_columns([key, val_col]), per_key,
+    out = group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
                       num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def reoccurrence_profile(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key value-reoccurrence profile (the tsfresh reoccurrence
@@ -4828,7 +4486,7 @@ def reoccurrence_profile(
     from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "n_distinct": pd.Series(dtype="int64"),
                 "n_reocc_vals": pd.Series(dtype="int64"),
@@ -4838,22 +4496,22 @@ def reoccurrence_profile(
                 "distinct_ratio": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        g = pd.DataFrame({key: df[key].to_numpy(),
-                          "k": _quantize(df[val_col].to_numpy())})
-        c = g.groupby([key, "k"], as_index=False).size() \
+        g = pd.DataFrame({USER_ID: df[USER_ID].to_numpy(),
+                          "k": _quantize(df[VALUE].to_numpy())})
+        c = g.groupby([USER_ID, "k"], as_index=False).size() \
             .rename(columns={"size": "c"})
         cc = c["c"].to_numpy(np.int64)
         kk = c["k"].to_numpy(np.int64)
         re = cc > 1
         agg = pd.DataFrame({
-            key: c[key].to_numpy(),
+            USER_ID: c[USER_ID].to_numpy(),
             "one": 1,
             "cnt": cc,
             "rv": re.astype(np.int64),
             "sv": np.where(re, kk, 0),
             "sp": np.where(re, kk * cc, 0),
             "rp": np.where(re, cc, 0)})
-        r = agg.groupby(key, as_index=False).agg(
+        r = agg.groupby(USER_ID, as_index=False).agg(
             n=("cnt", "sum"), n_distinct=("one", "sum"),
             n_reocc_vals=("rv", "sum"),
             sum_reocc_vals=("sv", "sum"),
@@ -4861,7 +4519,7 @@ def reoccurrence_profile(
             n_reocc_points=("rp", "sum"))
         nf = r["n"].to_numpy(np.int64).astype(np.float64)
         return pd.DataFrame({
-            key: r[key].to_numpy(),
+            USER_ID: r[USER_ID].to_numpy(),
             "n": r["n"].to_numpy(np.int64),
             "n_distinct": r["n_distinct"].to_numpy(np.int64),
             "n_reocc_vals": r["n_reocc_vals"].to_numpy(np.int64),
@@ -4875,18 +4533,16 @@ def reoccurrence_profile(
                 r["n_distinct"].to_numpy(np.int64)
                 .astype(np.float64) / nf})
 
-    out = group_apply(ds.select_columns([key, val_col]), per_key,
+    out = group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
                       num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def abs_max_profile(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    val_col: str = "value",
     top_n: int = 5,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
@@ -4902,14 +4558,14 @@ def abs_max_profile(
     T = int(top_n)
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "top_abs_sum": pd.Series(dtype="int64"),
                 "mean_abs_max": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        ak = np.abs(_quantize(df[val_col].to_numpy()))
+        kc, kuniq = pd.factorize(df[USER_ID])
+        ak = np.abs(_quantize(df[VALUE].to_numpy()))
         order = np.lexsort((-ak, kc))
         k, a = kc[order], ak[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -4921,27 +4577,20 @@ def abs_max_profile(
         np.add.at(s, seg[top], a[top])
         denom = np.minimum(n, T).astype(np.float64)
         return pd.DataFrame({
-            key: np.asarray(kuniq)[k[starts]],
+            USER_ID: np.asarray(kuniq)[k[starts]],
             "n": n, "top_abs_sum": s,
             "mean_abs_max": s.astype(np.float64)
             / (100.0 * denom)})
 
-    out = group_apply(ds.select_columns([key, val_col]), per_key,
+    out = group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
                       num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def number_peaks(
-    ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
-    max_support: int = 3,
-) -> pd.DataFrame:
+def number_peaks(ds: ray.data.Dataset, max_support: int = 3) -> pd.DataFrame:
     """Per-key count of peaks at supports 1..max_support (tsfresh
     number_peaks): a point is an s-peak when it is STRICTLY greater
     than all s neighbours on BOTH sides, all within the key's own
@@ -4952,16 +4601,16 @@ def number_peaks(
     from .partition import group_apply
 
     S = int(max_support)
-    out_cols = [key, "n"] + [f"n_peaks_{s}" for s in range(1, S + 1)]
+    out_cols = [USER_ID, "n"] + [f"n_peaks_{s}" for s in range(1, S + 1)]
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {c: pd.Series(dtype="int64") for c in out_cols}
         if not len(df):
             return pd.DataFrame(cols)
-        srt = df.sort_values([key, ts_col, order_col],
+        srt = df.sort_values([USER_ID, TS, EVENT_ID],
                              kind="mergesort")
-        kc, kuniq = pd.factorize(srt[key])
-        x = _quantize(srt[val_col].to_numpy())
+        kc, kuniq = pd.factorize(srt[USER_ID])
+        x = _quantize(srt[VALUE].to_numpy())
         order = np.argsort(kc, kind="stable")
         k, xs = kc[order], x[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -4969,7 +4618,7 @@ def number_peaks(
         pos = np.arange(len(k)) - np.repeat(starts, n)
         nn = np.repeat(n, n)
         seg = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        res = {key: np.asarray(kuniq)[k[starts]], "n": n}
+        res = {USER_ID: np.asarray(kuniq)[k[starts]], "n": n}
         ok = np.ones(len(k), bool)
         for s in range(1, S + 1):
             inb = (pos >= s) & (pos < nn - s)
@@ -4984,19 +4633,15 @@ def number_peaks(
         return pd.DataFrame(res)
 
     out = group_apply(
-        ds.select_columns([key, ts_col, val_col, order_col]),
-        per_key, num_partitions=16, key=key).to_pandas()
+        ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
+        per_key, num_partitions=16, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def chunk_trend_profile(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     chunk_len: int = 16,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
@@ -5021,7 +4666,7 @@ def chunk_trend_profile(
     den = C * st_sq - st_sum * st_sum
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
                 "n_chunks": pd.Series(dtype="int64"),
                 "n_pos_slope": pd.Series(dtype="int64"),
@@ -5029,10 +4674,10 @@ def chunk_trend_profile(
                 "slope_max": pd.Series(dtype="float64")}
         if not len(df):
             return pd.DataFrame(cols)
-        srt = df.sort_values([key, ts_col, order_col],
+        srt = df.sort_values([USER_ID, TS, EVENT_ID],
                              kind="mergesort")
-        kc, kuniq = pd.factorize(srt[key])
-        x = _quantize(srt[val_col].to_numpy())
+        kc, kuniq = pd.factorize(srt[USER_ID])
+        x = _quantize(srt[VALUE].to_numpy())
         order = np.argsort(kc, kind="stable")
         k, xs = kc[order], x[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -5059,7 +4704,7 @@ def chunk_trend_profile(
             mn=("num", "min"), mx=("num", "max"))
         segkeys = np.asarray(kuniq)[k[starts]]
         out = pd.DataFrame({
-            key: segkeys[r["seg"].to_numpy()],
+            USER_ID: segkeys[r["seg"].to_numpy()],
             "n": n[r["seg"].to_numpy()],
             "n_chunks": r["n_chunks"].to_numpy(np.int64),
             "n_pos_slope": r["n_pos_slope"].to_numpy(np.int64),
@@ -5070,25 +4715,21 @@ def chunk_trend_profile(
         return out
 
     out = group_apply(
-        ds.select_columns([key, ts_col, val_col, order_col]),
-        per_key, num_partitions=num_partitions, key=key,
+        ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
+        per_key, num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     if out.empty:
-        return pd.DataFrame({key: pd.Series(dtype="int64"),
+        return pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
                              "n": pd.Series(dtype="int64"),
                              "n_chunks": pd.Series(dtype="int64"),
                              "n_pos_slope": pd.Series(dtype="int64"),
                              "slope_min": pd.Series(dtype="float64"),
                              "slope_max": pd.Series(dtype="float64")})
-    return out.sort_values(key).reset_index(drop=True)
+    return out.sort_values(USER_ID).reset_index(drop=True)
 
 
 def diebold_mariano(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Diebold–Mariano forecast-accuracy comparison between the two
@@ -5113,10 +4754,10 @@ def diebold_mariano(
                 "sum_d2": pd.Series(dtype=object)}
         if not len(df):
             return pd.DataFrame(cols)
-        s = df.sort_values([key, ts_col, order_col],
+        s = df.sort_values([USER_ID, TS, EVENT_ID],
                            kind="mergesort")
-        kc, _ = pd.factorize(s[key])
-        x = _quantize(s[val_col].to_numpy())
+        kc, _ = pd.factorize(s[USER_ID])
+        x = _quantize(s[VALUE].to_numpy())
         order = np.argsort(kc, kind="stable")
         k, xs = kc[order], x[order]
         same2 = np.zeros(len(k), bool)
@@ -5131,8 +4772,8 @@ def diebold_mariano(
                              "sum_d": [S], "sum_d2": [Q]})
 
     parts = group_apply(
-        ds.select_columns([key, ts_col, val_col, order_col]),
-        per_key, num_partitions=num_partitions, key=key,
+        ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
+        per_key, num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     cols = {"n_pairs": pd.Series(dtype="int64"),
             "sum_d": pd.Series(dtype="int64"),
@@ -5158,10 +4799,6 @@ def diebold_mariano(
 
 def conformal_interval(
     ds: ray.data.Dataset,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
-    order_col: str = "event_id",
     alpha_pct: int = 10,
     num_partitions: int = 16,
 ) -> pd.DataFrame:
@@ -5184,10 +4821,10 @@ def conformal_interval(
                 "tst": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
-        s = df.sort_values([key, ts_col, order_col],
+        s = df.sort_values([USER_ID, TS, EVENT_ID],
                            kind="mergesort")
-        kc, _ = pd.factorize(s[key])
-        x = _quantize(s[val_col].to_numpy())
+        kc, _ = pd.factorize(s[USER_ID])
+        x = _quantize(s[VALUE].to_numpy())
         order = np.argsort(kc, kind="stable")
         k, xs = kc[order], x[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -5204,8 +4841,8 @@ def conformal_interval(
         return g.groupby("r", as_index=False).sum()
 
     hist = group_apply(
-        ds.select_columns([key, ts_col, val_col, order_col]),
-        per_key, num_partitions=num_partitions, key=key,
+        ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
+        per_key, num_partitions=num_partitions, key=USER_ID,
     ).to_pandas()
     cols = {"n_calib": pd.Series(dtype="int64"),
             "n_test": pd.Series(dtype="int64"),
@@ -5241,11 +4878,7 @@ def conformal_interval(
         "target": [float(100 - alpha_pct) / 100.0]})
 
 
-def multi_regression(
-    ds: ray.data.Dataset,
-    ts_col: str = "ts",
-    val_col: str = "value",
-) -> pd.DataFrame:
+def multi_regression(ds: ray.data.Dataset) -> pd.DataFrame:
     """Exact two-regressor OLS of value on (hour-of-day,
     day-of-week) with intercept, solved by integer Cramer's rule:
     the 3×3 normal-equation matrix and all four determinants are
@@ -5259,10 +4892,10 @@ def multi_regression(
     sums), driver closes."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         h = (tus // 3_600_000_000) % 24
         d = (tus // 86_400_000_000 + 4) % 7   # epoch day 0 = Thu
-        y = np.rint(df[val_col].to_numpy(np.float64) * 100.0) \
+        y = np.rint(df[VALUE].to_numpy(np.float64) * 100.0) \
             .astype(np.int64)
         return pd.DataFrame({
             "n": [np.int64(len(y))],
@@ -5275,7 +4908,7 @@ def multi_regression(
             "sdy": [sum(int(a) * int(b) for a, b in zip(d, y))],
             "syy": [sum(int(b) * int(b) for b in y)]})
 
-    p = ds.select_columns([ts_col, val_col]).map_batches(
+    p = ds.select_columns([TS, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
     cols = {"n": pd.Series(dtype="int64"),
             "beta0": pd.Series(dtype="float64"),

@@ -25,6 +25,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
+from ..schema import EVENT_ID, EVENT_TYPE, TS, USER_ID, VALUE
 from .partition import group_apply
 
 
@@ -168,39 +169,35 @@ def windowed_aggregate(
 
 def rolling_rows_avg(
     ds: ray.data.Dataset,
-    by: str = "user_id",
-    on: str = "ts",
-    order: str = "event_id",
-    value: str = "value",
     n: int = 5,
-    value_scale: int = 100,
     num_partitions: int = 64,
 ) -> ray.data.Dataset:
     """ROWS-window moving aggregate: for each row, count and average of
     the non-null values among the last ``n`` rows of the same key
-    ordered by (``on``, ``order``) — SQL ``ROWS BETWEEN n-1 PRECEDING
+    ordered by (``ts``, ``event_id``) — SQL ``ROWS BETWEEN n-1 PRECEDING
     AND CURRENT ROW``.  One hash exchange on the key; per partition a
     single lexsort + int64 prefix-sum difference (no per-key loop).
-    Exactness: values quantized at 1/``value_scale`` accumulate in
+    Exactness: values quantized at 1/100 accumulate in
     int64 (order-independent), the final float division mirrors the
     SQL oracle's ``CAST(sum AS DOUBLE)/scale/count``."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame({
-                by: pd.Series(dtype=df[by].dtype if by in df else "int64"),
-                order: pd.Series(dtype="int64"),
+                USER_ID: pd.Series(dtype=df[USER_ID].dtype
+                                   if USER_ID in df else "int64"),
+                EVENT_ID: pd.Series(dtype="int64"),
                 "roll_cnt": pd.Series(dtype="int64"),
                 "roll_avg": pd.Series(dtype="float64"),
             })
-        codes, _ = pd.factorize(df[by])
-        tus = df[on].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order].to_numpy(np.int64)
+        codes, _ = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, codes))
         c = codes[perm]
-        v = df[value].to_numpy(np.float64)[perm]
+        v = df[VALUE].to_numpy(np.float64)[perm]
         ok = ~np.isnan(v)
-        cents = np.where(ok, np.round(v * value_scale), 0.0).astype(np.int64)
+        cents = np.where(ok, np.round(v * 100), 0.0).astype(np.int64)
         psum = np.r_[np.int64(0), np.cumsum(cents)]
         pcnt = np.r_[np.int64(0), np.cumsum(ok.astype(np.int64))]
         idx = np.arange(len(c), dtype=np.int64)
@@ -211,28 +208,25 @@ def rolling_rows_avg(
         wcnt = pcnt[idx + 1] - pcnt[lo]
         avg = np.where(
             wcnt > 0,
-            (wsum.astype(np.float64) / value_scale) / np.maximum(wcnt, 1),
+            (wsum.astype(np.float64) / 100) / np.maximum(wcnt, 1),
             np.nan)
         return pd.DataFrame({
-            by: df[by].to_numpy()[perm],
-            order: df[order].to_numpy()[perm],
+            USER_ID: df[USER_ID].to_numpy()[perm],
+            EVENT_ID: df[EVENT_ID].to_numpy()[perm],
             "roll_cnt": wcnt.astype(np.int64),
             "roll_avg": avg,
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=by)
+    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
 
 
 def gap_report(
     ds: ray.data.Dataset,
     gap_us_threshold: int = 3_600_000_000,
-    by: str = "user_id",
-    on: str = "ts",
-    order: str = "event_id",
     num_partitions: int = 64,
 ) -> ray.data.Dataset:
     """Silence-gap detection (the inverse of gapfill): for each key,
-    every pair of consecutive events in (``on``, ``order``) order whose
+    every pair of consecutive events in (``ts``, ``event_id``) order whose
     timestamp delta exceeds the threshold, with the gap's endpoints
     and exact int64-µs width — SQL lead() semantics.  One key-hash
     exchange; per partition a single lexsort + shifted-diff mask, no
@@ -242,65 +236,60 @@ def gap_report(
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame({
-                by: pd.Series(dtype="int64"),
+                USER_ID: pd.Series(dtype="int64"),
                 "gap_start": pd.Series(dtype="datetime64[us]"),
                 "gap_end": pd.Series(dtype="datetime64[us]"),
                 "gap_us": pd.Series(dtype="int64"),
             })
-        codes, _ = pd.factorize(df[by])
-        tus = df[on].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order].to_numpy(np.int64)
+        codes, _ = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, codes))
         c, t = codes[perm], tus[perm]
         same = c[1:] == c[:-1]
         delta = t[1:] - t[:-1]
         hit = same & (delta > thr)
         return pd.DataFrame({
-            by: df[by].to_numpy()[perm][:-1][hit],
+            USER_ID: df[USER_ID].to_numpy()[perm][:-1][hit],
             "gap_start": t[:-1][hit].view("datetime64[us]"),
             "gap_end": t[1:][hit].view("datetime64[us]"),
             "gap_us": delta[hit],
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=by)
+    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
 
 
 def rolling_rows_std(
     ds: ray.data.Dataset,
-    by: str = "user_id",
-    on: str = "ts",
-    order: str = "event_id",
-    value: str = "value",
     n: int = 5,
-    value_scale: int = 100,
     num_partitions: int = 64,
 ) -> ray.data.Dataset:
     """ROWS-window rolling volatility: sample standard deviation of the
-    non-null values among the last ``n`` rows per key in (``on``,
-    ``order``) order.  Same one-exchange prefix-sum shape as
+    non-null values among the last ``n`` rows per key in (``ts``,
+    ``event_id``) order.  Same one-exchange prefix-sum shape as
     rolling_rows_avg, with a second int64 prefix over cents² (values
     quantized at 1/scale: |cents| ≤ ~2²⁰ keeps n·cents² « 2⁶³).
     Exactness: the variance float expression
     ``(s2/scale² − (s/scale)·(s/scale)/cnt)/(cnt−1)`` is mirrored
     verbatim by the SQL oracle, clamped at 0 before the sqrt on both
     sides, so outputs are bit-identical.  cnt < 2 → NULL."""
-    sc = float(value_scale)
+    sc = 100.0
     sc2 = sc * sc
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame({
-                by: pd.Series(dtype="int64"),
-                order: pd.Series(dtype="int64"),
+                USER_ID: pd.Series(dtype="int64"),
+                EVENT_ID: pd.Series(dtype="int64"),
                 "roll_cnt": pd.Series(dtype="int64"),
                 "roll_std": pd.Series(dtype="float64"),
             })
-        codes, _ = pd.factorize(df[by])
-        tus = df[on].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order].to_numpy(np.int64)
+        codes, _ = pd.factorize(df[USER_ID])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, codes))
         c = codes[perm]
-        v = df[value].to_numpy(np.float64)[perm]
+        v = df[VALUE].to_numpy(np.float64)[perm]
         ok = ~np.isnan(v)
         cents = np.where(ok, np.round(v * sc), 0.0).astype(np.int64)
         p1 = np.r_[np.int64(0), np.cumsum(cents)]
@@ -318,20 +307,18 @@ def rolling_rows_std(
             var = (s2 / sc2 - (s / sc) * (s / sc) / cntf) / (cntf - 1.0)
         std = np.sqrt(np.maximum(var, 0.0))
         return pd.DataFrame({
-            by: df[by].to_numpy()[perm],
-            order: oid[perm],
+            USER_ID: df[USER_ID].to_numpy()[perm],
+            EVENT_ID: oid[perm],
             "roll_cnt": cnt,
             "roll_std": np.where(cnt > 1, std, np.nan),
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=by)
+    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
 
 
 def sliding_distinct(
     ds: ray.data.Dataset,
     window_h: int = 24,
-    by: str = "user_id",
-    on: str = "ts",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Sliding-window distinct count: for every hour bucket present in
@@ -351,9 +338,10 @@ def sliding_distinct(
         if not len(df):
             return pd.DataFrame({"h": pd.Series(dtype="int64"),
                                  "d": pd.Series(dtype="int64")})
-        tus = df[on].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         h = tus // 3_600_000_000
-        g = pd.DataFrame({"k": df[by].to_numpy(), "h": h}).drop_duplicates()
+        g = pd.DataFrame({"k": df[USER_ID].to_numpy(),
+                          "h": h}).drop_duplicates()
         g = g.sort_values(["k", "h"], kind="mergesort")
         kk = g["k"].to_numpy()
         hh = g["h"].to_numpy(np.int64)
@@ -376,15 +364,15 @@ def sliding_distinct(
     # distinct map-side first so the exchange carries (key, hour)
     # cells, then per-partition interval deltas
     def distinct_cells(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[on].to_numpy("datetime64[us]").view(np.int64)
-        return pd.DataFrame({by: df[by].to_numpy(),
-                             on: df[on].to_numpy(),
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        return pd.DataFrame({USER_ID: df[USER_ID].to_numpy(),
+                             TS: df[TS].to_numpy(),
                              }).assign(_h=tus // 3_600_000_000) \
-            .drop_duplicates([by, "_h"])[[by, on]]
+            .drop_duplicates([USER_ID, "_h"])[[USER_ID, TS]]
 
     pre = ds.map_batches(distinct_cells, batch_format="pandas")
     parts = group_apply(pre, cells, num_partitions=num_partitions,
-                        key=by).to_pandas()
+                        key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame({"bucket_us": pd.Series(dtype="int64"),
                              "n_users": pd.Series(dtype="int64")})
@@ -395,7 +383,7 @@ def sliding_distinct(
     # eval grid = hours PRESENT in the data: a calendar-bounded
     # map-side distinct-hour pass
     def hour_cells(df: pd.DataFrame) -> pd.DataFrame:
-        tus = df[on].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         return pd.DataFrame(
             {"h": np.unique(tus // 3_600_000_000).astype(np.int64)})
 
@@ -412,10 +400,6 @@ def sliding_distinct(
 def cooldown_dedup(
     ds: ray.data.Dataset,
     cooldown_s: int,
-    key: str = "user_id",
-    attr: str = "event_type",
-    ts_col: str = "ts",
-    order_col: str = "event_id",
     num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Time-conditional duplicate suppression ("alert-storm dedup"):
@@ -436,15 +420,15 @@ def cooldown_dedup(
     def keep(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame({
-                key: pd.Series(dtype="int64"),
-                order_col: pd.Series(dtype="int64"),
-                attr: pd.Series(dtype=object),
+                USER_ID: pd.Series(dtype="int64"),
+                EVENT_ID: pd.Series(dtype="int64"),
+                EVENT_TYPE: pd.Series(dtype=object),
                 "ts_us": pd.Series(dtype="int64"),
                 "since_prev_us": pd.Series(dtype="float64")})
-        kc, _ = pd.factorize(df[key])
-        ac, _ = pd.factorize(df[attr])
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[order_col].to_numpy(np.int64)
+        kc, _ = pd.factorize(df[USER_ID])
+        ac, _ = pd.factorize(df[EVENT_TYPE])
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        oid = df[EVENT_ID].to_numpy(np.int64)
         perm = np.lexsort((oid, tus, ac, kc))
         k, a, t = kc[perm], ac[perm], tus[perm]
         same = np.r_[False, (k[1:] == k[:-1]) & (a[1:] == a[:-1])]
@@ -454,22 +438,19 @@ def cooldown_dedup(
         kept = ~same | (np.nan_to_num(dt, nan=np.inf) > gap_us)
         sel = perm[kept]
         return pd.DataFrame({
-            key: df[key].to_numpy()[sel],
-            order_col: oid[perm][kept],
-            attr: df[attr].to_numpy()[sel],
+            USER_ID: df[USER_ID].to_numpy()[sel],
+            EVENT_ID: oid[perm][kept],
+            EVENT_TYPE: df[EVENT_TYPE].to_numpy()[sel],
             "ts_us": t[kept],
             "since_prev_us": dt[kept],
         })
 
-    return group_apply(ds, keep, num_partitions=num_partitions, key=key)
+    return group_apply(ds, keep, num_partitions=num_partitions, key=USER_ID)
 
 
 def rolling_window_median(
     ds: ray.data.Dataset,
     window_days: int = 7,
-    key: str = "user_id",
-    ts_col: str = "ts",
-    val_col: str = "value",
     num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per (key, active day): the EXACT linear-interpolated median of
@@ -490,16 +471,16 @@ def rolling_window_median(
     w = np.int64(window_days)
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {key: pd.Series(dtype="int64"),
+        cols = {USER_ID: pd.Series(dtype="int64"),
                 "day": pd.Series(dtype="int64"),
                 "p50_7d": pd.Series(dtype="float64"),
                 "n_window": pd.Series(dtype="int64")}
         if not len(df):
             return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[key])
-        day = (df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        kc, kuniq = pd.factorize(df[USER_ID])
+        day = (df[TS].to_numpy("datetime64[us]").view(np.int64)
                // day_us)
-        v = df[val_col].to_numpy(np.float64)
+        v = df[VALUE].to_numpy(np.float64)
         d0 = day.min()
         span = np.int64(day.max() - d0) + w + np.int64(2)
         ax = kc.astype(np.int64) * span + (day - d0)
@@ -525,30 +506,27 @@ def rolling_window_median(
                + vals[starts + np.ceil(pos).astype(np.int64)] * frac)
         out_ax = act[cell[starts]]
         return pd.DataFrame({
-            key: np.asarray(kuniq)[(out_ax // span).astype(np.int64)],
+            USER_ID: np.asarray(kuniq)[(out_ax // span).astype(np.int64)],
             "day": (out_ax % span + d0).astype(np.int64),
             "p50_7d": med,
             "n_window": n,
         })
 
     out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=key).to_pandas()
+                      key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
-    return out.sort_values([key, "day"]).reset_index(drop=True)
+    return out.sort_values([USER_ID, "day"]).reset_index(drop=True)
 
 
 def finalize_windows(
     ds: ray.data.Dataset,
     bucket_s: int = 3600,
     delay_s: int = 300,
-    ts_col: str = "ts",
-    arrival_col: str = "event_id",
-    val_col: str = "value",
     n_arrival_buckets: int = 32,
 ) -> pd.DataFrame:
     """Streaming window-finalization semantics over a replayed batch:
-    rows arrive in ``arrival_col`` order; the watermark before a row
+    rows arrive in ``event_id`` order; the watermark before a row
     is the exclusive running max of event time over all earlier
     arrivals; a row of hour-window ``w`` is LATE (dropped from the
     emitted aggregate) iff the watermark had already passed
@@ -568,24 +546,24 @@ def finalize_windows(
 
     bucket_us = np.int64(bucket_s) * 1_000_000
     delay_us = np.int64(delay_s) * 1_000_000
-    lo, hi = int(ds.min(arrival_col)), int(ds.max(arrival_col))
+    lo, hi = int(ds.min(EVENT_ID)), int(ds.max(EVENT_ID))
     span = max(hi - lo + 1, 1)
     width = -(-span // n_arrival_buckets)
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
-        df["_ab"] = ((df[arrival_col].to_numpy(np.int64) - lo)
+        df["_ab"] = ((df[EVENT_ID].to_numpy(np.int64) - lo)
                      // width).astype(np.int64)
         return df
 
-    parted = ds.select_columns([arrival_col, ts_col, val_col]) \
+    parted = ds.select_columns([EVENT_ID, TS, VALUE]) \
         .map_batches(add_bucket, batch_format="pandas")
 
     def bucket_max(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame({"_ab": pd.Series(dtype="int64"),
                                  "mx": pd.Series(dtype="int64")})
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         g = pd.DataFrame({"_ab": df["_ab"], "mx": tus}).groupby(
             "_ab", as_index=False)["mx"].max()
         return g
@@ -615,10 +593,10 @@ def finalize_windows(
         # a hash partition can hold several arrival buckets — the
         # exclusive cummax resets at bucket boundaries via the
         # key-offset band trick (lateness_report's kernel)
-        df = df.sort_values(["_ab", arrival_col], kind="mergesort")
+        df = df.sort_values(["_ab", EVENT_ID], kind="mergesort")
         ab = df["_ab"].to_numpy(np.int64)
-        tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
-        x = np.rint(df[val_col].to_numpy(np.float64)
+        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        x = np.rint(df[VALUE].to_numpy(np.float64)
                     * 100.0).astype(np.int64)
         code, _ = pd.factorize(ab)
         tmin = tus.min()

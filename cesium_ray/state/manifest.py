@@ -5,7 +5,7 @@ per-partition checkpoints with lineage + metrics manifests"):
 
   * every output product is laid out as
     ``<root>/<product>/part=<id>/…parquet`` — one directory per hash
-    partition, written atomically (tmp dir + rename);
+    partition, written atomically (tmp file + rename);
   * next to it, ``<root>/_manifest/<product>/part=<id>.json`` records
     the input fingerprint, rows in/out, checksum and state;
   * a re-run recomputes a partition only when its fingerprint changed
@@ -102,25 +102,6 @@ class Manifest:
                 with open(os.path.join(self.dir, fn)) as f:
                     out.append(json.load(f))
         return pd.DataFrame(out)
-
-
-def atomic_write_parquet(df: pd.DataFrame, out_dir: str, filename: str = "data.parquet"):
-    """Write one partition dir atomically: tmp dir → rename."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    parent = os.path.dirname(out_dir.rstrip("/"))
-    os.makedirs(parent, exist_ok=True)
-    tmp = tempfile.mkdtemp(dir=parent, prefix=".tmp-")
-    try:
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                       os.path.join(tmp, filename))
-        if os.path.exists(out_dir):
-            shutil.rmtree(out_dir)
-        os.replace(tmp, out_dir)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
 
 
 def _parse_window(w: str | None) -> timedelta | None:

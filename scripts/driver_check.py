@@ -1,10 +1,19 @@
 #!/usr/bin/env python
 """Local simulation of the driver's verify: entry() smoke at sf0.001,
 every queries() entry vs its oracle_sql() via DuckDB at sf0.01
-(row-count + schema + order-insensitive value comparison)."""
+(row-count + schema + order-insensitive value comparison).
+
+Every query line also carries the sha256 of the normalized engine
+result (second field), rows-only queries included, so two commits'
+results compare with one diff:
+
+    python scripts/driver_check.py > a.txt   # at each commit
+    diff <(awk '{print $1, $2}' a.txt) <(awk '{print $1, $2}' b.txt)
+"""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 import time
@@ -20,6 +29,17 @@ def norm(df: pd.DataFrame) -> pd.DataFrame:
     cols = sorted(df.columns)
     df = df[cols].copy()
     return df.sort_values(cols, kind="mergesort").reset_index(drop=True)
+
+
+def digest(df: pd.DataFrame) -> str:
+    """sha256 of ``norm(df)``: ``hash_pandas_object`` of the values plus
+    the column names and dtypes, since the driver's hasher tells an
+    int64 column from a float64 one with equal values."""
+    g = norm(df)
+    h = hashlib.sha256(
+        pd.util.hash_pandas_object(g, index=False).to_numpy().tobytes())
+    h.update(repr([(c, str(t)) for c, t in g.dtypes.items()]).encode())
+    return h.hexdigest()
 
 
 def main(sf="/root/testdata/sf0.01", only=None):
@@ -57,13 +77,14 @@ def main(sf="/root/testdata/sf0.01", only=None):
             if not isinstance(got, pd.DataFrame):
                 got = got.to_pandas() if hasattr(got, "to_pandas") else pd.DataFrame(got)
             dt = time.time() - t0
+            sha = digest(got)
             if name not in S:
-                print(f"  {name:24s} rows-only: {got.shape} in {dt:.1f}s")
+                print(f"  {name:24s} {sha} rows-only: {got.shape} in {dt:.1f}s")
                 continue
             want = con.sql(S[name]).df()
             g, w = norm(got), norm(want)
             if g.shape != w.shape or list(g.columns) != list(w.columns):
-                print(f"  {name:24s} SHAPE/SCHEMA MISMATCH ray={got.shape} "
+                print(f"  {name:24s} {sha} SHAPE/SCHEMA MISMATCH ray={got.shape} "
                       f"{sorted(got.columns)} sql={want.shape} {sorted(want.columns)}")
                 fails += 1
                 continue
@@ -94,7 +115,7 @@ def main(sf="/root/testdata/sf0.01", only=None):
             if dtype_warn:
                 status += f" DTYPE SKEW {dtype_warn}"
             fails += bool(bad) or bool(dtype_warn)
-            print(f"  {name:24s} {status} {g.shape} in {dt:.1f}s")
+            print(f"  {name:24s} {sha} {status} {g.shape} in {dt:.1f}s")
         except Exception as e:
             fails += 1
             print(f"  {name:24s} ERROR {type(e).__name__}: {str(e)[:160]}")

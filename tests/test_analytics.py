@@ -27,7 +27,7 @@ def test_cohort_retention_bruteforce(ray_session):
     ev = _events()
     got = (cohort_retention(ray.data.from_pandas(ev).repartition(6),
                             num_partitions=5)
-           .to_pandas().sort_values(["cohort_day", "age_days"])
+           .sort_values(["cohort_day", "age_days"])
            .reset_index(drop=True))
     day = ev["ts"].to_numpy("datetime64[us]").view(np.int64) // _DAY_US
     e2 = ev.assign(day=day)

@@ -230,13 +230,13 @@ def test_hot_sizes_only_hot_keys(tmp_path):
     want = sizes[(sizes >= lo) & (sizes <= hi)].sort_index()
     # the range cuts keys on both sides
     assert 0 < len(want) < (sizes >= lo).sum() < len(sizes)
-    got = _hot_sizes(ray.data.from_arrow(turns), "conv_id", lo, hi)
+    got = _hot_sizes(ray.data.from_arrow(turns), lo, hi)
     assert sorted(got.columns) == ["conv_id", "n"]
     pd.testing.assert_series_equal(
         got.set_index("conv_id")["n"].sort_index(), want, check_names=False)
 
     top = int(sizes.max()) + 1
-    assert len(_hot_sizes(ray.data.from_arrow(turns), "conv_id", top, 10**9)) == 0
+    assert len(_hot_sizes(ray.data.from_arrow(turns), top, 10**9)) == 0
 
     def run(out, **kw):
         run_flagship(
