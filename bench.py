@@ -212,9 +212,9 @@ def bench_gapfill(results, thr):
     from cesium_ray.stages import derive_points, gapfill_points
 
     ds = ray.data.read_parquet(synth_turns_path()).limit(300_000)
-    pts = derive_points(ds, num_partitions=2 * NCPU)
+    pts = derive_points(ds)
     t0 = time.time()
-    n = gapfill_points(pts, "1m", "locf", num_partitions=2 * NCPU).count()
+    n = gapfill_points(pts, "1m", "locf").count()
     dt = time.time() - t0
     results["gapfill_1m"] = round(dt, 3)
     thr["gapfill_rows_per_sec"] = round(n / dt)
@@ -324,9 +324,9 @@ def bench_features(results, thr):
     from cesium_ray.stages import derive_points, extract_features
 
     ds = ray.data.read_parquet(synth_turns_path()).limit(200_000)
-    pts = derive_points(ds, num_partitions=2 * NCPU)
+    pts = derive_points(ds)
     t0 = time.time()
-    n = extract_features(pts, num_partitions=2 * NCPU).count()
+    n = extract_features(pts).count()
     dt = time.time() - t0
     results["features_general"] = round(dt, 3)
     thr["feature_series_per_sec"] = round(n / dt)
@@ -372,15 +372,14 @@ def bench_text_dedup(results, thr):
     thr["simhash_docs_per_sec"] = round(n / dt)
 
     t0 = time.time()
-    kept = exact_dedup(ds, num_partitions=2 * NCPU).count()
+    kept = exact_dedup(ds).count()
     dt = time.time() - t0
     results["exact_dedup"] = round(dt, 3)
     thr["exact_dedup_docs_per_sec"] = round(n / dt)
     thr["exact_dedup_kept"] = kept
 
     t0 = time.time()
-    pairs = minhash_lsh_dedup(ds, jaccard_threshold=0.7,
-                              num_partitions=2 * NCPU).count()
+    pairs = minhash_lsh_dedup(ds, jaccard_threshold=0.7).count()
     dt = time.time() - t0
     results["minhash_lsh"] = round(dt, 3)
     thr["minhash_docs_per_sec"] = round(n / dt)
@@ -390,9 +389,8 @@ def bench_text_dedup(results, thr):
         connected_components, rare_shingle_edges)
 
     t0 = time.time()
-    edges = rare_shingle_edges(ds, k=32, max_docs=3,
-                               num_partitions=2 * NCPU)
-    labels = connected_components(edges, num_partitions=NCPU)
+    edges = rare_shingle_edges(ds, k=32, max_docs=3)
+    labels = connected_components(edges)
     dt = time.time() - t0
     results["dup_clusters"] = round(dt, 3)
     thr["cluster_docs_per_sec"] = round(n / dt)
@@ -448,15 +446,13 @@ def bench_ann(results, thr):
     thr["ann_brute_vecs_per_sec"] = round(n / dt)
 
     t0 = time.time()
-    lsh = lsh_topk(ds, Q, qids, k=10, n_tables=8, n_bits=12,
-                   num_partitions=NCPU)
+    lsh = lsh_topk(ds, Q, qids, k=10, n_tables=8, n_bits=12)
     dt = time.time() - t0
     results["ann_lsh"] = round(dt, 3)
     thr["ann_lsh_vecs_per_sec"] = round(n / dt)
 
     t0 = time.time()
-    ivf = ivf_topk(ds, Q, qids, k=10, n_centroids=64, n_probe=8,
-                   num_partitions=NCPU)
+    ivf = ivf_topk(ds, Q, qids, k=10, n_centroids=64, n_probe=8)
     dt = time.time() - t0
     results["ann_ivf"] = round(dt, 3)
     thr["ann_ivf_vecs_per_sec"] = round(n / dt)
@@ -524,7 +520,7 @@ def bench_curation(results, thr):
     thr["decontam_flagged"] = int(hits)
 
     t0 = time.time()
-    vocab = vocab_topk(ds, k=100, num_partitions=NCPU)
+    vocab = vocab_topk(ds, k=100)
     dt = time.time() - t0
     results["vocab_topk"] = round(dt, 3)
     thr["vocab_docs_per_sec"] = round(n / dt)
@@ -534,7 +530,7 @@ def bench_curation(results, thr):
         lambda df: df.assign(source=(df["doc_id"] % 64).astype("int64")),
         batch_format="pandas")
     t0 = time.time()
-    packed = pack_sequences(with_src, capacity=1024, num_partitions=64)
+    packed = pack_sequences(with_src, capacity=1024)
     per_src = packed.map_batches(
         lambda df: df.groupby("source", as_index=False)["bin"].max(),
         batch_format="pandas").to_pandas()
@@ -606,27 +602,26 @@ def bench_tsdb_math(results, thr):
 
     for name, fn in [
         ("ohlc_1h", lambda: ohlc_rollup(
-            base, bucket_s=3600, num_partitions=2 * NCPU).count()),
+            base, bucket_s=3600).count()),
         ("twa_1d", lambda: time_weighted_avg(
-            base, bucket_s=86400, num_partitions=2 * NCPU).count()),
+            base, bucket_s=86400).count()),
         ("zscore", lambda: zscore_anomalies(
-            base, num_partitions=2 * NCPU).count()),
+            base).count()),
         ("interval_merge", lambda: merge_intervals(
-            base, num_partitions=2 * NCPU).count()),
+            base).count()),
         ("heavy_hitters", lambda: len(heavy_hitters(
             base, threshold_frac=0.001))),
         ("topk_per_day", lambda: topk_per_window(
-            base, k=10, bucket_s=86400, num_partitions=NCPU).count()),
+            base, k=10, bucket_s=86400).count()),
         ("hll_distinct", lambda: hll_distinct(base)),
         ("cohort_retention", lambda: len(cohort_retention(
-            base, num_partitions=NCPU))),
+            base))),
         ("funnel", lambda: int(funnel_steps(
-            base, steps=("user", "assistant", "tool"),
-            num_partitions=NCPU)["n_users"].iloc[-1])),
+            base, steps=("user", "assistant", "tool"))["n_users"].iloc[-1])),
         ("daily_active", lambda: distinct_per_window(
-            base, num_partitions=NCPU).count()),
+            base).count()),
         ("percent_rank", lambda: percent_rank_in_group(
-            base, num_partitions=NCPU).count()),
+            base).count()),
     ]:
         t0 = time.time()
         out = fn()
@@ -672,14 +667,14 @@ def bench_textprep(results, thr):
     from cesium_ray.stages.pack import bm25_topk, build_inverted_index
 
     t0 = time.time()
-    n_tokens = len(build_inverted_index(ds, num_partitions=2 * NCPU))
+    n_tokens = len(build_inverted_index(ds))
     dt = time.time() - t0
     results["inverted_index"] = round(dt, 3)
     thr["inverted_index_docs_per_sec"] = round(n / dt)
     thr["inverted_index_vocab"] = int(n_tokens)
 
     t0 = time.time()
-    bm25_topk(ds, n_terms=3, top=20, num_partitions=2 * NCPU)
+    bm25_topk(ds, n_terms=3, top=20)
     dt = time.time() - t0
     results["bm25"] = round(dt, 3)
     thr["bm25_docs_per_sec"] = round(n / dt)
@@ -687,8 +682,7 @@ def bench_textprep(results, thr):
     from cesium_ray.stages.dedup import similarity_join
 
     t0 = time.time()
-    n_pairs = len(similarity_join(ds, threshold=0.8,
-                                  num_partitions=2 * NCPU))
+    n_pairs = len(similarity_join(ds, threshold=0.8))
     dt = time.time() - t0
     results["similarity_join"] = round(dt, 3)
     thr["similarity_join_docs_per_sec"] = round(n / dt)
@@ -721,8 +715,7 @@ def _bench_diff(base):
         lambda df: with_key(df[["user_id", "event_id", "value"]]),
         batch_format="pandas")
     b = a.map_batches(perturb, batch_format="pandas")
-    return dataset_diff(a, b, key="key", vals=["value"],
-                        num_partitions=NCPU).count()
+    return dataset_diff(a, b, key="key", vals=["value"]).count()
 
 
 def _bench_rank_quantiles(base):
@@ -794,65 +787,63 @@ def bench_stream(results, thr):
 
     for name, fn in [
         ("rolling_avg", lambda: rolling_rows_avg(
-            base, n=5, num_partitions=2 * NCPU).count()),
+            base, n=5).count()),
         ("rolling_std", lambda: rolling_rows_std(
-            base, n=5, num_partitions=2 * NCPU).count()),
+            base, n=5).count()),
         ("topk_per_group", lambda: topk_per_group(
-            base, k=3, num_partitions=2 * NCPU).count()),
+            base, k=3).count()),
         ("group_mode", lambda: group_mode(
-            base, num_partitions=2 * NCPU).count()),
+            base).count()),
         ("transitions", lambda: len(transition_matrix(
-            base, num_partitions=2 * NCPU))),
+            base))),
         ("dwell_time", lambda: len(dwell_time(
-            base, num_partitions=2 * NCPU))),
+            base))),
         ("gap_report", lambda: gap_report(
-            base, gap_us_threshold=600_000_000,
-            num_partitions=2 * NCPU).count()),
+            base, gap_us_threshold=600_000_000).count()),
         ("interarrival", lambda: interarrival_quantiles(
-            base, num_partitions=2 * NCPU).count()),
+            base).count()),
         ("interarrival_scan", lambda: len(interarrival_quantiles_scan(
-            base, num_partitions=2 * NCPU))),
+            base))),
         ("user_growth", lambda: len(user_growth(
-            base, num_partitions=2 * NCPU))),
+            base))),
         ("weekly_profile", lambda: len(weekly_profile(base))),
         ("run_stats", lambda: len(run_stats(
-            base, num_partitions=2 * NCPU))),
+            base))),
         ("time_since", lambda: len(time_since_event(
-            base, marker="tool", num_partitions=2 * NCPU))),
+            base, marker="tool"))),
         ("cooldown_dedup", lambda: cooldown_dedup(
-            base, cooldown_s=3600, num_partitions=2 * NCPU).count()),
+            base, cooldown_s=3600).count()),
         ("daily_share", lambda: len(share_of_bucket(base))),
         ("lttb", lambda: len(lttb_downsample(
-            base, n_out=10, num_partitions=2 * NCPU))),
+            base, n_out=10))),
         ("seq_pattern", lambda: len(sequence_pattern_count(
-            base, pattern="u[ts]*a", num_partitions=2 * NCPU))),
+            base, pattern="u[ts]*a"))),
         ("lateness", lambda: len(lateness_report(
-            base, num_partitions=2 * NCPU))),
+            base))),
         ("weighted_quantiles", lambda: len(weighted_value_quantiles(
-            base, num_partitions=2 * NCPU))),
+            base))),
         ("linear_trend", lambda: len(linear_trend_per_key(
-            base, num_partitions=2 * NCPU))),
+            base))),
         ("table_profile", lambda: len(profile_columns(
             base, {"user_id": "num", "event_type": "str",
-                   "value": "num", "ts": "time"},
-            num_partitions=2 * NCPU))),
+                   "value": "num", "ts": "time"}))),
         ("max_drawdown", lambda: len(max_drawdown(
-            base, num_partitions=2 * NCPU))),
+            base))),
         ("longest_streak", lambda: len(longest_streak(
-            base, num_partitions=2 * NCPU))),
+            base))),
         ("burst_detect", lambda: len(burst_detect(
-            base, window_s=300, num_partitions=2 * NCPU))),
+            base, window_s=300))),
         ("acf", lambda: len(acf_lags(
-            base, max_lag=3, num_partitions=2 * NCPU))),
+            base, max_lag=3))),
         ("rolling_median", lambda: len(rolling_window_median(
-            base, window_days=7, num_partitions=2 * NCPU))),
+            base, window_days=7))),
         ("dataset_diff", lambda: _bench_diff(base)),
         ("global_quantiles", lambda: _bench_rank_quantiles(base)),
         ("changepoint", lambda: len(changepoint_split(
-            base, num_partitions=2 * NCPU))),
+            base))),
         ("priority_sample", lambda: len(priority_sample(base, k=50))),
         ("pagerank", lambda: len(pagerank_types(
-            base, num_partitions=2 * NCPU))),
+            base))),
         ("zorder_sort", lambda: zorder_sort(base).count()),
         ("kmv_distinct", lambda: len(kmv_distinct(base))),
         ("window_finalize", lambda: len(finalize_windows(
@@ -860,7 +851,7 @@ def bench_stream(results, thr):
         ("seasonal_anomaly", lambda: len(seasonal_anomaly(base))),
         ("cms_build", lambda: int(cms_build(base).shape[0])),
         ("decayed_topk", lambda: len(decayed_topk(
-            base, num_partitions=2 * NCPU))),
+            base))),
     ]:
         t0 = time.time()
         out = fn()

@@ -45,7 +45,6 @@ def curate_documents(
     langs: tuple = DEFAULT_LANGS,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_partitions: int = 32,
 ) -> ray.data.Dataset:
     """One row per input document: ``lang_pred``, ``token_count``,
     ``repetition_ratio``, ``is_exact_dup`` (same text as a lower id),
@@ -66,12 +65,12 @@ def curate_documents(
 
     ex = group_apply(
         docs.select_columns([id_col, text_col]), losers,
-        num_partitions=num_partitions, key=text_col,
+        key=text_col,
     ).to_pandas()
 
     pairs = lsh_exact_near_dup(
         docs, k=5, jaccard_threshold=jaccard_threshold,
-        id_col=id_col, text_col=text_col, num_partitions=num_partitions,
+        id_col=id_col, text_col=text_col,
     ).map_batches(
         lambda df: df.rename(columns={"id_a": "a", "id_b": "b"})[["a", "b"]],
         batch_format="pandas")

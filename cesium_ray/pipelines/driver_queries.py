@@ -33,7 +33,7 @@ import ray.data
 from ..oracle.gapfill import gapfill_pandas
 from ..oracle.rollup import duck_quantile, rollup_pandas
 from ..schema import EVENT_ID, EVENT_TYPE, TS, USER_ID, VALUE
-from ..stages.partition import group_apply
+from ..stages.partition import group_apply, partition_count
 
 EVENT_COLS = [EVENT_ID, TS, USER_ID, EVENT_TYPE, VALUE, "props"]
 
@@ -93,7 +93,6 @@ def _rollup_events(sf_dir: str, tier: str) -> pd.DataFrame:
         lambda df: rollup_pandas(
             df, tier, keys=("user_id", "channel"), value_scale=VALUE_SCALE
         ),
-        num_partitions=16,
         key="user_id",
         salt_tier_s={"1m": 60, "1h": 3600, "1d": 86400}[tier],
     ).to_pandas()
@@ -153,7 +152,6 @@ def q_latency_rollup_1h(sf_dir):
     out = group_apply(
         _events(sf_dir, ["event_id", "ts", "user_id"]),
         fn,
-        num_partitions=16,
         key="user_id",
     ).to_pandas()
     return round6(out.drop(columns=["channel"]))
@@ -218,7 +216,7 @@ def q_cadence_stats(sf_dir):
         return pd.DataFrame(rows)
 
     out = group_apply(
-        _events(sf_dir, ["event_id", "ts", "user_id"]), fn, num_partitions=16, key="user_id"
+        _events(sf_dir, ["event_id", "ts", "user_id"]), fn, key="user_id"
     ).to_pandas()
     return round6(out)
 
@@ -276,7 +274,7 @@ def q_amplitude_stats(sf_dir):
         return pd.DataFrame(rows)
 
     out = group_apply(
-        _events(sf_dir, ["user_id", "value"]), fn, num_partitions=16, key="user_id"
+        _events(sf_dir, ["user_id", "value"]), fn, key="user_id"
     ).to_pandas()
     return round6(out)
 
@@ -314,7 +312,7 @@ def q_max_slope(sf_dir):
 
     out = group_apply(
         _events(sf_dir, ["event_id", "ts", "user_id", "value"]),
-        fn, num_partitions=16, key="user_id",
+        fn, key="user_id",
     ).to_pandas()
     return round6(out)
 
@@ -429,7 +427,6 @@ def q_gapfill_1h_locf(sf_dir):
         lambda df: gapfill_pandas(
             df, "1h", "locf", keys=("user_id",), value_scale=VALUE_SCALE
         ),
-        num_partitions=16,
         key="user_id",
     ).to_pandas()
     return round6(out)
@@ -468,7 +465,7 @@ def q_dedup_exact(sf_dir):
         )
         return g
 
-    return group_apply(docs, fn, num_partitions=8, key="text").to_pandas()
+    return group_apply(docs, fn, key="text").to_pandas()
 
 
 DEDUP_SQL = """
@@ -661,9 +658,7 @@ def q_reagg_1d_from_1h(sf_dir):
             hourly, "1d", keys=("user_id", "channel"), value_scale=VALUE_SCALE
         )
 
-    out = group_apply(
-        pts, fn, num_partitions=16, key="user_id", salt_tier_s=86400
-    ).to_pandas()
+    out = group_apply(pts, fn, key="user_id", salt_tier_s=86400).to_pandas()
     return round6(out.drop(columns=["channel"]))
 
 
@@ -704,7 +699,8 @@ def q_join_user_totals(sf_dir):
     # contain empty schema-less blocks that break the hash-join's key
     # resolution (observed intermittently on Ray 2.49)
     totals = ray.data.from_pandas(totals_pdf)
-    joined = ev.join(totals, "inner", num_partitions=8, on=("user_id",))
+    joined = ev.join(totals, "inner", num_partitions=partition_count(),
+                     on=("user_id",))
     from ray.data.aggregate import Count, Max
 
     res = (
@@ -750,7 +746,7 @@ def q_hot_key_sample(sf_dir):
     counts = group_apply(
         cells,
         lambda df: df.groupby("user_id", as_index=False)["cnt"].sum(),
-        num_partitions=8, key="user_id",
+        key="user_id",
     ).to_pandas()
     total = counts.cnt.sum()
     counts["cnt"] = counts["cnt"].astype(np.int64)
@@ -821,7 +817,6 @@ def q_union_backfill(sf_dir):
         lambda df: rollup_pandas(
             df, "1d", keys=("user_id", "channel"), value_scale=VALUE_SCALE
         ),
-        num_partitions=16,
         key="user_id",
         salt_tier_s=86400,
     ).to_pandas()
@@ -878,7 +873,7 @@ def q_asof_enrich(sf_dir):
         out["bucket"] = out["bucket"].to_numpy().astype("datetime64[us]")
         return out.drop(columns=["_ivsum", "_vcnt"])
 
-    hourly = group_apply(ev, hourly_fn, num_partitions=16, key="user_id")
+    hourly = group_apply(ev, hourly_fn, key="user_id")
 
     def add_match(batch: pa.Table) -> pa.Table:
         ts = batch["ts"].cast(pa.timestamp("us"))
@@ -889,7 +884,7 @@ def q_asof_enrich(sf_dir):
     left = ev.map_batches(add_match, batch_format="pyarrow")
     joined = asof_join(
         left, hourly, by="user_id", left_on="_match_ts", right_on="bucket",
-        right_vals=("prev_cnt", "prev_vsum"), how="inner", num_partitions=16,
+        right_vals=("prev_cnt", "prev_vsum"), how="inner",
     ).to_pandas()
     out = (joined.drop(columns=["_match_ts"])
            .rename(columns={"bucket_r": "prev_bucket"})
@@ -925,7 +920,7 @@ def q_window_24h(sf_dir):
     )
     out = windowed_aggregate(
         ev, by="user_id", on="ts", value="value",
-        window_s=86400, value_scale=VALUE_SCALE, num_partitions=16,
+        window_s=86400, value_scale=VALUE_SCALE,
     ).to_pandas().sort_values("event_id").reset_index(drop=True)
     return round6(out)
 
@@ -954,7 +949,7 @@ def q_sessionize(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
     out = sessionize(ev, by="user_id", on="ts", tie_col="event_id",
-                     gap_s=1800, num_partitions=16).to_pandas()
+                     gap_s=1800).to_pandas()
     return (out.sort_values(["user_id", "session_idx"])
             .reset_index(drop=True))
 
@@ -990,7 +985,7 @@ def q_stratified_sample(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"])
     out = stratified_sample(ev, by="user_id", id_col="event_id",
-                            n_per_key=5, num_partitions=16).to_pandas()
+                            n_per_key=5).to_pandas()
     out = out.sort_values(["user_id", "sample_rank"]).reset_index(drop=True)
     return round6(out)
 
@@ -1035,7 +1030,7 @@ def q_range_join_busy(sf_dir):
     mc = group_apply(
         ev.map_batches(minute_counts, batch_format="pandas"),
         lambda df: df.groupby("m", as_index=False)["c"].sum(),
-        num_partitions=4, key="m",
+        key="m",
     ).to_pandas()
     top = mc.sort_values(["c", "m"], ascending=[False, True],
                          kind="mergesort").head(20)
@@ -1081,7 +1076,7 @@ def q_pivot_event_types(sf_dir):
         columns=["user_id", "event_type", "value"])
     out = pivot_aggregate(
         ev, key="user_id", col="event_type", categories=_EVENT_TYPES,
-        value="value", value_scale=VALUE_SCALE, num_partitions=16,
+        value="value", value_scale=VALUE_SCALE,
     ).to_pandas().sort_values("user_id").reset_index(drop=True)
     return round6(out)
 
@@ -1147,7 +1142,7 @@ def q_latest_event(sf_dir):
         # would splice in the first NON-NULL per column across rows.
         return d.drop_duplicates("user_id", keep="first").reset_index(drop=True)
 
-    out = group_apply(ev, latest, num_partitions=16, key="user_id"
+    out = group_apply(ev, latest, key="user_id"
                       ).to_pandas().sort_values("user_id").reset_index(drop=True)
     return round6(out)
 

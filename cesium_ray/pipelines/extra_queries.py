@@ -18,7 +18,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..stages.partition import group_apply
+from ..stages.partition import group_apply, partition_count
 from .driver_queries import (
     VALUE_SCALE,
     _event_points,
@@ -52,7 +52,6 @@ def q_features_general(sf_dir):
     out = group_apply(
         pts,
         FeatureExtractor,
-        num_partitions=16,
         key="conv_id",
         fn_constructor_kwargs={"channels": ("value",)},
     ).to_pandas()
@@ -92,7 +91,7 @@ def q_features_general(sf_dir):
 
     ex = group_apply(
         _events(sf_dir, ["event_id", "ts", "user_id", "value"]),
-        _exact, num_partitions=16, key="user_id",
+        _exact, key="user_id",
     ).to_pandas().set_index("user_id")
     for col in ("mean", "avgt", "cads_avg", "cads_std"):
         out[col] = out["user_id"].map(ex[col]).to_numpy(np.float64)
@@ -129,7 +128,6 @@ def q_features_stats(sf_dir):
     out = group_apply(
         pts,
         FeatureExtractor,
-        num_partitions=16,
         key="conv_id",
         fn_constructor_kwargs={"channels": ("value",), "features_to_use": FEATURES_STATS},
     ).to_pandas()
@@ -574,7 +572,6 @@ def q_features_lomb_scargle(sf_dir):
     out = group_apply(
         pts,
         FeatureExtractor,
-        num_partitions=8,
         key="conv_id",
         fn_constructor_kwargs={
             "channels": ("value",),
@@ -637,8 +634,7 @@ def q_codec_chunks(sf_dir):
             )
         return pd.DataFrame(rows)
 
-    out = group_apply(_event_points_with_id(sf_dir), fn, num_partitions=8,
-                      key="user_id").to_pandas()
+    out = group_apply(_event_points_with_id(sf_dir), fn, key="user_id").to_pandas()
     return round6(out)
 
 
@@ -861,7 +857,7 @@ def q_minhash_pairs(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    pairs = minhash_lsh_dedup(docs, jaccard_threshold=0.5, num_partitions=8).to_pandas()
+    pairs = minhash_lsh_dedup(docs, jaccard_threshold=0.5).to_pandas()
     return round6(pairs.sort_values("doc_id").reset_index(drop=True))
 
 
@@ -879,7 +875,6 @@ def q_minhash_exact_pairs(sf_dir):
     )
     pairs = lsh_exact_near_dup(
         docs, k=5, jaccard_threshold=0.7, num_perm=64, bands=32,
-        num_partitions=8,
     ).to_pandas()
     return round6(
         pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True))
@@ -923,9 +918,7 @@ def q_substring_dups(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    out = substring_dup_pairs(
-        docs, min_len=50, window=8, num_partitions=8
-    ).to_pandas()
+    out = substring_dup_pairs(docs, min_len=50, window=8).to_pandas()
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
@@ -1276,7 +1269,6 @@ def q_impute_features(sf_dir):
     fset = group_apply(
         pts,
         FeatureExtractor,
-        num_partitions=16,
         key="conv_id",
         fn_constructor_kwargs={
             "channels": ("value",),
@@ -1798,8 +1790,8 @@ def q_dup_clusters(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    edges = rare_shingle_edges(docs, k=32, max_docs=3, num_partitions=16)
-    labels = connected_components(edges, num_partitions=16)
+    edges = rare_shingle_edges(docs, k=32, max_docs=3)
+    labels = connected_components(edges)
     all_ids = np.sort(
         docs.select_columns(["doc_id"]).to_pandas()["doc_id"].to_numpy()
     )
@@ -1892,7 +1884,7 @@ def q_counter_rate(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts", "value"]
     )
-    out = counter_rate(ev, num_partitions=8).to_pandas()
+    out = counter_rate(ev).to_pandas()
     return round6(out.sort_values("user_id").reset_index(drop=True))
 
 
@@ -1930,7 +1922,7 @@ def q_minmax_downsample(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts", "value"]
     )
-    out = minmax_downsample(ev, bucket_s=3600, num_partitions=8).to_pandas()
+    out = minmax_downsample(ev, bucket_s=3600).to_pandas()
     out["value"] = np.round(out["value"].to_numpy(np.float64), 6)
     return (out.sort_values(["user_id", "bucket_us", "kind"])
             .reset_index(drop=True))
@@ -1985,7 +1977,7 @@ def q_wav_features(sf_dir):
         return pa.table({"user_id": pa.array(uids, pa.int64()),
                          "payload": pa.array(payloads, pa.binary())})
 
-    wavs = group_apply(ev, to_wav, num_partitions=8, key="user_id")
+    wavs = group_apply(ev, to_wav, key="user_id")
     out = wav_features(wavs, batch_size=16).to_pandas()
     return round6(out.sort_values("user_id").reset_index(drop=True))
 
@@ -2055,7 +2047,7 @@ def q_image_features(sf_dir):
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "value"]
     )
     ppms = group_apply(ev, lambda df: _encode_user_images(df, encode_ppm),
-                       num_partitions=8, key="user_id")
+                       key="user_id")
     out = ppm_features(ppms, batch_size=16).to_pandas()
     return round6(out.sort_values("user_id").reset_index(drop=True))
 
@@ -2076,7 +2068,7 @@ def q_png_decode(sf_dir):
         ev,
         lambda df: _encode_user_images(
             df, lambda img: encode_png(img, filter_type="cycle")),
-        num_partitions=8, key="user_id")
+        key="user_id")
     out = png_features(pngs, batch_size=16).to_pandas()
     return round6(out.sort_values("user_id").reset_index(drop=True))
 
@@ -2117,7 +2109,7 @@ def q_vocab_topk(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["text"]
     )
-    return vocab_topk(docs, k=50, num_partitions=8)
+    return vocab_topk(docs, k=50)
 
 
 VOCAB_SQL = """
@@ -2139,7 +2131,7 @@ def q_pack_sequences(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["source", "doc_id", "text"]
     )
-    out = pack_sequences(docs, capacity=256, num_partitions=8).to_pandas()
+    out = pack_sequences(docs, capacity=256).to_pandas()
     return out.sort_values(["source", "doc_id"]).reset_index(drop=True)
 
 
@@ -2201,7 +2193,7 @@ def q_corpus_stats(sf_dir):
         return pd.DataFrame(rows)
 
     out = group_apply(docs.map_batches(toks, batch_format="pandas"), agg,
-                      num_partitions=8, key="source").to_pandas()
+                      key="source").to_pandas()
     return round6(out.sort_values("source").reset_index(drop=True))
 
 
@@ -2230,7 +2222,7 @@ def q_curate_docs(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    out = curate_documents(docs, num_partitions=8).to_pandas()
+    out = curate_documents(docs).to_pandas()
     out = out[["doc_id", "lang_pred", "token_count", "repetition_ratio",
                "is_exact_dup", "is_near_dup", "keep"]]
     return round6(out.sort_values("doc_id").reset_index(drop=True))
@@ -2318,7 +2310,7 @@ def q_ohlc_1h(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts", "value"]
     )
-    out = ohlc_rollup(ev, bucket_s=3600, num_partitions=8).to_pandas()
+    out = ohlc_rollup(ev, bucket_s=3600).to_pandas()
     return (out.sort_values(["user_id", "bucket_us"])
             .reset_index(drop=True))
 
@@ -2347,7 +2339,7 @@ def q_twa_1d(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts", "value"]
     )
-    out = time_weighted_avg(ev, bucket_s=86400, num_partitions=8).to_pandas()
+    out = time_weighted_avg(ev, bucket_s=86400).to_pandas()
     out = round6(out, cols=["twa"])
     return (out.sort_values(["user_id", "bucket_us"])
             .reset_index(drop=True))
@@ -2392,7 +2384,7 @@ def q_zscore_anomalies(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "value"]
     )
-    out = zscore_anomalies(ev, thresh=2.5, num_partitions=8).to_pandas()
+    out = zscore_anomalies(ev, thresh=2.5).to_pandas()
     out = round6(out, cols=["z"])
     return (out.sort_values(["user_id", "event_id"])
             .reset_index(drop=True))
@@ -2459,7 +2451,7 @@ def q_trend_corr(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
     )
-    out = trend_corr(ev, num_partitions=8).to_pandas()
+    out = trend_corr(ev).to_pandas()
     out = round6(out, cols=["trend_r"])
     return out.sort_values("user_id").reset_index(drop=True)
 
@@ -2542,7 +2534,7 @@ def q_bloom_semi_join(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "event_type"],
     )
-    out = bloom_semi_join(ev, keys, col="user_id", num_partitions=8).to_pandas()
+    out = bloom_semi_join(ev, keys, col="user_id").to_pandas()
     return (out.sort_values("event_id").reset_index(drop=True))
 
 
@@ -2578,7 +2570,7 @@ def q_interval_merge(sf_dir):
         })
 
     iv = ev.map_batches(derive, batch_format="pandas")
-    out = merge_intervals(iv, num_partitions=8).to_pandas()
+    out = merge_intervals(iv).to_pandas()
     return (out.sort_values(["user_id", "start_us"])
             .reset_index(drop=True))
 
@@ -2758,8 +2750,7 @@ def q_topk_per_day(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    out = topk_per_window(ev, k=3, bucket_s=86400,
-                          num_partitions=8).to_pandas()
+    out = topk_per_window(ev, k=3, bucket_s=86400).to_pandas()
     return (out.sort_values(["bucket_us", "rank"])
             .reset_index(drop=True))
 
@@ -2883,7 +2874,7 @@ def q_cohort_retention(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    out = cohort_retention(ev, num_partitions=8)
+    out = cohort_retention(ev)
     return (out.sort_values(["cohort_day", "age_days"])
             .reset_index(drop=True))
 
@@ -2918,8 +2909,7 @@ def q_attribution(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "event_type", "ts"],
     )
-    return touch_attribution(ev, conversion="purchase",
-                             num_partitions=8)
+    return touch_attribution(ev, conversion="purchase")
 
 
 ATTRIBUTION_SQL = """
@@ -2969,8 +2959,7 @@ def q_funnel(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts"]
     )
-    return funnel_steps(ev, steps=("signup", "click", "purchase"),
-                        num_partitions=8)
+    return funnel_steps(ev, steps=("signup", "click", "purchase"))
 
 
 FUNNEL_SQL = """
@@ -3006,7 +2995,7 @@ def q_irate(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts", "value"]
     )
-    out = irate(ev, num_partitions=8).to_pandas()
+    out = irate(ev).to_pandas()
     out = round6(out, cols=["irate_per_sec"])
     return out.sort_values("user_id").reset_index(drop=True)
 
@@ -3045,7 +3034,7 @@ def q_ewma(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts", "value"]
     )
-    out = ewma_last(ev, alpha=0.3, num_partitions=8).to_pandas()
+    out = ewma_last(ev, alpha=0.3).to_pandas()
     out = round6(out, cols=["ewma"])
     return out.sort_values("user_id").reset_index(drop=True)
 
@@ -3077,8 +3066,7 @@ def q_daily_active(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    out = distinct_per_window(ev, bucket_s=86400,
-                              num_partitions=8).to_pandas()
+    out = distinct_per_window(ev, bucket_s=86400).to_pandas()
     return out.sort_values("bucket_us").reset_index(drop=True)
 
 
@@ -3100,7 +3088,7 @@ def q_value_percent_rank(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "value"]
     )
-    out = percent_rank_in_group(ev, num_partitions=8).to_pandas()
+    out = percent_rank_in_group(ev).to_pandas()
     out = round6(out, cols=["pr"])
     return (out.sort_values(["user_id", "event_id"])
             .reset_index(drop=True))
@@ -3178,7 +3166,7 @@ def q_user_profile(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "event_type"],
     )
-    out = group_profile(ev, num_partitions=8).to_pandas()
+    out = group_profile(ev).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -3227,8 +3215,7 @@ def q_tokenize_vocab(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    out = tokenize_with_vocab(docs, vocab_size=100,
-                              num_partitions=8).to_pandas()
+    out = tokenize_with_vocab(docs, vocab_size=100).to_pandas()
     return (out.sort_values(["doc_id", "pos"])
             .reset_index(drop=True))
 
@@ -3261,7 +3248,7 @@ def q_rolling_avg(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    out = rolling_rows_avg(ev, n=5, num_partitions=8).to_pandas()
+    out = rolling_rows_avg(ev, n=5).to_pandas()
     return (out.sort_values(["user_id", "event_id"])
             .reset_index(drop=True))
 
@@ -3286,7 +3273,7 @@ def q_mode_event(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
-    out = group_mode(ev, num_partitions=8).to_pandas()
+    out = group_mode(ev).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -3314,7 +3301,7 @@ def q_topk_per_user(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "value"],
     )
-    out = topk_per_group(ev, k=3, num_partitions=8).to_pandas()
+    out = topk_per_group(ev, k=3).to_pandas()
     return (out[["user_id", "rk", "event_id", "value"]]
             .sort_values(["user_id", "rk"]).reset_index(drop=True))
 
@@ -3365,7 +3352,7 @@ def q_cooccurrence(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
-    return cooccurrence_pairs(ev, num_partitions=8)
+    return cooccurrence_pairs(ev)
 
 
 COOCCUR_SQL = """
@@ -3388,7 +3375,7 @@ def q_transitions(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "event_type", "ts"],
     )
-    return transition_matrix(ev, num_partitions=8)
+    return transition_matrix(ev)
 
 
 TRANSITIONS_SQL = """
@@ -3413,7 +3400,7 @@ def q_user_growth(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return user_growth(ev, num_partitions=8)
+    return user_growth(ev)
 
 
 USER_GROWTH_SQL = """
@@ -3438,8 +3425,7 @@ def q_gap_report(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"]
     )
-    out = gap_report(ev, gap_us_threshold=7_200_000_000,
-                     num_partitions=8).to_pandas()
+    out = gap_report(ev, gap_us_threshold=7_200_000_000).to_pandas()
     return (out.sort_values(["user_id", "gap_start"])
             .reset_index(drop=True))
 
@@ -3469,7 +3455,7 @@ def q_interarrival(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "event_type", "ts"],
     )
-    out = interarrival_quantiles(ev, num_partitions=8).to_pandas()
+    out = interarrival_quantiles(ev).to_pandas()
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -3542,8 +3528,9 @@ def q_shipping_priority(sf_dir):
     rev = group_apply(
         cells,
         lambda df: df.groupby("l_orderkey", as_index=False)["_rev"].sum(),
-        num_partitions=8, key="l_orderkey")
-    joined = rev.join(ords, "inner", num_partitions=8, on=("l_orderkey",))
+        key="l_orderkey")
+    joined = rev.join(ords, "inner", num_partitions=partition_count(),
+                      on=("l_orderkey",))
 
     def partial_top(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(["_rev", "o_orderdate", "l_orderkey"],
@@ -3607,8 +3594,7 @@ def q_dataset_diff(sf_dir):
         return pd.concat([base, extra], ignore_index=True)
 
     b = ev.map_batches(make_b, batch_format="pandas")
-    out = dataset_diff(ev, b, key="event_id", vals=["value"],
-                       num_partitions=8).to_pandas()
+    out = dataset_diff(ev, b, key="event_id", vals=["value"]).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -3729,7 +3715,7 @@ def q_edit1_pairs(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    return edit1_pairs(docs, prefix_len=16, num_partitions=8)
+    return edit1_pairs(docs, prefix_len=16)
 
 
 EDIT1_SQL = """
@@ -3752,7 +3738,7 @@ def q_sliding_dau(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    out = sliding_distinct(ev, window_h=24, num_partitions=8)
+    out = sliding_distinct(ev, window_h=24)
     return out.sort_values("bucket_us").reset_index(drop=True)
 
 
@@ -3800,8 +3786,7 @@ def q_session_stats(sf_dir):
             "max_dur_us": g["max_dur_us"].astype(np.int64),
         })
 
-    out = group_apply(ev, fn, num_partitions=8,
-                      key="user_id").to_pandas()
+    out = group_apply(ev, fn, key="user_id").to_pandas()
     return round6(out.sort_values("user_id").reset_index(drop=True))
 
 
@@ -3880,7 +3865,7 @@ def q_lateness(sf_dir):
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"])
-    return round6(lateness_report(ev, num_partitions=8))
+    return round6(lateness_report(ev))
 
 
 LATENESS_SQL = """
@@ -3933,15 +3918,14 @@ def q_interval_join(sf_dir):
             return out
         return fn
 
-    left = sessionize(ev, by="user_id", gap_s=1800, num_partitions=8) \
+    left = sessionize(ev, by="user_id", gap_s=1800) \
         .map_batches(to_iv("session_idx"), batch_format="pandas")
-    right = sessionize(ev, by="event_type", gap_s=600, num_partitions=4) \
+    right = sessionize(ev, by="event_type", gap_s=600) \
         .map_batches(to_iv("island_idx"), batch_format="pandas")
     out = interval_join_partitioned(
         left, right, bucket_s=21600,
         left_cols=("user_id", "session_idx"),
         right_cols=("event_type", "island_idx"),
-        num_partitions=8,
     ).to_pandas()
     res = pd.DataFrame({
         "user_id": out["l_user_id"].astype(np.int64),
@@ -4023,7 +4007,7 @@ def q_canon_dedup(sf_dir):
             keeper_id=("doc_id", "min"), n_copies=("doc_id", "count"))
 
     out = group_apply(docs.map_batches(canon, batch_format="pandas"),
-                      fn, num_partitions=8, key="canon").to_pandas()
+                      fn, key="canon").to_pandas()
     return out.sort_values("keeper_id").reset_index(drop=True)
 
 
@@ -4051,7 +4035,7 @@ def q_weighted_quantiles(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "event_type", "ts", "value"])
-    return weighted_value_quantiles(ev, num_partitions=8)
+    return weighted_value_quantiles(ev)
 
 
 WEIGHTED_Q_SQL = """
@@ -4098,7 +4082,7 @@ def q_linear_trend(sf_dir):
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
-    return round6(linear_trend_per_key(ev, num_partitions=8))
+    return round6(linear_trend_per_key(ev))
 
 
 LINEAR_TREND_SQL = """
@@ -4146,7 +4130,7 @@ def q_lttb(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"])
-    return lttb_downsample(ev, n_out=10, num_partitions=8)
+    return lttb_downsample(ev, n_out=10)
 
 
 LTTB_SQL = """
@@ -4214,7 +4198,7 @@ def q_seq_pattern(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "event_type", "ts"])
-    return sequence_pattern_count(ev, pattern="e[cv]*p", num_partitions=8)
+    return sequence_pattern_count(ev, pattern="e[cv]*p")
 
 
 SEQ_PATTERN_SQL = """
@@ -4247,7 +4231,7 @@ def q_cooldown_dedup(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "event_type", "ts"])
-    out = cooldown_dedup(ev, cooldown_s=3600, num_partitions=8).to_pandas()
+    out = cooldown_dedup(ev, cooldown_s=3600).to_pandas()
     return (out.sort_values(["user_id", "event_type", "ts_us", "event_id"])
             .reset_index(drop=True))
 
@@ -4303,7 +4287,7 @@ def q_time_since(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "event_type", "ts"])
-    return time_since_event(ev, marker="error", num_partitions=8)
+    return time_since_event(ev, marker="error")
 
 
 TIME_SINCE_SQL = """
@@ -4343,7 +4327,7 @@ def q_session_overlap(sf_dir):
     mc = group_apply(
         ev.map_batches(minute_counts, batch_format="pandas"),
         lambda df: df.groupby("m", as_index=False)["c"].sum(),
-        num_partitions=4, key="m",
+        key="m",
     ).to_pandas()
     top = mc.sort_values(["c", "m"], ascending=[False, True],
                          kind="mergesort").head(20)
@@ -4352,8 +4336,7 @@ def q_session_overlap(sf_dir):
         "end": (top["m"].to_numpy() + 300_000_000).astype("datetime64[us]"),
         "window_cnt": top["c"].to_numpy(np.int64),
     })
-    sess = group_apply(ev, sessionize_pandas, num_partitions=8,
-                       key="user_id")
+    sess = group_apply(ev, sessionize_pandas, key="user_id")
     out = interval_overlap_broadcast(
         sess, iv, left_start="session_start", left_end="session_end",
         carry=("window_cnt",),
@@ -4413,7 +4396,7 @@ def q_trimmed_mean(sf_dir):
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"])
-    return round6(trimmed_mean(ev, num_partitions=8))
+    return round6(trimmed_mean(ev))
 
 
 TRIMMED_MEAN_SQL = """
@@ -4455,7 +4438,7 @@ def q_psi_drift(sf_dir):
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["value", "ts"])
-    return round6(psi_drift(ev, num_partitions=8))
+    return round6(psi_drift(ev))
 
 
 def _psi_sql() -> str:
@@ -4531,7 +4514,7 @@ def q_bootstrap_ci(sf_dir):
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"])
-    return round6(bootstrap_mean_ci(ev, n_boot=200, num_partitions=8))
+    return round6(bootstrap_mean_ci(ev, n_boot=200))
 
 
 def _bootstrap_sql(n_boot: int = 200) -> str:
@@ -4598,7 +4581,7 @@ def q_ks_drift(sf_dir):
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["value", "ts"])
-    return round6(ks_drift(ev, num_partitions=8))
+    return round6(ks_drift(ev))
 
 
 KS_DRIFT_SQL = """
@@ -4641,9 +4624,8 @@ def q_benford(sf_dir):
     shares and chi²."""
     from ..stages.analytics import benford_digits
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["value"])
-    return round6(benford_digits(ev, num_partitions=8))
+    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
+    return round6(benford_digits(ev))
 
 
 BENFORD_SQL = """
@@ -4691,7 +4673,7 @@ def q_runs_test(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "value", "ts"],
     )
-    return round6(runs_test(ev, num_partitions=8))
+    return round6(runs_test(ev))
 
 
 RUNS_TEST_SQL = """
@@ -4750,8 +4732,7 @@ def q_textrank(sf_dir):
 
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return textrank_keywords(docs, top_vocab=100, iters=10, k=20,
-                             num_partitions=8)
+    return textrank_keywords(docs, top_vocab=100, iters=10, k=20)
 
 
 def _textrank_sql(iters: int = 10) -> str:
@@ -4838,7 +4819,7 @@ def q_auc_score(sf_dir):
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-    return round6(auc_mann_whitney(ev, num_partitions=8))
+    return round6(auc_mann_whitney(ev))
 
 
 AUC_SQL = """
@@ -4881,7 +4862,7 @@ def q_cusum_alarms(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "value", "ts"],
     )
-    return round6(cusum_alarms(ev, num_partitions=8))
+    return round6(cusum_alarms(ev))
 
 
 CUSUM_SQL = """
@@ -4935,7 +4916,7 @@ def q_spearman_trend(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "value", "ts"],
     )
-    return round6(spearman_trend(ev, num_partitions=8))
+    return round6(spearman_trend(ev))
 
 
 SPEARMAN_SQL = """
@@ -4979,9 +4960,8 @@ def q_zipf_exponent(sf_dir):
     exact; ln-sum and α mirrored."""
     from ..stages.analytics import zipf_exponent
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id"])
-    return round6(zipf_exponent(ev, num_partitions=8))
+    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
+    return round6(zipf_exponent(ev))
 
 
 ZIPF_SQL = """
@@ -5020,8 +5000,7 @@ def q_chi_square(sf_dir):
                              "hour": h.astype(np.int64)})
 
     return round6(chi_square_independence(
-        ev.map_batches(prep, batch_format="pandas"),
-        num_partitions=8))
+        ev.map_batches(prep, batch_format="pandas")))
 
 
 CHI_SQUARE_SQL = """
@@ -5062,7 +5041,7 @@ def q_kaplan_meier(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_type", "ts"])
-    return round6(kaplan_meier(ev, num_partitions=8))
+    return round6(kaplan_meier(ev))
 
 
 KAPLAN_MEIER_SQL = """
@@ -5146,7 +5125,7 @@ def q_robust_anomalies(sf_dir):
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"])
-    return round6(robust_anomalies(ev, num_partitions=8))
+    return round6(robust_anomalies(ev))
 
 
 ROBUST_ANOM_SQL = """
@@ -5204,8 +5183,7 @@ def q_k_anonymity(sf_dir):
 
     return round6(k_anonymity(
         ev.map_batches(quasi, batch_format="pandas"),
-        quasi_cols=("q_type", "q_hour", "q_band"), k=50,
-        num_partitions=8))
+        quasi_cols=("q_type", "q_hour", "q_band"), k=50))
 
 
 K_ANON_SQL = """
@@ -5244,7 +5222,7 @@ def q_record_highs(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "value", "ts"],
     )
-    return round6(record_highs(ev, num_partitions=8))
+    return round6(record_highs(ev))
 
 
 RECORD_HIGHS_SQL = """
@@ -5273,9 +5251,8 @@ def q_gini_activity(sf_dir):
     engine's hot-key salting and LPT placement."""
     from ..stages.analytics import gini_coefficient
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id"])
-    return round6(gini_coefficient(ev, num_partitions=8))
+    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
+    return round6(gini_coefficient(ev))
 
 
 GINI_SQL = """
@@ -5315,7 +5292,7 @@ def q_mann_kendall(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "value", "ts"],
     )
-    return round6(mann_kendall(ev, num_partitions=8))
+    return round6(mann_kendall(ev))
 
 
 MANN_KENDALL_SQL = """
@@ -5377,7 +5354,7 @@ def q_theilsen_trend(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "value", "ts"],
     )
-    return round6(theilsen_trend(ev, num_partitions=8))
+    return round6(theilsen_trend(ev))
 
 
 THEILSEN_SQL = """
@@ -5428,7 +5405,7 @@ def q_scd2_history(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "event_type", "ts"],
     )
-    return scd2_history(ev, num_partitions=8)
+    return scd2_history(ev)
 
 
 SCD2_SQL = """
@@ -5471,7 +5448,7 @@ def q_run_stats(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "event_type", "ts"],
     )
-    return round6(run_stats(ev, num_partitions=8))
+    return round6(run_stats(ev))
 
 
 RUN_STATS_SQL = """
@@ -5524,7 +5501,6 @@ def q_features_stetson(sf_dir):
     out = group_apply(
         pts,
         FeatureExtractor,
-        num_partitions=16,
         key="conv_id",
         fn_constructor_kwargs={"channels": ("value",),
                                "features_to_use": ["stetson_j",
@@ -5570,7 +5546,7 @@ def q_interarrival_scan(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "event_type", "ts"],
     )
-    out = interarrival_quantiles_scan(ev, num_partitions=8)
+    out = interarrival_quantiles_scan(ev)
     return out.sort_values("event_type").reset_index(drop=True)
 
 
@@ -5619,7 +5595,7 @@ def q_rolling_std(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    out = rolling_rows_std(ev, n=5, num_partitions=8).to_pandas()
+    out = rolling_rows_std(ev, n=5).to_pandas()
     return (out.sort_values(["user_id", "event_id"])
             .reset_index(drop=True))
 
@@ -5656,7 +5632,7 @@ def q_dwell_time(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "event_type", "ts"],
     )
-    return dwell_time(ev, num_partitions=8)
+    return dwell_time(ev)
 
 
 DWELL_SQL = """
@@ -5705,7 +5681,7 @@ def q_type_variety(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
-    return type_variety(ev, num_partitions=8)
+    return type_variety(ev)
 
 
 TYPE_VARIETY_SQL = """
@@ -5728,7 +5704,7 @@ def q_max_drawdown(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(max_drawdown(ev, num_partitions=8))
+    return round6(max_drawdown(ev))
 
 
 MAX_DRAWDOWN_SQL = """
@@ -5757,7 +5733,7 @@ def q_longest_streak(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return longest_streak(ev, num_partitions=8)
+    return longest_streak(ev)
 
 
 LONGEST_STREAK_SQL = """
@@ -5796,7 +5772,7 @@ def q_burst_detect(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return burst_detect(ev, window_s=300, num_partitions=8)
+    return burst_detect(ev, window_s=300)
 
 
 BURST_DETECT_SQL = """
@@ -5828,7 +5804,7 @@ def q_acf(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(acf_lags(ev, max_lag=3, num_partitions=8))
+    return round6(acf_lags(ev, max_lag=3))
 
 
 ACF_SQL = """
@@ -5875,7 +5851,7 @@ def q_tfidf_terms(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    return round6(tfidf_top_terms(docs, top=3, num_partitions=8))
+    return round6(tfidf_top_terms(docs, top=3))
 
 
 TFIDF_SQL = """
@@ -5970,7 +5946,8 @@ def q_local_supplier_volume(sf_dir):
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(li_cells, batch_format="pandas")
 
-    joined = cells.join(ords, "inner", num_partitions=8, on=("l_orderkey",))
+    joined = cells.join(ords, "inner", num_partitions=partition_count(),
+                        on=("l_orderkey",))
 
     def per_block(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["s_nat"].to_numpy() == df["c_nat"].to_numpy()]
@@ -6015,8 +5992,7 @@ def q_rolling_median(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
     )
-    return round6(rolling_window_median(ev, window_days=7,
-                                        num_partitions=8))
+    return round6(rolling_window_median(ev, window_days=7))
 
 
 ROLLING_MEDIAN_SQL = """
@@ -6042,7 +6018,7 @@ def q_type_entropy(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
-    return round6(type_entropy(ev, num_partitions=8))
+    return round6(type_entropy(ev))
 
 
 TYPE_ENTROPY_SQL = """
@@ -6069,7 +6045,7 @@ def q_lm_score(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    return round6(bigram_lm_score(docs, num_partitions=8))
+    return round6(bigram_lm_score(docs))
 
 
 LM_SCORE_SQL = """
@@ -6228,7 +6204,7 @@ def q_changepoint(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(changepoint_split(ev, num_partitions=8))
+    return round6(changepoint_split(ev))
 
 
 CHANGEPOINT_SQL = """
@@ -6314,7 +6290,7 @@ def q_inverted_index(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    idx = build_inverted_index(docs, max_postings=15, num_partitions=8)
+    idx = build_inverted_index(docs, max_postings=15)
     return (idx.sort_values(["df", "token"], ascending=[False, True])
             .head(100).reset_index(drop=True))
 
@@ -6355,7 +6331,7 @@ def q_pagerank(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "event_type"],
     )
-    return round6(pagerank_types(ev, iters=10, num_partitions=8))
+    return round6(pagerank_types(ev, iters=10))
 
 
 def _pagerank_sql(iters: int = 10) -> str:
@@ -6419,7 +6395,7 @@ def q_bm25(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    return round6(bm25_topk(docs, n_terms=3, top=20, num_partitions=8))
+    return round6(bm25_topk(docs, n_terms=3, top=20))
 
 
 BM25_SQL = r"""
@@ -6486,7 +6462,7 @@ def q_zorder_stats(sf_dir):
     stats, all-integer — the SQL twin recomputes the bit interleave
     with DuckDB bit ops.  The layout stage itself (zorder_sort) is
     pytest-verified for the contiguous-box locality property."""
-    from ..stages.partition import group_apply, zorder_key
+    from ..stages.partition import zorder_key
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
@@ -6520,8 +6496,7 @@ def q_zorder_stats(sf_dir):
         return out
 
     cells = ev.map_batches(cell_partial, batch_format="pandas")
-    out = group_apply(cells, per_cell, num_partitions=8,
-                      key="zkey").to_pandas()
+    out = group_apply(cells, per_cell, key="zkey").to_pandas()
     return out.sort_values("zkey").reset_index(drop=True)
 
 
@@ -6602,7 +6577,7 @@ def q_upsert(sf_dir):
         return df
 
     merged = upsert(ev, ev.map_batches(mk_delta, batch_format="pandas"),
-                    key="event_id", num_partitions=16)
+                    key="event_id")
 
     def project(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -6644,8 +6619,6 @@ def q_stream_digest(sf_dir):
     exchange; per-partition ordered join + hashlib."""
     import hashlib
 
-    from ..stages.partition import group_apply
-
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "props"],
@@ -6667,8 +6640,7 @@ def q_stream_digest(sf_dir):
                        for t in joined],
         })
 
-    out = group_apply(ev, per_key, num_partitions=16,
-                      key="user_id").to_pandas()
+    out = group_apply(ev, per_key, key="user_id").to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -6689,7 +6661,7 @@ def q_one_hot(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type"]
     )
-    out = one_hot_encode(ev, num_partitions=8).to_pandas()
+    out = one_hot_encode(ev).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -6715,7 +6687,7 @@ def q_zscore_scale(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "value"],
     )
-    out = zscore_scale_per_key(ev, num_partitions=8).to_pandas()
+    out = zscore_scale_per_key(ev).to_pandas()
     return round6(out.sort_values(["user_id", "event_id"])
                   .reset_index(drop=True))
 
@@ -6751,7 +6723,7 @@ def q_target_encode(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "event_type", "value"],
     )
-    out = target_encode_loo(ev, num_partitions=8).to_pandas()
+    out = target_encode_loo(ev).to_pandas()
     return round6(out.sort_values("event_id").reset_index(drop=True))
 
 
@@ -6781,7 +6753,7 @@ def q_quantile_transform(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "value"]
     )
-    out = quantile_transform_global(ev, num_partitions=8).to_pandas()
+    out = quantile_transform_global(ev).to_pandas()
     return round6(out.sort_values("event_id").reset_index(drop=True))
 
 
@@ -6809,7 +6781,7 @@ def q_minmax_scale(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "value"],
     )
-    out = minmax_scale_per_key(ev, num_partitions=8).to_pandas()
+    out = minmax_scale_per_key(ev).to_pandas()
     return round6(out.sort_values(["user_id", "event_id"])
                   .reset_index(drop=True))
 
@@ -6887,7 +6859,7 @@ def q_weighted_sample_per_key(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "value"],
     )
-    return round6(priority_sample_per_key(ev, k=3, num_partitions=8))
+    return round6(priority_sample_per_key(ev, k=3))
 
 
 WEIGHTED_PER_KEY_SQL = """
@@ -7074,8 +7046,7 @@ def q_similarity_join(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    return round6(similarity_join(docs, threshold=0.7,
-                                  num_partitions=8))
+    return round6(similarity_join(docs, threshold=0.7))
 
 
 SIM_JOIN_SQL = r"""
@@ -7105,7 +7076,6 @@ def q_join_cardinality(sf_dir):
     (stages/sketch.py::cms_join_cardinality): CM-sketch inner-product
     bound vs the exact Σ n_A(u)·n_B(u), with the ≥-exact guarantee
     asserted in-query — the planner primitive."""
-    from ..stages.partition import group_apply
     from ..stages.sketch import cms_join_cardinality
 
     ev = ray.data.read_parquet(
@@ -7123,7 +7093,7 @@ def q_join_cardinality(sf_dir):
     counts = group_apply(
         ev.map_batches(cnt_partial, batch_format="pandas"),
         lambda df: df.groupby("user_id", as_index=False)["c"].sum(),
-        num_partitions=8, key="user_id").to_pandas()
+        key="user_id").to_pandas()
     counts["c"] = counts["c"].astype(np.int64)
     m = counts["user_id"] % 3 == 0
     exact = int((counts.loc[m, "c"] ** 2).sum())
@@ -7176,7 +7146,7 @@ def q_transition_pmi(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "event_type"],
     )
-    return round6(transition_pmi(ev, num_partitions=8))
+    return round6(transition_pmi(ev))
 
 
 PMI_SQL = """
@@ -7211,8 +7181,7 @@ def q_decayed_topk(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(decayed_topk(ev, half_life_days=1.0, top=20,
-                               num_partitions=8))
+    return round6(decayed_topk(ev, half_life_days=1.0, top=20))
 
 
 DECAYED_SQL = """
@@ -7235,7 +7204,6 @@ def q_cms_counts(sf_dir):
     estimate), the CM estimate vs the exact count plus the
     never-underestimates guarantee bit — all integers, the four
     multiplicative hashes mirrored in SQL."""
-    from ..stages.partition import group_apply
     from ..stages.sketch import cms_build, cms_estimate
 
     ev = ray.data.read_parquet(
@@ -7251,7 +7219,7 @@ def q_cms_counts(sf_dir):
     exact = group_apply(
         ev.map_batches(cnt_partial, batch_format="pandas"),
         lambda df: df.groupby("user_id", as_index=False)["c"].sum(),
-        num_partitions=8, key="user_id").to_pandas()
+        key="user_id").to_pandas()
     exact["c"] = exact["c"].astype(np.int64)
     est = cms_estimate(sketch, exact["user_id"].to_numpy())
     assert (est >= exact["c"].to_numpy()).all()   # CM guarantee
@@ -7372,7 +7340,7 @@ def q_variance_ratio(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(variance_ratio(ev, ks=(2, 4), num_partitions=8))
+    return round6(variance_ratio(ev, ks=(2, 4)))
 
 
 VARIANCE_RATIO_SQL = """
@@ -7413,7 +7381,7 @@ def q_xcorr_gap(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(xcorr_gap(ev, num_partitions=8))
+    return round6(xcorr_gap(ev))
 
 
 XCORR_GAP_SQL = """
@@ -7460,7 +7428,7 @@ def q_perm_entropy(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(perm_entropy(ev, num_partitions=8))
+    return round6(perm_entropy(ev))
 
 
 PERM_ENTROPY_SQL = """
@@ -7502,7 +7470,7 @@ def q_hurst(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(hurst_rs(ev, num_partitions=8))
+    return round6(hurst_rs(ev))
 
 
 def _hurst_size_cte(w):
@@ -7573,7 +7541,7 @@ def q_jarque_bera(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"]
     )
-    return round6(jarque_bera(ev, num_partitions=8))
+    return round6(jarque_bera(ev))
 
 
 JARQUE_BERA_SQL = """
@@ -7610,7 +7578,7 @@ def q_welch_ttest(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
     )
-    return round6(welch_ttest(ev, num_partitions=8))
+    return round6(welch_ttest(ev))
 
 
 WELCH_TTEST_SQL = """
@@ -7660,7 +7628,7 @@ def q_ljung_box(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(ljung_box(ev, max_lag=3, num_partitions=8))
+    return round6(ljung_box(ev, max_lag=3))
 
 
 LJUNG_BOX_SQL = """
@@ -7711,7 +7679,7 @@ def q_trend_seasonal(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
     )
-    return round6(trend_seasonal_strength(ev, num_partitions=8))
+    return round6(trend_seasonal_strength(ev))
 
 
 TREND_SEASONAL_SQL = """
@@ -7783,7 +7751,7 @@ def q_turning_points(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(turning_points(ev, num_partitions=8))
+    return round6(turning_points(ev))
 
 
 TURNING_POINTS_SQL = """
@@ -7816,7 +7784,7 @@ def q_ar1_fit(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(ar1_fit(ev, num_partitions=8))
+    return round6(ar1_fit(ev))
 
 
 AR1_FIT_SQL = """
@@ -7901,7 +7869,7 @@ def q_pmi_collocations(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    return round6(pmi_collocations(docs, min_count=5, num_partitions=8))
+    return round6(pmi_collocations(docs, min_count=5))
 
 
 PMI_COLLOCATIONS_SQL = """
@@ -7942,7 +7910,7 @@ def q_burstiness(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(burstiness(ev, num_partitions=8))
+    return round6(burstiness(ev))
 
 
 BURSTINESS_SQL = """
@@ -7998,7 +7966,7 @@ def q_kendall_tau(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(kendall_tau(ev, num_partitions=8))
+    return round6(kendall_tau(ev))
 
 
 KENDALL_TAU_SQL = """
@@ -8037,7 +8005,7 @@ def q_mase_backtest(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(seasonal_naive_mase(ev, num_partitions=8))
+    return round6(seasonal_naive_mase(ev))
 
 
 MASE_SQL = """
@@ -8076,7 +8044,7 @@ def q_pacf(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(pacf_lags(ev, num_partitions=8))
+    return round6(pacf_lags(ev))
 
 
 PACF_SQL = """
@@ -8134,7 +8102,7 @@ def q_durbin_watson(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(durbin_watson(ev, num_partitions=8))
+    return round6(durbin_watson(ev))
 
 
 DURBIN_WATSON_SQL = """
@@ -8167,7 +8135,7 @@ def q_count_dispersion(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(count_dispersion(ev, num_partitions=8))
+    return round6(count_dispersion(ev))
 
 
 COUNT_DISPERSION_SQL = """
@@ -8205,7 +8173,7 @@ def q_sample_entropy(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "value"],
     )
-    return round6(sample_entropy(ev, num_partitions=8))
+    return round6(sample_entropy(ev))
 
 
 SAMPLE_ENTROPY_SQL = """
@@ -8307,7 +8275,7 @@ def q_peak_rate(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return peak_rate(ev, num_partitions=8)
+    return peak_rate(ev)
 
 
 PEAK_RATE_SQL = """
@@ -8333,7 +8301,7 @@ def q_markov_entropy(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "event_type", "ts"],
     )
-    return round6(markov_entropy_rate(ev, num_partitions=8))
+    return round6(markov_entropy_rate(ev))
 
 
 MARKOV_ENTROPY_SQL = """
@@ -8364,7 +8332,7 @@ def q_exp_gap_fit(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_id", "ts"]
     )
-    return round6(exp_gap_fit(ev, num_partitions=8))
+    return round6(exp_gap_fit(ev))
 
 
 EXP_GAP_FIT_SQL = """
@@ -8468,7 +8436,7 @@ def q_keyness_terms(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    return round6(keyness_terms(docs, num_partitions=8))
+    return round6(keyness_terms(docs))
 
 
 KEYNESS_SQL = """
@@ -8510,7 +8478,7 @@ def q_day_streak(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return day_streak(ev, num_partitions=8)
+    return day_streak(ev)
 
 
 DAY_STREAK_SQL = """
@@ -8538,7 +8506,7 @@ def q_seasonal_power(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(seasonal_power(ev, num_partitions=8))
+    return round6(seasonal_power(ev))
 
 
 SEASONAL_POWER_SQL = """
@@ -8590,7 +8558,7 @@ def q_haar_energy(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return haar_energy(ev, num_partitions=8)
+    return haar_energy(ev)
 
 
 HAAR_SQL = """
@@ -8640,7 +8608,7 @@ def q_gumbel_maxima(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(gumbel_maxima(ev, num_partitions=8))
+    return round6(gumbel_maxima(ev))
 
 
 GUMBEL_SQL = """
@@ -8680,7 +8648,7 @@ def q_gini_values(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"]
     )
-    return round6(gini_values(ev, num_partitions=8))
+    return round6(gini_values(ev))
 
 
 GINI_VALUES_SQL = """
@@ -8708,7 +8676,7 @@ def q_quartile_cv(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"]
     )
-    return round6(quartile_cv(ev, num_partitions=8))
+    return round6(quartile_cv(ev))
 
 
 QUARTILE_CV_SQL = """
@@ -8739,7 +8707,7 @@ def q_daily_profile_drift(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(daily_profile_drift(ev, num_partitions=8))
+    return round6(daily_profile_drift(ev))
 
 
 DAILY_PROFILE_DRIFT_SQL = """
@@ -8778,7 +8746,7 @@ def q_theil_index(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id"]
     )
-    return round6(theil_index(ev, num_partitions=8))
+    return round6(theil_index(ev))
 
 
 THEIL_SQL = """
@@ -8802,7 +8770,7 @@ def q_count_acf(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(count_acf(ev, num_partitions=8))
+    return round6(count_acf(ev))
 
 
 COUNT_ACF_SQL = """
@@ -8847,7 +8815,7 @@ def q_circadian_phase(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(circadian_phase(ev, num_partitions=8))
+    return round6(circadian_phase(ev))
 
 
 CIRCADIAN_SQL = """
@@ -8945,7 +8913,7 @@ def q_rising_keys(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(rising_keys(ev, num_partitions=8))
+    return round6(rising_keys(ev))
 
 
 RISING_KEYS_SQL = """
@@ -8977,7 +8945,7 @@ def q_hour_runs(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(hour_runs(ev, num_partitions=8))
+    return round6(hour_runs(ev))
 
 
 HOUR_RUNS_SQL = """
@@ -9077,7 +9045,7 @@ def q_lmoments(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"]
     )
-    return round6(lmoments(ev, num_partitions=8))
+    return round6(lmoments(ev))
 
 
 LMOMENTS_SQL = """
@@ -9125,7 +9093,7 @@ def q_df_histogram(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    return round6(df_histogram(docs, num_partitions=8))
+    return round6(df_histogram(docs))
 
 
 DF_HISTOGRAM_SQL = """
@@ -9153,7 +9121,7 @@ def q_hjorth_params(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(hjorth_params(ev, num_partitions=8))
+    return round6(hjorth_params(ev))
 
 
 HJORTH_SQL = """
@@ -9200,7 +9168,7 @@ def q_teager_energy(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(teager_energy(ev, num_partitions=8))
+    return round6(teager_energy(ev))
 
 
 TEAGER_SQL = """
@@ -9233,7 +9201,7 @@ def q_fractal_dims(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(fractal_dims(ev, num_partitions=8))
+    return round6(fractal_dims(ev))
 
 
 FRACTAL_SQL = """
@@ -9272,7 +9240,7 @@ def q_page_hinkley(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(page_hinkley(ev, num_partitions=8))
+    return round6(page_hinkley(ev))
 
 
 PAGE_HINKLEY_SQL = """
@@ -9313,7 +9281,7 @@ def q_grubbs_stat(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"]
     )
-    return round6(grubbs_stat(ev, num_partitions=8))
+    return round6(grubbs_stat(ev))
 
 
 GRUBBS_SQL = """
@@ -9347,7 +9315,7 @@ def q_rfm_segmentation(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
     )
-    return round6(rfm_segmentation(ev, num_partitions=8))
+    return round6(rfm_segmentation(ev))
 
 
 RFM_SQL = """
@@ -9384,7 +9352,7 @@ def q_basket_lift(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
-    return round6(basket_lift(ev, num_partitions=8))
+    return round6(basket_lift(ev))
 
 
 BASKET_LIFT_SQL = """
@@ -9415,7 +9383,7 @@ def q_heaps_law(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    return round6(heaps_law(docs, num_partitions=8))
+    return round6(heaps_law(docs))
 
 
 HEAPS_SQL = """
@@ -9468,7 +9436,7 @@ def q_pareto_concentration(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id"]
     )
-    return round6(pareto_concentration(ev, num_partitions=8))
+    return round6(pareto_concentration(ev))
 
 
 PARETO_SQL = """
@@ -9500,7 +9468,7 @@ def q_vocab_richness(sf_dir):
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["text"]
     )
-    return round6(vocab_richness(docs, num_partitions=8))
+    return round6(vocab_richness(docs))
 
 
 VOCAB_RICHNESS_SQL = """
@@ -9537,7 +9505,7 @@ def q_monotone_runs(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(monotone_runs(ev, num_partitions=8))
+    return round6(monotone_runs(ev))
 
 
 MONOTONE_RUNS_SQL = """
@@ -9685,7 +9653,7 @@ def q_activity_corr_pairs(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(activity_corr_pairs(ev, num_partitions=8))
+    return round6(activity_corr_pairs(ev))
 
 
 ACTIVITY_CORR_SQL = """
@@ -9773,7 +9741,6 @@ def q_returned_revenue(sf_dir):
     the end; the integer top-20 (units desc, custkey) is
     deterministic."""
     import pyarrow.compute as pc
-    from ..stages.partition import group_apply
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -9808,14 +9775,14 @@ def q_returned_revenue(sf_dir):
         cells,
         lambda df: df.groupby("l_orderkey",
                               as_index=False)["_rev"].sum(),
-        num_partitions=8, key="l_orderkey")
-    joined = rev.join(ords, "inner", num_partitions=8,
+        key="l_orderkey")
+    joined = rev.join(ords, "inner", num_partitions=partition_count(),
                       on=("l_orderkey",))
     per_cust = group_apply(
         joined,
         lambda df: df.groupby("o_custkey",
                               as_index=False)["_rev"].sum(),
-        num_partitions=8, key="o_custkey").to_pandas()
+        key="o_custkey").to_pandas()
     if per_cust.empty:
         return pd.DataFrame({
             "c_custkey": pd.Series(dtype="int64"),
@@ -9949,7 +9916,7 @@ def q_wilcoxon_shift(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(wilcoxon_shift(ev, num_partitions=8))
+    return round6(wilcoxon_shift(ev))
 
 
 WILCOXON_SQL = """
@@ -9996,7 +9963,6 @@ def q_nation_trade(sf_dir):
     (orderkey, supp-nation, year) cells before the single
     large×large orderkey hash join; the flow groupby runs on
     cell-sized join output."""
-    from ..stages.partition import group_apply
 
     nation = ray.data.read_parquet(
         f"{sf_dir}/nation.parquet").to_pandas()
@@ -10055,9 +10021,8 @@ def q_nation_trade(sf_dir):
     combined = group_apply(
         cells,
         lambda df: df.groupby(["l_orderkey", "s_nat", "ship_year"],
-                              as_index=False)["units"].sum(),
-        num_partitions=8, key="l_orderkey")
-    joined = combined.join(ords, "inner", num_partitions=8,
+                              as_index=False)["units"].sum(), key="l_orderkey")
+    joined = combined.join(ords, "inner", num_partitions=partition_count(),
                            on=("l_orderkey",))
 
     def flow_cells(df: pd.DataFrame) -> pd.DataFrame:
@@ -10163,7 +10128,7 @@ def q_trigram_entropy(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "event_type", "ts"],
     )
-    return round6(trigram_entropy(ev, num_partitions=8))
+    return round6(trigram_entropy(ev))
 
 
 TRIGRAM_ENTROPY_SQL = """
@@ -10201,7 +10166,7 @@ def q_variogram(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(variogram(ev, num_partitions=8))
+    return round6(variogram(ev))
 
 
 VARIOGRAM_SQL = """
@@ -10233,7 +10198,6 @@ def q_late_fulfillment(sf_dir):
     days after the order date (max-shipdate cells make the EXISTS a
     plain max).  Map-side exact-µs per-orderkey max cells, one
     orderkey hash join, priority-keyed exact counts."""
-    from ..stages.partition import group_apply
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -10251,7 +10215,7 @@ def q_late_fulfillment(sf_dir):
         li.map_batches(mx_cells, batch_format="pandas"),
         lambda df: df.groupby("l_orderkey", as_index=False)["mx"]
         .max(),
-        num_partitions=8, key="l_orderkey")
+        key="l_orderkey")
 
     def ords_map(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -10265,7 +10229,7 @@ def q_late_fulfillment(sf_dir):
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
     ).map_batches(ords_map, batch_format="pandas")
 
-    joined = cells.join(ords, "inner", num_partitions=8,
+    joined = cells.join(ords, "inner", num_partitions=partition_count(),
                         on=("l_orderkey",))
 
     def pr_cells(df: pd.DataFrame) -> pd.DataFrame:
@@ -10468,7 +10432,6 @@ def q_top_supplier_revenue(sf_dir):
     max and the tie filter run on the cell table; names attach from
     the dimension read."""
     import pyarrow.compute as pc
-    from ..stages.partition import group_apply
 
     lo = np.datetime64("1997-01-01", "us")
     hi = np.datetime64("1997-04-01", "us")
@@ -10494,7 +10457,7 @@ def q_top_supplier_revenue(sf_dir):
         li.map_batches(cells, batch_format="pandas"),
         lambda df: df.groupby("l_suppkey",
                               as_index=False)["units"].sum(),
-        num_partitions=8, key="l_suppkey").to_pandas()
+        key="l_suppkey").to_pandas()
     if per.empty:
         return pd.DataFrame({
             "s_suppkey": pd.Series(dtype="int64"),
@@ -10545,7 +10508,7 @@ def q_time_reversal(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(time_reversal(ev, num_partitions=8))
+    return round6(time_reversal(ev))
 
 
 TIME_REVERSAL_SQL = """
@@ -10577,7 +10540,7 @@ def q_c3_nonlinearity(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(c3_nonlinearity(ev, lag=1, num_partitions=8))
+    return round6(c3_nonlinearity(ev, lag=1))
 
 
 C3_SQL = """
@@ -10608,7 +10571,7 @@ def q_energy_chunks(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(energy_chunks(ev, n_chunks=8, num_partitions=8))
+    return round6(energy_chunks(ev, n_chunks=8))
 
 
 ENERGY_CHUNKS_SQL = """
@@ -10640,7 +10603,7 @@ def q_binned_entropy(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"]
     )
-    return round6(binned_entropy(ev, n_bins=10, num_partitions=8))
+    return round6(binned_entropy(ev, n_bins=10))
 
 
 BINNED_ENTROPY_SQL = """
@@ -10673,7 +10636,7 @@ def q_psd_profile(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(psd_profile(ev, n_freqs=8, num_partitions=8))
+    return round6(psd_profile(ev, n_freqs=8))
 
 
 PSD_PROFILE_SQL = """
@@ -10742,7 +10705,7 @@ def q_extreme_locations(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(extreme_locations(ev, num_partitions=8))
+    return round6(extreme_locations(ev))
 
 
 EXTREME_LOC_SQL = """
@@ -10779,7 +10742,7 @@ def q_weibull_gaps(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
     )
-    return round6(weibull_gaps(ev, num_partitions=8))
+    return round6(weibull_gaps(ev))
 
 
 WEIBULL_GAPS_SQL = """
@@ -10866,7 +10829,7 @@ def q_friedman(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
-    return round6(friedman_test(ev, num_partitions=8))
+    return round6(friedman_test(ev))
 
 
 FRIEDMAN_SQL = """
@@ -10987,7 +10950,7 @@ def q_complexity_profile(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(complexity_profile(ev, num_partitions=8))
+    return round6(complexity_profile(ev))
 
 
 COMPLEXITY_SQL = """
@@ -11033,7 +10996,7 @@ def q_strike_profile(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(strike_profile(ev, num_partitions=8))
+    return round6(strike_profile(ev))
 
 
 STRIKE_SQL = """
@@ -11094,7 +11057,7 @@ def q_index_mass_quantile(sf_dir):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"],
     )
-    return round6(index_mass_quantile(ev, num_partitions=8))
+    return round6(index_mass_quantile(ev))
 
 
 IMQ_SQL = """
@@ -11138,7 +11101,6 @@ def q_order_count_dist(sf_dir):
     (bounded by max orders/customer), and only the tiny histogram
     plus one customer-table count reach the driver — no per-customer
     driver pull."""
-    from ..stages.partition import group_apply
 
     def cnt_partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("o_custkey", as_index=False).size()
@@ -11150,8 +11112,7 @@ def q_order_count_dist(sf_dir):
         ).map_batches(cnt_partial, batch_format="pandas"),
         lambda df: df.groupby("o_custkey",
                               as_index=False)["cnt"].sum(),
-        num_partitions=8, key="o_custkey")
-
+        key="o_custkey") 
     def hist_partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("cnt", as_index=False).size()
         return g.rename(columns={"size": "custdist"})
@@ -11292,7 +11253,6 @@ def q_large_volume_orders(sf_dir):
     selectivity-bounded survivors BEFORE the orders hash join; only
     survivors reach the driver for the deterministic integer
     top-100 (price units desc, orderkey asc); names attach last."""
-    from ..stages.partition import group_apply
 
     def qty_cells(df: pd.DataFrame) -> pd.DataFrame:
         q = np.rint(df["l_quantity"].to_numpy(np.float64)) \
@@ -11312,7 +11272,7 @@ def q_large_volume_orders(sf_dir):
         return g[g["sq"] > 150]
 
     big = group_apply(cells, reduce_filter,
-                      num_partitions=8, key="l_orderkey")
+                      key="l_orderkey")
 
     def ords_map(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -11329,7 +11289,7 @@ def q_large_volume_orders(sf_dir):
         columns=["o_orderkey", "o_custkey", "o_orderdate",
                  "o_totalprice"],
     ).map_batches(ords_map, batch_format="pandas")
-    joined = big.join(ords, "inner", num_partitions=8,
+    joined = big.join(ords, "inner", num_partitions=partition_count(),
                       on=("l_orderkey",)).to_pandas()
     cols = {"c_name": pd.Series(dtype=object),
             "o_custkey": pd.Series(dtype="int64"),
@@ -11382,7 +11342,6 @@ def q_market_share(sf_dir):
     before the single large×large orderkey hash join against the
     (orderkey, order-year) projection of orders; the per-year
     share closes over year-sized cells on the driver."""
-    from ..stages.partition import group_apply
 
     part = ray.data.read_parquet(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"]
@@ -11440,7 +11399,7 @@ def q_market_share(sf_dir):
         ).map_batches(li_cells, batch_format="pandas"),
         lambda df: df.groupby(["l_orderkey", "is_target"],
                               as_index=False)["units"].sum(),
-        num_partitions=8, key="l_orderkey")
+        key="l_orderkey")
 
     def orders_proj(df: pd.DataFrame) -> pd.DataFrame:
         yr = pd.DatetimeIndex(
@@ -11454,7 +11413,7 @@ def q_market_share(sf_dir):
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderdate"],
     ).map_batches(orders_proj, batch_format="pandas")
-    joined = cells.join(ords, "inner", num_partitions=8,
+    joined = cells.join(ords, "inner", num_partitions=partition_count(),
                         on=("l_orderkey",))
 
     def yr_cells(df: pd.DataFrame) -> pd.DataFrame:
@@ -11524,7 +11483,6 @@ def q_product_profit(sf_dir):
     suppkey→nation map broadcast once; lineitem pre-aggregates to
     (orderkey, nation) profit cells before the one orderkey hash
     join against the (orderkey, year) orders projection."""
-    from ..stages.partition import group_apply
 
     part = ray.data.read_parquet(
         f"{sf_dir}/part.parquet",
@@ -11586,7 +11544,7 @@ def q_product_profit(sf_dir):
         lambda df: df.groupby(["l_orderkey", "s_nat"],
                               as_index=False)["profit_units"]
         .sum(),
-        num_partitions=8, key="l_orderkey")
+        key="l_orderkey")
 
     def orders_proj(df: pd.DataFrame) -> pd.DataFrame:
         yr = pd.DatetimeIndex(
@@ -11600,7 +11558,7 @@ def q_product_profit(sf_dir):
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderdate"],
     ).map_batches(orders_proj, batch_format="pandas")
-    joined = cells.join(ords, "inner", num_partitions=8,
+    joined = cells.join(ords, "inner", num_partitions=partition_count(),
                         on=("l_orderkey",))
 
     prof = joined.map_batches(
@@ -11661,7 +11619,6 @@ def q_waiting_suppliers(sf_dir):
     projection of orders joins once by orderkey, and the
     sole-late-supplier test is a vectorized per-order groupby over
     cell-sized data; only per-supplier counts reach the driver."""
-    from ..stages.partition import group_apply
 
     def li_cells(df: pd.DataFrame) -> pd.DataFrame:
         g = pd.DataFrame({
@@ -11679,7 +11636,7 @@ def q_waiting_suppliers(sf_dir):
         ).map_batches(li_cells, batch_format="pandas"),
         lambda df: df.groupby(["l_orderkey", "sk"],
                               as_index=False)["ms"].max(),
-        num_partitions=8, key="l_orderkey")
+        key="l_orderkey")
 
     ords = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -11690,7 +11647,7 @@ def q_waiting_suppliers(sf_dir):
             "od": df["o_orderdate"].to_numpy("datetime64[us]")
             .astype(np.int64)}),
         batch_format="pandas")
-    joined = cells.join(ords, "inner", num_partitions=8,
+    joined = cells.join(ords, "inner", num_partitions=partition_count(),
                         on=("l_orderkey",))
 
     LATE_US = 90 * 86400 * 10**6
@@ -11873,7 +11830,7 @@ def q_cochran_q(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_type", "ts"])
-    return round6(cochran_q(ev, num_partitions=8))
+    return round6(cochran_q(ev))
 
 
 COCHRAN_Q_SQL = """
@@ -11913,7 +11870,7 @@ def q_mcnemar(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_type", "ts"])
-    return round6(mcnemar_halves(ev, num_partitions=8))
+    return round6(mcnemar_halves(ev))
 
 
 MCNEMAR_SQL = """
@@ -11959,7 +11916,7 @@ def q_sign_test(sf_dir):
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    return round6(sign_test_halves(ev, num_partitions=8))
+    return round6(sign_test_halves(ev))
 
 
 SIGN_TEST_SQL = """
@@ -12116,7 +12073,7 @@ def q_logrank(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_type", "ts"])
-    return round6(logrank_test(ev, num_partitions=8))
+    return round6(logrank_test(ev))
 
 
 LOGRANK_SQL = """
@@ -12509,7 +12466,7 @@ def q_chao1(sf_dir):
 
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["text"])
-    return round6(chao1_richness(docs, num_partitions=8))
+    return round6(chao1_richness(docs))
 
 
 CHAO1_SQL = r"""
@@ -12841,7 +12798,7 @@ def q_gehan(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_type", "ts"])
-    return round6(gehan_wilcoxon(ev, num_partitions=8))
+    return round6(gehan_wilcoxon(ev))
 
 
 GEHAN_SQL = """
@@ -12909,7 +12866,7 @@ def q_cuped(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "value"])
-    return round6(cuped_effect(ev, num_partitions=8))
+    return round6(cuped_effect(ev))
 
 
 CUPED_SQL = """
@@ -12978,7 +12935,7 @@ def q_rmst(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_type", "ts"])
-    return round6(rmst(ev, num_partitions=8))
+    return round6(rmst(ev))
 
 
 RMST_SQL = """
@@ -13391,8 +13348,7 @@ def q_conformal_interval(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"])
-    return round6(conformal_interval(ev, alpha_pct=10,
-                                     num_partitions=8))
+    return round6(conformal_interval(ev, alpha_pct=10))
 
 
 CONFORMAL_SQL = """
@@ -13495,7 +13451,7 @@ def q_diebold_mariano(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"])
-    return round6(diebold_mariano(ev, num_partitions=8))
+    return round6(diebold_mariano(ev))
 
 
 DIEBOLD_MARIANO_SQL = """
@@ -13738,8 +13694,7 @@ def q_chunk_trend(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"])
-    return round6(chunk_trend_profile(ev, chunk_len=16,
-                                      num_partitions=8))
+    return round6(chunk_trend_profile(ev, chunk_len=16))
 
 
 CHUNK_TREND_SQL = """
@@ -13958,7 +13913,7 @@ def q_cox_stuart(sf_dir):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value"])
-    return round6(cox_stuart(ev, num_partitions=8))
+    return round6(cox_stuart(ev))
 
 
 COX_STUART_SQL = """
@@ -13997,7 +13952,7 @@ def q_ratio_beyond_sigma(sf_dir):
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"])
-    return round6(ratio_beyond_sigma(ev, num_partitions=8))
+    return round6(ratio_beyond_sigma(ev))
 
 
 RATIO_SIGMA_SQL = """
@@ -14037,7 +13992,7 @@ def q_reoccurrence_profile(sf_dir):
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"])
-    return round6(reoccurrence_profile(ev, num_partitions=8))
+    return round6(reoccurrence_profile(ev))
 
 
 REOCC_SQL = """
@@ -14077,7 +14032,7 @@ def q_abs_max_profile(sf_dir):
 
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "value"])
-    return round6(abs_max_profile(ev, top_n=5, num_partitions=8))
+    return round6(abs_max_profile(ev, top_n=5))
 
 
 ABS_MAX_SQL = """

@@ -298,7 +298,7 @@ def _hot_sizes(ds: ray.data.Dataset, lo: int, hi: int) -> pd.DataFrame:
     return group_apply(
         ds.select_columns(["conv_id"]).map_batches(
             _counts, batch_format="pandas"),
-        _hot, num_partitions=32, key="conv_id",
+        _hot, key="conv_id",
     ).to_pandas()
 
 

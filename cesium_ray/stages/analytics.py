@@ -27,10 +27,7 @@ from .partition import group_apply
 _DAY_US = np.int64(86_400_000_000)
 
 
-def cohort_retention(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def cohort_retention(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per (cohort day = a user's first-seen day, age in days): the
     number of distinct users active — the retention triangle.
     Returns (cohort_day, age_days, n_users) with cohort_day in epoch
@@ -54,8 +51,7 @@ def cohort_retention(
             .size().rename(columns={"size": "_n"}))
         return out
 
-    cells = group_apply(ds, per_user_cells, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    cells = group_apply(ds, per_user_cells, key=USER_ID).to_pandas()
     # users are whole within a partition, so partial counts are already
     # distinct-user counts; the driver just sums them
     return (cells.groupby(["cohort_day", "age_days"], as_index=False)["_n"]
@@ -65,7 +61,6 @@ def cohort_retention(
 def funnel_steps(
     ds: ray.data.Dataset,
     steps: tuple = ("signup", "click", "purchase"),
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Strict-order funnel: a user reaches step i+1 only via an event
     of that type STRICTLY after their step-i time (earliest-completion
@@ -97,8 +92,7 @@ def funnel_steps(
             "_n": np.array(counts, np.int64),
         })
 
-    parts = group_apply(ds, per_part, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    parts = group_apply(ds, per_part, key=USER_ID).to_pandas()
     out = (parts.groupby(["step_idx", "step"], as_index=False)["_n"].sum()
            .rename(columns={"_n": "n_users"}))
     return out.sort_values("step_idx").reset_index(drop=True)
@@ -107,7 +101,6 @@ def funnel_steps(
 def distinct_per_window(
     ds: ray.data.Dataset,
     bucket_s: int = 86400,
-    num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Exact distinct-key count per time bucket (the daily-active-users
     aggregate).  Each block first reduces to its distinct
@@ -127,14 +120,10 @@ def distinct_per_window(
         return out.rename(columns={"size": "n_users"})
 
     c = ds.map_batches(cells, batch_format="pandas")
-    return group_apply(c, count, num_partitions=num_partitions,
-                       key="bucket_us")
+    return group_apply(c, count, key="bucket_us")
 
 
-def percent_rank_in_group(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> ray.data.Dataset:
+def percent_rank_in_group(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Tie-aware percent rank of each row's value within its group —
     SQL ``percent_rank()`` semantics: (min-rank − 1)/(n − 1), 0 for
     single-row groups.  One sort + run-boundary scan per partition."""
@@ -159,13 +148,10 @@ def percent_rank_in_group(
         out["pr"] = pr
         return out.reset_index(drop=True)
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(ds, fn, key=USER_ID)
 
 
-def group_profile(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> ray.data.Dataset:
+def group_profile(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Per-key lifecycle profile: row count, first/last timestamp,
     first/last attribute value (by (ts, order)), and active span in
     whole seconds — the summary row a user-facing dashboard keys on.
@@ -190,13 +176,10 @@ def group_profile(
             "span_s": ((tus[ends] - tus[starts]) // 1_000_000).astype(np.int64),
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(ds, fn, key=USER_ID)
 
 
-def group_mode(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> ray.data.Dataset:
+def group_mode(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Exact per-key mode of a categorical column (ties broken by the
     lexicographically smallest value — SQL row_number over
     (count DESC, value ASC)).  Map-side (key, value) cell counts shrink
@@ -219,13 +202,10 @@ def group_mode(
                                     "_n": "n"})
                 .reset_index(drop=True))
 
-    return group_apply(cells, pick, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(cells, pick, key=USER_ID)
 
 
-def cooccurrence_pairs(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def cooccurrence_pairs(ds: ray.data.Dataset) -> pd.DataFrame:
     """Global co-occurrence counts: for every unordered pair of
     distinct ``event_type`` values seen under the same key, the number of
     keys exhibiting both.  Map-side distinct (key, attr) cells → one
@@ -251,8 +231,7 @@ def cooccurrence_pairs(
                                        EVENT_TYPE + "_b": "type_b"}))
         return out
 
-    parts = group_apply(cells, pair_counts,
-                        num_partitions=num_partitions, key=USER_ID).to_pandas()
+    parts = group_apply(cells, pair_counts, key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame({"type_a": pd.Series(dtype=object),
                              "type_b": pd.Series(dtype=object),
@@ -293,7 +272,7 @@ def grouping_sets_rollup(ds: ray.data.Dataset) -> pd.DataFrame:
     cells = (group_apply(
         ds.map_batches(partial, batch_format="pandas"),
         lambda df: df.groupby([EVENT_TYPE, "bucket_us"], as_index=False).sum(),
-        num_partitions=4, key=EVENT_TYPE).to_pandas()
+        key=EVENT_TYPE).to_pandas()
         .groupby([EVENT_TYPE, "bucket_us"], as_index=False).sum())
 
     def level(keep: list) -> pd.DataFrame:
@@ -322,10 +301,7 @@ def grouping_sets_rollup(ds: ray.data.Dataset) -> pd.DataFrame:
             .reset_index(drop=True))
 
 
-def transition_matrix(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def transition_matrix(ds: ray.data.Dataset) -> pd.DataFrame:
     """Markov transition counts: for every ordered pair of consecutive
     events in a key's (ts, order)-sorted stream, how many transitions
     type_from → type_to occur (SQL lead() semantics; a key's last
@@ -359,8 +335,7 @@ def transition_matrix(
                              "type_to": alpha[nz % na],
                              "_n": cnt[nz].astype(np.int64)})
 
-    parts = group_apply(ds, cells, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    parts = group_apply(ds, cells, key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame({"type_from": pd.Series(dtype=object),
                              "type_to": pd.Series(dtype=object),
@@ -372,10 +347,7 @@ def transition_matrix(
             .reset_index(drop=True))
 
 
-def user_growth(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def user_growth(ds: ray.data.Dataset) -> pd.DataFrame:
     """Growth accounting: per day, the number of first-seen keys and
     the running cumulative total, ordered by day.  Map-side per-block
     (key → min day) partials shrink every block to its distinct keys;
@@ -397,8 +369,7 @@ def user_growth(
                .rename(columns={"_d": "bucket_us", "size": "_n"}))
         return out
 
-    parts = group_apply(cells, day_counts,
-                        num_partitions=num_partitions, key=USER_ID).to_pandas()
+    parts = group_apply(cells, day_counts, key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame({"bucket_us": pd.Series(dtype="int64"),
                              "new_users": pd.Series(dtype="int64"),
@@ -411,10 +382,7 @@ def user_growth(
     return out
 
 
-def type_variety(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def type_variety(ds: ray.data.Dataset) -> pd.DataFrame:
     """Variety histogram: for each distinct-``event_type`` count k, the
     number of keys exhibiting exactly k distinct values — the
     engagement-breadth distribution.  Map-side distinct (key, attr)
@@ -437,8 +405,7 @@ def type_variety(
         return pd.DataFrame({"n_types": nz.astype(np.int64),
                              "_n": cnt[nz].astype(np.int64)})
 
-    parts = group_apply(cells, hist, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    parts = group_apply(cells, hist, key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame({"n_types": pd.Series(dtype="int64"),
                              "n_users": pd.Series(dtype="int64")})
@@ -475,7 +442,7 @@ def share_of_bucket(
         ds.map_batches(partial, batch_format="pandas"),
         lambda df: df.groupby([EVENT_TYPE, "bucket_us"],
                               as_index=False)["cnt"].sum(),
-        num_partitions=4, key=EVENT_TYPE,
+        key=EVENT_TYPE,
     ).to_pandas()
     if parts.empty:
         return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
@@ -491,11 +458,7 @@ def share_of_bucket(
             .reset_index(drop=True))
 
 
-def sequence_pattern_count(
-    ds: ray.data.Dataset,
-    pattern: str,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def sequence_pattern_count(ds: ray.data.Dataset, pattern: str) -> pd.DataFrame:
     """Sequence-pattern mining: encode each key's (ts, order)-ordered
     ``event_type`` stream as a string (first character of each value) and
     count non-overlapping regex matches — "error recovered into
@@ -554,17 +517,13 @@ def sequence_pattern_count(
                              "seq_len": np.asarray(lens, dtype=np.int64),
                              "n_matches": np.asarray(hits, dtype=np.int64)})
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def lateness_report(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def lateness_report(ds: ray.data.Dataset) -> pd.DataFrame:
     """Out-of-order arrival diagnostics (the watermark-sizing input
     for any event-time streaming consumer): replay each key's events
     in ARRIVAL order (``event_id``) and flag rows whose event time
@@ -615,18 +574,13 @@ def lateness_report(
             "frac_late": nl.astype(np.float64) / n.astype(np.float64),
         })
 
-    out = group_apply(ds, fn, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, fn, key=USER_ID).to_pandas()
     if out.empty:
         return fn(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def profile_columns(
-    ds: ray.data.Dataset,
-    columns: dict,
-    num_partitions: int = 8,
-) -> pd.DataFrame:
+def profile_columns(ds: ray.data.Dataset, columns: dict) -> pd.DataFrame:
     """ANALYZE-style table profile: one output row per column with
     row count, null count, EXACT distinct count, and numeric min/max
     (NaN for non-numeric columns) — the data-quality / planner-stats
@@ -668,7 +622,7 @@ def profile_columns(
         lambda df: df.groupby("col_name", as_index=False).agg(
             _n=("_n", "sum"), _nn=("_nn", "sum"),
             _mn=("_mn", "min"), _mx=("_mx", "max")),
-        num_partitions=2, key="col_name",
+        key="col_name",
     ).to_pandas()
     agg = cells.groupby("col_name", as_index=False).agg(
         n=("_n", "sum"), n_null=("_nn", "sum"),
@@ -687,7 +641,7 @@ def profile_columns(
             dcells,
             lambda df, c=c: pd.DataFrame(
                 {"d": [df[c].nunique()]}).astype(np.int64),
-            num_partitions=num_partitions, key=c,
+            key=c,
         ).to_pandas()["d"].sum()
         distinct[c] = int(n_dist)
     agg["n_distinct"] = agg["col_name"].map(distinct).astype(np.int64)
@@ -697,10 +651,7 @@ def profile_columns(
             .sort_values("col_name").reset_index(drop=True))
 
 
-def type_entropy(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def type_entropy(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Shannon entropy of the ``event_type`` distribution (nats),
     via H = ln(n) − (Σ c·ln c)/n over exact int64 per-type counts —
     the behavioral-diversity feature.  The float combination mirrors
@@ -738,18 +689,13 @@ def type_entropy(
             "entropy": np.log(nf) - s / nf,
         })
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def pagerank_types(
-    ds: ray.data.Dataset,
-    iters: int = 10,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def pagerank_types(ds: ray.data.Dataset, iters: int = 10) -> pd.DataFrame:
     """PageRank over the event-type transition graph: nodes are the
     distinct ``event_type`` values, edge weights are the Markov transition
     counts (``transition_matrix``), damping 0.85, uniform init,
@@ -766,7 +712,7 @@ def pagerank_types(
 
         r' = 0.15/N + 0.85·(Σ_in (r_src·n)/w_src + dang/N)
     """
-    edges = transition_matrix(ds, num_partitions=num_partitions)
+    edges = transition_matrix(ds)
 
     def distinct_partial(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({EVENT_TYPE: df[EVENT_TYPE].unique()})
@@ -802,7 +748,6 @@ def decayed_topk(
     ds: ray.data.Dataset,
     half_life_days: float = 1.0,
     top: int = 20,
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Recency-weighted activity ranking: each event contributes
     ``0.5^(age_days / half_life)`` relative to the stream's max event
@@ -828,14 +773,12 @@ def decayed_topk(
              .agg(w=("w", "sum"), n=("one", "sum")))
         g["n"] = g["n"].astype(np.int64)
         return g
-
-    from .partition import group_apply
     merged = group_apply(
         ds.select_columns([USER_ID, TS]).map_batches(
             cells, batch_format="pandas"),
         lambda df: df.groupby(USER_ID, as_index=False).agg(
             w=("w", "sum"), n=("n", "sum")),
-        num_partitions=num_partitions, key=USER_ID).to_pandas()
+        key=USER_ID).to_pandas()
     merged["n"] = merged["n"].astype(np.int64)
     out = merged.rename(columns={"w": "decayed"})
     return (out.sort_values(["decayed", USER_ID],
@@ -843,10 +786,7 @@ def decayed_topk(
             .head(top).reset_index(drop=True)[[USER_ID, "n", "decayed"]])
 
 
-def transition_pmi(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def transition_pmi(ds: ray.data.Dataset) -> pd.DataFrame:
     """Pointwise mutual information over consecutive event-type pairs
     — collocation scoring for event streams:
     pmi(a→b) = ln(n_ab·N / (n_a·· · n_··b)) from the exact int64
@@ -856,7 +796,7 @@ def transition_pmi(
 
     Distributed cost = the transition exchange; the |alphabet|²
     marginal algebra is driver-side broadcast-small."""
-    e = transition_matrix(ds, num_partitions=num_partitions)
+    e = transition_matrix(ds)
     if e.empty:
         return pd.DataFrame({"type_from": pd.Series(dtype=object),
                              "type_to": pd.Series(dtype=object),
@@ -927,7 +867,6 @@ def touch_attribution(
     ds: ray.data.Dataset,
     conversion: str = "purchase",
     lookback_s: int = 7 * 86400,
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Marketing-style conversion attribution: for every
     ``conversion`` event, credit the FIRST and LAST non-conversion
@@ -939,7 +878,6 @@ def touch_attribution(
     Emits one row per channel: first_touch / last_touch credit counts
     and n_conversions (conversions with ≥1 eligible touch, identical
     for both models by construction)."""
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {EVENT_TYPE: pd.Series(dtype=object),
@@ -981,8 +919,7 @@ def touch_attribution(
             "last_touch": lcnt[used],
         })
 
-    cells = group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    cells = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if not len(cells):
         return pd.DataFrame({EVENT_TYPE: [], "first_touch": [],
                              "last_touch": [], "n_conversions": []})
@@ -995,10 +932,7 @@ def touch_attribution(
     return out.sort_values(EVENT_TYPE, kind="mergesort").reset_index(drop=True)
 
 
-def gini_coefficient(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def gini_coefficient(ds: ray.data.Dataset) -> pd.DataFrame:
     """Gini inequality coefficient of per-key activity: over the
     sorted per-key event counts x_1 ≤ … ≤ x_n,
     G = Σ (2i − n − 1)·x_i / (n · Σ x_i) — 0 when activity is uniform,
@@ -1007,7 +941,6 @@ def gini_coefficient(
     keyed exchange to n final cells; the numerator is an EXACT int64
     (ranks × counts), so engine and SQL agree bit-for-bit before the
     single final division."""
-    from .partition import group_apply
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(USER_ID, as_index=False, observed=True).size()
@@ -1018,7 +951,7 @@ def gini_coefficient(
                                              batch_format="pandas"),
         lambda df: df.groupby(USER_ID, as_index=False,
                               observed=True)["cnt"].sum(),
-        num_partitions=num_partitions, key=USER_ID,
+        key=USER_ID,
     ).to_pandas()
     x = np.sort(counts["cnt"].to_numpy(np.int64), kind="mergesort")
     n = len(x)
@@ -1038,7 +971,7 @@ def gini_coefficient(
     })
 
 
-def psi_drift(ds: ray.data.Dataset, num_partitions: int = 8) -> pd.DataFrame:
+def psi_drift(ds: ray.data.Dataset) -> pd.DataFrame:
     """Population Stability Index — the ML data-drift health check:
     split the stream at the EXACT global median timestamp, bin both
     halves by the reference half's value deciles, and report
@@ -1049,7 +982,6 @@ def psi_drift(ds: ray.data.Dataset, num_partitions: int = 8) -> pd.DataFrame:
     bit), counts are int64 cells through one tiny keyed exchange.
     Emits one row per bin (exact counts + round-able contribution) —
     a 10-row verification surface rather than a single scalar."""
-    from .partition import group_apply
     from ..stages.selection import grouped_rank_quantiles
 
     def kspace(df: pd.DataFrame) -> pd.DataFrame:
@@ -1095,7 +1027,7 @@ def psi_drift(ds: ray.data.Dataset, num_partitions: int = 8) -> pd.DataFrame:
     cells = group_apply(
         mat.map_batches(bin_counts, batch_format="pandas"),
         lambda df: df.groupby(["bin", "side"], as_index=False)["c"].sum(),
-        num_partitions=num_partitions, key="bin",
+        key="bin",
     ).to_pandas()
     piv = (cells.pivot_table(index="bin", columns="side", values="c",
                              aggfunc="sum", fill_value=0)
@@ -1114,15 +1046,11 @@ def psi_drift(ds: ray.data.Dataset, num_partitions: int = 8) -> pd.DataFrame:
     })
 
 
-def record_highs(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def record_highs(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key running-record analysis: how many events set a new
     all-time high (strictly above every earlier value; the first
     event is a record), plus the final maximum.  Exact int-quantized
     comparisons; one key-hash exchange + a prefix-max per key."""
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {USER_ID: pd.Series(dtype="int64"),
@@ -1151,8 +1079,7 @@ def record_highs(
                         float(pmax[-1] / 100.0)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
             .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
@@ -1160,7 +1087,6 @@ def k_anonymity(
     ds: ray.data.Dataset,
     quasi_cols: tuple = ("event_type",),
     k: int = 5,
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Privacy-audit primitive for training-data curation: group rows
     by the quasi-identifier tuple and report how many equivalence
@@ -1170,7 +1096,6 @@ def k_anonymity(
     to final class cells (bounded by the quasi-id alphabet, never
     corpus size); every output is an exact int64 except the one
     mirrored risk-share division."""
-    from .partition import group_apply
 
     cols = list(quasi_cols)
 
@@ -1183,7 +1108,7 @@ def k_anonymity(
                                             batch_format="pandas"),
         lambda df: df.groupby(cols, as_index=False,
                               observed=True)["cnt"].sum(),
-        num_partitions=num_partitions, key=cols[0],
+        key=cols[0],
     ).to_pandas()
     cnt = cells["cnt"].to_numpy(np.int64)
     total = int(cnt.sum())
@@ -1230,7 +1155,7 @@ def _survival_cells(df: pd.DataFrame, key: str, type_col: str,
                          "tmax": np.maximum.reduceat(tus, starts)})
 
 
-def _survival_durations(ds, num_partitions):
+def _survival_durations(ds):
     """The survival family's one keyed exchange: ``_survival_cells``
     per partition, then each signed-up user's right-censored duration
     (first later 'purchase' − t0, else global max ts − t0) and its
@@ -1241,7 +1166,7 @@ def _survival_durations(ds, num_partitions):
         functools.partial(_survival_cells, key=USER_ID, type_col=EVENT_TYPE,
                           ts_col=TS, start_type="signup",
                           event_type="purchase"),
-        num_partitions=num_partitions, key=USER_ID,
+        key=USER_ID,
     ).to_pandas()
     if not len(cells):
         return None
@@ -1285,10 +1210,7 @@ def _km_steps(dur: np.ndarray, obs: np.ndarray):
     return evt_times, n_risk, d, surv
 
 
-def kaplan_meier(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def kaplan_meier(ds: ray.data.Dataset) -> pd.DataFrame:
     """Kaplan–Meier survival estimator for time-to-conversion: each
     key's duration runs from its first 'signup' event to its
     first LATER 'purchase' event (right-censored at the global max
@@ -1298,7 +1220,7 @@ def kaplan_meier(
     deaths, and S(t) = exp(Σ ln(1 − d/n)) — computed as the identical
     log-sum-exp op sequence the SQL twin uses, so the floats agree.
     All counts exact int64."""
-    got = _survival_durations(ds, num_partitions)
+    got = _survival_durations(ds)
     if got is None:
         return pd.DataFrame({"duration_us": pd.Series(dtype="int64"),
                              "n_risk": pd.Series(dtype="int64"),
@@ -1310,10 +1232,7 @@ def kaplan_meier(
                          "survival": np.array(surv, np.float64)})
 
 
-def zipf_exponent(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def zipf_exponent(ds: ray.data.Dataset) -> pd.DataFrame:
     """Discrete power-law (Zipf) exponent of per-key activity via the
     Clauset–Shalizi–Newman continuous-MLE approximation
     α ≈ 1 + n / Σ ln(x_i / (x_min − 1/2)) over per-key counts — the
@@ -1321,7 +1240,6 @@ def zipf_exponent(
     LPT placement (this corpus's conv sizes are Zipf by
     construction).  Counts are exact int64 cells through one keyed
     exchange; the ln-sum and α are the mirrored float expressions."""
-    from .partition import group_apply
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(USER_ID, as_index=False, observed=True).size()
@@ -1332,7 +1250,7 @@ def zipf_exponent(
                                              batch_format="pandas"),
         lambda df: df.groupby(USER_ID, as_index=False,
                               observed=True)["cnt"].sum(),
-        num_partitions=num_partitions, key=USER_ID,
+        key=USER_ID,
     ).to_pandas()
     x = counts["cnt"].to_numpy(np.int64)
     n = len(x)
@@ -1354,7 +1272,6 @@ def chi_square_independence(
     ds: ray.data.Dataset,
     col_a: str = "event_type",
     col_b: str = "hour",
-    num_partitions: int = 8,
 ) -> pd.DataFrame:
     """Pearson chi-square test of independence over a contingency
     table of two bounded-alphabet columns: observed counts are exact
@@ -1363,7 +1280,6 @@ def chi_square_independence(
     e = row_total·col_total/N, χ² = Σ (o−e)²/e.  The categorical
     drift/association check that pairs with psi_drift's numeric
     one."""
-    from .partition import group_apply
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby([col_a, col_b], as_index=False,
@@ -1374,7 +1290,7 @@ def chi_square_independence(
         ds.select_columns([col_a, col_b]).map_batches(
             partial, batch_format="pandas"),
         lambda df: df.groupby([col_a, col_b], as_index=False)["o"].sum(),
-        num_partitions=num_partitions, key=col_a,
+        key=col_a,
     ).to_pandas()
     piv = cells.pivot_table(index=col_a, columns=col_b, values="o",
                             aggfunc="sum", fill_value=0)
@@ -1394,10 +1310,7 @@ def chi_square_independence(
     })
 
 
-def auc_mann_whitney(
-    ds: ray.data.Dataset,
-    num_partitions: int = 8,
-) -> pd.DataFrame:
+def auc_mann_whitney(ds: ray.data.Dataset) -> pd.DataFrame:
     """ROC-AUC of a score against a binary label via the
     Mann–Whitney identity AUC = (R⁺ − n⁺(n⁺+1)/2) / (n⁺·n⁻) with R⁺
     the rank-sum of positives under tie-averaged ranks — the
@@ -1408,7 +1321,6 @@ def auc_mann_whitney(
     per-(score, label) count cells through one keyed exchange
     (bounded by distinct quantized scores), and the rank-sum is
     computed from the cells — never from corpus-sized rows."""
-    from .partition import group_apply
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         s = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
@@ -1422,7 +1334,7 @@ def auc_mann_whitney(
         ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
             partial, batch_format="pandas"),
         lambda df: df.groupby(["s", "y"], as_index=False)["c"].sum(),
-        num_partitions=num_partitions, key="s",
+        key="s",
     ).to_pandas().sort_values(["s", "y"]).reset_index(drop=True)
     piv = cells.pivot_table(index="s", columns="y", values="c",
                             aggfunc="sum", fill_value=0).sort_index()
@@ -1447,10 +1359,7 @@ def auc_mann_whitney(
 _BENFORD_P = [0.0] + [float(np.log10(1.0 + 1.0 / d)) for d in range(1, 10)]
 
 
-def benford_digits(
-    ds: ray.data.Dataset,
-    num_partitions: int = 8,
-) -> pd.DataFrame:
+def benford_digits(ds: ray.data.Dataset) -> pd.DataFrame:
     """Benford's-law first-digit audit — the data-forensics classic
     for spotting fabricated or clipped numeric columns: distribution
     of the leading decimal digit of |round(value·100)| (zero values
@@ -1459,7 +1368,6 @@ def benford_digits(
     integer division — no float formatting), counts reduce to 9
     cells through one keyed exchange; expected shares and chi² are
     the mirrored float expressions."""
-    from .partition import group_apply
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         v = np.abs(np.rint(df[VALUE].to_numpy(np.float64)
@@ -1481,7 +1389,7 @@ def benford_digits(
         ds.select_columns([VALUE]).map_batches(
             partial, batch_format="pandas"),
         lambda df: df.groupby("d", as_index=False)["c"].sum(),
-        num_partitions=num_partitions, key="d",
+        key="d",
     ).to_pandas()
     cnt = np.zeros(10, np.int64)
     cnt[cells["d"].to_numpy(np.int64)] = cells["c"].to_numpy(np.int64)
@@ -1500,7 +1408,7 @@ def benford_digits(
     })
 
 
-def runs_test(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def runs_test(ds: ray.data.Dataset) -> pd.DataFrame:
     """Wald–Wolfowitz runs test per key: is the above/below-median
     sign sequence random in time?  Median from the shared
     duck_quantile kernel; values equal to the median are dropped
@@ -1508,7 +1416,6 @@ def runs_test(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     approximation z = (R − μ)/σ with μ = 2n₊n₋/n + 1,
     σ² = 2n₊n₋(2n₊n₋ − n)/(n²(n−1)) is the mirrored float."""
     from ..oracle.rollup import duck_quantile
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {USER_ID: pd.Series(dtype="int64"),
@@ -1547,12 +1454,11 @@ def runs_test(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
                         np.int64(runs), float(z)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
             .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
-def ks_drift(ds: ray.data.Dataset, num_partitions: int = 8) -> pd.DataFrame:
+def ks_drift(ds: ray.data.Dataset) -> pd.DataFrame:
     """Two-sample Kolmogorov–Smirnov drift statistic between the
     first and second half of the stream (split at the exact global
     median timestamp, like ``psi_drift``): D = max |F₁ − F₂| over
@@ -1561,7 +1467,6 @@ def ks_drift(ds: ray.data.Dataset, num_partitions: int = 8) -> pd.DataFrame:
     an integer numerator, so engine and SQL agree bit-for-bit before
     one final division.  Per-(value, side) count cells flow through
     one keyed exchange — bounded by distinct quantized values."""
-    from .partition import group_apply
     from ..stages.selection import grouped_rank_quantiles
 
     def kspace(df: pd.DataFrame) -> pd.DataFrame:
@@ -1589,7 +1494,7 @@ def ks_drift(ds: ray.data.Dataset, num_partitions: int = 8) -> pd.DataFrame:
     cells = group_apply(
         mat.map_batches(counts, batch_format="pandas"),
         lambda df: df.groupby(["v", "side"], as_index=False)["c"].sum(),
-        num_partitions=num_partitions, key="v",
+        key="v",
     ).to_pandas()
     piv = (cells.pivot_table(index="v", columns="side", values="c",
                              aggfunc="sum", fill_value=0).sort_index())
@@ -1611,11 +1516,7 @@ def ks_drift(ds: ray.data.Dataset, num_partitions: int = 8) -> pd.DataFrame:
     })
 
 
-def bootstrap_mean_ci(
-    ds: ray.data.Dataset,
-    n_boot: int = 200,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def bootstrap_mean_ci(ds: ray.data.Dataset, n_boot: int = 200) -> pd.DataFrame:
     """Percentile-bootstrap confidence interval for the per-key mean
     with DETERMINISTIC resampling: replicate b draws its i-th sample
     as index splitmix64(uid·1000003 + b·10007 + i) mod n over the
@@ -1626,7 +1527,6 @@ def bootstrap_mean_ci(
     shared ``duck_quantile`` kernel over the ``n_boot`` means."""
     from ..oracle.rollup import duck_quantile
     from ..stages.dedup import _splitmix64
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {USER_ID: pd.Series(dtype="int64"),
@@ -1666,15 +1566,11 @@ def bootstrap_mean_ci(
                         float(duck_quantile(ms, 0.975))))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
             .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
-def jarque_bera(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def jarque_bera(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Jarque–Bera normality statistic over the value column:
     JB = n/6·(g1² + ¼(g2−3)²) with g1 = m3/m2^1.5 (Fisher skew) and
     g2 = m4/m2² (kurtosis) — the moments-based normality gate for
@@ -1720,17 +1616,13 @@ def jarque_bera(
                             "skew_g1": g1, "kurt_g2": g2, "jb": jb})
         return res[(res["n"] >= 4) & (m2 > 0.0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def welch_ttest(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def welch_ttest(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Welch two-sample t-test comparing weekday vs weekend
     values: t = (μ_wd − μ_we)/√(s²_wd/n_wd + s²_we/n_we) with the
     Welch–Satterthwaite degrees of freedom — the unequal-variance A/B
@@ -1790,17 +1682,13 @@ def welch_ttest(
                 "t_stat": t, "df_w": dfw})
         return res[(res["n_wd"] >= 2) & (res["n_we"] >= 2) & (se2 > 0.0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def markov_entropy_rate(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def markov_entropy_rate(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key entropy rate of the first-order Markov chain over the
     (ts, order)-sorted ``event_type`` stream: with transition counts c_ab
     and from-state totals c_a, H = −Σ_ab (c_ab/T)·ln(c_ab/c_a) nats
@@ -1849,17 +1737,13 @@ def markov_entropy_rate(
                             "n_trans": tt, "entropy_rate": h})
         return res[res["n_trans"] >= 1]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def theil_index(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def theil_index(ds: ray.data.Dataset) -> pd.DataFrame:
     """Corpus-level Theil T inequality index of per-key event counts,
     T = Σ_u (c_u/C)·ln(c_u/μ) with μ = C/U — the entropy-based twin
     of ``gini_activity`` (0 for perfectly even traffic, ln U when one
@@ -1881,8 +1765,7 @@ def theil_index(
         return pd.DataFrame({"u": [len(cnt)], "c": [int(cnt.sum())],
                              "s1": [float((cf * np.log(cf)).sum())]})
 
-    parts = group_apply(ds, partial, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    parts = group_apply(ds, partial, key=USER_ID).to_pandas()
     u = int(parts["u"].sum())
     c = int(parts["c"].sum())
     if u == 0 or c == 0:
@@ -1895,10 +1778,7 @@ def theil_index(
                          "theil": [s1 / cf - np.log(cf / uf)]})
 
 
-def rising_keys(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def rising_keys(ds: ray.data.Dataset) -> pd.DataFrame:
     """Share-drift detector: split the dataset's time range at its
     midpoint (µs midpoint of [min ts, max ts]), count each key's
     events in the two halves (c₁, c₂ with totals T₁, T₂), and score
@@ -1933,8 +1813,7 @@ def rising_keys(
         return pd.DataFrame({USER_ID: np.asarray(kuniq),
                              "c1": c1, "c2": c2})
 
-    per = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    per = group_apply(ds, per_key, key=USER_ID).to_pandas()
     cols = {USER_ID: pd.Series(dtype="int64"),
             "c1": pd.Series(dtype="int64"),
             "c2": pd.Series(dtype="int64"),
@@ -1957,10 +1836,7 @@ def rising_keys(
             .sort_values(USER_ID).reset_index(drop=True))
 
 
-def rfm_segmentation(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def rfm_segmentation(ds: ray.data.Dataset) -> pd.DataFrame:
     """Classic RFM customer segmentation: per key the Recency
     (µs from the key's last event to the global max timestamp),
     Frequency (event count) and Monetary (Σvalue) aggregates, each
@@ -1977,7 +1853,6 @@ def rfm_segmentation(
     stream to one row per key; scoring is a rank pass over that
     reduced table (keys ≪ rows — at larger scale swap the driver
     pass for ds.sort, same semantics)."""
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
@@ -1991,7 +1866,7 @@ def rfm_segmentation(
 
     cells = group_apply(
         ds.select_columns([USER_ID, TS, VALUE]),
-        per_key, num_partitions=num_partitions, key=USER_ID,
+        per_key, key=USER_ID,
     ).to_pandas()
     cols = {USER_ID: pd.Series(dtype="int64"),
             "recency_us": pd.Series(dtype="int64"),
@@ -2028,10 +1903,7 @@ def rfm_segmentation(
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def basket_lift(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def basket_lift(ds: ray.data.Dataset) -> pd.DataFrame:
     """Market-basket association over users-as-baskets: for every
     unordered item pair (a < b), the distinct-user co-occurrence
     count, support = n_both/N and
@@ -2045,7 +1917,6 @@ def basket_lift(
     |items|² per partition, not by rows) that sum driver-side.  All
     counts exact int64; support and lift close in mirrored float
     expressions."""
-    from .partition import group_apply
 
     def distinct_partial(df: pd.DataFrame) -> pd.DataFrame:
         return df[[USER_ID, EVENT_TYPE]].drop_duplicates()
@@ -2072,7 +1943,7 @@ def basket_lift(
     parts = group_apply(
         ds.select_columns([USER_ID, EVENT_TYPE]).map_batches(
             distinct_partial, batch_format="pandas"),
-        cells, num_partitions=num_partitions, key=USER_ID,
+        cells, key=USER_ID,
     ).to_pandas()
     cols = {"type_a": pd.Series(dtype=object),
             "type_b": pd.Series(dtype=object),
@@ -2104,10 +1975,7 @@ def basket_lift(
     return out.sort_values(["type_a", "type_b"]).reset_index(drop=True)
 
 
-def pareto_concentration(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def pareto_concentration(ds: ray.data.Dataset) -> pd.DataFrame:
     """Activity-concentration (Lorenz) curve points: for each
     percentile p of keys, the share of all events produced by the
     top-p% busiest keys (count-descending, key-ascending tie-break)
@@ -2121,7 +1989,6 @@ def pareto_concentration(
     ~10⁸ keys).  Cut ranks use exact integer arithmetic
     k = max(1, p·N//100) matching the twin's row_number/greatest;
     the share is the only float closing."""
-    from .partition import group_apply
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(USER_ID, as_index=False, observed=True).size()
@@ -2132,7 +1999,7 @@ def pareto_concentration(
                                              batch_format="pandas"),
         lambda df: df.groupby(USER_ID, as_index=False,
                               observed=True)["cnt"].sum(),
-        num_partitions=num_partitions, key=USER_ID,
+        key=USER_ID,
     ).to_pandas()
     cols = {"pct": pd.Series(dtype="int64"),
             "n_top_keys": pd.Series(dtype="int64"),
@@ -2300,11 +2167,7 @@ def kruskal_wallis(ds: ray.data.Dataset) -> pd.DataFrame:
         "h_tie": np.full(len(r), h_tie)})
 
 
-def activity_corr_pairs(
-    ds: ray.data.Dataset,
-    top_n: int = 20,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def activity_corr_pairs(ds: ray.data.Dataset, top_n: int = 20) -> pd.DataFrame:
     """Pairwise Pearson correlation of HOURLY ACTIVITY between the
     top-N busiest keys: each key's event counts on the shared dense
     hourly grid [min, max] over the selected keys form a vector, and
@@ -2320,7 +2183,6 @@ def activity_corr_pairs(
     mirrored float closing.  Two keyed exchanges (per-key counts,
     then (key,hour) cells for the N keys); the N²/2 closing runs on
     cells, not rows."""
-    from .partition import group_apply
 
     def cnt_partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(USER_ID, as_index=False, observed=True).size()
@@ -2331,7 +2193,7 @@ def activity_corr_pairs(
                                              batch_format="pandas"),
         lambda df: df.groupby(USER_ID, as_index=False,
                               observed=True)["cnt"].sum(),
-        num_partitions=num_partitions, key=USER_ID,
+        key=USER_ID,
     ).to_pandas()
     cols = {"user_a": pd.Series(dtype="int64"),
             "user_b": pd.Series(dtype="int64"),
@@ -2360,7 +2222,7 @@ def activity_corr_pairs(
             hour_cells, batch_format="pandas"),
         lambda df: df.groupby([USER_ID, "hb"], as_index=False,
                               observed=True)["c"].sum(),
-        num_partitions=num_partitions, key=USER_ID,
+        key=USER_ID,
     ).to_pandas()
     if cells.empty:
         return pd.DataFrame(cols)
@@ -2589,10 +2451,7 @@ def levene_bf(ds: ray.data.Dataset) -> pd.DataFrame:
         "w_stat": np.full(kg, w)})
 
 
-def wilcoxon_shift(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def wilcoxon_shift(ds: ray.data.Dataset) -> pd.DataFrame:
     """Wilcoxon signed-rank test of the corpus-wide activity shift
     between the first and second halves of the observation window:
     each key contributes the paired difference d = c₂ − c₁ of its
@@ -2606,7 +2465,6 @@ def wilcoxon_shift(
     normal z is the only float closing, mirrored term-for-term.  One
     keyed exchange to per-key (c₁, c₂) cells; the histogram closing
     is |d|-domain-sized."""
-    from .partition import group_apply
 
     # two-pass: global window bounds first (cheap aggregate), then
     # per-key half counts against the broadcast midpoint
@@ -2633,7 +2491,7 @@ def wilcoxon_shift(
             half_counts, batch_format="pandas"),
         lambda df: df.groupby(USER_ID, as_index=False,
                               observed=True)[["c1", "c2"]].sum(),
-        num_partitions=num_partitions, key=USER_ID,
+        key=USER_ID,
     ).to_pandas()
     cols = {"m": pd.Series(dtype="int64"),
             "n_pos": pd.Series(dtype="int64"),
@@ -2666,10 +2524,7 @@ def wilcoxon_shift(
         "w2_pos": [np.int64(w2p)], "z_score": [z]})
 
 
-def trigram_entropy(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def trigram_entropy(ds: ray.data.Dataset) -> pd.DataFrame:
     """Corpus order-2 Markov (trigram) conditional entropy of the
     event-type process: H₂ = Σ (n_abc/N)·ln(n_ab·/n_abc) over all
     within-key trigrams, with perplexity exp(H₂) — how predictable
@@ -2681,7 +2536,6 @@ def trigram_entropy(
     Trigram counts are exact int64 cells ((alphabet)³-bounded)
     through one key-hash exchange with vectorized shift matching;
     H₂ and perplexity close in mirrored float expressions."""
-    from .partition import group_apply
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
         out = {"a": pd.Series(dtype=object),
@@ -2707,7 +2561,7 @@ def trigram_entropy(
 
     parts = group_apply(
         ds.select_columns([USER_ID, EVENT_TYPE, TS, EVENT_ID]),
-        cells, num_partitions=num_partitions, key=USER_ID,
+        cells, key=USER_ID,
     ).to_pandas()
     cols = {"n_trigrams": pd.Series(dtype="int64"),
             "n_cells": pd.Series(dtype="int64"),
@@ -2873,10 +2727,7 @@ def bartlett_test(ds: ray.data.Dataset) -> pd.DataFrame:
         "bartlett_t": np.full(kg, t)})
 
 
-def friedman_test(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def friedman_test(ds: ray.data.Dataset) -> pd.DataFrame:
     """Friedman blocked rank test: does per-block activity differ
     across treatments when each block (key) is its own control?
     Blocks are keys, treatments the bounded event-type alphabet, the
@@ -2895,7 +2746,6 @@ def friedman_test(
     equally and cancels).  One keyed exchange of (key, type) count
     cells; per-partition rank work is O(rows·k²) with k the bounded
     alphabet; driver reduction is k rows per partition."""
-    from .partition import group_apply
 
     def cell_partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby([USER_ID, EVENT_TYPE], as_index=False,
@@ -2949,9 +2799,7 @@ def friedman_test(
                              "s2x": s2x, "tie": tievec,
                              "nu": nuvec})
 
-    parts = group_apply(cells_ds, per_part,
-                        num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    parts = group_apply(cells_ds, per_part, key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame(cols)
     agg = parts.groupby("t", as_index=False).agg(
@@ -3069,7 +2917,6 @@ def jonckheere_terpstra(ds: ray.data.Dataset) -> pd.DataFrame:
 def cochran_q(
     ds: ray.data.Dataset,
     window_us: int = 7 * 86400 * 10**6,
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Cochran's Q test on binary per-block treatment indicators:
     did block (key) i fire treatment (type) j inside the trailing
@@ -3087,7 +2934,6 @@ def cochran_q(
     the broadcast tmax scalar, (key, type) pairs collapse to
     distinct cells per block before ONE keyed exchange, and the
     driver sees k + a-few-scalars partials per partition."""
-    from .partition import group_apply
 
     tmax = int(pd.Timestamp(ds.max(TS)).value) // 1000
     lo = tmax - int(window_us)
@@ -3123,9 +2969,7 @@ def cochran_q(
         res.loc[0, "nb"] = len(ri)
         return res
 
-    parts = group_apply(cells, per_part,
-                        num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    parts = group_apply(cells, per_part, key=USER_ID).to_pandas()
     cols = {"event_type": pd.Series(dtype=object),
             "g_count": pd.Series(dtype="int64"),
             "n_blocks": pd.Series(dtype="int64"),
@@ -3157,10 +3001,7 @@ def cochran_q(
         "q_stat": np.full(kg, q)})
 
 
-def mcnemar_halves(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def mcnemar_halves(ds: ray.data.Dataset) -> pd.DataFrame:
     """McNemar paired-proportion test: per block (key), the binary
     outcome "fired MORE 'purchase' than 'error' events" in the
     FIRST vs SECOND half of the global time range (split at the
@@ -3174,7 +3015,6 @@ def mcnemar_halves(
     midpoint broadcasts as a plain int, per-key half-count cells
     sum-combine map-side then once per keyed exchange, and the
     driver sees a 2×2 table per partition."""
-    from .partition import group_apply
 
     tmax = int(pd.Timestamp(ds.max(TS)).value) // 1000
     tmin = int(pd.Timestamp(ds.min(TS)).value) // 1000
@@ -3216,9 +3056,7 @@ def mcnemar_halves(
             "c": [int(((1 - x1) & x2).sum())],
             "d": [int(((1 - x1) & (1 - x2)).sum())]})
 
-    parts = group_apply(cells, per_part,
-                        num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    parts = group_apply(cells, per_part, key=USER_ID).to_pandas()
     cols = {"n_both": pd.Series(dtype="int64"),
             "n_first_only": pd.Series(dtype="int64"),
             "n_second_only": pd.Series(dtype="int64"),
@@ -3244,10 +3082,7 @@ def mcnemar_halves(
         "chi2_corrected": [float(num_c) / float(b + c)]})
 
 
-def sign_test_halves(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def sign_test_halves(ds: ray.data.Dataset) -> pd.DataFrame:
     """Paired sign test on per-block activity: did each key fire
     MORE events in the second half of the global time range than
     the first (split at the integer-µs midpoint)?  Ties drop, the
@@ -3259,7 +3094,6 @@ def sign_test_halves(
     same scale shape: per-key (c1, c2) count cells sum-combine
     map-side then once per keyed exchange; three ints per partition
     reach the driver."""
-    from .partition import group_apply
 
     tmax = int(pd.Timestamp(ds.max(TS)).value) // 1000
     tmin = int(pd.Timestamp(ds.min(TS)).value) // 1000
@@ -3290,9 +3124,7 @@ def sign_test_halves(
             "m": [int((c1 > c2).sum())],
             "t": [int((c1 == c2).sum())]})
 
-    parts = group_apply(cells, per_part,
-                        num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    parts = group_apply(cells, per_part, key=USER_ID).to_pandas()
     cols = {"n_plus": pd.Series(dtype="int64"),
             "n_minus": pd.Series(dtype="int64"),
             "n_ties": pd.Series(dtype="int64"),
@@ -3690,7 +3522,7 @@ def dagostino_k2(ds: ray.data.Dataset) -> pd.DataFrame:
         .sort_values(EVENT_TYPE).reset_index(drop=True)
 
 
-def cox_stuart(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def cox_stuart(ds: ray.data.Dataset) -> pd.DataFrame:
     """Cox–Stuart trend test per key: pair each of the first
     ⌊n/2⌋ points with the point c = n − ⌊n/2⌋ positions later
     (the middle point drops out when n is odd) and sign-test the
@@ -3699,7 +3531,6 @@ def cox_stuart(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     plus/minus/tie counts in quantized k-space; ties drop per
     Cox–Stuart; the one closing is the continuity-corrected
     z = (2·n_plus − mtot)/√mtot over mtot = n_plus + n_minus."""
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {USER_ID: pd.Series(dtype="int64"),
@@ -3742,7 +3573,7 @@ def cox_stuart(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
 
     out = group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, num_partitions=num_partitions, key=USER_ID,
+        per_key, key=USER_ID,
     ).to_pandas()
     if out.empty:
         return pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
@@ -4309,7 +4140,7 @@ def hill_tail(ds: ray.data.Dataset, tail_k: int = 100) -> pd.DataFrame:
         "alpha": [1.0 / h]})
 
 
-def rmst(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def rmst(ds: ray.data.Dataset) -> pd.DataFrame:
     """Restricted mean survival time: RMST(τ) = ∫₀^τ S(t)dt under
     the same Kaplan–Meier curve as ``kaplan_meier`` (identical
     cells, censor rule and log-sum-exp S values), with
@@ -4321,7 +4152,7 @@ def rmst(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
     event-time order (the same ordered-prefix device the KM oracle
     uses), so engine and SQL walk identical float op sequences;
     durations, τ and all counts are exact int64."""
-    got = _survival_durations(ds, num_partitions)
+    got = _survival_durations(ds)
     cols = {"n_durations": pd.Series(dtype="int64"),
             "n_events": pd.Series(dtype="int64"),
             "tau_us": pd.Series(dtype="int64"),
@@ -4355,10 +4186,7 @@ def rmst(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
         "rmst_share": [r / float(tau)]})
 
 
-def gehan_wilcoxon(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def gehan_wilcoxon(ds: ray.data.Dataset) -> pd.DataFrame:
     """Gehan's generalized Wilcoxon test for right-censored
     durations between two cohorts (even vs odd key — the
     deterministic A/B split): does time-to-conversion differ?  The
@@ -4373,7 +4201,7 @@ def gehan_wilcoxon(
     variance n·m·ΣG²/(N(N−1)) use Python-int/HUGEINT sums (G² is
     O(N²), overflows int64 at ~10⁵ subjects); z = W/√Var is the
     one closing."""
-    got = _survival_durations(ds, num_partitions)
+    got = _survival_durations(ds)
     cols = {"n_a": pd.Series(dtype="int64"),
             "n_b": pd.Series(dtype="int64"),
             "w_gehan": pd.Series(dtype="int64"),
@@ -4413,10 +4241,7 @@ def gehan_wilcoxon(
         "z_stat": [z]})
 
 
-def cuped_effect(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def cuped_effect(ds: ray.data.Dataset) -> pd.DataFrame:
     """CUPED (controlled-experiment using pre-experiment data,
     Deng et al., WSDM 2013): the variance-reduced treatment-effect
     estimate ŷ_cuped = ȳ − θ·x̄ per cohort with θ = cov(x,y)/var(x)
@@ -4429,7 +4254,6 @@ def cuped_effect(
     keyed exchange; every pooled/cohort moment (Σx, Σxy, Σx², …)
     is an exact Python-int/HUGEINT partial; θ, the two effects and
     ρ² are the mirrored float closings (descaled /100)."""
-    from .partition import group_apply
 
     t0 = int(pd.Timestamp(ds.min(TS)).value) // 1000
     t1 = int(pd.Timestamp(ds.max(TS)).value) // 1000
@@ -4461,7 +4285,7 @@ def cuped_effect(
 
     parts = group_apply(
         ds.select_columns([USER_ID, TS, VALUE]),
-        per_key, num_partitions=num_partitions, key=USER_ID,
+        per_key, key=USER_ID,
     ).to_pandas()
     cols = {"n_users": pd.Series(dtype="int64"),
             "n_treat": pd.Series(dtype="int64"),
@@ -5027,10 +4851,7 @@ def risk_ratios(ds: ray.data.Dataset) -> pd.DataFrame:
         "rr_hi": [float(np.exp(np.log(rr) + 1.96 * se_rr))]})
 
 
-def logrank_test(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def logrank_test(ds: ray.data.Dataset) -> pd.DataFrame:
     """Log-rank (Mantel–Cox) test between the even/odd cohorts'
     censored time-to-conversion — the equal-weighted survival
     comparison next to gehan_wilcoxon (which weights early times
@@ -5042,7 +4863,7 @@ def logrank_test(
     ints from cumulative tails, and the float E/V terms accumulate
     in ascending event-time order (the ordered-prefix device) —
     z = (O−E)/√V closes."""
-    got = _survival_durations(ds, num_partitions)
+    got = _survival_durations(ds)
     cols = {"n_a": pd.Series(dtype="int64"),
             "n_b": pd.Series(dtype="int64"),
             "o_minus_e": pd.Series(dtype="float64"),

@@ -77,11 +77,6 @@ def brute_force_topk(
             frames.append(pd.DataFrame({"query_id": qid, "vec_id": vid[order], "sim": s[order]}))
         return pd.concat(frames, ignore_index=True)
 
-    # query-keyed pre-combine: each query's block partials reduce to
-    # k+1 rows inside one partition, so the driver receives
-    # ≤ queries × (k+1) rows, never blocks × queries × (k+1)
-    from .partition import group_apply
-
     def prune(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["query_id", "sim", "vec_id"],
                             ascending=[True, False, True],
@@ -90,7 +85,7 @@ def brute_force_topk(
 
     cand = group_apply(
         ds.map_batches(score, batch_format="pandas"), prune,
-        num_partitions=4, key="query_id").to_pandas()
+        key="query_id").to_pandas()
     if exclude_self:
         cand = cand[cand.query_id != cand.vec_id]
     return (
@@ -139,7 +134,6 @@ def ivf_topk(
     id_col: str = "vec_id",
     emb_col: str = "embedding",
     exclude_self: bool = True,
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """IVF-style ANN: a seeded k-means coarse quantizer (trained once
     on a bounded sample), queries probe their ``n_probe`` nearest
@@ -296,7 +290,6 @@ def lsh_topk(
     id_col: str = "vec_id",
     emb_col: str = "embedding",
     exclude_self: bool = True,
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """LSH-bucketed cosine top-k (the 100-TB path: score only bucket
     collisions).  Recall < 1 by construction; raise n_tables for more."""
@@ -344,8 +337,7 @@ def lsh_topk(
                                  "sim": pd.Series(dtype="float64")})
         return pd.concat(frames, ignore_index=True)
 
-    cand = group_apply(sigs, bucket_scan, num_partitions=num_partitions,
-                       key="bucket").to_pandas()
+    cand = group_apply(sigs, bucket_scan, key="bucket").to_pandas()
     if exclude_self:
         cand = cand[cand.query_id != cand.vec_id]
     cand = cand.drop_duplicates(["query_id", "vec_id"])

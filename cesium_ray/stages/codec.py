@@ -59,14 +59,12 @@ class ChunkCodec:
 def encode_points(
     points: ray.data.Dataset,
     max_points: int = 4096,
-    num_partitions: int = 64,
     concurrency=None,
 ) -> ray.data.Dataset:
     kw = {"concurrency": concurrency} if concurrency is not None else {}
     return group_apply(
         points,
         ChunkCodec,
-        num_partitions=num_partitions,
         key="conv_id",
         fn_constructor_kwargs={"max_points": max_points},
         **kw,

@@ -87,7 +87,6 @@ def rare_shingle_edges(
     id_col: str = "doc_id",
     k: int = 16,
     max_docs: int = 5,
-    num_partitions: int = 32,
 ) -> ray.data.Dataset:
     """Edges ``(a, b)`` (a < b, distinct) between docs sharing a rare
     character k-gram.  Gram semantics match SQL ``substr(text, i, k)``
@@ -158,10 +157,9 @@ def rare_shingle_edges(
         out = pd.DataFrame({"a": np.concatenate(A), "b": np.concatenate(B)})
         return out.drop_duplicates(["a", "b"])
 
-    pairs = group_apply(gram_rows, bucket_pairs,
-                        num_partitions=num_partitions, key="h1")
+    pairs = group_apply(gram_rows, bucket_pairs, key="h1")
     return group_apply(pairs, lambda df: df.drop_duplicates(["a", "b"]),
-                       num_partitions=8, key="a")
+                       key="a")
 
 
 _MSG_SCHEMA = pa.schema([
@@ -198,7 +196,6 @@ def connected_components(
     edges_ds: ray.data.Dataset,
     a_col: str = "a",
     b_col: str = "b",
-    num_partitions: int = 32,
     max_iters: int = 50,
     driver_threshold: int = 2_000_000,
 ) -> pd.DataFrame:
@@ -292,10 +289,8 @@ def connected_components(
 
     changed = None
     for _ in range(max_iters):
-        msgs = group_apply(labels.union(sym), propagate,
-                           num_partitions=num_partitions, key="node")
-        out = group_apply(msgs, reduce_min,
-                          num_partitions=num_partitions, key="node").materialize()
+        msgs = group_apply(labels.union(sym), propagate, key="node")
+        out = group_apply(msgs, reduce_min, key="node").materialize()
         changed = out.sum("changed")
         if not changed:
             break

@@ -28,7 +28,6 @@ def counter_rate(
     ts_col: str = "ts",
     val_col: str = "value",
     order_col: str = "event_id",
-    num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Per series: ``n_resets``, ``total_increase`` (reset-aware), and
     ``rate_per_sec`` over the observed span (NaN for a single point)."""
@@ -59,7 +58,7 @@ def counter_rate(
             "rate_per_sec": rate,
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=key)
+    return group_apply(ds, fn, key=key)
 
 
 def minmax_downsample(
@@ -69,7 +68,6 @@ def minmax_downsample(
     ts_col: str = "ts",
     val_col: str = "value",
     order_col: str = "event_id",
-    num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Per (series, time bucket) keep the min-value and the max-value
     ROWS (ties → earliest (ts, order)); a one-point bucket yields both
@@ -91,4 +89,4 @@ def minmax_downsample(
         out = out.rename(columns={"_b": "bucket_us"})
         return out.reset_index(drop=True)
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=key)
+    return group_apply(ds, fn, key=key)

@@ -21,7 +21,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from .partition import group_apply
+from .partition import group_apply, partition_count
 
 _PRIME = np.uint64((1 << 61) - 1)
 
@@ -36,7 +36,6 @@ def stable_hash64(data) -> int:
 
 def exact_dedup(
     ds: ray.data.Dataset, key: str = "text", id_col: str = "doc_id",
-    num_partitions: int = 32,
 ) -> ray.data.Dataset:
     """Keep the minimum-id row per distinct ``key`` value (O2-style
     hash-partitioned groupby; same content always lands in one
@@ -47,7 +46,7 @@ def exact_dedup(
             key, as_index=False, sort=False
         ).first()
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=key)
+    return group_apply(ds, fn, key=key)
 
 
 def _char_shingles(text: str, k: int = 5) -> set:
@@ -226,7 +225,6 @@ def minhash_lsh_dedup(
     jaccard_threshold: float = 0.7,
     text_col: str = "text",
     id_col: str = "doc_id",
-    num_partitions: int = 32,
     concurrency=None,
     max_bucket: int = 1024,
 ) -> ray.data.Dataset:
@@ -246,8 +244,7 @@ def minhash_lsh_dedup(
     (doc_id > dup_of) whose estimated Jaccard ≥ threshold."""
     sigs, pairs = _lsh_candidates(
         ds, num_perm=num_perm, bands=bands, k=k, text_col=text_col,
-        id_col=id_col, num_partitions=num_partitions,
-        concurrency=concurrency, max_bucket=max_bucket)
+        id_col=id_col, concurrency=concurrency, max_bucket=max_bucket)
     return _verify_estimate(sigs, pairs, num_perm, jaccard_threshold, id_col)
 
 
@@ -258,7 +255,6 @@ def _lsh_candidates(
     k: int,
     text_col: str,
     id_col: str,
-    num_partitions: int,
     concurrency,
     max_bucket: int,
 ):
@@ -328,11 +324,10 @@ def _lsh_candidates(
         out = pd.DataFrame({"a": np.concatenate(A), "b": np.concatenate(B)})
         return out.drop_duplicates(["a", "b"])
 
-    pairs = group_apply(exploded, bucket_pairs, num_partitions=num_partitions,
-                        key="band_hash")
+    pairs = group_apply(exploded, bucket_pairs, key="band_hash")
     # global pair dedup across bands (same pair collides in several bands)
     pairs = group_apply(pairs, lambda df: df.drop_duplicates(["a", "b"]),
-                        num_partitions=8, key="a")
+                        key="a")
     pairs = pairs.materialize()  # small candidate set, read by both joins
     return sigs, pairs
 
@@ -345,7 +340,6 @@ def attach_pair_payload(
     out_a: str = "text_a",
     out_b: str = "text_b",
     empty="",
-    num_partitions: int = 8,
 ) -> ray.data.Dataset:
     """Attach both members' ``payload_col`` to candidate pairs
     ``(a, b)`` → ``(a, b, out_a, out_b)`` with NO driver
@@ -396,7 +390,7 @@ def attach_pair_payload(
             d[["k", payload_col]].drop_duplicates("k"),
             on="k", how="inner")[["pa", "pb", "side", payload_col]]
 
-    g1 = group_apply(u, merge_k, num_partitions=num_partitions, key="k")
+    g1 = group_apply(u, merge_k, key="k")
 
     def pivot(df: pd.DataFrame) -> pd.DataFrame:
         s0 = (df[df["side"] == 0][["pa", "pb", payload_col]]
@@ -406,8 +400,7 @@ def attach_pair_payload(
         m = s0.merge(s1, on=["pa", "pb"], how="inner")
         return m.rename(columns={"pa": "a", "pb": "b"})
 
-    return group_apply(g1, pivot, num_partitions=num_partitions,
-                       key="pa")
+    return group_apply(g1, pivot, key="pa")
 
 
 def _verify_estimate(sigs, pairs, num_perm, jaccard_threshold, id_col):
@@ -440,7 +433,7 @@ def _verify_estimate(sigs, pairs, num_perm, jaccard_threshold, id_col):
             id_col, as_index=False
         ).first()
 
-    return group_apply(verified, final, num_partitions=8, key=id_col)
+    return group_apply(verified, final, key=id_col)
 
 
 def attach_pair_texts(
@@ -467,7 +460,6 @@ def lsh_exact_near_dup(
     bands: int = 32,
     text_col: str = "text",
     id_col: str = "doc_id",
-    num_partitions: int = 32,
     concurrency=None,
     max_bucket: int = 1024,
 ) -> ray.data.Dataset:
@@ -485,8 +477,7 @@ def lsh_exact_near_dup(
     Returns ``(id_a < id_b, jaccard)``."""
     _, pairs = _lsh_candidates(
         ds, num_perm=num_perm, bands=bands, k=k, text_col=text_col,
-        id_col=id_col, num_partitions=num_partitions,
-        concurrency=concurrency, max_bucket=max_bucket)
+        id_col=id_col, concurrency=concurrency, max_bucket=max_bucket)
     j = attach_pair_texts(pairs, ds, id_col=id_col, text_col=text_col)
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
@@ -662,7 +653,6 @@ def embedding_near_dup(
     threshold: float = 0.95,
     id_col: str = "vec_id",
     emb_col: str = "embedding",
-    num_partitions: int = 16,
     n_tables: int = 8,
     n_bits: int = 8,
     seed: int = 7,
@@ -768,10 +758,9 @@ def embedding_near_dup(
             ["id_a", "id_b"]
         )
 
-    pairs = group_apply(sigs, bucket_pairs, num_partitions=num_partitions,
-                        key="bucket")
+    pairs = group_apply(sigs, bucket_pairs, key="bucket")
     return group_apply(pairs, lambda df: df.drop_duplicates(["id_a", "id_b"]),
-                       num_partitions=8, key="id_a")
+                       key="id_a")
 
 
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -892,7 +881,6 @@ def substring_dup_pairs(
     window: int = 8,
     text_col: str = "text",
     id_col: str = "doc_id",
-    num_partitions: int = 32,
     max_docs: int = 100_000,
 ) -> ray.data.Dataset:
     """Substring (suffix-window) dedup: pairs of documents sharing a
@@ -1009,10 +997,9 @@ def substring_dup_pairs(
         out = out[out.a != out.b]  # same doc twice in a bucket: skip
         return out.drop_duplicates(["a", "b"])
 
-    pairs = group_apply(fps, bucket_pairs, num_partitions=num_partitions,
-                        key="h1")
+    pairs = group_apply(fps, bucket_pairs, key="h1")
     pairs = group_apply(pairs, lambda df: df.drop_duplicates(["a", "b"]),
-                        num_partitions=8, key="a")
+                        key="a")
     j = attach_pair_texts(pairs, ds, id_col=id_col, text_col=text_col)
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
@@ -1125,7 +1112,6 @@ def edit1_pairs(
     id_col: str = "doc_id",
     text_col: str = "text",
     prefix_len: int = 16,
-    num_partitions: int = 16,
     max_bucket: int = 10_000,
 ) -> pd.DataFrame:
     """Edit-distance-≤1 similarity join (SymSpell-style deletion
@@ -1171,8 +1157,7 @@ def edit1_pairs(
         })
 
     cand = group_apply(ds.map_batches(variants, batch_format="pandas"),
-                       bucket_pairs, num_partitions=num_partitions,
-                       key="variant").to_pandas()
+                       bucket_pairs, key="variant").to_pandas()
     if cand.empty:
         return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
                              "id_b": pd.Series(dtype="int64"),
@@ -1217,7 +1202,6 @@ def similarity_join(
     threshold: float = 0.7,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """EXACT token-set Jaccard similarity self-join via prefix
     filtering (PPJoin-lite): two docs with Jaccard ≥ t MUST share at
@@ -1252,14 +1236,12 @@ def similarity_join(
         vc = ex.value_counts()
         return pd.DataFrame({"token": vc.index.to_numpy(object),
                              "df": vc.to_numpy(np.int64)})
-
-    from .partition import group_apply
     dft = group_apply(
         ds.select_columns([text_col]).map_batches(
             df_partial, batch_format="pandas"),
         lambda df: df.groupby("token", as_index=False,
                               sort=False)["df"].sum(),
-        num_partitions=num_partitions, key="token",
+        key="token",
     ).to_pandas().sort_values(["df", "token"]).reset_index(drop=True)
     rank = pd.Series(np.arange(len(dft)), index=dft["token"])
     rank_ref = ray.put(rank)
@@ -1349,12 +1331,10 @@ def similarity_join(
                               "b": np.concatenate(out_b)})
                 .drop_duplicates())
 
-    cand = group_apply(pre, bucket_pairs,
-                       num_partitions=num_partitions, key="tkid")
+    cand = group_apply(pre, bucket_pairs, key="tkid")
     # global pair dedup (the same pair surfaces under several prefix
     # tokens): identical (a, b) rows hash to one partition under key=a
     cand = group_apply(cand, lambda df: df.drop_duplicates(["a", "b"]),
-                       num_partitions=num_partitions,
                        key="a").materialize()
 
     empty_out = pd.DataFrame({"id_a": pd.Series(dtype="int64"),
@@ -1372,7 +1352,7 @@ def similarity_join(
     # candidate set); token sets are rebuilt once per doc per bucket
     # inside ``map_groups``, so a high-dup-rate crawl never
     # materializes a corpus-wide pool anywhere ----
-    P = num_partitions
+    P = partition_count()
 
     def demand_rows(df: pd.DataFrame) -> pd.DataFrame:
         a = df["a"].to_numpy(np.int64)
@@ -1412,8 +1392,7 @@ def similarity_join(
             text_col: m[text_col].to_numpy(object),
             "_is_doc": np.ones(len(m), dtype=bool)})
 
-    texts = group_apply(u1, route_texts,
-                        num_partitions=num_partitions, key="k")
+    texts = group_apply(u1, route_texts, key="k")
 
     def pair_bucket_rows(df: pd.DataFrame) -> pd.DataFrame:
         a = df["a"].to_numpy(np.int64)
@@ -1452,7 +1431,6 @@ def similarity_join(
                              "inter": inter[ok], "uni": uni[ok],
                              "jac": jac[ok]})
 
-    out = group_apply(u2, verify, num_partitions=num_partitions,
-                      key="pb").to_pandas()
+    out = group_apply(u2, verify, key="pb").to_pandas()
     return (out.sort_values(["id_a", "id_b"])
             .reset_index(drop=True))

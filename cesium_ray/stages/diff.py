@@ -27,7 +27,6 @@ def dataset_diff(
     b: ray.data.Dataset,
     key: str,
     vals: list,
-    num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Rows ``(key, status)`` with status ∈ {'only_a', 'only_b',
     'mismatch'} for every key where the sides disagree; equal rows are
@@ -72,4 +71,4 @@ def dataset_diff(
             "status": pd.Series(status[keep], dtype=object),
         })
 
-    return group_apply(u, classify, num_partitions=num_partitions, key=key)
+    return group_apply(u, classify, key=key)

@@ -88,7 +88,6 @@ class FeatureExtractor:
 def extract_features(
     points: ray.data.Dataset,
     features_to_use=None,
-    num_partitions: int = 64,
     concurrency=None,
     **extractor_kw,
 ) -> ray.data.Dataset:
@@ -99,7 +98,6 @@ def extract_features(
     return group_apply(
         points,
         FeatureExtractor,
-        num_partitions=num_partitions,
         key="conv_id",
         fn_constructor_kwargs={
             "features_to_use": features_to_use,

@@ -16,11 +16,9 @@ def gapfill_points(
     points: ray.data.Dataset,
     tier: str = "1m",
     method: str = "locf",
-    num_partitions: int = 64,
 ) -> ray.data.Dataset:
     return group_apply(
         points,
         lambda df: gapfill_pandas(df, tier, method),
-        num_partitions=num_partitions,
         key="conv_id",
     )

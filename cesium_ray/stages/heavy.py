@@ -32,7 +32,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .partition import group_apply
+from .partition import group_apply, partition_count
 
 
 # ---------------------------------------------------------------- MG
@@ -85,7 +85,7 @@ def heavy_hitters(
         ds.map_batches(summarize, batch_format="pyarrow"),
         lambda df: df.groupby(col, as_index=False)[
             ["_residual", "_block_n"]].sum(),
-        num_partitions=8, key=col).to_pandas()
+        key=col).to_pandas()
     if "_block_n" not in parts.columns:  # zero input blocks
         return pd.DataFrame({col: np.array([], np.int64),
                              "n": np.zeros(0, np.int64)})
@@ -113,7 +113,7 @@ def heavy_hitters(
     counts = (group_apply(
         ds.map_batches(recount, batch_format="pyarrow"),
         lambda df: df.groupby(col, as_index=False)["_n"].sum(),
-        num_partitions=8, key=col).to_pandas()
+        key=col).to_pandas()
         .groupby(col, as_index=False)["_n"].sum())
     out = counts[counts["_n"] >= thresh].rename(columns={"_n": "n"})
     return out.sort_values(col).reset_index(drop=True)
@@ -167,7 +167,6 @@ def bloom_semi_join(
     big: ray.data.Dataset,
     keys: np.ndarray,
     col: str = "user_id",
-    num_partitions: int = 8,
     _verify: str = "join",
 ) -> ray.data.Dataset:
     """Exact semi-join of ``big`` against a key set, with a broadcast
@@ -190,7 +189,7 @@ def bloom_semi_join(
     if _verify == "none":
         return survivors
     right = ray.data.from_pandas(pd.DataFrame({col: keys}))
-    return survivors.join(right, "inner", num_partitions=num_partitions,
+    return survivors.join(right, "inner", num_partitions=partition_count(),
                           on=(col,))
 
 
@@ -202,14 +201,12 @@ def topk_per_window(
     bucket_s: int = 86400,
     key: str = "user_id",
     ts_col: str = "ts",
-    num_partitions: int = 8,
 ) -> ray.data.Dataset:
     """Exact top-k hottest keys per time bucket (count desc, key asc
     tie-break).  Map-side partial counts compress each block to its
     distinct (bucket, key) cells BEFORE the exchange, so the shuffle
     carries cells, not rows; one bucket-keyed exchange then merges
     partials and ranks — the bucket count bounds reduce fan-in."""
-    from .partition import group_apply
 
     step = np.int64(bucket_s) * 1_000_000
 
@@ -243,8 +240,7 @@ def topk_per_window(
         return out.reset_index(drop=True)
 
     cells = ds.map_batches(partial, batch_format="pyarrow")
-    return group_apply(cells, rank, num_partitions=num_partitions,
-                       key="bucket_us")
+    return group_apply(cells, rank, key="bucket_us")
 
 
 def topk_per_group(
@@ -253,7 +249,6 @@ def topk_per_group(
     value: str = "value",
     order: str = "event_id",
     k: int = 3,
-    num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Exact top-k rows by ``value`` within each key (ties by ``order``
     ascending; null values excluded, SQL-style).  Map-side partial
@@ -279,7 +274,7 @@ def topk_per_group(
         out["rk"] = (out.groupby(key).cumcount() + 1).astype(np.int64)
         return out.reset_index(drop=True)
 
-    return group_apply(pruned, final, num_partitions=num_partitions, key=key)
+    return group_apply(pruned, final, key=key)
 
 
 def bloom_build_distributed(
@@ -288,7 +283,6 @@ def bloom_build_distributed(
     n_keys: int,
     bits_per_key: int = 10,
     k: int = 7,
-    num_partitions: int = 16,
 ) -> BloomFilter:
     """Distributed BloomFilter build over a Dataset column — the
     at-scale sibling of ``BloomFilter.add`` (which needs the key
@@ -299,7 +293,6 @@ def bloom_build_distributed(
     Bit-identical to a driver-side ``add`` of the same key set
     (parity pytest), so the result plugs straight into
     ``bloom_semi_join``'s broadcast probe."""
-    from .partition import group_apply
 
     proto = BloomFilter(n_keys, bits_per_key=bits_per_key, k=k)
 
@@ -324,7 +317,7 @@ def bloom_build_distributed(
         lambda df: df.groupby("w", as_index=False)["bits"].agg(
             lambda s: np.int64(np.bitwise_or.reduce(
                 s.to_numpy().astype(np.uint64)).astype(np.uint64))),
-        num_partitions=num_partitions, key="w",
+        key="w",
     ).to_pandas()
     if len(merged):
         proto.words[merged["w"].to_numpy(np.int64)] = \

@@ -47,7 +47,6 @@ def merge_intervals(
     start_col: str = "start_us",
     end_col: str = "end_us",
     order_col: str = "event_id",
-    num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Union overlapping-or-touching [start, end] intervals per key.
     Emits one row per merged island: (key, start_us, end_us,
@@ -73,4 +72,4 @@ def merge_intervals(
             "n_intervals": (np.r_[heads[1:], len(g)] - heads).astype(np.int64),
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=key)
+    return group_apply(ds, fn, key=key)

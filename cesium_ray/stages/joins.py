@@ -220,7 +220,6 @@ def asof_join(
     right_on: str = "ts",
     right_vals: tuple = ("value",),
     how: str = "inner",
-    num_partitions: int = 64,
 ) -> ray.data.Dataset:
     """Partitioned as-of join (both sides large): one hash exchange on
     ``by``, per-partition ``pd.merge_asof``.  Output = left columns +
@@ -311,8 +310,7 @@ def asof_join(
                     out[c] = out[c].astype(np.int64)
         return out
 
-    return group_apply(both, fn, num_partitions=num_partitions, key=by,
-                       batch_format="pyarrow")
+    return group_apply(both, fn, key=by, batch_format="pyarrow")
 
 
 def broadcast_anti_join(
@@ -352,7 +350,6 @@ def interval_join_partitioned(
     left_end: str = "e_us",
     right_start: str = "s_us",
     right_end: str = "e_us",
-    num_partitions: int = 32,
 ) -> ray.data.Dataset:
     """Partitioned interval-overlap join for TWO LARGE interval sets
     (the scale path; ``interval_overlap_broadcast`` handles the
@@ -471,17 +468,13 @@ def interval_join_partitioned(
                                  - np.maximum(ls[li], rs[wi]))
             frames.append(pd.DataFrame(rec))
         return pd.concat(frames, ignore_index=True) if frames else empty
-
-    from .partition import group_apply
-    return group_apply(both, join_bucket,
-                       num_partitions=num_partitions, key="_bucket")
+    return group_apply(both, join_bucket, key="_bucket")
 
 
 def upsert(
     base: ray.data.Dataset,
     delta: ray.data.Dataset,
     key: str = "event_id",
-    num_partitions: int = 32,
 ) -> ray.data.Dataset:
     """CDC-style last-write-wins upsert: rows in ``delta`` replace
     same-key rows in ``base``; unmatched rows pass through — the
@@ -513,7 +506,4 @@ def upsert(
         k = df[key].to_numpy()
         keep = np.r_[k[1:] != k[:-1], True]
         return df.loc[keep]
-
-    from .partition import group_apply
-    return group_apply(both, last_per_key,
-                       num_partitions=num_partitions, key=key)
+    return group_apply(both, last_per_key, key=key)

@@ -47,7 +47,6 @@ def normalize_turns(ds: ray.data.Dataset) -> ray.data.Dataset:
 
 def derive_points(
     turns: ray.data.Dataset,
-    num_partitions: int = 64,
     by: str = "conv_id",
     order=("turn_idx",),
     **kw,
@@ -61,7 +60,6 @@ def derive_points(
     return group_apply(
         pruned,
         lambda df: derive_channels_pandas(df, by=by, order=order),
-        num_partitions=num_partitions,
         key=by,
         **kw,
     )
@@ -95,7 +93,6 @@ def minmax_scale_per_key(
     key: str = "user_id",
     id_col: str = "event_id",
     val_col: str = "value",
-    num_partitions: int = 8,
 ) -> ray.data.Dataset:
     """Per-key min-max feature scaling WITHOUT shuffling rows: pass 1
     reduces each block to its (key, min, max) cells (one tiny
@@ -123,7 +120,7 @@ def minmax_scale_per_key(
             cells, batch_format="pandas"),
         lambda df: df.groupby(key, as_index=False).agg(
             lo=("lo", "min"), hi=("hi", "max")),
-        num_partitions=num_partitions, key=key,
+        key=key,
         batch_format="pandas").to_pandas()
     keys = ext[key].to_numpy(np.int64)
     order = np.argsort(keys)
@@ -153,7 +150,6 @@ def quantile_transform_global(
     ds: ray.data.Dataset,
     id_col: str = "event_id",
     val_col: str = "value",
-    num_partitions: int = 8,
 ) -> ray.data.Dataset:
     """Global quantile (rank) transform — SQL ``percent_rank() OVER
     (ORDER BY value)`` semantics, tie-aware: each row maps to
@@ -180,7 +176,7 @@ def quantile_transform_global(
         ds.select_columns([val_col]).map_batches(
             cells, batch_format="pandas"),
         lambda df: df.groupby("k", as_index=False)["c"].sum(),
-        num_partitions=num_partitions, key="k",
+        key="k",
         batch_format="pandas").to_pandas().sort_values("k")
     ks = merged["k"].to_numpy(np.int64)
     cnt = merged["c"].to_numpy(np.int64)
@@ -213,7 +209,6 @@ def target_encode_loo(
     cat_col: str = "event_type",
     id_col: str = "event_id",
     val_col: str = "value",
-    num_partitions: int = 8,
 ) -> ray.data.Dataset:
     """Leave-one-out target encoding — the category-to-number feature
     transform that avoids self-leakage: each row gets
@@ -240,7 +235,7 @@ def target_encode_loo(
             cells, batch_format="pandas"),
         lambda df: df.groupby(cat_col, as_index=False).agg(
             s=("s", "sum"), n=("n", "sum")),
-        num_partitions=num_partitions, key=cat_col,
+        key=cat_col,
         batch_format="pandas").to_pandas().sort_values(cat_col)
     ref = _ray.put((ext[cat_col].to_numpy(object),
                     ext["s"].to_numpy(np.int64),
@@ -271,7 +266,6 @@ def zscore_scale_per_key(
     key: str = "user_id",
     id_col: str = "event_id",
     val_col: str = "value",
-    num_partitions: int = 8,
 ) -> ray.data.Dataset:
     """Per-key standard (z-score) scaling — the third scaler next to
     min-max and quantile: ``(x − μ)/σ`` with population σ from exact
@@ -299,7 +293,7 @@ def zscore_scale_per_key(
             cells, batch_format="pandas"),
         lambda df: df.groupby(key, as_index=False).agg(
             n=("n", "sum"), s=("s", "sum"), q=("q", "sum")),
-        num_partitions=num_partitions, key=key,
+        key=key,
         batch_format="pandas").to_pandas().sort_values(key)
     ks = ext[key].to_numpy(np.int64)
     nf = ext["n"].to_numpy(np.int64).astype(np.float64)
@@ -330,7 +324,6 @@ def one_hot_encode(
     ds: ray.data.Dataset,
     cat_col: str = "event_type",
     id_col: str = "event_id",
-    num_partitions: int = 8,
 ) -> ray.data.Dataset:
     """One-hot encoding of a bounded-alphabet categorical: one int64
     indicator column per category (``oh_<value>``, sorted category

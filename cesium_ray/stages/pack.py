@@ -36,7 +36,6 @@ def vocab_topk(
     ds: ray.data.Dataset,
     k: int = 50,
     text_col: str = "text",
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Top-``k`` most frequent whitespace tokens (lowercased) with
     exact occurrence counts; ties broken by token ascending."""
@@ -54,7 +53,7 @@ def vocab_topk(
 
     cand = group_apply(
         ds.select_columns([text_col]).map_batches(partial, batch_format="pandas"),
-        topk_part, num_partitions=num_partitions, key="token",
+        topk_part, key="token",
     ).to_pandas()
     return (cand.sort_values(["cnt", "token"], ascending=[False, True],
                              kind="mergesort").head(k).reset_index(drop=True))
@@ -66,7 +65,6 @@ def pack_sequences(
     id_col: str = "doc_id",
     group_col: str = "source",
     text_col: str = "text",
-    num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """One row per doc: ``token_count`` and the greedy-first-fit
     ``bin`` (0-based per group, docs in ``id_col`` order)."""
@@ -100,8 +98,7 @@ def pack_sequences(
 
     counted = ds.select_columns([group_col, id_col, text_col]).map_batches(
         count_tokens, batch_format="pandas")
-    return group_apply(counted, pack, num_partitions=num_partitions,
-                       key=group_col)
+    return group_apply(counted, pack, key=group_col)
 
 
 def tokenize_with_vocab(
@@ -109,7 +106,6 @@ def tokenize_with_vocab(
     vocab_size: int = 100,
     text_col: str = "text",
     id_col: str = "doc_id",
-    num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Tokenize documents against an exact global vocabulary: plain
     space-split tokens (SQL string_split parity, empties kept), vocab
@@ -136,7 +132,7 @@ def tokenize_with_vocab(
 
     parts = (group_apply(
         ds.map_batches(counts, batch_format="pandas"), combine_prune,
-        num_partitions=8, key="token").to_pandas()
+        key="token").to_pandas()
         .groupby("token", as_index=False)["cnt"].sum())
     vocab = (parts.sort_values(["cnt", "token"], ascending=[False, True],
                                kind="mergesort").head(vocab_size))
@@ -167,7 +163,6 @@ def tfidf_top_terms(
     top: int = 3,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-document TF-IDF: the ``top`` most distinctive tokens per
     doc ranked by (tf DESC, df ASC, token ASC) — the ranking keys are
@@ -206,7 +201,7 @@ def tfidf_top_terms(
     df_tbl = group_apply(
         ds.select_columns([text_col]).map_batches(
             df_partial, batch_format="pandas"),
-        df_sum, num_partitions=num_partitions, key="token",
+        df_sum, key="token",
     ).to_pandas().sort_values("token", kind="mergesort")
     n_docs = int(ds.count())
     vocab = df_tbl["token"].to_numpy(object)
@@ -262,7 +257,6 @@ def bigram_lm_score(
     ds: ray.data.Dataset,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-document add-one-smoothed bigram cross-entropy against the
     corpus's own bigram statistics — the KenLM-style perplexity-proxy
@@ -306,7 +300,7 @@ def bigram_lm_score(
     model = group_apply(
         ds.select_columns([text_col]).map_batches(
             partial, batch_format="pandas"),
-        comb, num_partitions=num_partitions, key="w1",
+        comb, key="w1",
     ).to_pandas()
     is_uni = model["w2"].to_numpy(object) == ""
     uni = model[is_uni].sort_values("w1", kind="mergesort")
@@ -362,7 +356,6 @@ def build_inverted_index(
     id_col: str = "doc_id",
     text_col: str = "text",
     max_postings: int = 15,
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Distributed inverted-index build: token → (document frequency,
     total term frequency, posting list) — the retrieval/BM25 index
@@ -377,7 +370,6 @@ def build_inverted_index(
     mergesort + reduceat computes df/tf and a positional-rank mask
     selects the capped postings.  The driver receives one row per
     token (the index itself), never raw token occurrences."""
-    from .partition import group_apply
 
     def cell_partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.reset_index(drop=True)
@@ -425,8 +417,7 @@ def build_inverted_index(
 
     cells = ds.select_columns([id_col, text_col]).map_batches(
         cell_partial, batch_format="pandas")
-    out = group_apply(cells, per_token, num_partitions=num_partitions,
-                      key="token").to_pandas()
+    out = group_apply(cells, per_token, key="token").to_pandas()
     if out.empty:
         return per_token(pd.DataFrame())
     return out.sort_values("token", kind="mergesort").reset_index(drop=True)
@@ -440,7 +431,6 @@ def bm25_topk(
     b: float = 0.75,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """BM25 retrieval: score every document against the ``n_terms``
     highest-df tokens (the deterministic query — ORDER BY df DESC,
@@ -459,8 +449,6 @@ def bm25_topk(
     is a stateless scoring ``map_batches`` emitting a partial top-k
     per block — the driver merges blocks·top rows, never doc scores."""
     import math
-
-    from .partition import group_apply
 
     def df_len_partial(df: pd.DataFrame) -> pd.DataFrame:
         toks = (df[text_col].astype(str).str.lower()
@@ -489,7 +477,7 @@ def bm25_topk(
     tbl = group_apply(
         ds.select_columns([text_col]).map_batches(
             df_len_partial, batch_format="pandas"),
-        df_sum, num_partitions=num_partitions, key="token",
+        df_sum, key="token",
     ).to_pandas()
     total_toks = int(tbl.loc[tbl["token"] == "\x00len", "df"].sum())
     tbl = tbl[tbl["token"] != "\x00len"]
@@ -541,7 +529,6 @@ def textrank_keywords(
     damping: float = 0.85,
     iters: int = 10,
     k: int = 20,
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """TextRank keyword extraction (Mihalcea–Tarau 2004): PageRank
     over the ADJACENT-token co-occurrence graph restricted to the
@@ -554,10 +541,8 @@ def textrank_keywords(
     counts reduce map-side to cells through keyed exchanges (bounded
     by vocab², never corpus rows); the rank iteration runs
     driver-side over ≤ top_vocab nodes."""
-    from .partition import group_apply
 
-    vocab = vocab_topk(ds, k=top_vocab, text_col=text_col,
-                       num_partitions=num_partitions)
+    vocab = vocab_topk(ds, k=top_vocab, text_col=text_col)
     vtok = np.sort(vocab["token"].to_numpy(object))
     vref = ray.put(vtok)
 
@@ -592,7 +577,7 @@ def textrank_keywords(
         ds.select_columns([text_col]).map_batches(
             pair_partial, batch_format="pandas"),
         lambda df: df.groupby(["src", "dst"], as_index=False)["n"].sum(),
-        num_partitions=num_partitions, key="src",
+        key="src",
     ).to_pandas()
     nodes = vtok
     n_nodes = len(nodes)
@@ -685,7 +670,6 @@ def pmi_collocations(
     ds: ray.data.Dataset,
     min_count: int = 5,
     text_col: str = "text",
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Corpus-wide PMI collocations: every adjacent lowercased-token
     bigram (within a document, never across) occurring ≥ ``min_count``
@@ -745,11 +729,11 @@ def pmi_collocations(
 
     bi = group_apply(
         texts.map_batches(bigram_partial, batch_format="pandas"),
-        sum_bigrams, num_partitions=num_partitions, key="w1",
+        sum_bigrams, key="w1",
     ).to_pandas()
     uni_ds = group_apply(
         texts.map_batches(uni_partial, batch_format="pandas"),
-        sum_uni, num_partitions=num_partitions, key="tok",
+        sum_uni, key="tok",
     ).materialize()
     # N via a map-side partial sum; only CANDIDATE tokens' counts are
     # pulled to the driver (bounded by the min-count-filtered bigram
@@ -891,7 +875,6 @@ def keyness_terms(
     g2_min: float = 3.84,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-document KEYNESS terms by Dunning's log-likelihood G²
     (Dunning 1993): for term t in doc d with in-doc count a, rest-of-
@@ -930,7 +913,7 @@ def keyness_terms(
     ct = group_apply(
         ds.select_columns([text_col]).map_batches(
             tf_partial, batch_format="pandas"),
-        tf_sum, num_partitions=num_partitions, key="token",
+        tf_sum, key="token",
     ).to_pandas().sort_values("token", kind="mergesort")
     vocab = ct["token"].to_numpy(object)
     cvec = ct["c"].to_numpy(np.int64)
@@ -994,7 +977,6 @@ def df_histogram(
     ds: ray.data.Dataset,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Corpus document-frequency histogram: for each df value k, how
     many distinct terms appear in exactly k documents — the corpus-
@@ -1031,7 +1013,7 @@ def df_histogram(
     parts = group_apply(
         ds.select_columns([text_col]).map_batches(
             df_partial, batch_format="pandas"),
-        hist_cells, num_partitions=num_partitions, key="token",
+        hist_cells, key="token",
     ).to_pandas()
     cols = {"df": pd.Series(dtype="int64"),
             "n_terms": pd.Series(dtype="int64"),
@@ -1051,7 +1033,6 @@ def heaps_law(
     id_col: str = "doc_id",
     text_col: str = "text",
     n_checkpoints: int = 16,
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Heaps'-law vocabulary-growth fit V(N) ≈ K·N^β over the corpus
     read in ``id_col`` order: distinct-vocabulary size V and
@@ -1129,7 +1110,7 @@ def heaps_law(
     parts = group_apply(
         ds.select_columns([id_col, text_col]).map_batches(
             first_doc_partial, batch_format="pandas"),
-        bucket_counts, num_partitions=num_partitions, key="term",
+        bucket_counts, key="term",
     ).to_pandas()
     if parts.empty:
         return pd.DataFrame(cols)
@@ -1157,7 +1138,6 @@ def heaps_law(
 def vocab_richness(
     ds: ray.data.Dataset,
     text_col: str = "text",
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Corpus-level vocabulary-richness indices from the term-
     frequency spectrum (V_m = # terms occurring exactly m times):
@@ -1195,7 +1175,7 @@ def vocab_richness(
     parts = group_apply(
         ds.select_columns([text_col]).map_batches(
             tf_partial, batch_format="pandas"),
-        moment_cells, num_partitions=num_partitions, key="token",
+        moment_cells, key="token",
     ).to_pandas()
     cols = {"n_tokens": pd.Series(dtype="int64"),
             "vocab": pd.Series(dtype="int64"),
@@ -1228,7 +1208,6 @@ def vocab_richness(
 def chao1_richness(
     ds: ray.data.Dataset,
     text_col: str = "text",
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Chao1 species-richness projection + Good–Turing unseen mass
     over the corpus vocabulary: Ŝ = V + V₁(V₁−1)/(2(V₂+1))
@@ -1242,7 +1221,6 @@ def chao1_richness(
     Same distributed shape as vocab_richness: per-block token
     value_counts partials, one token-keyed exchange, constant-size
     moment cells; exact int64 V/V₁/V₂/N, two mirrored closings."""
-    from .partition import group_apply
 
     def tf_partial(df: pd.DataFrame) -> pd.DataFrame:
         vc = (df[text_col].astype(str).str.lower()
@@ -1263,7 +1241,7 @@ def chao1_richness(
     parts = group_apply(
         ds.select_columns([text_col]).map_batches(
             tf_partial, batch_format="pandas"),
-        moment_cells, num_partitions=num_partitions, key="token",
+        moment_cells, key="token",
     ).to_pandas()
     cols = {"n_tokens": pd.Series(dtype="int64"),
             "vocab": pd.Series(dtype="int64"),

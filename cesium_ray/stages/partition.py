@@ -4,11 +4,12 @@ The engine's one wide primitive: add a deterministic ``_part`` column
 (stable hash of the key, mod P) in a stateless ``map_batches``, then
 ``groupby('_part').map_groups(fn)`` where ``fn`` is VECTORIZED pandas
 over the whole partition — so the number of per-group Python calls is
-P (a few hundred), not the number of conversations (billions at spec
-scale).  Hot-conversation salting (G6) is expressed by including the
-tier bucket in the partition key where semantics allow (rollups: each
-(conv, channel, bucket) group stays intact within one partition, so
-exact quantiles survive — SURVEY §7 hard-part (a)).
+P (one per cluster CPU, ``partition_count``), not the number of
+conversations (billions at spec scale).  Hot-conversation salting (G6)
+is expressed by including the tier bucket in the partition key where
+semantics allow (rollups: each (conv, channel, bucket) group stays
+intact within one partition, so exact quantiles survive — SURVEY §7
+hard-part (a)).
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ def _stable_hash(arr: np.ndarray) -> np.ndarray:
     return pd.util.hash_array(arr, categorize=False)
 
 
+def partition_count() -> int:
+    """P for every keyed exchange: one partition per CPU of the running
+    cluster.  No operator takes P; results do not depend on it
+    (``scripts/partition_invariance.py``)."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
 def lpt_assignment(
     keys: np.ndarray, costs: np.ndarray, num_partitions: int
 ) -> dict:
@@ -35,10 +43,14 @@ def lpt_assignment(
     Returns {key: part}.  Classic 4/3-approximation to makespan —
     used to place the few COST-DOMINANT keys (e.g. Lomb-Scargle-hot
     conversations); the long cold tail keeps hash placement, so the
-    assignment dict stays bounded by skew, not corpus size."""
+    assignment dict stays bounded by skew, not corpus size.  Equal
+    costs go in key order, so the placement depends only on the
+    (key, cost) pairs, not on the order the caller found them in (a
+    keyed count returns them in an order that depends on P)."""
     import heapq
 
-    order = np.argsort(-np.asarray(costs, dtype=np.float64), kind="stable")
+    order = np.lexsort((np.asarray(keys).astype(str),
+                        -np.asarray(costs, dtype=np.float64)))
     out = {}
     heap = [(0.0, p) for p in range(num_partitions)]
     heapq.heapify(heap)
@@ -107,18 +119,18 @@ def with_partition(
 def group_apply(
     ds: ray.data.Dataset,
     fn,
-    num_partitions: int = 64,
     key: str = "conv_id",
     salt_tier_s: int | None = None,
     batch_format: str = "pandas",
     **map_groups_kw,
 ) -> ray.data.Dataset:
-    """Hash-partition by ``key`` and run ``fn(partition) -> block``
-    once per partition (vectorized inside).  ``batch_format="pyarrow"``
-    hands ``fn`` the partition as a ``pa.Table`` (no pandas conversion
-    — int-with-null columns keep their Arrow types instead of
-    float64-roundtripping)."""
-    parted = with_partition(ds, num_partitions, key=key, salt_tier_s=salt_tier_s)
+    """Hash-partition by ``key`` into ``partition_count()`` partitions
+    and run ``fn(partition) -> block`` once per partition (vectorized
+    inside).  ``batch_format="pyarrow"`` hands ``fn`` the partition as
+    a ``pa.Table`` (no pandas conversion — int-with-null columns keep
+    their Arrow types instead of float64-roundtripping)."""
+    P = partition_count()
+    parted = with_partition(ds, P, key=key, salt_tier_s=salt_tier_s)
 
     if isinstance(fn, type):  # callable class → actor pool
         wrapped = fn
@@ -127,9 +139,7 @@ def group_apply(
             # actors would reserve every CPU and deadlock the upstream
             # shuffle on small clusters; half-size min starts the stage
             # wide immediately while leaving CPUs for the exchange
-            ncpu = int(ray.cluster_resources().get("CPU", 4))
-            hi = max(1, min(ncpu, num_partitions))
-            map_groups_kw["concurrency"] = (max(1, hi // 2), hi)
+            map_groups_kw["concurrency"] = (max(1, P // 2), P)
     elif batch_format == "pyarrow":
         def wrapped(tbl: pa.Table) -> pa.Table:
             return fn(tbl.drop_columns(["_part"]))

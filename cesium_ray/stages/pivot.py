@@ -29,7 +29,6 @@ def pivot_aggregate(
     categories: tuple = (),
     value: str = "value",
     value_scale: int = 100,
-    num_partitions: int = 16,
 ) -> ray.data.Dataset:
     cats = tuple(categories)
 
@@ -66,8 +65,7 @@ def pivot_aggregate(
             out[f"{t}_vsum"] = vsum
         return out
 
-    return group_apply(partials, widen, num_partitions=num_partitions,
-                       key=key)
+    return group_apply(partials, widen, key=key)
 
 
 def melt(

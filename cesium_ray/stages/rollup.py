@@ -30,7 +30,6 @@ from .partition import group_apply
 def rollup_points(
     points: ray.data.Dataset,
     tier: str,
-    num_partitions: int = 64,
     keys=("conv_id", "channel"),
     salt: bool = True,
 ) -> ray.data.Dataset:
@@ -38,7 +37,6 @@ def rollup_points(
     return group_apply(
         points,
         lambda df: rollup_pandas(df, tier, keys=keys),
-        num_partitions=num_partitions,
         key=keys[0],
         salt_tier_s=tier_s if salt else None,
     )
@@ -47,7 +45,6 @@ def rollup_points(
 def rollup_turns(
     turns: ray.data.Dataset,
     tier: str,
-    num_partitions: int = 64,
     by: str = "conv_id",
     order=("turn_idx",),
 ) -> ray.data.Dataset:
@@ -62,4 +59,4 @@ def rollup_turns(
         ["text"] if "text" in turns.columns() else []
     ) + (["value"] if "value" in turns.columns() else [])
     pruned = turns.select_columns(list(dict.fromkeys(keep)))
-    return group_apply(pruned, fn, num_partitions=num_partitions, key=by)
+    return group_apply(pruned, fn, key=by)

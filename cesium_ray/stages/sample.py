@@ -60,13 +60,11 @@ def stratified_sample(
     by: str = "user_id",
     id_col: str = "event_id",
     n_per_key: int = 5,
-    num_partitions: int = 64,
 ) -> ray.data.Dataset:
     return group_apply(
         ds,
         lambda df: stratified_sample_pandas(df, by=by, id_col=id_col,
                                             n_per_key=n_per_key),
-        num_partitions=num_partitions,
         key=by,
     )
 
@@ -130,7 +128,6 @@ def priority_sample_per_key(
     key: str = "user_id",
     id_col: str = "event_id",
     weight_expr_col: str = "value",
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Weighted sampling without replacement PER KEY — ``k`` rows per
     key under the same deterministic priority ``w·2³²/h`` as
@@ -163,10 +160,8 @@ def priority_sample_per_key(
         out = df.groupby(key).head(k).reset_index(drop=True)
         out["rank"] = out.groupby(key).cumcount().to_numpy(np.int64) + 1
         return out
-
-    from .partition import group_apply
     got = group_apply(
         ds.select_columns([key, id_col, weight_expr_col]).map_batches(
             partial, batch_format="pandas"),
-        finalize, num_partitions=num_partitions, key=key).to_pandas()
+        finalize, key=key).to_pandas()
     return (got.sort_values([key, "rank"]).reset_index(drop=True))

@@ -33,7 +33,7 @@ def _precombine(ds: ray.data.Dataset, keys: list) -> pd.DataFrame:
     return group_apply(
         ds,
         lambda df: df.groupby(keys, as_index=False).sum(),
-        num_partitions=4, key=keys[0]).to_pandas()
+        key=keys[0]).to_pandas()
 
 
 def grouped_rank_quantiles(
@@ -61,7 +61,7 @@ def grouped_rank_quantiles(
         ds.map_batches(stats, batch_format="pandas"),
         lambda df: df.groupby(group_col, as_index=False).agg(
             _n=("_n", "sum"), _lo=("_lo", "min"), _hi=("_hi", "max")),
-        num_partitions=4, key=group_col).to_pandas())
+        key=group_col).to_pandas())
     if st.empty:
         return pd.DataFrame(
             {group_col: pd.Series(dtype=object),

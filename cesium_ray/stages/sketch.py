@@ -50,7 +50,7 @@ def histogram_quantile(
     merged = group_apply(
         ds.map_batches(partial, batch_format="pandas"),
         lambda df: df.groupby("bin", as_index=False)["cnt"].sum(),
-        num_partitions=8, key="bin",
+        key="bin",
     ).to_pandas()
     agg = merged.set_index("bin")["cnt"]
     counts = agg.reindex(np.arange(n_bins), fill_value=0).to_numpy(np.int64)

@@ -37,7 +37,6 @@ def _quantize(v: np.ndarray) -> np.ndarray:
 def ohlc_rollup(
     ds: ray.data.Dataset,
     bucket_s: int = 3600,
-    num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Per (series, bucket): open/high/low/close/count — the
     candlestick rollup.  Open/close take the first/last row by
@@ -64,13 +63,12 @@ def ohlc_rollup(
             "n": (np.r_[starts[1:], len(g)] - starts).astype(np.int64),
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(ds, fn, key=USER_ID)
 
 
 def time_weighted_avg(
     ds: ray.data.Dataset,
     bucket_s: int = 86400,
-    num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Per (series, bucket): the LOCF time-weighted average — each
     point holds its value until the next point in the same bucket;
@@ -112,13 +110,12 @@ def time_weighted_avg(
             "n": counts.astype(np.int64),
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(ds, fn, key=USER_ID)
 
 
 def zscore_anomalies(
     ds: ray.data.Dataset,
     thresh: float = 2.5,
-    num_partitions: int = 16,
 ) -> ray.data.Dataset:
     """Flag rows whose value sits > ``thresh`` population standard
     deviations from the per-series mean.  µ and σ² come from exact
@@ -150,7 +147,7 @@ def zscore_anomalies(
         out["z"] = z[keep]
         return out.reset_index(drop=True)
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(ds, fn, key=USER_ID)
 
 
 def diurnal_profile(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -183,7 +180,7 @@ def diurnal_profile(ds: ray.data.Dataset) -> pd.DataFrame:
     parts = group_apply(
         cells,
         lambda df: df.groupby([EVENT_TYPE, "hour"], as_index=False).sum(),
-        num_partitions=4, key=EVENT_TYPE).to_pandas()
+        key=EVENT_TYPE).to_pandas()
     agg = parts.groupby([EVENT_TYPE, "hour"], as_index=False).agg(
         n=("_cnt", "sum"), sk=("_sk", "sum"))
     agg["mean_value"] = agg["sk"].to_numpy(np.float64) / (
@@ -191,10 +188,7 @@ def diurnal_profile(ds: ray.data.Dataset) -> pd.DataFrame:
     return agg[[EVENT_TYPE, "hour", "n", "mean_value"]]
 
 
-def trend_corr(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> ray.data.Dataset:
+def trend_corr(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Per series: Pearson correlation between value and elapsed time
     (whole seconds since the series' first point) — the monotone-trend
     detector.  x = k (int), y = Δt_s (int floor): all five sums are
@@ -234,10 +228,10 @@ def trend_corr(
             "trend_r": r,
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(ds, fn, key=USER_ID)
 
 
-def irate(ds: ray.data.Dataset, num_partitions: int = 16) -> ray.data.Dataset:
+def irate(ds: ray.data.Dataset) -> ray.data.Dataset:
     """PromQL ``irate``: instantaneous rate from the LAST TWO samples
     of each series (reset-aware: a negative delta means the counter
     restarted, so the current value is the increase).  Single-point
@@ -266,14 +260,10 @@ def irate(ds: ray.data.Dataset, num_partitions: int = 16) -> ray.data.Dataset:
             "irate_per_sec": r,
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(ds, fn, key=USER_ID)
 
 
-def ewma_last(
-    ds: ray.data.Dataset,
-    alpha: float = 0.3,
-    num_partitions: int = 16,
-) -> ray.data.Dataset:
+def ewma_last(ds: ray.data.Dataset, alpha: float = 0.3) -> ray.data.Dataset:
     """Final EWMA level per series (yᵢ = α·xᵢ + (1−α)·yᵢ₋₁, y₀ = x₀),
     the standard smoothing baseline.  Rows-only vs SQL (the recurrence
     is order-dependent float math), closed-form-tested instead: the
@@ -301,7 +291,7 @@ def ewma_last(
         return pd.DataFrame({USER_ID: g[new], "ewma": lvl,
                              "n": counts.astype(np.int64)})
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(ds, fn, key=USER_ID)
 
 
 def _deltas(df: pd.DataFrame) -> pd.DataFrame:
@@ -322,10 +312,7 @@ def _deltas(df: pd.DataFrame) -> pd.DataFrame:
                          "_dt": t[1:][same] - t[:-1][same]})
 
 
-def interarrival_quantiles_scan(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def interarrival_quantiles_scan(ds: ray.data.Dataset) -> pd.DataFrame:
     """``interarrival_quantiles`` with the 10¹²-row quantile plan:
     the same key-hash delta exchange, then exact per-attr p50/p99 via
     histogram-refinement rank selection
@@ -334,8 +321,7 @@ def interarrival_quantiles_scan(
     Bit-identical output (same duck_quantile lerp)."""
     from .selection import grouped_rank_quantiles
 
-    d = group_apply(ds, _deltas,
-                    num_partitions=num_partitions, key=USER_ID).materialize()
+    d = group_apply(ds, _deltas, key=USER_ID).materialize()
     out = grouped_rank_quantiles(d, EVENT_TYPE, "_dt", ps=(0.5, 0.99))
     out = out.rename(columns={"n": "n_gaps", "q_0": "p50_us",
                               "q_1": "p99_us"})
@@ -345,10 +331,7 @@ def interarrival_quantiles_scan(
     return out
 
 
-def interarrival_quantiles(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> ray.data.Dataset:
+def interarrival_quantiles(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Per ``event_type``: count and exact p50/p99 of the inter-arrival
     time (µs) between consecutive same-``event_type`` events within each
     key's (ts, order)-sorted stream — lead() deltas, quantile_cont
@@ -367,8 +350,7 @@ def interarrival_quantiles(
     bits with only map-side partials."""
     from ..oracle.rollup import duck_quantile
 
-    d = group_apply(ds, _deltas,
-                    num_partitions=num_partitions, key=USER_ID)
+    d = group_apply(ds, _deltas, key=USER_ID)
 
     def qtl(df: pd.DataFrame) -> pd.DataFrame:
         names, ns, p50s, p99s = [], [], [], []
@@ -385,10 +367,10 @@ def interarrival_quantiles(
             "p99_us": pd.Series(p99s, dtype="float64"),
         })
 
-    return group_apply(d, qtl, num_partitions=8, key=EVENT_TYPE)
+    return group_apply(d, qtl, key=EVENT_TYPE)
 
 
-def dwell_time(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def dwell_time(ds: ray.data.Dataset) -> pd.DataFrame:
     """Time-in-state: total µs spent in each ``event_type`` state, where each
     consecutive pair of a key's (ts, order)-sorted events attributes
     the elapsed time to the EARLIER event's attr (a key's last event
@@ -419,8 +401,7 @@ def dwell_time(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
                              "_n": n[nz].astype(np.int64),
                              "_us": us[nz]})
 
-    parts = group_apply(ds, cells, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    parts = group_apply(ds, cells, key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
                              "n": pd.Series(dtype="int64"),
@@ -472,7 +453,7 @@ def weekly_profile(ds: ray.data.Dataset) -> pd.DataFrame:
         cells,
         lambda df: df.groupby([EVENT_TYPE, "dow", "hour"],
                               as_index=False).sum(),
-        num_partitions=4, key=EVENT_TYPE).to_pandas()
+        key=EVENT_TYPE).to_pandas()
     if parts.empty:
         return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
                              "dow": pd.Series(dtype="int64"),
@@ -488,7 +469,7 @@ def weekly_profile(ds: ray.data.Dataset) -> pd.DataFrame:
             .sort_values([EVENT_TYPE, "dow", "hour"]).reset_index(drop=True))
 
 
-def run_stats(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def run_stats(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key run-length structure of an attribute stream
     (gaps-and-islands over VALUE changes, complementing
     ``interval_merge``'s time-gap islands): for each key's
@@ -546,18 +527,13 @@ def run_stats(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
                              / n_runs.astype(np.float64)),
         })
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def time_since_event(
-    ds: ray.data.Dataset,
-    marker: str,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def time_since_event(ds: ray.data.Dataset, marker: str) -> pd.DataFrame:
     """Conditional LOCF enrichment: for every event, the exact µs
     elapsed since the same key's most recent STRICTLY-EARLIER event of
     type ``marker`` (NaN when none precedes it) — "time since last
@@ -594,18 +570,13 @@ def time_since_event(
                              EVENT_ID: oid[perm],
                              "since_us": since})
 
-    out = group_apply(ds, enrich, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, enrich, key=USER_ID).to_pandas()
     if out.empty:
         return enrich(pd.DataFrame())
     return out.sort_values([USER_ID, EVENT_ID]).reset_index(drop=True)
 
 
-def lttb_downsample(
-    ds: ray.data.Dataset,
-    n_out: int = 10,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def lttb_downsample(ds: ray.data.Dataset, n_out: int = 10) -> pd.DataFrame:
     """Largest-Triangle-Three-Buckets downsampling (Steinarsson 2013),
     the standard shape-preserving visualization reducer, per key:
     keep first and last point; split the interior into ``n_out − 2``
@@ -691,17 +662,13 @@ def lttb_downsample(
                              "x_us": np.asarray(out_x, dtype=np.int64),
                              "k": np.asarray(out_y, dtype=np.int64)})
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values([USER_ID, "rn"]).reset_index(drop=True)
 
 
-def linear_trend_per_key(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def linear_trend_per_key(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key OLS trend (slope in value-units/second + intercept) of
     value against time — cesium's ``linear_trend`` as a standalone
     driver-checkable rollup.  All four moment sums (Σx, Σy, Σxy, Σx²)
@@ -764,17 +731,13 @@ def linear_trend_per_key(
                              "slope_per_s": slope,
                              "intercept": intercept})
 
-    out = group_apply(ds, fn, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, fn, key=USER_ID).to_pandas()
     if out.empty:
         return fn(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def weighted_value_quantiles(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def weighted_value_quantiles(ds: ray.data.Dataset) -> pd.DataFrame:
     """Duration-weighted quantiles per ``event_type``: each event's value is
     weighted by the µs until the same key's next event (the dwell
     credit — a key's last event carries no weight), and the weighted
@@ -837,10 +800,8 @@ def weighted_value_quantiles(
         return pd.DataFrame(out, columns=[EVENT_TYPE, "n", "total_w_us",
                                           "w_p50", "w_p90"])
 
-    cell_ds = group_apply(ds, cells, num_partitions=num_partitions,
-                          key=USER_ID)
-    out = group_apply(cell_ds, per_attr, num_partitions=4,
-                      key=EVENT_TYPE).to_pandas()
+    cell_ds = group_apply(ds, cells, key=USER_ID)
+    out = group_apply(cell_ds, per_attr, key=EVENT_TYPE).to_pandas()
     if out.empty:
         return per_attr(pd.DataFrame())
     out["n"] = out["n"].astype(np.int64)
@@ -848,10 +809,7 @@ def weighted_value_quantiles(
     return out.sort_values(EVENT_TYPE).reset_index(drop=True)
 
 
-def max_drawdown(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def max_drawdown(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key maximum drawdown of the (ts, order)-sorted value
     stream: max over t of (running-peak − value) — the classic
     "largest drop from a prior high" series statistic (here over a
@@ -890,17 +848,13 @@ def max_drawdown(
             "n_events": n.astype(np.int64),
         })
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def longest_streak(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def longest_streak(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key longest run of consecutive ACTIVE DAYS (gaps-and-
     islands over the distinct-day calendar) plus streak count, active
     day total, and first/last day — the engagement-streak statistic.
@@ -948,18 +902,13 @@ def longest_streak(
             "last_day": d[key_end].astype(np.int64),
         })
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def burst_detect(
-    ds: ray.data.Dataset,
-    window_s: int = 300,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def burst_detect(ds: ray.data.Dataset, window_s: int = 300) -> pd.DataFrame:
     """Per-key peak burst rate: the maximum number of events inside
     any trailing ``window_s`` window, with SQL RANGE-frame semantics
     (frame = rows whose ts ∈ [ts_i − window, ts_i], INCLUDING all
@@ -1007,18 +956,13 @@ def burst_detect(
             "n_events": n.astype(np.int64),
         })
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def acf_lags(
-    ds: ray.data.Dataset,
-    max_lag: int = 3,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def acf_lags(ds: ray.data.Dataset, max_lag: int = 3) -> pd.DataFrame:
     """Per-key sample autocorrelation of the (ts, order)-sorted value
     stream at lags 1..max_lag — the classic serial-dependence feature
     (cesium's periodicity family's cheap cousin; SURVEY §2.7 context).
@@ -1079,17 +1023,13 @@ def acf_lags(
         res = pd.DataFrame(out)
         return res[(res["n"] > max_lag) & (den != 0.0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def changepoint_split(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def changepoint_split(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key single change-point detection: the split of the
     (ts, order)-sorted value stream that maximizes the between-segment
     mean shift — the binary-segmentation primitive (level-shift /
@@ -1164,8 +1104,7 @@ def changepoint_split(
             "score": score[win],
         })
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
@@ -1232,10 +1171,7 @@ def seasonal_anomaly(ds: ray.data.Dataset, sigma: float = 3.0) -> pd.DataFrame:
     return out.sort_values("hour").reset_index(drop=True)
 
 
-def scd2_history(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def scd2_history(ds: ray.data.Dataset) -> pd.DataFrame:
     """Slowly-Changing-Dimension Type-2 history: turn an attribute
     event stream into the warehouse validity-interval table —
     one row per (key, attr-version) with ``valid_from`` (first ts of
@@ -1247,7 +1183,6 @@ def scd2_history(
     Same partitioning contract as ``run_stats``: one key-hash
     exchange, each key whole inside its partition, one lexsort +
     boolean diffs per partition — no per-row Python."""
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {USER_ID: pd.Series(dtype="int64"),
@@ -1286,16 +1221,12 @@ def scd2_history(
             "is_current": ~nxt_same,
         })
 
-    return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
             .sort_values([USER_ID, "version_no"], kind="mergesort")
             .reset_index(drop=True))
 
 
-def theilsen_trend(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def theilsen_trend(ds: ray.data.Dataset) -> pd.DataFrame:
     """Theil–Sen robust trend per key: the MEDIAN of all pairwise
     slopes (Δvalue / Δseconds over pairs with distinct timestamps) —
     the outlier-resistant alternative to the least-squares
@@ -1306,7 +1237,6 @@ def theilsen_trend(
     enumerate vectorized via triu indices; the median is the shared
     ``duck_quantile`` kernel (bit-exact to SQL quantile_cont)."""
     from ..oracle.rollup import duck_quantile
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {USER_ID: pd.Series(dtype="int64"),
@@ -1343,15 +1273,11 @@ def theilsen_trend(
                         bool(capped)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
             .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
-def mann_kendall(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def mann_kendall(ds: ray.data.Dataset) -> pd.DataFrame:
     """Mann–Kendall trend test per key (the nonparametric companion
     of ``theilsen_trend``): S = Σ_{i<j} sign(v_j − v_i) over the
     time-ordered values, tie-corrected variance
@@ -1359,7 +1285,6 @@ def mann_kendall(
     continuity-corrected Z.  S and both variance terms are EXACT
     int64; Z is one mirrored float expression.  Same capped-pairs
     guard and partitioning contract as theilsen_trend."""
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {USER_ID: pd.Series(dtype="int64"),
@@ -1404,15 +1329,11 @@ def mann_kendall(
                         bool(capped)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
             .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
-def trimmed_mean(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def trimmed_mean(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key trimmed mean: average of the int-quantized values
     inside the key's own [p10, p90] quantile band (inclusive bounds
     from the shared ``duck_quantile`` kernel ≡ quantile_cont, so the
@@ -1421,7 +1342,6 @@ def trimmed_mean(
     mann_kendall.  One key-hash exchange; per key one sort + two
     O(1) quantile reads + one masked exact-int sum."""
     from ..oracle.rollup import duck_quantile
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {USER_ID: pd.Series(dtype="int64"),
@@ -1454,15 +1374,11 @@ def trimmed_mean(
             ))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
             .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
-def robust_anomalies(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def robust_anomalies(ds: ray.data.Dataset) -> pd.DataFrame:
     """Modified z-score anomaly counts per key (Iglewicz–Hoaglin):
     Mz = 0.6745·(x − median) / MAD with MAD = median(|x − median|) —
     the robust sibling of ``zscore_anomalies`` (one outlier cannot
@@ -1471,7 +1387,6 @@ def robust_anomalies(
     the flag set is bit-identical to the SQL twin; MAD = 0 keys
     report 0 anomalies (constant-valued key)."""
     from ..oracle.rollup import duck_quantile
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {USER_ID: pd.Series(dtype="int64"),
@@ -1504,15 +1419,11 @@ def robust_anomalies(
                         float(mad / 100.0), np.int64(n_anom)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
             .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
-def spearman_trend(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def spearman_trend(ds: ray.data.Dataset) -> pd.DataFrame:
     """Spearman rank correlation of value against time per key — the
     rank-based trend measure completing the nonparametric family
     (theilsen_trend, mann_kendall).  Tie-averaged ranks are carried
@@ -1520,7 +1431,6 @@ def spearman_trend(
     has doubled-average-rank p+q — always an integer), so every sum
     and the Pearson-on-ranks numerator/denominator terms are EXACT
     int64; only the final ratio is float, mirrored in SQL."""
-    from .partition import group_apply
 
     def _dranks(x: np.ndarray) -> np.ndarray:
         # doubled average ranks, ties averaged (int64-exact)
@@ -1567,15 +1477,11 @@ def spearman_trend(
                         float(rho)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
             .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
-def cusum_alarms(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def cusum_alarms(ds: ray.data.Dataset) -> pd.DataFrame:
     """One-sided tabular CUSUM per key over int-quantized deviations
     from the key's integer mean: the sequential recurrence
     S_i = max(0, S_{i-1} + x_i − k) has the closed form
@@ -1586,7 +1492,6 @@ def cusum_alarms(
     deviations use x_i·n − Σx (scaled by n to avoid fractional
     means), k and h scale accordingly.  Emits per key: n, the max
     CUSUM (scaled), and the alarm count (S > h·n)."""
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {USER_ID: pd.Series(dtype="int64"),
@@ -1623,8 +1528,7 @@ def cusum_alarms(
                         np.int64(alarms)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
             .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
 
 
@@ -1644,11 +1548,7 @@ def _sorted_streams(df: pd.DataFrame):
     return kuniq, k, t, x, starts, n
 
 
-def variance_ratio(
-    ds: ray.data.Dataset,
-    ks: tuple = (2, 4),
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def variance_ratio(ds: ray.data.Dataset, ks: tuple = (2, 4)) -> pd.DataFrame:
     """Per-key Lo–MacKinlay variance-ratio test statistic: for each
     horizon k, VR(k) = Var(x_{t+k}−x_t) / (k·Var(x_{t+1}−x_t)) over
     overlapping k-step differences of the (ts, order)-sorted stream —
@@ -1693,14 +1593,13 @@ def variance_ratio(
         res = pd.DataFrame(out)
         return res[(res["n"] > max(ks)) & (v[1] != 0.0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def xcorr_gap(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def xcorr_gap(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key cross-correlation between the value channel and the
     interarrival-gap channel of the same (ts, order)-sorted stream:
     r0 = corr(x_t, g_t) (does a large value coincide with a long wait
@@ -1756,17 +1655,13 @@ def xcorr_gap(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
                   & (res["_d_r0"] > 0.0) & (res["_d_r1"] > 0.0)]
         return res.drop(columns=["_d_r0", "_d_r1"])
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def perm_entropy(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def perm_entropy(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key order-3 permutation entropy (Bandt–Pompe 2002): each
     consecutive triple of the (ts, order)-sorted quantized stream is
     mapped to one of 6 ordinal patterns, ties broken by time order
@@ -1815,8 +1710,7 @@ def perm_entropy(
                             "pe": h / np.log(6.0)})
         return res[res["n_pat"] >= 1]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
@@ -1825,7 +1719,7 @@ def perm_entropy(
 _HURST_SIZES = (8, 16, 32)
 
 
-def hurst_rs(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def hurst_rs(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Hurst exponent by classic rescaled-range (R/S)
     analysis (Hurst 1951; Mandelbrot–Wallis): the (ts, order)-sorted
     stream is chopped into consecutive windows of each size w ∈
@@ -1914,18 +1808,13 @@ def hurst_rs(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
         res = pd.DataFrame(out)
         return res[keep]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def ljung_box(
-    ds: ray.data.Dataset,
-    max_lag: int = 3,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def ljung_box(ds: ray.data.Dataset, max_lag: int = 3) -> pd.DataFrame:
     """Per-key Ljung–Box portmanteau whiteness statistic
     Q = n(n+2)·Σ_{k≤L} acf_k²/(n−k) over the (ts, order)-sorted value
     stream — the standard "is anything left after detrending"
@@ -1936,7 +1825,7 @@ def ljung_box(
     dropped on both sides."""
     from .tsmath import acf_lags  # same-module; explicit for grep
 
-    a = acf_lags(ds, max_lag=max_lag, num_partitions=num_partitions)
+    a = acf_lags(ds, max_lag=max_lag)
     nf = a["n"].to_numpy(np.float64)
     q = np.zeros(len(a))
     for L in range(1, max_lag + 1):
@@ -1947,10 +1836,7 @@ def ljung_box(
     return out.reset_index(drop=True)
 
 
-def trend_seasonal_strength(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def trend_seasonal_strength(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key trend and seasonality strength (the Wang–Hyndman
     tsfeatures pair, on an OLS-trend + hour-of-day-means
     decomposition): with r = x − (α + β·τ) the OLS detrended series
@@ -2032,17 +1918,13 @@ def trend_seasonal_strength(
                             "seasonal_strength": fs})
         return res[(dent > 0.0) & (varr > 0.0) & (vardeseas > 0.0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def turning_points(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def turning_points(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key turning-points randomness test: count strict local
     extrema of the (ts, order)-sorted stream (x_{t−1} < x_t > x_{t+1}
     or the mirror image) and compare against the i.i.d. expectation
@@ -2082,14 +1964,13 @@ def turning_points(
                             "n_turns": t, "z_tp": z})
         return res[res["n"] >= 3]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def ar1_fit(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def ar1_fit(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key AR(1) / discrete Ornstein–Uhlenbeck fit by the moment
     (Yule–Walker) estimator: φ = acf₁ of the (ts, order)-sorted
     stream, innovation variance σ²_ε = (1 − φ²)·Var(x), and the mean-
@@ -2141,14 +2022,13 @@ def ar1_fit(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
                             "half_life": hl})
         return res[(res["n"] >= 3) & (den != 0.0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def burstiness(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def burstiness(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Goh–Barabási burstiness B = (σ−μ)/(σ+μ) of the
     inter-arrival gaps plus the memory coefficient M = Pearson r of
     consecutive gap pairs (Goh & Barabási 2008, EPL 81) — B → −1 for
@@ -2223,17 +2103,13 @@ def burstiness(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
                             "m_memory": mm})
         return res[(res["n_gaps"] >= 3) & (npair >= 2)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def kendall_tau(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def kendall_tau(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Kendall tau-b rank correlation between value and time
     — the fully nonparametric monotone-trend measure (pairwise
     concordance), completing the trend trio with the parametric OLS
@@ -2279,17 +2155,13 @@ def kendall_tau(
             return pd.DataFrame(cols)
         return pd.DataFrame(rows, columns=[USER_ID, "n_events", "tau_b"])
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def seasonal_naive_mase(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def seasonal_naive_mase(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key seasonal-naive forecast backtest on the hourly
     ACTIVITY series: MASE = mean|c_b − c_{b−24}| / mean|c_b − c_{b−1}|
     over the DENSE hourly-count grid [min_hour, max_hour] (missing
@@ -2339,14 +2211,13 @@ def seasonal_naive_mase(
             return pd.DataFrame(cols)
         return pd.DataFrame(rows, columns=[USER_ID, "n_hours", "mase"])
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def pacf_lags(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def pacf_lags(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key PARTIAL autocorrelation at lags 1–3 via the
     Durbin–Levinson recursion closed over the sample ACF — the
     AR-order-identification companion of ``acf_lags`` (PACF cuts off
@@ -2410,17 +2281,13 @@ def pacf_lags(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
                             "pacf1": r1, "pacf2": p2, "pacf3": p3})
         return res[(res["n"] > 3) & (den != 0.0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def durbin_watson(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def durbin_watson(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Durbin–Watson serial-correlation statistic of the
     (ts, order)-sorted value stream, DW = Σ(x_t − x_{t−1})² /
     Σ(x_t − x̄)² (≈ 2(1 − acf₁); 2 for white noise, → 0 under
@@ -2458,17 +2325,13 @@ def durbin_watson(
                             "dw": dw, "vn": vn})
         return res[(res["n"] > 1) & (den != 0.0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def count_dispersion(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def count_dispersion(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key point-process dispersion of the DENSE hourly activity
     grid [min_hour, max_hour] (missing hours count 0): the Fano
     factor F = Var(c)/E(c) (population variance; 1 for Poisson, > 1
@@ -2518,18 +2381,13 @@ def count_dispersion(
         return pd.DataFrame(
             rows, columns=[USER_ID, "n_hours", "fano", "allan"])
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def sample_entropy(
-    ds: ray.data.Dataset,
-    tolerance: int = 500,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def sample_entropy(ds: ray.data.Dataset, tolerance: int = 500) -> pd.DataFrame:
     """Per-key sample entropy SampEn(m=1, r) of the (ts, order)-sorted
     value stream (Richman & Moorman 2000): with templates the first
     n−1 points, B = #{i<j : |x_i − x_j| ≤ r} (length-1 matches) and
@@ -2578,18 +2436,13 @@ def sample_entropy(
         return pd.DataFrame(rows, columns=[USER_ID, "n_events", "b_pairs",
                                            "a_pairs", "sampen"])
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def peak_rate(
-    ds: ray.data.Dataset,
-    window_s: int = 86400,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def peak_rate(ds: ray.data.Dataset, window_s: int = 86400) -> pd.DataFrame:
     """Per-key PEAK sliding-window event rate: the maximum number of
     events falling in ANY half-open window [t, t + window_s) anchored
     at an event — the exact rate-limit / burst-abuse statistic
@@ -2626,17 +2479,13 @@ def peak_rate(
                          int((hi - lo).max())))
         return pd.DataFrame(rows, columns=[USER_ID, "n_events", "peak_cnt"])
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def exp_gap_fit(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def exp_gap_fit(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key exponential fit of the inter-arrival gaps + the
     Kolmogorov–Smirnov distance to that fit: MLE rate λ = n/Σd over
     whole-second gaps, then D = maxᵢ max(i/n − F(d₍ᵢ₎),
@@ -2688,14 +2537,13 @@ def exp_gap_fit(
         return pd.DataFrame(rows, columns=[USER_ID, "n_gaps", "lam_per_s",
                                            "ks_exp"])
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def day_streak(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def day_streak(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key longest consecutive-active-day streak: number of
     distinct UTC days with ≥ 1 event and the maximum run of adjacent
     days — the classic engagement/retention "streak" metric
@@ -2729,17 +2577,13 @@ def day_streak(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
         return pd.DataFrame(rows, columns=[USER_ID, "n_active_days",
                                            "max_streak"])
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def seasonal_power(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def seasonal_power(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key single-bin Fourier seasonality power on the DENSE
     hourly activity grid: for each period P (hours), the fraction of
     count variance explained by the best-fit sinusoid at frequency
@@ -2798,17 +2642,13 @@ def seasonal_power(
             return pd.DataFrame(cols)
         return pd.DataFrame(rows, columns=list(cols))
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def haar_energy(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def haar_energy(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key un-normalized Haar wavelet detail energies of the
     DENSE hourly activity grid: at level ℓ the grid is paired into
     blocks of 2^ℓ hours, dℓ = (sum of left half) − (sum of right
@@ -2858,17 +2698,13 @@ def haar_energy(
             return pd.DataFrame(cols)
         return pd.DataFrame(rows, columns=list(cols))
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def gumbel_maxima(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def gumbel_maxima(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Gumbel (EV-I) moment fit of DAILY BLOCK MAXIMA of the
     hourly activity counts: for each UTC day in the dense day range,
     take the max hourly count (days with no events contribute 0),
@@ -2922,17 +2758,13 @@ def gumbel_maxima(
         return pd.DataFrame(rows, columns=[USER_ID, "n_days", "gum_mu",
                                            "gum_beta"])
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def gini_values(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def gini_values(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Gini mean difference of the value distribution,
     GMD = mean over all pairs of |x_i − x_j| — the robust scale
     statistic that (unlike the Gini coefficient) is well-defined for
@@ -2968,17 +2800,13 @@ def gini_values(
                             "n": n, "gmd": gmd})
         return res[res["n"] >= 2]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def quartile_cv(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def quartile_cv(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key robust quartile spread from EXACT type-1 order
     statistics: Q1 = x₍⌈n/4⌉₎, Q3 = x₍⌈3n/4⌉₎ (1-indexed ascending,
     tie-invariant by value), IQR = Q3 − Q1 and the coefficient of
@@ -3014,17 +2842,13 @@ def quartile_cv(
                             "n": n, "iqr": iqr, "cqv": cqv})
         return res[res["n"] >= 4]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def daily_profile_drift(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def daily_profile_drift(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key daily-rhythm drift: for each ACTIVE day, the KL
     divergence of that day's hour-of-day distribution from the key's
     OVERALL hour-of-day profile, KL_d = Σ_h (c_dh/c_d)·
@@ -3081,14 +2905,13 @@ def daily_profile_drift(
                             "mean_kl": mean})
         return res[res["n_days"] >= 2]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def count_acf(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def count_acf(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key autocorrelation of the DENSE hourly ACTIVITY series at
     lags 1 and 24: acf_L = Σ(c_t−μ)(c_{t−L}−μ) /
     Σ(c_t−μ)² over the zero-filled hourly count grid — the shift-based
@@ -3143,17 +2966,13 @@ def count_acf(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
             return pd.DataFrame(cols)
         return pd.DataFrame(rows, columns=list(cols))
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def circadian_phase(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def circadian_phase(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key circular statistics of event time-of-day on the 24 h
     circle (Fisher 1993): with angles θ = 2π·tod/86400 s, the
     resultant length R̄ = √(C² + S²)/n (1 = all events at one moment,
@@ -3193,14 +3012,13 @@ def circadian_phase(
                             "resultant": r, "mean_hour": ph})
         return res[res["n"] >= 1]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def hour_runs(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def hour_runs(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key activity run-length profile of the DENSE hourly grid:
     consecutive active hours (≥ 1 event) form active runs, the
     zero-count hours between them idle runs; reports run counts, the
@@ -3253,14 +3071,13 @@ def hour_runs(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
             return pd.DataFrame(cols)
         return pd.DataFrame(rows, columns=list(cols))
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def lmoments(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def lmoments(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key sample L-moments (Hosking 1990): L-scale λ₂ and the
     L-moment ratios L-skewness τ₃ = λ₃/λ₂ and L-kurtosis τ₄ = λ₄/λ₂
     from the probability-weighted moments
@@ -3319,17 +3136,13 @@ def lmoments(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
                             "l2": l2, "t3": t3, "t4": t4})
         return res[(res["n"] >= 4) & (l2 != 0.0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def hjorth_params(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def hjorth_params(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Hjorth parameters (Hjorth 1970) of the (ts, order)-
     sorted value series — the classic EEG time-domain descriptor trio
     reused as a signal-shape profile for event value streams:
@@ -3396,17 +3209,13 @@ def hjorth_params(
                             "complexity": complexity})
         return res[(n >= 3) & (vx > 0) & (vd > 0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def teager_energy(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def teager_energy(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Teager–Kaiser energy operator profile (Kaiser 1990):
     Ψᵢ = xᵢ² − xᵢ₋₁·xᵢ₊₁ over the (ts, order)-sorted interior points
     — the instantaneous-energy tracker (for a sampled sine it equals
@@ -3450,17 +3259,13 @@ def teager_energy(
                             "neg_share": neg_share})
         return res[n >= 3]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def fractal_dims(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def fractal_dims(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key waveform fractal dimensions of the (ts, order)-sorted
     value stream — the two classic O(n) estimators:
       * Petrosian FD = log10(n) / (log10(n) + log10(n/(n + 0.4·NΔ)))
@@ -3513,17 +3318,13 @@ def fractal_dims(
                             "katz_fd": katz})
         return res[(n >= 3) & (L > 0) & (D > 0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def page_hinkley(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def page_hinkley(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key offline Page–Hinkley mean-shift statistics of the
     (ts, order)-sorted value stream: with cumulative deviations
     mₜ = Σᵢ≤ₜ(xᵢ − x̄), PH⁺ = maxₜ(mₜ − minₛ≤ₜ mₛ) detects an upward
@@ -3573,17 +3374,13 @@ def page_hinkley(
                             "ph_up": ph_up, "ph_down": ph_down})
         return res[n >= 2]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def grubbs_stat(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def grubbs_stat(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Grubbs extreme-outlier statistic (Grubbs 1950)
     G = max|xᵢ − x̄| / s with the SAMPLE std s (ddof = 1) — the
     single-most-suspicious-point gate: compare G against the
@@ -3629,17 +3426,13 @@ def grubbs_stat(
                             "max_dev": mx / 100.0, "grubbs_g": g})
         return res[(n >= 3) & (var > 0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def monotone_runs(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def monotone_runs(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key monotone-run profile of the (ts, order)-sorted value
     stream: classify each successive difference as up/down/flat and
     report the longest up, down and flat runs plus the total number
@@ -3693,14 +3486,13 @@ def monotone_runs(
                             "longest_flat": fl, "n_runs": nr})
         return res[n >= 2]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def variogram(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
+def variogram(ds: ray.data.Dataset) -> pd.DataFrame:
     """Corpus structure function (index-lag semivariogram) of the
     per-key value streams: γ(h) = Σ(x_{i+h} − x_i)² / (2·N_h) over
     all within-key pairs at each index lag h — the astronomy
@@ -3733,8 +3525,7 @@ def variogram(ds: ray.data.Dataset, num_partitions: int = 16) -> pd.DataFrame:
                          int((d[same] * d[same]).sum())))
         return pd.DataFrame(rows, columns=list(cols))
 
-    parts = group_apply(ds, per_key, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    parts = group_apply(ds, per_key, key=USER_ID).to_pandas()
     cols = {"lag": pd.Series(dtype="int64"),
             "n_pairs": pd.Series(dtype="int64"),
             "ss": pd.Series(dtype="int64"),
@@ -3796,10 +3587,7 @@ def load_factor(ds: ray.data.Dataset) -> pd.DataFrame:
     return out.sort_values("day").reset_index(drop=True)
 
 
-def time_reversal(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def time_reversal(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key time-reversal asymmetry of the (ts, order)-sorted
     value stream: the standardized third moment of the first
     differences, trev = (ΣΔ³/n_d) / (ΣΔ²/n_d)^{3/2} — zero for any
@@ -3839,18 +3627,13 @@ def time_reversal(
                             "trev": trev})
         return res[(n >= 2) & (s2 > 0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def c3_nonlinearity(
-    ds: ray.data.Dataset,
-    lag: int = 1,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def c3_nonlinearity(ds: ray.data.Dataset, lag: int = 1) -> pd.DataFrame:
     """Per-key c3 nonlinearity statistic (Schreiber & Schmitz 1997):
     c3 = mean(xₜ·xₜ₋ₗ·xₜ₋₂ₗ) over the (ts, order)-sorted stream — a
     third-order cross-moment that vanishes for symmetric linear
@@ -3888,18 +3671,13 @@ def c3_nonlinearity(
                             "n_terms": cnt, "c3_sum": s, "c3": c3})
         return res[cnt > 0]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def energy_chunks(
-    ds: ray.data.Dataset,
-    n_chunks: int = 8,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def energy_chunks(ds: ray.data.Dataset, n_chunks: int = 8) -> pd.DataFrame:
     """Per-key energy-ratio-by-chunks profile: the (ts, order)-sorted
     stream is cut into ``n_chunks`` equal index ranges and each
     chunk reports its share of the key's total energy Σx² — the
@@ -3941,18 +3719,13 @@ def energy_chunks(
             "n_c": cnt, "e_sum": e, "share": share})
         return res[keep & (tot > 0)]
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values([USER_ID, "chunk"]).reset_index(drop=True)
 
 
-def binned_entropy(
-    ds: ray.data.Dataset,
-    n_bins: int = 10,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def binned_entropy(ds: ray.data.Dataset, n_bins: int = 10) -> pd.DataFrame:
     """Per-key binned entropy of the value distribution: each key's
     values drop into ``n_bins`` equal-width bins over the key's OWN
     [min, max] range and H = ln n − (Σ c·ln c)/n over the bin counts
@@ -4002,18 +3775,13 @@ def binned_entropy(
         return res
 
     out = group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
-                      num_partitions=num_partitions,
                       key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def psd_profile(
-    ds: ray.data.Dataset,
-    n_freqs: int = 8,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def psd_profile(ds: ray.data.Dataset, n_freqs: int = 8) -> pd.DataFrame:
     """Per-key low-frequency Fourier power profile of the DENSE
     hourly activity grid: demeaned DFT power at the first
     ``n_freqs`` Fourier frequencies j/n plus the log-log OLS
@@ -4086,17 +3854,13 @@ def psd_profile(
         return pd.DataFrame(rows, columns=list(cols))
 
     out = group_apply(ds.select_columns([USER_ID, TS]), per_key,
-                      num_partitions=num_partitions,
                       key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values([USER_ID, "j"]).reset_index(drop=True)
 
 
-def extreme_locations(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def extreme_locations(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key locations of the extrema in the (ts, order)-sorted
     value stream: first/last 0-based rank of the maximum and of the
     minimum, plus their relative positions rank/n — the tsfresh
@@ -4144,17 +3908,13 @@ def extreme_locations(
             "last_min_rel": lmin.astype(np.float64) / nf})
         return res
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def weibull_gaps(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def weibull_gaps(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key Weibull fit of the inter-event gap distribution via
     the closed-form Justus (1978) moment estimator: shape
     k = (σ/μ)^(−1.086) from the gap coefficient of variation, scale
@@ -4211,17 +3971,13 @@ def weibull_gaps(
         return res[(n >= 3) & (var > 0) & (mu > 0)]
 
     out = group_apply(ds.select_columns([USER_ID, TS]), per_key,
-                      num_partitions=num_partitions,
                       key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def complexity_profile(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def complexity_profile(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key complexity-invariant-distance profile of the (ts,
     order)-sorted value stream: CE = √Σ(Δx)² (the CID complexity
     estimate — how much the curve 'wiggles'), Σ|Δx| and its mean
@@ -4272,16 +4028,13 @@ def complexity_profile(
 
     out = group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, num_partitions=num_partitions, key=USER_ID).to_pandas()
+        per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def strike_profile(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def strike_profile(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key mean-relative run structure of the value stream, ALL
     in exact integer space: the above-mean test x_i > mean is
     evaluated as x_i·n > Σx (no float mean ever formed), giving the
@@ -4339,16 +4092,13 @@ def strike_profile(
 
     out = group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, num_partitions=num_partitions, key=USER_ID).to_pandas()
+        per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def index_mass_quantile(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def index_mass_quantile(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key tsfresh index-mass-quantile profile: the smallest
     1-based index i where the running |x| mass reaches q of the
     total, for q ∈ {0.25, 0.5, 0.75} — 'how early does the stream
@@ -4403,16 +4153,13 @@ def index_mass_quantile(
 
     out = group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, num_partitions=num_partitions, key=USER_ID).to_pandas()
+        per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def ratio_beyond_sigma(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def ratio_beyond_sigma(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key share of points beyond 1σ / 2σ of the key's own mean
     (tsfresh ratio_beyond_r_sigma) — the tail-heaviness screen that
     kurtosis reads as one moment and this reads as two exact counts.
@@ -4422,7 +4169,6 @@ def ratio_beyond_sigma(
     k-space (bound: n·Q ≲ 2³¹ rows·k² — far past sandbox scale).
     Counts are exact; the two shares are the only mirrored float
     divisions.  One key-hash exchange, reduceat per key segment."""
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {USER_ID: pd.Series(dtype="int64"),
@@ -4460,17 +4206,13 @@ def ratio_beyond_sigma(
             / n.astype(np.float64)})
 
     out = group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
-                      num_partitions=num_partitions,
                       key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def reoccurrence_profile(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def reoccurrence_profile(ds: ray.data.Dataset) -> pd.DataFrame:
     """Per-key value-reoccurrence profile (the tsfresh reoccurrence
     quartet in one pass): distinct count, distinct values seen more
     than once, Σ of each reoccurring value counted ONCE
@@ -4483,7 +4225,6 @@ def reoccurrence_profile(
 
     All sums are exact int64 in k-space over (key, k) histogram
     cells; one key-hash exchange."""
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {USER_ID: pd.Series(dtype="int64"),
@@ -4534,18 +4275,13 @@ def reoccurrence_profile(
                 .astype(np.float64) / nf})
 
     out = group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
-                      num_partitions=num_partitions,
                       key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def abs_max_profile(
-    ds: ray.data.Dataset,
-    top_n: int = 5,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def abs_max_profile(ds: ray.data.Dataset, top_n: int = 5) -> pd.DataFrame:
     """Per-key mean of the ``top_n`` largest |value|s (tsfresh
     mean_n_absolute_max) — the spike-magnitude scale that a plain
     max reads as one point and a mean dilutes.  The top-k multiset
@@ -4553,7 +4289,6 @@ def abs_max_profile(
     tie-break-free; mean_abs_max = sum/(100·min(top_n, n)) is the
     one mirrored closing (descaled back to value units).  One
     key-hash exchange, lexsorted segments, positional top-k."""
-    from .partition import group_apply
 
     T = int(top_n)
 
@@ -4583,7 +4318,6 @@ def abs_max_profile(
             / (100.0 * denom)})
 
     out = group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
-                      num_partitions=num_partitions,
                       key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
@@ -4598,7 +4332,6 @@ def number_peaks(ds: ray.data.Dataset, max_support: int = 3) -> pd.DataFrame:
     peaks — the lag/lead-NULL semantics of the SQL twin).  All
     counts exact int64 in quantized k-space; no float closings.
     One key-hash exchange, shift-mask vectorized per segment."""
-    from .partition import group_apply
 
     S = int(max_support)
     out_cols = [USER_ID, "n"] + [f"n_peaks_{s}" for s in range(1, S + 1)]
@@ -4634,7 +4367,7 @@ def number_peaks(ds: ray.data.Dataset, max_support: int = 3) -> pd.DataFrame:
 
     out = group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, num_partitions=16, key=USER_ID).to_pandas()
+        per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values(USER_ID).reset_index(drop=True)
@@ -4643,7 +4376,6 @@ def number_peaks(ds: ray.data.Dataset, max_support: int = 3) -> pd.DataFrame:
 def chunk_trend_profile(
     ds: ray.data.Dataset,
     chunk_len: int = 16,
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per-key aggregated chunked linear trend (tsfresh
     agg_linear_trend): the time-ordered series is cut into
@@ -4658,7 +4390,6 @@ def chunk_trend_profile(
     min/max/sign aggregate over exact integers and the only floats
     are the two descaled closings min_num/(den·100), one per
     extremum — no float-sum ordering anywhere."""
-    from .partition import group_apply
 
     C = int(chunk_len)
     st_sum = C * (C - 1) // 2
@@ -4716,7 +4447,7 @@ def chunk_trend_profile(
 
     out = group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, num_partitions=num_partitions, key=USER_ID,
+        per_key, key=USER_ID,
     ).to_pandas()
     if out.empty:
         return pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
@@ -4728,10 +4459,7 @@ def chunk_trend_profile(
     return out.sort_values(USER_ID).reset_index(drop=True)
 
 
-def diebold_mariano(
-    ds: ray.data.Dataset,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def diebold_mariano(ds: ray.data.Dataset) -> pd.DataFrame:
     """Diebold–Mariano forecast-accuracy comparison between the two
     cheapest one-step forecasters — naive (ŷ_t = x_{t−1}) vs the
     two-point mean (ŷ_t = (x_{t−1}+x_{t−2})/2) — pooled over every
@@ -4746,7 +4474,6 @@ def diebold_mariano(
     ~10³ rows) travel as map-side partials, and the h=1 DM closing
     z = (S/n)/√((Q/n − (S/n)²)/n) is the one mirrored float
     expression.  D > 0 ⇔ smoothing beats naive at that point."""
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {"n_pairs": pd.Series(dtype="int64"),
@@ -4773,7 +4500,7 @@ def diebold_mariano(
 
     parts = group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, num_partitions=num_partitions, key=USER_ID,
+        per_key, key=USER_ID,
     ).to_pandas()
     cols = {"n_pairs": pd.Series(dtype="int64"),
             "sum_d": pd.Series(dtype="int64"),
@@ -4800,7 +4527,6 @@ def diebold_mariano(
 def conformal_interval(
     ds: ray.data.Dataset,
     alpha_pct: int = 10,
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Split-conformal calibration of the naive one-step forecaster
     (ŷ_t = x_{t−1}): consecutive-pair absolute residuals
@@ -4813,7 +4539,6 @@ def conformal_interval(
     both splits travel as bounded residual-histogram cells, qhat
     is one order statistic on the cumulative calibration counts,
     and coverage = n_covered/n_test is the single float closing."""
-    from .partition import group_apply
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
         cols = {"r": pd.Series(dtype="int64"),
@@ -4842,7 +4567,7 @@ def conformal_interval(
 
     hist = group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, num_partitions=num_partitions, key=USER_ID,
+        per_key, key=USER_ID,
     ).to_pandas()
     cols = {"n_calib": pd.Series(dtype="int64"),
             "n_test": pd.Series(dtype="int64"),

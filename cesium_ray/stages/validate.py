@@ -69,7 +69,7 @@ def run_expectations(
                     p_cells, batch_format="pandas"),
                 lambda df, c=col: df.groupby(c, as_index=False)[
                     "cnt"].sum(),
-                num_partitions=8, key=col).to_pandas()
+                key=col).to_pandas()
             n = int(cells["cnt"].sum())
             v = int(n - len(cells))
         elif kind == "in_range":

@@ -133,7 +133,6 @@ def sessionize(
     on: str = "ts",
     tie_col: str = "event_id",
     gap_s: int = 1800,
-    num_partitions: int = 64,
 ) -> ray.data.Dataset:
     """Distributed gap-based sessionization: one hash exchange on the
     key, vectorized session kernel per partition."""
@@ -141,7 +140,6 @@ def sessionize(
         ds,
         lambda df: sessionize_pandas(df, by=by, on=on, tie_col=tie_col,
                                      gap_s=gap_s),
-        num_partitions=num_partitions,
         key=by,
     )
 
@@ -153,7 +151,6 @@ def windowed_aggregate(
     value: str = "value",
     window_s: int = 86400,
     value_scale: int = 100,
-    num_partitions: int = 64,
 ) -> ray.data.Dataset:
     """Distributed RANGE-window aggregate: hash exchange on ``by``,
     vectorized window kernel per partition."""
@@ -162,16 +159,11 @@ def windowed_aggregate(
         lambda df: window_range_agg_pandas(
             df, by=by, on=on, value=value,
             window_s=window_s, value_scale=value_scale),
-        num_partitions=num_partitions,
         key=by,
     )
 
 
-def rolling_rows_avg(
-    ds: ray.data.Dataset,
-    n: int = 5,
-    num_partitions: int = 64,
-) -> ray.data.Dataset:
+def rolling_rows_avg(ds: ray.data.Dataset, n: int = 5) -> ray.data.Dataset:
     """ROWS-window moving aggregate: for each row, count and average of
     the non-null values among the last ``n`` rows of the same key
     ordered by (``ts``, ``event_id``) — SQL ``ROWS BETWEEN n-1 PRECEDING
@@ -217,13 +209,12 @@ def rolling_rows_avg(
             "roll_avg": avg,
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(ds, fn, key=USER_ID)
 
 
 def gap_report(
     ds: ray.data.Dataset,
     gap_us_threshold: int = 3_600_000_000,
-    num_partitions: int = 64,
 ) -> ray.data.Dataset:
     """Silence-gap detection (the inverse of gapfill): for each key,
     every pair of consecutive events in (``ts``, ``event_id``) order whose
@@ -256,14 +247,10 @@ def gap_report(
             "gap_us": delta[hit],
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(ds, fn, key=USER_ID)
 
 
-def rolling_rows_std(
-    ds: ray.data.Dataset,
-    n: int = 5,
-    num_partitions: int = 64,
-) -> ray.data.Dataset:
+def rolling_rows_std(ds: ray.data.Dataset, n: int = 5) -> ray.data.Dataset:
     """ROWS-window rolling volatility: sample standard deviation of the
     non-null values among the last ``n`` rows per key in (``ts``,
     ``event_id``) order.  Same one-exchange prefix-sum shape as
@@ -313,14 +300,10 @@ def rolling_rows_std(
             "roll_std": np.where(cnt > 1, std, np.nan),
         })
 
-    return group_apply(ds, fn, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(ds, fn, key=USER_ID)
 
 
-def sliding_distinct(
-    ds: ray.data.Dataset,
-    window_h: int = 24,
-    num_partitions: int = 16,
-) -> pd.DataFrame:
+def sliding_distinct(ds: ray.data.Dataset, window_h: int = 24) -> pd.DataFrame:
     """Sliding-window distinct count: for every hour bucket present in
     the data, the number of distinct keys with ≥1 event in the
     trailing ``window_h``-hour window — the trailing-DAU curve.
@@ -371,8 +354,7 @@ def sliding_distinct(
             .drop_duplicates([USER_ID, "_h"])[[USER_ID, TS]]
 
     pre = ds.map_batches(distinct_cells, batch_format="pandas")
-    parts = group_apply(pre, cells, num_partitions=num_partitions,
-                        key=USER_ID).to_pandas()
+    parts = group_apply(pre, cells, key=USER_ID).to_pandas()
     if parts.empty:
         return pd.DataFrame({"bucket_us": pd.Series(dtype="int64"),
                              "n_users": pd.Series(dtype="int64")})
@@ -397,11 +379,7 @@ def sliding_distinct(
                          "n_users": n})
 
 
-def cooldown_dedup(
-    ds: ray.data.Dataset,
-    cooldown_s: int,
-    num_partitions: int = 16,
-) -> ray.data.Dataset:
+def cooldown_dedup(ds: ray.data.Dataset, cooldown_s: int) -> ray.data.Dataset:
     """Time-conditional duplicate suppression ("alert-storm dedup"):
     keep an event iff the same (key, attr) stream has NO event in the
     strictly-preceding ``cooldown_s`` window — repeats inside the
@@ -445,13 +423,12 @@ def cooldown_dedup(
             "since_prev_us": dt[kept],
         })
 
-    return group_apply(ds, keep, num_partitions=num_partitions, key=USER_ID)
+    return group_apply(ds, keep, key=USER_ID)
 
 
 def rolling_window_median(
     ds: ray.data.Dataset,
     window_days: int = 7,
-    num_partitions: int = 16,
 ) -> pd.DataFrame:
     """Per (key, active day): the EXACT linear-interpolated median of
     all values in the trailing ``window_days``-day window — the
@@ -512,8 +489,7 @@ def rolling_window_median(
             "n_window": n,
         })
 
-    out = group_apply(ds, per_key, num_partitions=num_partitions,
-                      key=USER_ID).to_pandas()
+    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
     if out.empty:
         return per_key(pd.DataFrame())
     return out.sort_values([USER_ID, "day"]).reset_index(drop=True)
@@ -542,7 +518,6 @@ def finalize_windows(
     broadcast-small; pass 2 computes each bucket's exclusive local
     cummax merged with its offset and reduces to per-window cells.
     The driver only ever sees buckets + window cells, never rows."""
-    from .partition import group_apply
 
     bucket_us = np.int64(bucket_s) * 1_000_000
     delay_us = np.int64(delay_s) * 1_000_000
@@ -626,9 +601,7 @@ def finalize_windows(
             g[c] = g[c].astype(np.int64)
         return g
 
-    cells = group_apply(parted, per_bucket,
-                        num_partitions=n_arrival_buckets, key="_ab"
-                        ).to_pandas()
+    cells = group_apply(parted, per_bucket, key="_ab").to_pandas()
     if cells.empty:
         return per_bucket(pd.DataFrame())
     out = cells.groupby("bucket", as_index=False).agg(

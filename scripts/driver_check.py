@@ -42,10 +42,12 @@ def digest(df: pd.DataFrame) -> str:
     return h.hexdigest()
 
 
-def main(sf="/root/testdata/sf0.01", only=None):
+def main(sf="/root/testdata/sf0.01", only=None, num_cpus=None):
     import ray
 
-    ray.init(address="local", num_cpus=min(16, len(os.sched_getaffinity(0))),
+    if num_cpus is None:
+        num_cpus = min(16, len(os.sched_getaffinity(0)))
+    ray.init(address="local", num_cpus=int(num_cpus),
              include_dashboard=False, ignore_reinit_error=True,
              logging_level="ERROR")
     from ray.data import DataContext

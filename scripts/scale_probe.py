@@ -107,14 +107,14 @@ def run_docs(n_docs: int) -> dict:
     res["decontam_flagged"] = int(hits)
 
     t0 = time.time()
-    vocab_topk(ds, k=100, num_partitions=32)
+    vocab_topk(ds, k=100)
     res["vocab_topk_sec"] = round(time.time() - t0, 3)
 
     with_src = ds.map_batches(
         lambda df: df.assign(source=(df["doc_id"] % 64).astype("int64")),
         batch_format="pandas")
     t0 = time.time()
-    packed = pack_sequences(with_src, capacity=1024, num_partitions=32)
+    packed = pack_sequences(with_src, capacity=1024)
     res["packed_rows"] = packed.count()  # count() forces execution
     res["pack_sec"] = round(time.time() - t0, 3)
     ray.shutdown()

@@ -25,8 +25,7 @@ def test_cohort_retention_bruteforce(ray_session):
     from cesium_ray.stages.analytics import cohort_retention
 
     ev = _events()
-    got = (cohort_retention(ray.data.from_pandas(ev).repartition(6),
-                            num_partitions=5)
+    got = (cohort_retention(ray.data.from_pandas(ev).repartition(6))
            .sort_values(["cohort_day", "age_days"])
            .reset_index(drop=True))
     day = ev["ts"].to_numpy("datetime64[us]").view(np.int64) // _DAY_US
@@ -66,8 +65,7 @@ def test_funnel_bruteforce(ray_session):
 
     ev = _events(seed=3)
     steps = ("signup", "click", "purchase")
-    got = funnel_steps(ray.data.from_pandas(ev).repartition(7),
-                       steps=steps, num_partitions=4)
+    got = funnel_steps(ray.data.from_pandas(ev).repartition(7), steps=steps)
     want = _brute_funnel(ev, steps)
     assert list(got["n_users"]) == want
     # monotone non-increasing by construction
@@ -88,7 +86,7 @@ def test_funnel_strict_order_semantics(ray_session):
             [100, 200, 10, 20, 30, 50, 50], unit="s"
         ).astype("datetime64[us]"),
     })
-    got = funnel_steps(ray.data.from_pandas(ev), num_partitions=2)
+    got = funnel_steps(ray.data.from_pandas(ev))
     assert list(got["n_users"]) == [3, 1, 1]
 
 
@@ -97,7 +95,7 @@ def test_distinct_per_window_bruteforce(ray_session):
 
     ev = _events(seed=5)
     got = (distinct_per_window(ray.data.from_pandas(ev).repartition(6),
-                               bucket_s=86400, num_partitions=4)
+                               bucket_s=86400)
            .to_pandas().sort_values("bucket_us").reset_index(drop=True))
     day = (ev["ts"].to_numpy("datetime64[us]").view(np.int64)
            // _DAY_US) * _DAY_US
@@ -120,8 +118,7 @@ def test_percent_rank_ties_and_single(ray_session):
         "value": np.round(rng.integers(0, 30, 1500) / 2.0, 1),  # many ties
     })
     ev.loc[len(ev)] = [99, 9999, 5.0]  # single-row group → pr 0
-    got = (percent_rank_in_group(ray.data.from_pandas(ev).repartition(5),
-                                 num_partitions=4)
+    got = (percent_rank_in_group(ray.data.from_pandas(ev).repartition(5))
            .to_pandas().sort_values("event_id").reset_index(drop=True))
     want = duckdb.sql("""
         SELECT event_id,
@@ -154,7 +151,7 @@ def test_touch_attribution_bruteforce(ray_session):
     look = 7 * 86400
     got = touch_attribution(
         ray.data.from_pandas(df).repartition(4), conversion="buy",
-        lookback_s=look, num_partitions=6,
+        lookback_s=look,
     ).set_index("event_type")
     fs, ls, nconv = {}, {}, 0
     s = df.sort_values(["ts", "event_id"], kind="mergesort")
@@ -190,8 +187,7 @@ def test_psi_drift_properties(ray_session):
 
     def run(vals):
         df = pd.DataFrame({"value": np.round(vals, 2), "ts": ts})
-        return psi_drift(ray.data.from_pandas(df).repartition(4),
-                         num_partitions=4)
+        return psi_drift(ray.data.from_pandas(df).repartition(4))
 
     stat = run(rng.normal(50, 5, n))
     assert stat["psi"].iloc[0] < 0.05
@@ -218,8 +214,7 @@ def test_record_highs_bruteforce(ray_session):
         "value": np.round(rng.normal(10, 3, n), 2),
         "ts": pd.to_datetime(rng.integers(0, 10**6, n), unit="s"),
     })
-    got = record_highs(ray.data.from_pandas(df).repartition(3),
-                       num_partitions=4).set_index("user_id")
+    got = record_highs(ray.data.from_pandas(df).repartition(3)).set_index("user_id")
     for u, g in df.sort_values(["ts", "event_id"]).groupby("user_id"):
         vq = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
         best, rec = None, 0
@@ -246,7 +241,7 @@ def test_k_anonymity_bruteforce(ray_session):
         "b": rng.integers(0, 4, n),
     })
     got = k_anonymity(ray.data.from_pandas(df).repartition(3),
-                      quasi_cols=("a", "b"), k=25, num_partitions=4)
+                      quasi_cols=("a", "b"), k=25)
     sizes = df.groupby(["a", "b"]).size()
     assert got["n_classes"].iloc[0] == len(sizes)
     assert got["n_rows"].iloc[0] == n
@@ -277,8 +272,7 @@ def test_kaplan_meier_bruteforce(ray_session):
     df = pd.DataFrame(rows, columns=["user_id", "event_type", "t"])
     df["ts"] = pd.to_datetime(df["t"], unit="s")
     got = kaplan_meier(ray.data.from_pandas(
-        df[["user_id", "event_type", "ts"]]).repartition(3),
-        num_partitions=4)
+        df[["user_id", "event_type", "ts"]]).repartition(3))
     # durations: 10,10,20,1000c,30,1000c,10 -> event times 10,20,30
     km = got.set_index(got["duration_us"] // 10**6)
     assert list(km.index) == [10, 20, 30]
@@ -311,8 +305,7 @@ def test_kaplan_meier_censor_from_nonsignup_key(ray_session):
     df = pd.DataFrame(rows, columns=["user_id", "event_type", "t"])
     df["ts"] = pd.to_datetime(df["t"], unit="s")
     got = kaplan_meier(ray.data.from_pandas(
-        df[["user_id", "event_type", "ts"]]).repartition(2),
-        num_partitions=4)
+        df[["user_id", "event_type", "ts"]]).repartition(2))
     km = got.set_index(got["duration_us"] // 10**6)
     # user 2's censored duration = 200-40 = 160 >= 50, so n_risk=2
     assert list(km.index) == [50]
@@ -425,8 +418,7 @@ def test_zipf_exponent_recovers_alpha(ray_session):
     counts = counts[counts < 10**5]
     rows = np.repeat(np.arange(len(counts)), counts)
     got = zipf_exponent(ray.data.from_pandas(
-        pd.DataFrame({"user_id": rows})).repartition(4),
-        num_partitions=4)
+        pd.DataFrame({"user_id": rows})).repartition(4))
     assert got["n_keys"].iloc[0] == len(counts)
     assert got["x_min"].iloc[0] == counts.min()
     # the continuous-MLE approximation is biased high for discrete
@@ -446,7 +438,7 @@ def test_chi_square_independence_known(ray_session):
     def run(df):
         return chi_square_independence(
             ray.data.from_pandas(df).repartition(3),
-            col_a="a", col_b="b", num_partitions=4)
+            col_a="a", col_b="b")
 
     # perfectly independent 2x2: counts 10 each
     ind = pd.DataFrame([("x", 0)] * 10 + [("x", 1)] * 10
@@ -477,8 +469,7 @@ def test_auc_mann_whitney_bruteforce(ray_session):
         df = pd.DataFrame({
             "event_type": np.where(labels, "purchase", "view"),
             "value": scores})
-        return auc_mann_whitney(
-            ray.data.from_pandas(df).repartition(3), num_partitions=4)
+        return auc_mann_whitney(ray.data.from_pandas(df).repartition(3))
 
     # separable: positives all higher -> AUC 1
     s = np.r_[np.full(30, 9.0), np.full(50, 1.0)]
@@ -509,8 +500,7 @@ def test_benford_digits_known(ray_session):
 
     def run(vals):
         return benford_digits(ray.data.from_pandas(
-            pd.DataFrame({"value": vals})).repartition(3),
-            num_partitions=4)
+            pd.DataFrame({"value": vals})).repartition(3))
 
     ben = run(np.round(np.exp(rng.uniform(0, 12, 5000)) / 100.0, 2))
     # digit-1 share near log10(2) ~ 0.301
@@ -537,8 +527,7 @@ def test_runs_test_bruteforce(ray_session):
             rows.append((u, len(rows), float(v),
                          pd.Timestamp(i * 1000, unit="s")))
     df = pd.DataFrame(rows, columns=["user_id", "event_id", "value", "ts"])
-    got = runs_test(ray.data.from_pandas(df).repartition(3),
-                    num_partitions=4).set_index("user_id")
+    got = runs_test(ray.data.from_pandas(df).repartition(3)).set_index("user_id")
     assert got.loc[0, "n_runs"] == 40    # perfect alternation
     assert got.loc[0, "z_runs"] > 5
     assert got.loc[1, "n_runs"] == 2     # one switch
@@ -560,8 +549,7 @@ def test_ks_drift_properties(ray_session):
 
     def run(vals):
         return ks_drift(ray.data.from_pandas(pd.DataFrame(
-            {"value": np.round(vals, 2), "ts": ts})).repartition(4),
-            num_partitions=4)
+            {"value": np.round(vals, 2), "ts": ts})).repartition(4))
 
     stat = run(rng.normal(50, 5, n))
     assert stat["ks_d"].iloc[0] < 0.06
@@ -574,7 +562,7 @@ def test_ks_drift_properties(ray_session):
     got = ks_drift(ray.data.from_pandas(pd.DataFrame({
         "value": v / 100.0,
         "ts": pd.to_datetime(np.arange(20) * 1000, unit="s"),
-    })).repartition(2), num_partitions=2)
+    })).repartition(2))
     a, b = v[:10], v[10:]
     supp = np.unique(v)
     f1 = np.array([(a <= s).sum() for s in supp])
@@ -601,8 +589,7 @@ def test_bootstrap_mean_ci_properties(ray_session):
 
     def run():
         return bootstrap_mean_ci(
-            ray.data.from_pandas(df).repartition(3), n_boot=200,
-            num_partitions=4).set_index("user_id")
+            ray.data.from_pandas(df).repartition(3), n_boot=200).set_index("user_id")
 
     a, b = run(), run()
     pd.testing.assert_frame_equal(a, b)   # deterministic
@@ -620,8 +607,7 @@ def test_jarque_bera_bruteforce(ray_session):
     rng = np.random.default_rng(94)
     ev["value"] = np.round(rng.normal(20, 5, len(ev)), 2)
     ev["event_id"] = np.arange(len(ev), dtype=np.int64)
-    got = jarque_bera(ray.data.from_pandas(ev).repartition(6),
-                      num_partitions=4)
+    got = jarque_bera(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         v = g["value"].to_numpy(np.float64)
         n = len(v)
@@ -645,8 +631,7 @@ def test_welch_ttest_bruteforce(ray_session):
     ev = _events(seed=95, n=5000, nusers=25, span_days=30)
     rng = np.random.default_rng(96)
     ev["value"] = np.round(rng.uniform(1, 80, len(ev)), 2)
-    got = welch_ttest(ray.data.from_pandas(ev).repartition(6),
-                      num_partitions=4)
+    got = welch_ttest(ray.data.from_pandas(ev).repartition(6))
     day = ev["ts"].to_numpy("datetime64[us]").view("int64") // (
         86400 * 10**6)
     ev["_we"] = np.isin((day + 4) % 7, [0, 6])
@@ -676,8 +661,7 @@ def test_theil_index_bruteforce(ray_session):
     from cesium_ray.stages.analytics import theil_index
 
     ev = _events(seed=431, n=4000, nusers=40)
-    got = theil_index(ray.data.from_pandas(ev).repartition(6),
-                      num_partitions=4)
+    got = theil_index(ray.data.from_pandas(ev).repartition(6))
     c = ev.groupby("user_id").size().to_numpy(np.float64)
     mu = c.mean()
     want = ((c / c.sum()) * np.log(c / mu)).sum()
@@ -687,7 +671,7 @@ def test_theil_index_bruteforce(ray_session):
     assert abs(got["theil"].iloc[0] - want) < 1e-9
     # perfectly even traffic: T = 0
     even = pd.DataFrame({"user_id": np.repeat(np.arange(10), 7)})
-    out = theil_index(ray.data.from_pandas(even), num_partitions=2)
+    out = theil_index(ray.data.from_pandas(even))
     assert abs(out["theil"].iloc[0]) < 1e-12
 
 
@@ -695,8 +679,7 @@ def test_rising_keys_bruteforce(ray_session):
     from cesium_ray.stages.analytics import rising_keys
 
     ev = _events(seed=461, n=3000, nusers=20)
-    got = rising_keys(ray.data.from_pandas(ev).repartition(6),
-                      num_partitions=4)
+    got = rising_keys(ray.data.from_pandas(ev).repartition(6))
     t = ev["ts"].to_numpy("datetime64[us]").view(np.int64)
     mid = (int(t.min()) + int(t.max())) // 2
     second = t > mid
@@ -724,7 +707,7 @@ def test_rising_keys_bruteforce(ray_session):
         "ts": pd.to_datetime(
             np.r_[np.arange(50), 100 + np.arange(50)] * 10**6,
             unit="us").astype("datetime64[us]")})
-    out = rising_keys(ray.data.from_pandas(base), num_partitions=2)
+    out = rising_keys(ray.data.from_pandas(base))
     s = out.set_index("user_id")
     assert s.loc[1, "score"] > 0 > s.loc[0, "score"]
     assert abs(s.loc[1, "share_delta"] - 1.0) < 1e-12

@@ -51,7 +51,7 @@ def test_lsh_recall_reasonable(emb):
     # testdata embeddings are near-random (weak neighbor structure):
     # use short signatures + many tables so collision probability for
     # sim≈0.3 neighbors stays high (bits=4, tables=16 → ~0.85)
-    got = lsh_topk(ds, Q, qids, k=5, n_tables=16, n_bits=4, num_partitions=8)
+    got = lsh_topk(ds, Q, qids, k=5, n_tables=16, n_bits=4)
     hits = total = 0
     for j, qid in enumerate(qids):
         got_set = set(got[got.query_id == qid]["vec_id"])
@@ -64,8 +64,8 @@ def test_lsh_recall_reasonable(emb):
 def test_lsh_deterministic(emb):
     ds, pdf, X = emb
     qids = pdf["vec_id"].to_numpy()[:2]
-    a = lsh_topk(ds, X[:2], qids, k=3, num_partitions=4)
-    b = lsh_topk(ds, X[:2], qids, k=3, num_partitions=4)
+    a = lsh_topk(ds, X[:2], qids, k=3)
+    b = lsh_topk(ds, X[:2], qids, k=3)
     pd.testing.assert_frame_equal(a, b)
 
 

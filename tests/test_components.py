@@ -37,7 +37,6 @@ def test_cc_matches_union_find(ray_session):
     # both paths: driver-side numpy collapse and distributed rounds
     for thresh in (2_000_000, 0):
         got = connected_components(ray.data.from_pandas(edges),
-                                   num_partitions=6,
                                    driver_threshold=thresh)
         assert len(got) == len(want)
         gm = dict(zip(got.node, got.cluster))
@@ -50,7 +49,7 @@ def test_cc_chain_diameter(ray_session):
     from cesium_ray.stages.components import connected_components
 
     ch = pd.DataFrame({"a": np.arange(25), "b": np.arange(1, 26)})
-    got = connected_components(ray.data.from_pandas(ch), num_partitions=4)
+    got = connected_components(ray.data.from_pandas(ch))
     assert len(got) == 26 and (got.cluster == 0).all()
 
 
@@ -72,7 +71,7 @@ def test_rare_shingle_edges_semantics(ray_session):
         ],
     })
     edges = rare_shingle_edges(
-        ray.data.from_pandas(docs), k=16, max_docs=3, num_partitions=4
+        ray.data.from_pandas(docs), k=16, max_docs=3
     ).to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
     pairs = set(map(tuple, edges[["a", "b"]].to_numpy()))
     assert (0, 1) in pairs          # share "the quick brown fox ..."

@@ -27,7 +27,7 @@ def test_counter_rate_resets(ray_session):
         "ts": [_ts(r[2]) for r in rows],
         "value": [r[3] for r in rows],
     })
-    out = (counter_rate(ray.data.from_pandas(df), num_partitions=3)
+    out = (counter_rate(ray.data.from_pandas(df))
            .to_pandas().set_index("user_id").sort_index())
     assert out.loc[1, "n_resets"] == 1
     assert out.loc[1, "total_increase"] == 2.5 + 0.5 + 1.5
@@ -55,8 +55,7 @@ def test_minmax_downsample_ties_and_single(ray_session):
         "ts": [_ts(r[2]) for r in rows],
         "value": [r[3] for r in rows],
     })
-    out = (minmax_downsample(ray.data.from_pandas(df), bucket_s=3600,
-                             num_partitions=2).to_pandas()
+    out = (minmax_downsample(ray.data.from_pandas(df), bucket_s=3600).to_pandas()
            .sort_values(["bucket_us", "kind"]).reset_index(drop=True))
     b0 = out[out["bucket_us"] == out["bucket_us"].min()]
     assert b0[b0["kind"] == "min"]["event_id"].tolist() == [0]

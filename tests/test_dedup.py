@@ -29,14 +29,14 @@ def docs_ds():
 
 
 def test_exact_dedup(docs_ds):
-    out = exact_dedup(docs_ds, num_partitions=4).to_pandas()
+    out = exact_dedup(docs_ds).to_pandas()
     assert len(out) == 4  # 5 docs, one exact dup collapsed
     kept = set(out.doc_id)
     assert 1 in kept and 2 not in kept
 
 
 def test_minhash_lsh_finds_near_dup(docs_ds):
-    pairs = minhash_lsh_dedup(docs_ds, jaccard_threshold=0.5, num_partitions=4).to_pandas()
+    pairs = minhash_lsh_dedup(docs_ds, jaccard_threshold=0.5).to_pandas()
     got = {(r.doc_id, r.dup_of) for r in pairs.itertuples()}
     assert (2, 1) in got  # exact dup found
     assert (3, 1) in got  # near dup found
@@ -76,7 +76,7 @@ def test_dedup_on_testdata_documents():
     ds = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet",
                                columns=["doc_id", "text"])
     n = ds.count()
-    out = exact_dedup(ds, num_partitions=4).to_pandas()
+    out = exact_dedup(ds).to_pandas()
     assert len(out) <= n
     # parity with a pandas groupby
     pdf = ds.to_pandas()
@@ -95,9 +95,9 @@ def test_synthetic_corpus_planted_dups():
     t2 = generate_documents(400, seed=11)
     assert t1.equals(t2)
     ds = ray.data.from_arrow(t1)
-    kept = exact_dedup(ds, num_partitions=4).to_pandas()
+    kept = exact_dedup(ds).to_pandas()
     assert len(kept) == 400 - 20  # 5% exact dups collapsed
-    pairs = minhash_lsh_dedup(ds, jaccard_threshold=0.7, num_partitions=4).to_pandas()
+    pairs = minhash_lsh_dedup(ds, jaccard_threshold=0.7).to_pandas()
     # all 20 exact-dup docs and most one-token near-dups found
     assert len(pairs) >= 35
     assert (pairs.est_jaccard >= 0.7).all()
@@ -207,8 +207,7 @@ def test_substring_dup_pairs_matches_bruteforce(ray_session):
     ds = ray.data.from_pandas(
         pd.DataFrame({"doc_id": np.array(ids, dtype=np.int64),
                       "text": texts}))
-    got = substring_dup_pairs(ds, min_len=50, window=8,
-                              num_partitions=4).to_pandas()
+    got = substring_dup_pairs(ds, min_len=50, window=8).to_pandas()
     got_map = {(int(r.id_a), int(r.id_b)): int(r.n_shared)
                for r in got.itertuples()}
     assert got_map == want
@@ -233,8 +232,7 @@ def test_substring_winnow_guarantee_many_seeds(ray_session):
     ds = ray.data.from_pandas(pd.DataFrame(
         {"doc_id": np.array([r[0] for r in rows], dtype=np.int64),
          "text": [r[1] for r in rows]}))
-    got = substring_dup_pairs(ds, min_len=50, window=8,
-                              num_partitions=4).to_pandas()
+    got = substring_dup_pairs(ds, min_len=50, window=8).to_pandas()
     found = {(int(a), int(b)) for a, b in zip(got.id_a, got.id_b)}
     for s in range(20):
         assert (2 * s, 2 * s + 1) in found, f"planted pair {s} missed"
@@ -327,7 +325,7 @@ def test_vocab_topk_exact(ray_session):
     texts = [" ".join(rng.choice(vocab, size=rng.integers(5, 30)))
              for _ in range(60)]
     ds = ray.data.from_pandas(pd.DataFrame({"text": texts}))
-    got = vocab_topk(ds, k=10, num_partitions=4)
+    got = vocab_topk(ds, k=10)
 
     cnt = collections.Counter(w for t in texts for w in t.lower().split())
     want = sorted(cnt.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
@@ -352,8 +350,7 @@ def test_pack_sequences_greedy(ray_session):
         "doc_id": np.array([r[1] for r in rows], dtype=np.int64),
         "text": [" ".join(["w"] * r[2]) for r in rows],
     })
-    out = (pack_sequences(ray.data.from_pandas(df), capacity=100,
-                          num_partitions=3).to_pandas()
+    out = (pack_sequences(ray.data.from_pandas(df), capacity=100).to_pandas()
            .sort_values(["source", "doc_id"]).reset_index(drop=True))
     assert out["token_count"].tolist() == [40, 50, 20, 150, 10, 60, 60]
     assert out["bin"].tolist() == [0, 0, 1, 2, 3, 0, 1]
@@ -377,8 +374,7 @@ def test_similarity_join_prefix_filter_complete(ray_session):
     df = pd.DataFrame({"doc_id": np.arange(len(docs), dtype=np.int64),
                        "text": docs})
     t = 0.6
-    got = similarity_join(ray.data.from_pandas(df).repartition(5),
-                          threshold=t, num_partitions=4)
+    got = similarity_join(ray.data.from_pandas(df).repartition(5), threshold=t)
     sets = {r.doc_id: frozenset(r.text.lower().split())
             for r in df.itertuples()}
     want = []

@@ -7,19 +7,19 @@ import os
 
 import pandas as pd
 
-_PATH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                     "scripts", "driver_check.py")
+_SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
 
 
-def _driver_check():
-    spec = importlib.util.spec_from_file_location("driver_check", _PATH)
+def _script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(_SCRIPTS, f"{name}.py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
 def test_digest_ignores_order_but_not_dtype():
-    dc = _driver_check()
+    dc = _script("driver_check")
     df = pd.DataFrame({"k": [3, 1, 2, 1], "v": [0.5, 1.5, 2.5, -1.0],
                        "s": ["x", "y", "z", "w"]})
     shuffled = df.iloc[[2, 0, 3, 1]][["s", "v", "k"]]
@@ -31,3 +31,26 @@ def test_digest_ignores_order_but_not_dtype():
     floats = ints.astype({"n": "float64"})
     assert (ints["n"] == floats["n"]).all()
     assert dc.digest(ints) != dc.digest(floats)
+
+
+def _run_output(digests: dict, summary: bool = True) -> str:
+    lines = ["entry(): 3 rows in 1.0s; turns=10, rollup_rows=20"]
+    lines += [f"  {q:24s} {d} OK (1, 1) in 0.1s" for q, d in digests.items()]
+    if summary:
+        lines.append("FAILURES: 0")
+    return "\n".join(lines) + "\n"
+
+
+def test_partition_invariance_compare():
+    pi = _script("partition_invariance")
+    a = {"q1": "0" * 64, "q2": "1" * 64}
+    same = pi.compare({1: _run_output(a), 7: _run_output(a)})
+    assert same[0] == 0
+    differs = pi.compare({1: _run_output(a),
+                          7: _run_output({**a, "q2": "2" * 64})})
+    assert differs[0] == 1
+    assert any("DIGEST DIFFERS q2" in line for line in differs[1])
+    # a run that died before its summary never counts as a pass
+    aborted = pi.compare({1: _run_output(a), 7: _run_output(a, summary=False)})
+    assert aborted[0] == 2
+    assert "aborted, rerun" in aborted[1]

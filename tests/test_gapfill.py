@@ -59,7 +59,7 @@ def test_all_nan_series_empty():
 
 def test_ray_stage_matches_oracle(tiny_points):
     got = (
-        gapfill_points(ray.data.from_pandas(tiny_points), "1m", "locf", num_partitions=8)
+        gapfill_points(ray.data.from_pandas(tiny_points), "1m", "locf")
         .to_pandas()
         .sort_values(["conv_id", "channel", "bucket"], kind="mergesort")
         .reset_index(drop=True)

@@ -80,8 +80,7 @@ def test_bloom_semi_join_exact(ray_session):
         "user_id": rng.integers(0, 1000, 5000),
     })
     keys = np.unique(rng.integers(0, 1000, 80)).astype(np.int64)
-    got = (bloom_semi_join(ray.data.from_pandas(df).repartition(6), keys,
-                           num_partitions=4)
+    got = (bloom_semi_join(ray.data.from_pandas(df).repartition(6), keys)
            .to_pandas().sort_values("event_id").reset_index(drop=True))
     want = (df[df["user_id"].isin(keys)]
             .sort_values("event_id").reset_index(drop=True))
@@ -122,8 +121,7 @@ def test_merge_intervals_matches_bruteforce(ray_session):
         "start_us": start,
         "end_us": start + rng.integers(1, 5000, n),
     })
-    got = (merge_intervals(ray.data.from_pandas(df).repartition(5),
-                           num_partitions=6)
+    got = (merge_intervals(ray.data.from_pandas(df).repartition(5))
            .to_pandas().sort_values(["user_id", "start_us"])
            .reset_index(drop=True))
     want = _brute_merge(df)
@@ -157,7 +155,7 @@ def test_topk_per_window_bruteforce(ray_session):
                              unit="us").astype("datetime64[us]"),
     })
     got = (topk_per_window(ray.data.from_pandas(df).repartition(7), k=3,
-                           bucket_s=86400, num_partitions=4)
+                           bucket_s=86400)
            .to_pandas().sort_values(["bucket_us", "rank"])
            .reset_index(drop=True))
     tus = df["ts"].to_numpy("datetime64[us]").view(np.int64)
@@ -210,7 +208,7 @@ def test_topk_per_window_string_keys(ray_session):
                              unit="us").astype("datetime64[us]"),
     })
     got = (topk_per_window(ray.data.from_pandas(df).repartition(5), k=2,
-                           bucket_s=86400, num_partitions=3)
+                           bucket_s=86400)
            .to_pandas().sort_values(["bucket_us", "rank"])
            .reset_index(drop=True))
     tus = df["ts"].to_numpy("datetime64[us]").view(np.int64)
@@ -231,7 +229,7 @@ def test_bloom_semi_join_duplicate_keys_no_fanout(ray_session):
     df = pd.DataFrame({"event_id": np.arange(10, dtype=np.int64),
                        "user_id": np.repeat([1, 2], 5).astype(np.int64)})
     got = (bloom_semi_join(ray.data.from_pandas(df),
-                           np.array([1, 1, 1], np.int64), num_partitions=2)
+                           np.array([1, 1, 1], np.int64))
            .to_pandas())
     assert len(got) == 5  # semi-join semantics: no duplicate fan-out
     assert sorted(got["event_id"]) == [0, 1, 2, 3, 4]

@@ -44,7 +44,6 @@ def test_asof_join_partitioned_matches_merge_asof(ray_session):
         ray.data.from_pandas(left).repartition(6),
         ray.data.from_pandas(right).repartition(3),
         by="user_id", left_on="ts", right_on="ts", right_vals=("cnt",),
-        num_partitions=8,
     ).to_pandas().sort_values("event_id").reset_index(drop=True)
     assert len(got) == len(want)
     assert (got["event_id"].to_numpy() == want["event_id"].to_numpy()).all()
@@ -74,7 +73,7 @@ def test_asof_left_keeps_unmatched(ray_session):
     got = asof_join(
         ray.data.from_pandas(left), ray.data.from_pandas(right),
         by="user_id", left_on="ts", right_on="ts", right_vals=("cnt",),
-        how="left", num_partitions=4,
+        how="left",
     ).to_pandas()
     assert len(got) == len(left)
 
@@ -88,7 +87,7 @@ def test_window_range_agg_matches_duckdb(ray_session):
     got = windowed_aggregate(
         ray.data.from_pandas(left).repartition(6),
         by="user_id", on="ts", value="value", window_s=120,
-        value_scale=100, num_partitions=8,
+        value_scale=100,
     ).to_pandas().sort_values("event_id").reset_index(drop=True)
 
     con = duckdb.connect()
@@ -146,8 +145,7 @@ def test_sessionize_gap_semantics(ray_session):
     })
     from cesium_ray.stages.window import sessionize
 
-    out = sessionize(ray.data.from_pandas(df), gap_s=1800,
-                     num_partitions=2).to_pandas()
+    out = sessionize(ray.data.from_pandas(df), gap_s=1800).to_pandas()
     out = out.sort_values(["user_id", "session_idx"]).reset_index(drop=True)
     # user 1: gap of exactly 1800s does NOT split -> one session of 3
     u1 = out[out.user_id == 1]
@@ -171,10 +169,8 @@ def test_stratified_sample_deterministic(ray_session):
     })
     from cesium_ray.stages.sample import lcg_hash, stratified_sample
 
-    a = stratified_sample(ray.data.from_pandas(df), n_per_key=3,
-                          num_partitions=4).to_pandas()
-    b = stratified_sample(ray.data.from_pandas(df), n_per_key=3,
-                          num_partitions=8).to_pandas()
+    a = stratified_sample(ray.data.from_pandas(df), n_per_key=3).to_pandas()
+    b = stratified_sample(ray.data.from_pandas(df), n_per_key=3).to_pandas()
     key = ["user_id", "sample_rank"]
     a = a.sort_values(key).reset_index(drop=True)
     b = b.sort_values(key).reset_index(drop=True)
@@ -208,7 +204,6 @@ def test_asof_join_string_keys(ray_session):
     got = asof_join(
         ray.data.from_pandas(left), ray.data.from_pandas(right),
         by="conv", left_on="ts", right_on="ts", right_vals=("tag",),
-        num_partitions=4,
     ).to_pandas().sort_values("event_id").reset_index(drop=True)
     # a@5 has no match; a@15 -> 100; b@5, b@15 -> 200; c -> none
     assert got.event_id.tolist() == [1, 2, 3]
@@ -254,7 +249,7 @@ def test_pivot_aggregate_combiner(ray_session):
     out = pivot_aggregate(
         ray.data.from_pandas(df).repartition(3),
         key="user_id", col="event_type", categories=("a", "b", "c"),
-        value="value", value_scale=100, num_partitions=2,
+        value="value", value_scale=100,
     ).to_pandas().sort_values("user_id").reset_index(drop=True)
     assert out.a_cnt.tolist() == [2, 0]
     assert out.b_cnt.tolist() == [1, 2]
@@ -356,7 +351,6 @@ def test_interval_join_partitioned_bruteforce(ray_session):
         ray.data.from_pandas(right).repartition(3),
         bucket_s=bucket_s,
         left_cols=("lid", "grp"), right_cols=("rid", "tag"),
-        num_partitions=6,
     ).to_pandas()
     got["l_lid"] = got["l_lid"].astype(np.int64)
     got["r_rid"] = got["r_rid"].astype(np.int64)

@@ -19,7 +19,7 @@ from cesium_ray.stages.features import FeatureExtractor
 
 def test_derive_points_matches_oracle(tiny_turns):
     got = (
-        derive_points(ray.data.from_arrow(tiny_turns), num_partitions=8)
+        derive_points(ray.data.from_arrow(tiny_turns))
         .to_pandas()
         .sort_values(["conv_id", "channel", "turn_idx"], kind="mergesort")
         .reset_index(drop=True)
@@ -33,8 +33,8 @@ def test_derive_points_matches_oracle(tiny_turns):
 
 
 def test_codec_stage_roundtrip(tiny_turns):
-    pts = derive_points(ray.data.from_arrow(tiny_turns), num_partitions=8)
-    chunks = encode_points(pts, max_points=64, num_partitions=8)
+    pts = derive_points(ray.data.from_arrow(tiny_turns))
+    chunks = encode_points(pts, max_points=64)
     decoded = (
         decode_chunks(chunks)
         .to_pandas()
@@ -58,10 +58,9 @@ def test_codec_stage_roundtrip(tiny_turns):
 def test_feature_stage_matches_oracle(tiny_turns):
     from cesium_ray.oracle.graphs import compute_features
 
-    pts = derive_points(ray.data.from_arrow(tiny_turns), num_partitions=4)
+    pts = derive_points(ray.data.from_arrow(tiny_turns))
     feats = extract_features(
         pts, features_to_use=["mean", "amplitude", "n_epochs", "cads_med"],
-        num_partitions=4,
     ).to_pandas().set_index(["conv_id", "channel"]).sort_index()
 
     pdf = derive_channels_pandas(tiny_turns.to_pandas())

@@ -44,8 +44,7 @@ def test_group_profile_bruteforce(ray_session):
     from cesium_ray.stages.analytics import group_profile
 
     ev = _events(seed=9)
-    got = (group_profile(ray.data.from_pandas(ev).repartition(6),
-                         num_partitions=4)
+    got = (group_profile(ray.data.from_pandas(ev).repartition(6))
            .to_pandas().sort_values("user_id").reset_index(drop=True))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     g = s.groupby("user_id")
@@ -139,8 +138,7 @@ def test_tfidf_top_terms_bruteforce(ray_session):
             "apple",
         ],
     })
-    got = tfidf_top_terms(ray.data.from_pandas(docs).repartition(3),
-                          top=2, num_partitions=4)
+    got = tfidf_top_terms(ray.data.from_pandas(docs).repartition(3), top=2)
     # brute force
     toks = {i: t.lower().split() for i, t in zip(docs.doc_id, docs.text)}
     nd = len(docs)
@@ -178,8 +176,7 @@ def test_type_entropy_bruteforce(ray_session):
         "user_id": np.array([1, 1, 1, 1, 2, 2, 3], dtype=np.int64),
         "event_type": ["a", "a", "b", "c", "x", "x", "z"],
     })
-    got = type_entropy(ray.data.from_pandas(ev).repartition(3),
-                       num_partitions=4)
+    got = type_entropy(ray.data.from_pandas(ev).repartition(3))
     # user 1: counts 2,1,1 over n=4 → H = ln4 − (2ln2)/4
     h1 = math.log(4) - (2 * math.log(2)) / 4
     want = pd.DataFrame({
@@ -206,8 +203,7 @@ def test_bigram_lm_score_bruteforce(ray_session):
         "doc_id": np.arange(4, dtype=np.int64),
         "text": ["the cat sat", "the cat ran", "dog", ""],
     })
-    got = bigram_lm_score(ray.data.from_pandas(docs).repartition(2),
-                          num_partitions=4)
+    got = bigram_lm_score(ray.data.from_pandas(docs).repartition(2))
     # corpus: unigrams the:2 cat:2 sat:1 ran:1 dog:1 → V=5
     # bigrams: (the,cat):2 (cat,sat):1 (cat,ran):1
     V = 5
@@ -248,7 +244,7 @@ def test_inverted_index_bruteforce(ray_session):
     })
     got = build_inverted_index(
         ray.data.from_pandas(docs).repartition(5),
-        max_postings=3, num_partitions=4)
+        max_postings=3)
     rows = []
     for _, r in docs.iterrows():
         for t in re.findall(_TOKEN_RE, r["text"].lower()):
@@ -282,7 +278,7 @@ def test_bm25_bruteforce(ray_session):
     })
     top = 10
     got = bm25_topk(ray.data.from_pandas(docs).repartition(5),
-                    n_terms=3, top=top, num_partitions=4)
+                    n_terms=3, top=top)
     toks = {r["doc_id"]: re.findall(_TOKEN_RE, r["text"].lower())
             for _, r in docs.iterrows()}
     df = {}
@@ -332,8 +328,7 @@ def test_textrank_keywords_properties(ray_session):
     ds = ray.data.from_pandas(pd.DataFrame(
         {"doc_id": np.arange(len(docs), dtype=np.int64),
          "text": docs})).repartition(3)
-    out = textrank_keywords(ds, top_vocab=50, iters=10, k=50,
-                            num_partitions=4)
+    out = textrank_keywords(ds, top_vocab=50, iters=10, k=50)
     r = out.set_index("token")["textrank"]
     assert r["hub"] > r["loner"]
     assert abs(out["textrank"].sum() - 1.0) < 1e-3  # rank mass ~ 1
@@ -393,7 +388,7 @@ def test_pmi_collocations_bruteforce(ray_session):
     docs = pd.DataFrame({"doc_id": np.arange(200, dtype=np.int64),
                          "text": rows})
     got = pmi_collocations(ray.data.from_pandas(docs).repartition(4),
-                           min_count=5, num_partitions=4)
+                           min_count=5)
     # brute force
     from collections import Counter
     un, bg = Counter(), Counter()
@@ -536,10 +531,8 @@ def test_basket_lift_bruteforce(ray_session):
     from cesium_ray.stages.analytics import basket_lift
 
     ev = _events(seed=91, n=3000, nusers=30)
-    ev["event_type"] = np.random.default_rng(92).choice(
-        list("abcde"), len(ev))
-    got = basket_lift(ray.data.from_pandas(ev).repartition(6),
-                      num_partitions=4)
+    ev["event_type"] = np.random.default_rng(92).choice(list("abcde"), len(ev))
+    got = basket_lift(ray.data.from_pandas(ev).repartition(6))
     d = ev[["user_id", "event_type"]].drop_duplicates()
     N = d["user_id"].nunique()
     singles = d.groupby("event_type").size()
@@ -566,7 +559,7 @@ def test_basket_lift_bruteforce(ray_session):
         else:
             rows += [(u, "z")]
     pl = pd.DataFrame(rows, columns=["user_id", "event_type"])
-    out = basket_lift(ray.data.from_pandas(pl), num_partitions=2)
+    out = basket_lift(ray.data.from_pandas(pl))
     xy = out[(out["type_a"] == "x") & (out["type_b"] == "y")]
     assert abs(xy["lift"].iloc[0] - 2.0) < 1e-12  # 100*50/(50*50)
     assert not ((out["type_a"] == "x")
@@ -585,8 +578,7 @@ def test_heaps_law_bruteforce_and_growth(ray_session):
         "doc_id": np.arange(64, dtype=np.int64),
         "text": [" ".join(rng.choice(vocab, rng.integers(20, 61),
                                      p=pw)) for _ in range(64)]})
-    got = heaps_law(ray.data.from_pandas(docs).repartition(5),
-                    num_partitions=4)
+    got = heaps_law(ray.data.from_pandas(docs).repartition(5))
     assert len(got) == 1
     # brute force
     toks = [d.lower().split() for d in docs["text"]]
@@ -620,8 +612,7 @@ def test_pareto_concentration_bruteforce(ray_session):
     from cesium_ray.stages.analytics import pareto_concentration
 
     ev = _events(seed=97, n=5000, nusers=60)
-    got = pareto_concentration(
-        ray.data.from_pandas(ev).repartition(6), num_partitions=4)
+    got = pareto_concentration(ray.data.from_pandas(ev).repartition(6))
     cnt = ev.groupby("user_id").size().reset_index(name="c")
     cnt = cnt.sort_values(["c", "user_id"],
                           ascending=[False, True])
@@ -639,8 +630,7 @@ def test_pareto_concentration_bruteforce(ray_session):
     # planted extreme skew: one user makes 90% of events
     pl = pd.DataFrame({"user_id": np.r_[np.zeros(900, np.int64),
                                         np.arange(1, 101)]})
-    out = pareto_concentration(ray.data.from_pandas(pl),
-                               num_partitions=2)
+    out = pareto_concentration(ray.data.from_pandas(pl))
     assert out[out["pct"] == 1]["share"].iloc[0] == 0.9
 
 
@@ -655,8 +645,7 @@ def test_vocab_richness_bruteforce(ray_session):
         "doc_id": np.arange(40, dtype=np.int64),
         "text": [" ".join(rng.choice(vocab, 50, p=pw))
                  for _ in range(40)]})
-    got = vocab_richness(ray.data.from_pandas(docs).repartition(5),
-                         num_partitions=4)
+    got = vocab_richness(ray.data.from_pandas(docs).repartition(5))
     allt = " ".join(docs["text"]).lower().split()
     vc = pd.Series(allt).value_counts()
     m = vc.to_numpy()
@@ -670,10 +659,8 @@ def test_vocab_richness_bruteforce(ray_session):
     assert abs(got["simpson_d"].iloc[0]
                - (m * (m - 1)).sum() / (n * (n - 1.0))) < 1e-12
     # a repeated-single-token corpus maximizes concentration
-    mono = pd.DataFrame({"doc_id": [0, 1],
-                         "text": ["x x x x x", "x x x"]})
-    out = vocab_richness(ray.data.from_pandas(mono),
-                         num_partitions=2)
+    mono = pd.DataFrame({"doc_id": [0, 1], "text": ["x x x x x", "x x x"]})
+    out = vocab_richness(ray.data.from_pandas(mono))
     assert out["vocab"].iloc[0] == 1
     assert abs(out["simpson_d"].iloc[0] - 1.0) < 1e-12
 
@@ -752,8 +739,7 @@ def test_activity_corr_pairs_bruteforce_and_sync(ray_session):
     from cesium_ray.stages.analytics import activity_corr_pairs
 
     ev = _events(seed=141, n=4000, nusers=30)
-    got = activity_corr_pairs(ray.data.from_pandas(ev).repartition(6),
-                              top_n=8, num_partitions=4)
+    got = activity_corr_pairs(ray.data.from_pandas(ev).repartition(6), top_n=8)
     cnt = ev.groupby("user_id").size().reset_index(name="c")
     cnt = cnt.sort_values(["c", "user_id"], ascending=[False, True])
     chosen = sorted(cnt.head(8)["user_id"].tolist())
@@ -795,8 +781,7 @@ def test_activity_corr_pairs_bruteforce_and_sync(ray_session):
             "ts": pd.to_datetime(hours * 3_600_000_000, unit="us"
                                  ).astype("datetime64[us]")}))
     pl = pd.concat(rows, ignore_index=True)
-    out = activity_corr_pairs(ray.data.from_pandas(pl), top_n=2,
-                              num_partitions=2)
+    out = activity_corr_pairs(ray.data.from_pandas(pl), top_n=2)
     assert abs(out["r"].iloc[0] - 1.0) < 1e-12
 
 
@@ -923,8 +908,7 @@ def test_wilcoxon_shift_bruteforce_and_drift(ray_session):
     from cesium_ray.stages.analytics import wilcoxon_shift
 
     ev = _events(seed=171, n=3000, nusers=40)
-    got = wilcoxon_shift(ray.data.from_pandas(ev).repartition(6),
-                         num_partitions=4)
+    got = wilcoxon_shift(ray.data.from_pandas(ev).repartition(6))
     tus = ev["ts"].astype("datetime64[us]").astype(np.int64)
     mid = (tus.min() + tus.max()) // 2
     c = ev.assign(second=tus > mid).groupby("user_id")["second"] \
@@ -956,8 +940,7 @@ def test_wilcoxon_shift_bruteforce_and_drift(ray_session):
                                  ).astype("datetime64[us]")}))
     pl = pd.concat(rows, ignore_index=True)
     # anchor the exact window bounds
-    out = wilcoxon_shift(ray.data.from_pandas(pl),
-                         num_partitions=2)
+    out = wilcoxon_shift(ray.data.from_pandas(pl))
     assert out["n_pos"].iloc[0] > out["n_neg"].iloc[0]
     assert out["z_score"].iloc[0] > 4.0
 
@@ -1024,8 +1007,7 @@ def test_trigram_entropy_bruteforce_and_determinism(ray_session):
     from cesium_ray.stages.analytics import trigram_entropy
 
     ev = _events(seed=181, n=2500, nusers=20)
-    got = trigram_entropy(ray.data.from_pandas(ev).repartition(6),
-                          num_partitions=4)
+    got = trigram_entropy(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"],
                        kind="mergesort")
     tri = {}
@@ -1058,8 +1040,7 @@ def test_trigram_entropy_bruteforce_and_determinism(ray_session):
         "event_type": seq,
         "ts": pd.to_datetime(np.arange(len(seq)) * 10**6, unit="us"
                              ).astype("datetime64[us]")})
-    out = trigram_entropy(ray.data.from_pandas(det),
-                          num_partitions=2)
+    out = trigram_entropy(ray.data.from_pandas(det))
     assert out["h2"].iloc[0] < 1e-12
     assert abs(out["perplexity"].iloc[0] - 1.0) < 1e-9
 
@@ -1168,8 +1149,7 @@ def test_friedman_bruteforce_and_shift(ray_session):
     from cesium_ray.stages.analytics import friedman_test
 
     ev = _events(seed=223, n=3000, nusers=30)
-    got = friedman_test(ray.data.from_pandas(ev).repartition(6),
-                        num_partitions=4)
+    got = friedman_test(ray.data.from_pandas(ev).repartition(6))
     piv = ev.groupby(["user_id", "event_type"]).size().unstack(
         fill_value=0)
     kg = piv.shape[1]
@@ -1200,8 +1180,7 @@ def test_friedman_bruteforce_and_shift(ray_session):
         for t, lam in [("a", 3), ("b", 40), ("c", 3)]:
             rows += [(uid, t)] * int(1 + rng.poisson(lam))
     pl = pd.DataFrame(rows, columns=["user_id", "event_type"])
-    out = friedman_test(ray.data.from_pandas(pl),
-                        num_partitions=2)
+    out = friedman_test(ray.data.from_pandas(pl))
     assert out["chi2_tie"].iloc[0] > 40.0
 
 
@@ -1437,8 +1416,7 @@ def test_cochran_q_bruteforce_and_shift(ray_session):
     # the Q denominator k·N − ΣR² stays positive
     ev = _halves_events(seed=11, n=900, nusers=220)
     win = 5 * 86400 * 10**6
-    got = cochran_q(ray.data.from_pandas(ev).repartition(5),
-                    window_us=win, num_partitions=4)
+    got = cochran_q(ray.data.from_pandas(ev).repartition(5), window_us=win)
     # brute force
     tus = ev["ts"].to_numpy("datetime64[us]").astype(np.int64)
     w = ev[tus >= tus.max() - win]
@@ -1461,8 +1439,7 @@ def test_cochran_q_bruteforce_and_shift(ray_session):
     late = ev2["ts"] >= ev2["ts"].max() - pd.Timedelta(days=5)
     few = ev2["user_id"] < 3
     ev2.loc[late & few, "event_type"] = "purchase"
-    got2 = cochran_q(ray.data.from_pandas(ev2).repartition(5),
-                     window_us=win, num_partitions=4)
+    got2 = cochran_q(ray.data.from_pandas(ev2).repartition(5), window_us=win)
     assert got2["q_stat"].iloc[0] > got["q_stat"].iloc[0]
 
 
@@ -1470,8 +1447,7 @@ def test_mcnemar_bruteforce_and_drift(ray_session):
     from cesium_ray.stages.analytics import mcnemar_halves
 
     ev = _halves_events(seed=12)
-    got = mcnemar_halves(ray.data.from_pandas(ev).repartition(5),
-                         num_partitions=4)
+    got = mcnemar_halves(ray.data.from_pandas(ev).repartition(5))
     tus = ev["ts"].to_numpy("datetime64[us]").astype(np.int64)
     tmid = (int(tus.min()) + int(tus.max())) // 2
     df = ev.assign(
@@ -1496,10 +1472,8 @@ def test_mcnemar_bruteforce_and_drift(ray_session):
     ev3 = ev.copy()
     early = ev3["ts"].to_numpy("datetime64[us]").astype(np.int64) \
         < tmid
-    ev3.loc[early & (ev3["event_type"] == "purchase"),
-            "event_type"] = "view"
-    got3 = mcnemar_halves(ray.data.from_pandas(ev3).repartition(5),
-                          num_partitions=4)
+    ev3.loc[early & (ev3["event_type"] == "purchase"), "event_type"] = "view"
+    got3 = mcnemar_halves(ray.data.from_pandas(ev3).repartition(5))
     assert int(got3["n_first_only"].iloc[0]) == 0
     assert int(got3["n_second_only"].iloc[0]) > 0
 
@@ -1508,8 +1482,7 @@ def test_sign_test_bruteforce_and_shift(ray_session):
     from cesium_ray.stages.analytics import sign_test_halves
 
     ev = _halves_events(seed=13)
-    got = sign_test_halves(ray.data.from_pandas(ev).repartition(5),
-                           num_partitions=4)
+    got = sign_test_halves(ray.data.from_pandas(ev).repartition(5))
     tus = ev["ts"].to_numpy("datetime64[us]").astype(np.int64)
     tmid = (int(tus.min()) + int(tus.max())) // 2
     c1 = ev[tus < tmid].groupby("user_id").size()
@@ -1527,9 +1500,7 @@ def test_sign_test_bruteforce_and_shift(ray_session):
     # planted shift: drop 80% of first-half rows -> n_plus dominates
     keep = ~((tus < tmid)
              & (np.arange(len(ev)) % 5 != 0))
-    got4 = sign_test_halves(
-        ray.data.from_pandas(ev[keep]).repartition(5),
-        num_partitions=4)
+    got4 = sign_test_halves(ray.data.from_pandas(ev[keep]).repartition(5))
     assert int(got4["n_plus"].iloc[0]) \
         > int(got4["n_minus"].iloc[0])
 
@@ -1741,8 +1712,7 @@ def test_cox_stuart_bruteforce_and_trend(ray_session):
     ev = pd.DataFrame(rows, columns=["event_id", "user_id", "ts",
                                      "value"])
     ev["ts"] = ev["ts"].astype("datetime64[us]")
-    got = cox_stuart(ray.data.from_pandas(ev).repartition(4),
-                     num_partitions=3)
+    got = cox_stuart(ray.data.from_pandas(ev).repartition(4))
     for uid, g in ev.groupby("user_id"):
         x = np.rint(g.sort_values(["ts", "event_id"])["value"]
                     .to_numpy() * 100).astype(np.int64)
@@ -2078,8 +2048,7 @@ def test_rmst_bruteforce_and_bounds(ray_session):
     ev["ts"] = pd.to_datetime(ev["t"] * 10**6, unit="us") \
         .astype("datetime64[us]")
     ev = ev.drop(columns=["t"])
-    got = rmst(ray.data.from_pandas(ev).repartition(4),
-               num_partitions=3)
+    got = rmst(ray.data.from_pandas(ev).repartition(4))
     # brute force KM + integral
     tmax = int(ev["ts"].to_numpy("datetime64[us]").view(np.int64)
                .max())
@@ -2132,8 +2101,7 @@ def test_gehan_wilcoxon_bruteforce_and_shift(ray_session):
     ev["ts"] = pd.to_datetime(ev["t"] * 10**6, unit="us") \
         .astype("datetime64[us]")
     ev = ev.drop(columns=["t"])
-    got = gehan_wilcoxon(ray.data.from_pandas(ev).repartition(4),
-                         num_partitions=3)
+    got = gehan_wilcoxon(ray.data.from_pandas(ev).repartition(4))
     # brute force pairwise definite orderings
     tmax = int(ev["ts"].to_numpy("datetime64[us]").view(np.int64)
                .max())
@@ -2187,8 +2155,7 @@ def test_cuped_bruteforce_and_variance_reduction(ray_session):
     ev["ts"] = pd.to_datetime(ev["t"] * 10**6, unit="us") \
         .astype("datetime64[us]")
     ev = ev.drop(columns=["t"])
-    got = cuped_effect(ray.data.from_pandas(ev).repartition(5),
-                       num_partitions=4)
+    got = cuped_effect(ray.data.from_pandas(ev).repartition(5))
     # brute force
     tus = ev["ts"].to_numpy("datetime64[us]").view(np.int64)
     tmid = (int(tus.min()) + int(tus.max())) // 2
@@ -2529,8 +2496,7 @@ def test_chao1_bruteforce_and_projection(ray_session):
     docs = pd.DataFrame({
         "text": [" ".join(words[i:i + 40])
                  for i in range(0, 8000, 40)]})
-    got = chao1_richness(ray.data.from_pandas(docs)
-                         .repartition(4), num_partitions=4)
+    got = chao1_richness(ray.data.from_pandas(docs) .repartition(4))
     vals, cnts = np.unique(words, return_counts=True)
     v, v1, v2 = len(vals), int((cnts == 1).sum()), \
         int((cnts == 2).sum())
@@ -2623,8 +2589,7 @@ def test_logrank_bruteforce_and_separation(ray_session):
     ev["ts"] = pd.to_datetime(ev["t"] * 10**6, unit="us") \
         .astype("datetime64[us]")
     ev = ev.drop(columns=["t"])
-    got = logrank_test(ray.data.from_pandas(ev).repartition(4),
-                       num_partitions=3)
+    got = logrank_test(ray.data.from_pandas(ev).repartition(4))
     # brute force
     tmax = int(ev["ts"].to_numpy("datetime64[us]").view(np.int64)
                .max())

@@ -27,7 +27,7 @@ def test_rolling_rows_avg_bruteforce(ray_session):
 
     ev = _events()
     got = (rolling_rows_avg(ray.data.from_pandas(ev).repartition(6),
-                            n=5, num_partitions=4)
+                            n=5)
            .to_pandas().sort_values(["user_id", "event_id"])
            .reset_index(drop=True))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -56,8 +56,7 @@ def test_group_mode_ties(ray_session):
         "user_id": [1, 1, 1, 1, 2, 2, 3],
         "event_type": ["b", "a", "a", "b", "z", "z", "q"],
     })
-    got = (group_mode(ray.data.from_pandas(ev).repartition(3),
-                      num_partitions=2)
+    got = (group_mode(ray.data.from_pandas(ev).repartition(3))
            .to_pandas().sort_values("user_id").reset_index(drop=True))
     # user 1: tie a=2/b=2 → "a"; user 2: z=2; user 3: q=1
     assert got["mode_event_type"].tolist() == ["a", "z", "q"]
@@ -69,7 +68,7 @@ def test_topk_per_group_bruteforce(ray_session):
 
     ev = _events(seed=23)
     got = (topk_per_group(ray.data.from_pandas(ev).repartition(7),
-                          k=3, num_partitions=4)
+                          k=3)
            .to_pandas()[["user_id", "rk", "event_id", "value"]]
            .sort_values(["user_id", "rk"]).reset_index(drop=True))
     d = ev[ev["value"].notna()].sort_values(
@@ -107,8 +106,7 @@ def test_cooccurrence_bruteforce(ray_session):
     from cesium_ray.stages.analytics import cooccurrence_pairs
 
     ev = _events(seed=41, nusers=12)
-    got = cooccurrence_pairs(
-        ray.data.from_pandas(ev).repartition(5), num_partitions=3)
+    got = cooccurrence_pairs(ray.data.from_pandas(ev).repartition(5))
     cells = ev[["user_id", "event_type"]].drop_duplicates()
     m = cells.merge(cells, on="user_id", suffixes=("_a", "_b"))
     m = m[m["event_type_a"] < m["event_type_b"]]

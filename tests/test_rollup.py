@@ -92,7 +92,7 @@ def test_rollup_against_duckdb(tiny_points):
 def test_ray_rollup_bit_equal_oracle(tiny_turns, tier):
     ds = ray.data.from_arrow(tiny_turns)
     got = (
-        rollup_turns(ds, tier, num_partitions=8)
+        rollup_turns(ds, tier)
         .to_pandas()
         .sort_values(["conv_id", "channel", "bucket"], kind="mergesort")
         .reset_index(drop=True)
@@ -108,9 +108,9 @@ def test_ray_rollup_bit_equal_oracle(tiny_turns, tier):
 def test_salted_rollup_points_bit_equal(tiny_turns):
     """Salt-by-bucket partitioning must not change a single tier point
     (SURVEY §7 hard-part (a))."""
-    pts_ds = derive_points(ray.data.from_arrow(tiny_turns), num_partitions=8)
+    pts_ds = derive_points(ray.data.from_arrow(tiny_turns))
     got = (
-        rollup_points(pts_ds, "1m", num_partitions=16, salt=True)
+        rollup_points(pts_ds, "1m", salt=True)
         .to_pandas()
         .sort_values(["conv_id", "channel", "bucket"], kind="mergesort")
         .reset_index(drop=True)

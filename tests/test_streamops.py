@@ -24,8 +24,7 @@ def test_transition_matrix_bruteforce(ray_session):
     from cesium_ray.stages.analytics import transition_matrix
 
     ev = _events()
-    got = transition_matrix(
-        ray.data.from_pandas(ev).repartition(6), num_partitions=4)
+    got = transition_matrix(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     nxt = s.groupby("user_id")["event_type"].shift(-1)
     d = pd.DataFrame({"type_from": s["event_type"], "type_to": nxt}).dropna()
@@ -43,8 +42,7 @@ def test_user_growth_bruteforce(ray_session):
     from cesium_ray.stages.analytics import user_growth
 
     ev = _events(seed=29)
-    got = user_growth(ray.data.from_pandas(ev).repartition(5),
-                      num_partitions=3)
+    got = user_growth(ray.data.from_pandas(ev).repartition(5))
     day = (ev["ts"].astype("datetime64[us]").astype(np.int64)
            // 86_400_000_000) * 86_400_000_000
     first = pd.DataFrame({"u": ev["user_id"], "d": day}).groupby("u")["d"].min()
@@ -62,7 +60,7 @@ def test_gap_report_bruteforce(ray_session):
     ev = _events(seed=37, n=1500, nusers=10)
     thr = 3 * 3600 * 10**6
     got = (gap_report(ray.data.from_pandas(ev).repartition(4),
-                      gap_us_threshold=thr, num_partitions=3)
+                      gap_us_threshold=thr)
            .to_pandas().sort_values(["user_id", "gap_start"])
            .reset_index(drop=True))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -85,8 +83,7 @@ def test_interarrival_quantiles_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import interarrival_quantiles
 
     ev = _events(seed=43)
-    got = (interarrival_quantiles(ray.data.from_pandas(ev).repartition(6),
-                                  num_partitions=4)
+    got = (interarrival_quantiles(ray.data.from_pandas(ev).repartition(6))
            .to_pandas().sort_values("event_type").reset_index(drop=True))
     s = ev.sort_values(["user_id", "event_type", "ts", "event_id"],
                        kind="mergesort")
@@ -111,7 +108,7 @@ def test_rolling_rows_std_bruteforce(ray_session):
     ev["value"] = np.where(rng.random(len(ev)) < 0.1, np.nan,
                            np.round(rng.random(len(ev)) * 50, 2))
     got = (rolling_rows_std(ray.data.from_pandas(ev).repartition(5),
-                            n=5, num_partitions=3)
+                            n=5)
            .to_pandas().sort_values(["user_id", "event_id"])
            .reset_index(drop=True))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -136,8 +133,7 @@ def test_dwell_time_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import dwell_time
 
     ev = _events(seed=59)
-    got = dwell_time(ray.data.from_pandas(ev).repartition(6),
-                     num_partitions=4)
+    got = dwell_time(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     tus = s["ts"].astype("datetime64[us]").astype(np.int64).to_numpy()
     u = s["user_id"].to_numpy()
@@ -183,8 +179,7 @@ def test_type_variety_bruteforce(ray_session):
     from cesium_ray.stages.analytics import type_variety
 
     ev = _events(seed=67, n=300, nusers=40)
-    got = type_variety(ray.data.from_pandas(ev).repartition(4),
-                       num_partitions=3)
+    got = type_variety(ray.data.from_pandas(ev).repartition(4))
     k = ev.groupby("user_id")["event_type"].nunique()
     want = (k.value_counts().sort_index().rename("n_users")
             .reset_index().rename(columns={"event_type": "n_types"}))
@@ -227,9 +222,9 @@ def test_interarrival_scan_matches_exchange_path(ray_session):
 
     ev = _events(seed=73, n=3000)
     ds = ray.data.from_pandas(ev).repartition(6)
-    a = (interarrival_quantiles(ds, num_partitions=4).to_pandas()
+    a = (interarrival_quantiles(ds).to_pandas()
          .sort_values("event_type").reset_index(drop=True))
-    b = (interarrival_quantiles_scan(ds, num_partitions=4)
+    b = (interarrival_quantiles_scan(ds)
          .sort_values("event_type").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
 
@@ -272,7 +267,7 @@ def test_dataset_diff_bruteforce(ray_session):
     b = pd.concat([b, extra], ignore_index=True)
     got = (dataset_diff(ray.data.from_pandas(a).repartition(4),
                         ray.data.from_pandas(b).repartition(3),
-                        key="k", vals=["v", "w"], num_partitions=3)
+                        key="k", vals=["v", "w"])
            .to_pandas().sort_values("k").reset_index(drop=True))
     m = a.merge(b, on="k", how="outer", suffixes=("_a", "_b"),
                 indicator=True)
@@ -289,8 +284,7 @@ def test_dataset_diff_bruteforce(ray_session):
     same = dataset_diff(ray.data.from_pandas(a),
                         ray.data.from_pandas(a.sample(frac=1,
                                                       random_state=1)),
-                        key="k", vals=["v", "w"],
-                        num_partitions=3).to_pandas()
+                        key="k", vals=["v", "w"]).to_pandas()
     assert len(same) == 0
 
 
@@ -333,8 +327,7 @@ def test_sliding_distinct_bruteforce(ray_session):
 
     ev = _events(seed=83, n=2500, nusers=20)
     W = 6
-    got = sliding_distinct(ray.data.from_pandas(ev).repartition(5),
-                           window_h=W, num_partitions=3)
+    got = sliding_distinct(ray.data.from_pandas(ev).repartition(5), window_h=W)
     h = (ev["ts"].astype("datetime64[us]").astype(np.int64)
          // 3_600_000_000).to_numpy()
     cells = pd.DataFrame({"u": ev["user_id"], "h": h}).drop_duplicates()
@@ -360,8 +353,7 @@ def test_edit1_pairs_planted(ray_session):
     texts.append("totally different")   # no pair              (8)
     df = pd.DataFrame({"doc_id": np.arange(len(texts), dtype=np.int64),
                        "text": texts})
-    got = edit1_pairs(ray.data.from_pandas(df).repartition(3),
-                      prefix_len=16, num_partitions=3)
+    got = edit1_pairs(ray.data.from_pandas(df).repartition(3), prefix_len=16)
     pairs = set(zip(got["id_a"], got["id_b"]))
     assert (0, 4) in pairs   # deletion
     assert (1, 5) in pairs   # insertion (prefix-truncated is still +1)
@@ -376,8 +368,7 @@ def test_run_stats_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import run_stats
 
     ev = _events(seed=73)
-    got = run_stats(ray.data.from_pandas(ev).repartition(6),
-                    num_partitions=4)
+    got = run_stats(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     rows = []
     for uid, g in s.groupby("user_id"):
@@ -411,7 +402,7 @@ def test_run_stats_single_and_empty(ray_session):
         "event_type": ["x"],
         "ts": pd.to_datetime([10**6], unit="us").astype("datetime64[us]"),
     })
-    got = run_stats(ray.data.from_pandas(one), num_partitions=2)
+    got = run_stats(ray.data.from_pandas(one))
     assert got.iloc[0].tolist() == [9, 1, 1, 1, "x", "x", 1.0]
 
 
@@ -419,9 +410,7 @@ def test_time_since_event_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import time_since_event
 
     ev = _events(seed=97)
-    got = time_since_event(
-        ray.data.from_pandas(ev).repartition(6), marker="b",
-        num_partitions=4)
+    got = time_since_event(ray.data.from_pandas(ev).repartition(6), marker="b")
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     rows = []
     for uid, g in s.groupby("user_id"):
@@ -452,11 +441,11 @@ def test_new_ops_partition_count_invariance(ray_session):
 
     ev = _events(seed=101)
     ds = ray.data.from_pandas(ev).repartition(7)
-    a = run_stats(ds, num_partitions=3)
-    b = run_stats(ds, num_partitions=11)
+    a = run_stats(ds)
+    b = run_stats(ds)
     pd.testing.assert_frame_equal(a, b, check_exact=True)
-    c = time_since_event(ds, marker="c", num_partitions=3)
-    d = time_since_event(ds, marker="c", num_partitions=11)
+    c = time_since_event(ds, marker="c")
+    d = time_since_event(ds, marker="c")
     pd.testing.assert_frame_equal(c, d, check_exact=True)
 
 
@@ -466,7 +455,7 @@ def test_cooldown_dedup_bruteforce(ray_session):
     ev = _events(seed=113, n=3000, nusers=12)
     cd = 6 * 3600
     got = (cooldown_dedup(ray.data.from_pandas(ev).repartition(6),
-                          cooldown_s=cd, num_partitions=4)
+                          cooldown_s=cd)
            .to_pandas()
            .sort_values(["user_id", "event_type", "ts_us", "event_id"])
            .reset_index(drop=True))
@@ -523,8 +512,7 @@ def test_sequence_pattern_count_bruteforce(ray_session):
     ev = _events(seed=131)  # types a/b/c/d -> distinct first chars
     pat = "a[bc]*d"
     got = sequence_pattern_count(
-        ray.data.from_pandas(ev).repartition(6), pattern=pat,
-        num_partitions=4)
+        ray.data.from_pandas(ev).repartition(6), pattern=pat)
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     rx = re.compile(pat)
     want = (s.groupby("user_id")["event_type"]
@@ -555,8 +543,7 @@ def test_lttb_downsample_bruteforce(ray_session):
         eid += n
     ev = pd.concat(frames, ignore_index=True)
     n_out = 10
-    got = lttb_downsample(ray.data.from_pandas(ev).repartition(4),
-                          n_out=n_out, num_partitions=3)
+    got = lttb_downsample(ray.data.from_pandas(ev).repartition(4), n_out=n_out)
 
     def ref(x, y):
         n = len(x)
@@ -599,8 +586,7 @@ def test_linear_trend_bruteforce(ray_session):
     ev = _events(seed=139)
     rng = np.random.default_rng(9)
     ev["value"] = np.round(rng.random(len(ev)) * 80 - 10, 2)
-    got = linear_trend_per_key(
-        ray.data.from_pandas(ev).repartition(5), num_partitions=3)
+    got = linear_trend_per_key(ray.data.from_pandas(ev).repartition(5))
     for uid, g in ev.groupby("user_id"):
         g = g.sort_values("ts")
         t = g["ts"].astype("datetime64[us]").astype(np.int64).to_numpy()
@@ -619,8 +605,7 @@ def test_weighted_quantiles_bruteforce(ray_session):
     ev = _events(seed=149)
     rng = np.random.default_rng(11)
     ev["value"] = np.round(rng.random(len(ev)) * 40, 2)
-    got = weighted_value_quantiles(
-        ray.data.from_pandas(ev).repartition(6), num_partitions=4)
+    got = weighted_value_quantiles(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     t = s["ts"].astype("datetime64[us]").astype(np.int64).to_numpy()
     u = s["user_id"].to_numpy()
@@ -650,8 +635,7 @@ def test_lateness_report_bruteforce(ray_session):
     from cesium_ray.stages.analytics import lateness_report
 
     ev = _events(seed=151)  # event_id = arrival order; ts random -> late
-    got = lateness_report(ray.data.from_pandas(ev).repartition(6),
-                          num_partitions=4)
+    got = lateness_report(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.sort_values("event_id").groupby("user_id"):
         t = g["ts"].astype("datetime64[us]").astype(np.int64).to_numpy()
         mx = np.maximum.accumulate(t)
@@ -675,8 +659,7 @@ def test_profile_columns_bruteforce(ray_session):
     got = profile_columns(
         ray.data.from_pandas(ev).repartition(6),
         {"user_id": "num", "event_type": "str",
-         "value": "num", "ts": "time"},
-        num_partitions=4)
+         "value": "num", "ts": "time"})
     got = got.set_index("col_name")
     assert (got["n"] == len(ev)).all()
     assert got.loc["value", "n_null"] == int(ev["value"].isna().sum())
@@ -703,8 +686,7 @@ def test_max_drawdown_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import max_drawdown
 
     ev = _valued(seed=83)
-    got = max_drawdown(ray.data.from_pandas(ev).repartition(6),
-                       num_partitions=4)
+    got = max_drawdown(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     rows = []
     for uid, g in s.groupby("user_id"):
@@ -727,8 +709,7 @@ def test_longest_streak_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import longest_streak
 
     ev = _events(seed=91, n=2500, nusers=18)
-    got = longest_streak(ray.data.from_pandas(ev).repartition(5),
-                         num_partitions=4)
+    got = longest_streak(ray.data.from_pandas(ev).repartition(5))
     day = (ev["ts"].astype("datetime64[us]").astype(np.int64)
            // 86_400_000_000)
     rows = []
@@ -758,8 +739,7 @@ def test_burst_detect_bruteforce(ray_session):
     ev["ts"] = (ev["ts"].astype("datetime64[us]").astype(np.int64)
                 // 600_000_000 * 600_000_000).astype("datetime64[us]")
     W = 300
-    got = burst_detect(ray.data.from_pandas(ev).repartition(6),
-                       window_s=W, num_partitions=4)
+    got = burst_detect(ray.data.from_pandas(ev).repartition(6), window_s=W)
     tus = ev["ts"].astype("datetime64[us]").astype(np.int64)
     rows = []
     for uid, g in pd.DataFrame({"u": ev["user_id"], "t": tus}).groupby("u"):
@@ -789,13 +769,13 @@ def test_new_stream_ops_empty_and_single(ray_session):
         "value": np.array([2.5]),
     })
     ds = ray.data.from_pandas(one)
-    dd = max_drawdown(ds, num_partitions=2)
+    dd = max_drawdown(ds)
     assert dd.iloc[0].to_dict() == {
         "user_id": 7, "max_drawdown": 0.0, "peak_value": 2.5, "n_events": 1}
-    st = longest_streak(ds, num_partitions=2)
+    st = longest_streak(ds)
     assert (st.iloc[0][["n_active_days", "n_streaks", "longest_streak"]]
             == 1).all()
-    bu = burst_detect(ds, num_partitions=2)
+    bu = burst_detect(ds)
     assert bu.iloc[0]["max_burst"] == 1
     assert bu.iloc[0]["burst_ts_us"] == 10**6
 
@@ -804,8 +784,7 @@ def test_acf_lags_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import acf_lags
 
     ev = _valued(seed=107, n=2500, nusers=15)
-    got = acf_lags(ray.data.from_pandas(ev).repartition(6),
-                   max_lag=3, num_partitions=4)
+    got = acf_lags(ray.data.from_pandas(ev).repartition(6), max_lag=3)
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.float64)
@@ -824,7 +803,7 @@ def test_acf_lags_bruteforce(ray_session):
                              ).astype("datetime64[us]"),
         "value": np.full(6, 3.0),
     })
-    out = acf_lags(ray.data.from_pandas(const), num_partitions=2)
+    out = acf_lags(ray.data.from_pandas(const))
     assert len(out) == 0
 
 
@@ -857,7 +836,7 @@ def test_rolling_window_median_bruteforce(ray_session):
     ev = _valued(seed=113, n=1500, nusers=10)
     W = 3
     got = rolling_window_median(ray.data.from_pandas(ev).repartition(5),
-                                window_days=W, num_partitions=4)
+                                window_days=W)
     day = (ev["ts"].astype("datetime64[us]").astype(np.int64)
            // 86_400_000_000)
     df = pd.DataFrame({"u": ev["user_id"], "d": day, "v": ev["value"]})
@@ -883,8 +862,7 @@ def test_changepoint_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import changepoint_split
 
     ev = _valued(seed=211, n=2200, nusers=18)
-    got = changepoint_split(ray.data.from_pandas(ev).repartition(6),
-                            num_partitions=4)
+    got = changepoint_split(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -910,8 +888,7 @@ def test_changepoint_bruteforce(ray_session):
         "ts": pd.to_datetime([10**6], unit="us").astype("datetime64[us]"),
         "value": np.array([5.0]),
     })
-    assert len(changepoint_split(ray.data.from_pandas(one),
-                                 num_partitions=2)) == 0
+    assert len(changepoint_split(ray.data.from_pandas(one))) == 0
 
 
 def test_priority_sample_bruteforce(ray_session):
@@ -943,8 +920,7 @@ def test_pagerank_bruteforce(ray_session):
     from cesium_ray.stages.analytics import pagerank_types
 
     ev = _events(seed=401, n=3000, nusers=25)
-    got = pagerank_types(ray.data.from_pandas(ev).repartition(6),
-                         iters=10, num_partitions=4)
+    got = pagerank_types(ray.data.from_pandas(ev).repartition(6), iters=10)
     # reference: build edges by brute force, run the same update
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     nxt = s.groupby("user_id")["event_type"].shift(-1)
@@ -1065,7 +1041,7 @@ def test_upsert_bruteforce(ray_session):
     delta["value"] = -1.0
     got = (upsert(ray.data.from_pandas(ev).repartition(4),
                   ray.data.from_pandas(delta).repartition(3),
-                  key="event_id", num_partitions=4)
+                  key="event_id")
            .to_pandas().sort_values("event_id").reset_index(drop=True))
     assert len(got) == len(ev)  # keys unchanged, rows replaced
     m = got["user_id"] % 5 == 0
@@ -1082,7 +1058,7 @@ def test_upsert_bruteforce(ray_session):
         "ts": pd.to_datetime([0], unit="us").astype("datetime64[us]")})
     got2 = upsert(ray.data.from_pandas(ev),
                   ray.data.from_pandas(new[ev.columns]),
-                  key="event_id", num_partitions=3).to_pandas()
+                  key="event_id").to_pandas()
     assert len(got2) == len(ev) + 1
 
 
@@ -1142,7 +1118,7 @@ def test_decayed_topk_bruteforce(ray_session):
 
     ev = _events(seed=1101, n=3000, nusers=40)
     got = decayed_topk(ray.data.from_pandas(ev).repartition(6),
-                       half_life_days=2.0, top=10, num_partitions=4)
+                       half_life_days=2.0, top=10)
     tus = ev["ts"].to_numpy("datetime64[us]").view(np.int64)
     tmax = tus.max()
     w = 0.5 ** ((tmax - tus) / 86_400_000_000.0 / 2.0)
@@ -1172,11 +1148,11 @@ def test_session6_ops_partition_count_invariance(ray_session):
     d1 = ray.data.from_pandas(ev).repartition(3)
     d2 = ray.data.from_pandas(ev).repartition(13)
     pd.testing.assert_frame_equal(
-        changepoint_split(d1, num_partitions=3),
-        changepoint_split(d2, num_partitions=11), check_exact=True)
+        changepoint_split(d1),
+        changepoint_split(d2), check_exact=True)
     pd.testing.assert_frame_equal(
-        pagerank_types(d1, num_partitions=3),
-        pagerank_types(d2, num_partitions=11), check_exact=True)
+        pagerank_types(d1),
+        pagerank_types(d2), check_exact=True)
     pd.testing.assert_frame_equal(
         seasonal_anomaly(d1), seasonal_anomaly(d2), check_exact=True)
     pd.testing.assert_frame_equal(
@@ -1184,8 +1160,8 @@ def test_session6_ops_partition_count_invariance(ray_session):
         finalize_windows(d2, n_arrival_buckets=9), check_exact=True)
     # decayed sums are float partials: identical key set/order, exact
     # int columns, sums equal to ~1e-13 (blocking changes sum order)
-    a = decayed_topk(d1, num_partitions=3)
-    b = decayed_topk(d2, num_partitions=11)
+    a = decayed_topk(d1)
+    b = decayed_topk(d2)
     assert (a["user_id"].to_numpy() == b["user_id"].to_numpy()).all()
     assert (a["n"].to_numpy() == b["n"].to_numpy()).all()
     assert np.allclose(a["decayed"], b["decayed"], rtol=1e-12)
@@ -1197,8 +1173,7 @@ def test_transition_pmi_bruteforce(ray_session):
     from cesium_ray.stages.analytics import transition_pmi
 
     ev = _events(seed=1409, n=2500, nusers=20)
-    got = transition_pmi(ray.data.from_pandas(ev).repartition(5),
-                         num_partitions=4)
+    got = transition_pmi(ray.data.from_pandas(ev).repartition(5))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     nxt = s.groupby("user_id")["event_type"].shift(-1)
     d = pd.DataFrame({"a": s["event_type"], "b": nxt}).dropna()
@@ -1300,8 +1275,7 @@ def test_priority_sample_per_key_bruteforce(ray_session):
     from cesium_ray.stages.sample import priority_sample_per_key
 
     ev = _valued(seed=1701, n=2000, nusers=15)
-    got = priority_sample_per_key(
-        ray.data.from_pandas(ev).repartition(6), k=2, num_partitions=4)
+    got = priority_sample_per_key(ray.data.from_pandas(ev).repartition(6), k=2)
     ids = ev["event_id"].to_numpy(np.int64)
     h = ((ids.astype(np.uint64) * np.uint64(2654435761))
          % np.uint64(1 << 32) + np.uint64(1)).astype(np.float64)
@@ -1355,7 +1329,7 @@ def test_minmax_scale_bruteforce(ray_session):
     })
     ev = pd.concat([ev, const], ignore_index=True)
     got = (minmax_scale_per_key(
-        ray.data.from_pandas(ev).repartition(5), num_partitions=4)
+        ray.data.from_pandas(ev).repartition(5))
         .to_pandas().sort_values(["user_id", "event_id"])
         .reset_index(drop=True))
     k = np.rint(ev["value"].to_numpy() * 100).astype(np.int64)
@@ -1379,7 +1353,7 @@ def test_quantile_transform_bruteforce(ray_session):
 
     ev = _valued(seed=2003, n=2000, nusers=10)
     got = (quantile_transform_global(
-        ray.data.from_pandas(ev).repartition(5), num_partitions=4)
+        ray.data.from_pandas(ev).repartition(5))
         .to_pandas().sort_values("event_id").reset_index(drop=True))
     k = np.rint(ev["value"].to_numpy() * 100).astype(np.int64)
     order = pd.Series(k).rank(method="min").to_numpy() - 1
@@ -1400,8 +1374,7 @@ def test_target_encode_loo_bruteforce(ray_session):
         "event_type": ["zzz"], "value": np.array([4.0]),
         "ts": pd.to_datetime([0], unit="us").astype("datetime64[us]")})
     ev = pd.concat([ev, single], ignore_index=True)
-    got = (target_encode_loo(ray.data.from_pandas(ev).repartition(5),
-                             num_partitions=4)
+    got = (target_encode_loo(ray.data.from_pandas(ev).repartition(5))
            .to_pandas().sort_values("event_id").reset_index(drop=True))
     k = np.rint(ev["value"].to_numpy() * 100).astype(np.int64)
     t = ev.assign(k=k)
@@ -1422,7 +1395,7 @@ def test_zscore_scale_bruteforce(ray_session):
 
     ev = _valued(seed=2203, n=1500, nusers=12)
     got = (zscore_scale_per_key(
-        ray.data.from_pandas(ev).repartition(5), num_partitions=4)
+        ray.data.from_pandas(ev).repartition(5))
         .to_pandas().sort_values(["user_id", "event_id"])
         .reset_index(drop=True))
     k = np.rint(ev["value"].to_numpy() * 100).astype(np.int64)
@@ -1502,8 +1475,7 @@ def test_variance_ratio_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import variance_ratio
 
     ev = _valued(seed=211, n=2500, nusers=15)
-    got = variance_ratio(ray.data.from_pandas(ev).repartition(6),
-                         ks=(2, 4), num_partitions=4)
+    got = variance_ratio(ray.data.from_pandas(ev).repartition(6), ks=(2, 4))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.float64)
@@ -1524,7 +1496,7 @@ def test_variance_ratio_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(4000) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.round(walk, 2)})
-    out = variance_ratio(ray.data.from_pandas(rw), num_partitions=2)
+    out = variance_ratio(ray.data.from_pandas(rw))
     assert 0.8 < out["vr2"].iloc[0] < 1.2
 
 
@@ -1532,8 +1504,7 @@ def test_xcorr_gap_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import xcorr_gap
 
     ev = _valued(seed=223, n=2500, nusers=15)
-    got = xcorr_gap(ray.data.from_pandas(ev).repartition(6),
-                    num_partitions=4)
+    got = xcorr_gap(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -1555,8 +1526,7 @@ def test_perm_entropy_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import perm_entropy
 
     ev = _valued(seed=227, n=2000, nusers=12)
-    got = perm_entropy(ray.data.from_pandas(ev).repartition(6),
-                       num_partitions=4)
+    got = perm_entropy(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -1581,7 +1551,7 @@ def test_perm_entropy_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(10) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.arange(10, dtype=np.float64)})
-    out = perm_entropy(ray.data.from_pandas(mono), num_partitions=2)
+    out = perm_entropy(ray.data.from_pandas(mono))
     assert out["pe"].iloc[0] == 0.0
 
 
@@ -1589,8 +1559,7 @@ def test_hurst_rs_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import hurst_rs
 
     ev = _valued(seed=229, n=3000, nusers=10)
-    got = hurst_rs(ray.data.from_pandas(ev).repartition(6),
-                   num_partitions=4)
+    got = hurst_rs(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.float64)
@@ -1626,7 +1595,7 @@ def test_hurst_rs_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.round(rng.normal(0, 10, n), 2)})
-    out = hurst_rs(ray.data.from_pandas(inc), num_partitions=2)
+    out = hurst_rs(ray.data.from_pandas(inc))
     assert 0.35 < out["hurst"].iloc[0] < 0.72
 
 
@@ -1634,8 +1603,7 @@ def test_ljung_box_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import ljung_box
 
     ev = _valued(seed=233, n=2500, nusers=15)
-    got = ljung_box(ray.data.from_pandas(ev).repartition(6),
-                    max_lag=3, num_partitions=4)
+    got = ljung_box(ray.data.from_pandas(ev).repartition(6), max_lag=3)
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.float64)
@@ -1656,8 +1624,7 @@ def test_trend_seasonal_strength_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import trend_seasonal_strength
 
     ev = _valued(seed=239, n=3000, nusers=12)
-    got = trend_seasonal_strength(
-        ray.data.from_pandas(ev).repartition(6), num_partitions=4)
+    got = trend_seasonal_strength(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.float64)
         tus = g["ts"].to_numpy("datetime64[us]").view(np.int64)
@@ -1692,8 +1659,7 @@ def test_trend_seasonal_strength_bruteforce(ray_session):
                              50 + 40 * np.sin(hour / 24 * 2 * np.pi)
                              + rng.normal(0, 1, n), 2)})
     out = trend_seasonal_strength(
-        ray.data.from_pandas(pd.concat([ramp, wave], ignore_index=True)),
-        num_partitions=2)
+        ray.data.from_pandas(pd.concat([ramp, wave], ignore_index=True)))
     assert out[out["user_id"] == 1]["trend_strength"].iloc[0] > 0.95
     assert out[out["user_id"] == 2]["seasonal_strength"].iloc[0] > 0.95
 
@@ -1702,8 +1668,7 @@ def test_turning_points_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import turning_points
 
     ev = _valued(seed=241, n=2500, nusers=15)
-    got = turning_points(ray.data.from_pandas(ev).repartition(6),
-                         num_partitions=4)
+    got = turning_points(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -1724,7 +1689,7 @@ def test_turning_points_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(200) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.arange(200, dtype=np.float64)})
-    out = turning_points(ray.data.from_pandas(mono), num_partitions=2)
+    out = turning_points(ray.data.from_pandas(mono))
     assert int(out["n_turns"].iloc[0]) == 0 and out["z_tp"].iloc[0] < -10
 
 
@@ -1732,8 +1697,7 @@ def test_ar1_fit_bruteforce_and_recovery(ray_session):
     from cesium_ray.stages.tsmath import ar1_fit
 
     ev = _valued(seed=251, n=2500, nusers=15)
-    got = ar1_fit(ray.data.from_pandas(ev).repartition(6),
-                  num_partitions=4)
+    got = ar1_fit(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.float64)
@@ -1762,7 +1726,7 @@ def test_ar1_fit_bruteforce_and_recovery(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.round(z, 2)})
-    out = ar1_fit(ray.data.from_pandas(ar), num_partitions=2)
+    out = ar1_fit(ray.data.from_pandas(ar))
     assert abs(out["phi"].iloc[0] - true_phi) < 0.05
     assert 1.5 < out["half_life"].iloc[0] < 2.5  # -ln2/ln(0.7) ≈ 1.94
 
@@ -1771,8 +1735,7 @@ def test_burstiness_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import burstiness
 
     ev = _valued(seed=261, n=2500, nusers=15)
-    got = burstiness(ray.data.from_pandas(ev).repartition(6),
-                     num_partitions=4)
+    got = burstiness(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         t = g["ts"].to_numpy("datetime64[us]").view(np.int64)
@@ -1799,7 +1762,7 @@ def test_burstiness_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 60 * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.zeros(n)})
-    out = burstiness(ray.data.from_pandas(metro), num_partitions=2)
+    out = burstiness(ray.data.from_pandas(metro))
     assert abs(out["b_burst"].iloc[0] + 1.0) < 1e-12
     assert np.isnan(out["m_memory"].iloc[0])
 
@@ -1808,8 +1771,7 @@ def test_kendall_tau_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import kendall_tau
 
     ev = _valued(seed=271, n=2000, nusers=12)
-    got = kendall_tau(ray.data.from_pandas(ev).repartition(6),
-                      num_partitions=4)
+    got = kendall_tau(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         t = g["ts"].to_numpy("datetime64[us]").view(np.int64)
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -1841,7 +1803,7 @@ def test_kendall_tau_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.arange(n, dtype=np.float64)})
-    out = kendall_tau(ray.data.from_pandas(mono), num_partitions=2)
+    out = kendall_tau(ray.data.from_pandas(mono))
     assert abs(out["tau_b"].iloc[0] - 1.0) < 1e-12
 
 
@@ -1849,8 +1811,7 @@ def test_seasonal_naive_mase_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import seasonal_naive_mase
 
     ev = _events(seed=281, n=3000, nusers=15)
-    got = seasonal_naive_mase(ray.data.from_pandas(ev).repartition(6),
-                              num_partitions=4)
+    got = seasonal_naive_mase(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         hb = g["ts"].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
@@ -1880,8 +1841,7 @@ def test_seasonal_naive_mase_bruteforce(ray_session):
     extra = per[np.arange(reps) % 24 == 0].copy()
     extra["event_id"] += 10_000
     out = seasonal_naive_mase(
-        ray.data.from_pandas(pd.concat([per, extra], ignore_index=True)),
-        num_partitions=2)
+        ray.data.from_pandas(pd.concat([per, extra], ignore_index=True)))
     assert out["mase"].iloc[0] == 0.0
 
 
@@ -1889,8 +1849,7 @@ def test_pacf_bruteforce_and_ar1_cutoff(ray_session):
     from cesium_ray.stages.tsmath import pacf_lags
 
     ev = _valued(seed=291, n=2500, nusers=15)
-    got = pacf_lags(ray.data.from_pandas(ev).repartition(6),
-                    num_partitions=4)
+    got = pacf_lags(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.float64)
@@ -1923,7 +1882,7 @@ def test_pacf_bruteforce_and_ar1_cutoff(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.round(x, 2)})
-    out = pacf_lags(ray.data.from_pandas(ar), num_partitions=2)
+    out = pacf_lags(ray.data.from_pandas(ar))
     assert abs(out["pacf1"].iloc[0] - phi) < 0.05
     assert abs(out["pacf2"].iloc[0]) < 0.06
     assert abs(out["pacf3"].iloc[0]) < 0.06
@@ -1933,8 +1892,7 @@ def test_durbin_watson_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import durbin_watson
 
     ev = _valued(seed=301, n=2500, nusers=15)
-    got = durbin_watson(ray.data.from_pandas(ev).repartition(6),
-                        num_partitions=4)
+    got = durbin_watson(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.float64)
@@ -1952,7 +1910,7 @@ def test_durbin_watson_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.where(np.arange(n) % 2 == 0, 1.0, -1.0)})
-    out = durbin_watson(ray.data.from_pandas(alt), num_partitions=2)
+    out = durbin_watson(ray.data.from_pandas(alt))
     assert out["dw"].iloc[0] > 3.9
 
 
@@ -1960,8 +1918,7 @@ def test_count_dispersion_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import count_dispersion
 
     ev = _events(seed=311, n=3000, nusers=15)
-    got = count_dispersion(ray.data.from_pandas(ev).repartition(6),
-                           num_partitions=4)
+    got = count_dispersion(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         hb = g["ts"].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
@@ -1985,7 +1942,7 @@ def test_count_dispersion_bruteforce(ray_session):
         "event_type": ["a"] * n,
         "ts": pd.to_datetime(np.arange(n) * 3_600 * 10**6, unit="us"
                              ).astype("datetime64[us]")})
-    out = count_dispersion(ray.data.from_pandas(per), num_partitions=2)
+    out = count_dispersion(ray.data.from_pandas(per))
     assert out["fano"].iloc[0] == 0.0 and out["allan"].iloc[0] == 0.0
 
 
@@ -1994,7 +1951,7 @@ def test_sample_entropy_bruteforce(ray_session):
 
     ev = _valued(seed=321, n=1500, nusers=10)
     got = sample_entropy(ray.data.from_pandas(ev).repartition(6),
-                         tolerance=800, num_partitions=4)
+                         tolerance=800)
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -2023,7 +1980,7 @@ def test_sample_entropy_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.full(n, 3.0)})
-    out = sample_entropy(ray.data.from_pandas(const), num_partitions=2)
+    out = sample_entropy(ray.data.from_pandas(const))
     assert out["sampen"].iloc[0] == 0.0
     # regular alternation scores lower than a shuffled copy
     ab = np.where(np.arange(200) % 2 == 0, 10.0, -10.0)
@@ -2035,8 +1992,7 @@ def test_sample_entropy_bruteforce(ray_session):
         "ts": pd.to_datetime(np.r_[np.arange(200), np.arange(200)] * 10**6,
                              unit="us").astype("datetime64[us]"),
         "value": np.r_[ab, sh]})
-    out = sample_entropy(ray.data.from_pandas(both), tolerance=100,
-                         num_partitions=2)
+    out = sample_entropy(ray.data.from_pandas(both), tolerance=100)
     o = out.set_index("user_id")["sampen"]
     assert o[1] < o[2]
 
@@ -2045,8 +2001,7 @@ def test_peak_rate_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import peak_rate
 
     ev = _events(seed=331, n=3000, nusers=15)
-    got = peak_rate(ray.data.from_pandas(ev).repartition(6),
-                    window_s=86400, num_partitions=4)
+    got = peak_rate(ray.data.from_pandas(ev).repartition(6), window_s=86400)
     w = 86400 * 10**6
     for uid, g in ev.groupby("user_id"):
         t = np.sort(g["ts"].to_numpy("datetime64[us]").view(np.int64))
@@ -2063,8 +2018,7 @@ def test_peak_rate_bruteforce(ray_session):
         "event_type": ["a"] * 30,
         "ts": pd.to_datetime(base + np.arange(30) * 10**5, unit="us"
                              ).astype("datetime64[us]")})
-    out = peak_rate(ray.data.from_pandas(burst), window_s=60,
-                    num_partitions=2)
+    out = peak_rate(ray.data.from_pandas(burst), window_s=60)
     assert int(out["peak_cnt"].iloc[0]) == 30
 
 
@@ -2072,8 +2026,7 @@ def test_markov_entropy_rate_bruteforce(ray_session):
     from cesium_ray.stages.analytics import markov_entropy_rate
 
     ev = _events(seed=341, n=2500, nusers=15)
-    got = markov_entropy_rate(ray.data.from_pandas(ev).repartition(6),
-                              num_partitions=4)
+    got = markov_entropy_rate(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         a = g["event_type"].to_numpy(object)
@@ -2096,8 +2049,7 @@ def test_markov_entropy_rate_bruteforce(ray_session):
         "event_type": np.where(np.arange(n) % 2 == 0, "a", "b"),
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]")})
-    out = markov_entropy_rate(ray.data.from_pandas(cyc),
-                              num_partitions=2)
+    out = markov_entropy_rate(ray.data.from_pandas(cyc))
     assert out["entropy_rate"].iloc[0] == 0.0
 
 
@@ -2105,8 +2057,7 @@ def test_exp_gap_fit_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import exp_gap_fit
 
     ev = _events(seed=351, n=2500, nusers=15)
-    got = exp_gap_fit(ray.data.from_pandas(ev).repartition(6),
-                      num_partitions=4)
+    got = exp_gap_fit(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         t = g["ts"].to_numpy("datetime64[us]").view(np.int64)
@@ -2138,7 +2089,7 @@ def test_exp_gap_fit_bruteforce(ray_session):
                          ].astype(np.int64),
         "ts": pd.to_datetime(np.r_[t_exp, t_met], unit="us"
                              ).astype("datetime64[us]")})
-    out = exp_gap_fit(ray.data.from_pandas(both), num_partitions=2)
+    out = exp_gap_fit(ray.data.from_pandas(both))
     o = out.set_index("user_id")["ks_exp"]
     assert o[1] < 0.05
     assert abs(o[2] - (1.0 - np.exp(-1.0))) < 1e-9
@@ -2175,8 +2126,7 @@ def test_day_streak_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import day_streak
 
     ev = _events(seed=361, n=3000, nusers=15)
-    got = day_streak(ray.data.from_pandas(ev).repartition(6),
-                     num_partitions=4)
+    got = day_streak(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         days = np.unique(g["ts"].to_numpy("datetime64[us]")
                          .view(np.int64) // 86_400_000_000)
@@ -2195,7 +2145,7 @@ def test_day_streak_bruteforce(ray_session):
         "user_id": np.full(len(d), 3, dtype=np.int64),
         "ts": pd.to_datetime(d * 86_400 * 10**6 + 5, unit="us"
                              ).astype("datetime64[us]")})
-    out = day_streak(ray.data.from_pandas(pl), num_partitions=2)
+    out = day_streak(ray.data.from_pandas(pl))
     assert int(out["n_active_days"].iloc[0]) == 6
     assert int(out["max_streak"].iloc[0]) == 3
 
@@ -2204,8 +2154,7 @@ def test_seasonal_power_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import seasonal_power
 
     ev = _events(seed=371, n=3000, nusers=15)
-    got = seasonal_power(ray.data.from_pandas(ev).repartition(6),
-                         num_partitions=4)
+    got = seasonal_power(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         hb = g["ts"].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
@@ -2238,7 +2187,7 @@ def test_seasonal_power_bruteforce(ray_session):
         "event_id": np.arange(len(ts), dtype=np.int64),
         "user_id": np.full(len(ts), 6, dtype=np.int64),
         "ts": pd.to_datetime(ts, unit="us").astype("datetime64[us]")})
-    out = seasonal_power(ray.data.from_pandas(pl), num_partitions=2)
+    out = seasonal_power(ray.data.from_pandas(pl))
     assert out["r2_24h"].iloc[0] > 0.98
     assert out["r2_12h"].iloc[0] < 0.02
 
@@ -2247,8 +2196,7 @@ def test_haar_energy_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import haar_energy
 
     ev = _events(seed=381, n=3000, nusers=15)
-    got = haar_energy(ray.data.from_pandas(ev).repartition(6),
-                      num_partitions=4)
+    got = haar_energy(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         hb = g["ts"].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
@@ -2276,7 +2224,7 @@ def test_haar_energy_bruteforce(ray_session):
         "event_id": np.arange(len(ts), dtype=np.int64),
         "user_id": np.full(len(ts), 5, dtype=np.int64),
         "ts": pd.to_datetime(ts, unit="us").astype("datetime64[us]")})
-    out = haar_energy(ray.data.from_pandas(pl), num_partitions=2)
+    out = haar_energy(ray.data.from_pandas(pl))
     # note: the grid only spans hours that contain events (odd hours
     # at the tail are empty), so span = 63 and the last lone hour of
     # each level is truncated
@@ -2289,8 +2237,7 @@ def test_gumbel_maxima_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import gumbel_maxima
 
     ev = _events(seed=391, n=3000, nusers=15)
-    got = gumbel_maxima(ray.data.from_pandas(ev).repartition(6),
-                        num_partitions=4)
+    got = gumbel_maxima(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         hb = g["ts"].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
@@ -2321,7 +2268,7 @@ def test_gumbel_maxima_bruteforce(ray_session):
         "event_id": np.arange(len(ts), dtype=np.int64),
         "user_id": np.full(len(ts), 1, dtype=np.int64),
         "ts": pd.to_datetime(ts, unit="us").astype("datetime64[us]")})
-    out = gumbel_maxima(ray.data.from_pandas(pl), num_partitions=2)
+    out = gumbel_maxima(ray.data.from_pandas(pl))
     assert abs(out["gum_mu"].iloc[0] - 50.0) < 2.0
     assert abs(out["gum_beta"].iloc[0] - 8.0) < 1.5
 
@@ -2330,8 +2277,7 @@ def test_gini_values_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import gini_values
 
     ev = _valued(seed=401, n=1200, nusers=10)
-    got = gini_values(ray.data.from_pandas(ev).repartition(5),
-                      num_partitions=4)
+    got = gini_values(ray.data.from_pandas(ev).repartition(5))
     for uid, g in ev.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
         n = len(x)
@@ -2346,7 +2292,7 @@ def test_gini_values_bruteforce(ray_session):
         "event_id": np.arange(40, dtype=np.int64),
         "user_id": np.full(40, 1, dtype=np.int64),
         "value": x})
-    out = gini_values(ray.data.from_pandas(pl), num_partitions=2)
+    out = gini_values(ray.data.from_pandas(pl))
     want = 30 * 10 * 1000 / (40 * 39 / 2)  # pairs across the groups
     assert abs(out["gmd"].iloc[0] - want) < 1e-9
 
@@ -2355,8 +2301,7 @@ def test_quartile_cv_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import quartile_cv
 
     ev = _valued(seed=411, n=1500, nusers=12)
-    got = quartile_cv(ray.data.from_pandas(ev).repartition(5),
-                      num_partitions=4)
+    got = quartile_cv(ray.data.from_pandas(ev).repartition(5))
     for uid, g in ev.groupby("user_id"):
         x = np.sort(np.rint(g["value"].to_numpy() * 100)
                     .astype(np.int64))
@@ -2373,7 +2318,7 @@ def test_quartile_cv_bruteforce(ray_session):
         "event_id": np.arange(8, dtype=np.int64),
         "user_id": np.full(8, 2, dtype=np.int64),
         "value": np.arange(1, 9, dtype=np.float64)})
-    out = quartile_cv(ray.data.from_pandas(pl), num_partitions=2)
+    out = quartile_cv(ray.data.from_pandas(pl))
     assert int(out["iqr"].iloc[0]) == 400
     assert abs(out["cqv"].iloc[0] - 400 / 800) < 1e-12
 
@@ -2382,8 +2327,7 @@ def test_daily_profile_drift_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import daily_profile_drift
 
     ev = _events(seed=421, n=3000, nusers=15)
-    got = daily_profile_drift(ray.data.from_pandas(ev).repartition(6),
-                              num_partitions=4)
+    got = daily_profile_drift(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         hb = g["ts"].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
@@ -2414,8 +2358,7 @@ def test_daily_profile_drift_bruteforce(ray_session):
         "event_id": np.arange(10, dtype=np.int64),
         "user_id": np.full(10, 4, dtype=np.int64),
         "ts": pd.to_datetime(ts, unit="us").astype("datetime64[us]")})
-    out = daily_profile_drift(ray.data.from_pandas(pl),
-                              num_partitions=2)
+    out = daily_profile_drift(ray.data.from_pandas(pl))
     # odd day: KL = ln(1/(1/10)) = ln 10; routine days: ln(10/9)
     assert abs(out["max_kl"].iloc[0] - np.log(10.0)) < 1e-12
 
@@ -2424,8 +2367,7 @@ def test_count_acf_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import count_acf
 
     ev = _events(seed=441, n=3000, nusers=15)
-    got = count_acf(ray.data.from_pandas(ev).repartition(6),
-                    num_partitions=4)
+    got = count_acf(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         hb = g["ts"].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
@@ -2454,7 +2396,7 @@ def test_count_acf_bruteforce(ray_session):
         "event_id": np.arange(len(ts), dtype=np.int64),
         "user_id": np.full(len(ts), 2, dtype=np.int64),
         "ts": pd.to_datetime(ts, unit="us").astype("datetime64[us]")})
-    out = count_acf(ray.data.from_pandas(pl), num_partitions=2)
+    out = count_acf(ray.data.from_pandas(pl))
     assert out["cacf24"].iloc[0] > 0.9
     assert out["cacf1"].iloc[0] < 0.3
 
@@ -2463,8 +2405,7 @@ def test_circadian_phase_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import circadian_phase
 
     ev = _events(seed=451, n=2500, nusers=15)
-    got = circadian_phase(ray.data.from_pandas(ev).repartition(6),
-                          num_partitions=4)
+    got = circadian_phase(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         tod = g["ts"].to_numpy("datetime64[us]").view(np.int64) \
             % 86_400_000_000
@@ -2488,7 +2429,7 @@ def test_circadian_phase_bruteforce(ray_session):
         "event_id": np.arange(4, dtype=np.int64),
         "user_id": np.full(4, 3, dtype=np.int64),
         "ts": pd.to_datetime(ts, unit="us").astype("datetime64[us]")})
-    out = circadian_phase(ray.data.from_pandas(pl), num_partitions=2)
+    out = circadian_phase(ray.data.from_pandas(pl))
     mh = out["mean_hour"].iloc[0]
     assert min(mh, 24 - mh) < 1e-6
     assert abs(out["resultant"].iloc[0]
@@ -2499,8 +2440,7 @@ def test_hour_runs_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import hour_runs
 
     ev = _events(seed=471, n=3000, nusers=15)
-    got = hour_runs(ray.data.from_pandas(ev).repartition(6),
-                    num_partitions=4)
+    got = hour_runs(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         hb = g["ts"].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
@@ -2538,7 +2478,7 @@ def test_hour_runs_bruteforce(ray_session):
         "event_id": np.arange(len(ts), dtype=np.int64),
         "user_id": np.full(len(ts), 9, dtype=np.int64),
         "ts": pd.to_datetime(ts, unit="us").astype("datetime64[us]")})
-    out = hour_runs(ray.data.from_pandas(pl), num_partitions=2)
+    out = hour_runs(ray.data.from_pandas(pl))
     assert int(out["active_runs"].iloc[0]) == 9
     assert int(out["max_active_run"].iloc[0]) == 3
     assert abs(out["mean_active_run"].iloc[0] - 3.0) < 1e-12
@@ -2568,8 +2508,7 @@ def test_lmoments_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import lmoments
 
     ev = _valued(seed=481, n=1500, nusers=12)
-    got = lmoments(ray.data.from_pandas(ev).repartition(5),
-                   num_partitions=4)
+    got = lmoments(ray.data.from_pandas(ev).repartition(5))
     for uid, g in ev.groupby("user_id"):
         x = np.sort(np.rint(g["value"].to_numpy() * 100)
                     .astype(np.int64)).astype(np.float64)
@@ -2599,8 +2538,7 @@ def test_lmoments_bruteforce(ray_session):
         "event_id": np.arange(2 * n, dtype=np.int64),
         "user_id": np.r_[np.full(n, 1), np.full(n, 2)].astype(np.int64),
         "value": np.r_[uni, expo]})
-    out = lmoments(ray.data.from_pandas(df), num_partitions=2
-                   ).set_index("user_id")
+    out = lmoments(ray.data.from_pandas(df)).set_index("user_id")
     assert abs(out.loc[1, "t3"]) < 0.02
     assert abs(out.loc[1, "t4"]) < 0.02
     assert abs(out.loc[2, "t3"] - 1.0 / 3.0) < 0.03
@@ -2610,8 +2548,7 @@ def test_hjorth_params_bruteforce_and_sine(ray_session):
     from cesium_ray.stages.tsmath import hjorth_params
 
     ev = _valued(seed=301, n=2600, nusers=15)
-    got = hjorth_params(ray.data.from_pandas(ev).repartition(6),
-                        num_partitions=4)
+    got = hjorth_params(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.float64)
@@ -2637,7 +2574,7 @@ def test_hjorth_params_bruteforce_and_sine(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.round(A * np.sin(w * np.arange(n)), 2)})
-    out = hjorth_params(ray.data.from_pandas(sine), num_partitions=2)
+    out = hjorth_params(ray.data.from_pandas(sine))
     assert abs(out["mobility"].iloc[0] - 2 * np.sin(w / 2)) < 0.01
     assert abs(out["complexity"].iloc[0] - 1.0) < 0.02
 
@@ -2646,8 +2583,7 @@ def test_teager_energy_bruteforce_and_sine(ray_session):
     from cesium_ray.stages.tsmath import teager_energy
 
     ev = _valued(seed=307, n=2400, nusers=15)
-    got = teager_energy(ray.data.from_pandas(ev).repartition(6),
-                        num_partitions=4)
+    got = teager_energy(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -2671,7 +2607,7 @@ def test_teager_energy_bruteforce_and_sine(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.round(A * np.sin(w * np.arange(n)), 2)})
-    out = teager_energy(ray.data.from_pandas(sine), num_partitions=2)
+    out = teager_energy(ray.data.from_pandas(sine))
     expect = A * A * np.sin(w) ** 2
     assert abs(out["mean_psi"].iloc[0] - expect) < 0.05 * expect
     assert out["neg_share"].iloc[0] < 0.02
@@ -2681,8 +2617,7 @@ def test_fractal_dims_bruteforce_and_shapes(ray_session):
     from cesium_ray.stages.tsmath import fractal_dims
 
     ev = _valued(seed=311, n=2400, nusers=15)
-    got = fractal_dims(ray.data.from_pandas(ev).repartition(6),
-                       num_partitions=4)
+    got = fractal_dims(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -2718,8 +2653,7 @@ def test_fractal_dims_bruteforce_and_shapes(ray_session):
                                           -10.0)})
     out = fractal_dims(
         ray.data.from_pandas(pd.concat([ramp, saw],
-                                       ignore_index=True)),
-        num_partitions=2)
+                                       ignore_index=True)))
     r = out[out["user_id"] == 1].iloc[0]
     z = out[out["user_id"] == 2].iloc[0]
     assert r["n_delta"] == 0 and abs(r["pfd"] - 1.0) < 1e-12
@@ -2731,8 +2665,7 @@ def test_page_hinkley_bruteforce_and_shift(ray_session):
     from cesium_ray.stages.tsmath import page_hinkley
 
     ev = _valued(seed=313, n=2200, nusers=15)
-    got = page_hinkley(ray.data.from_pandas(ev).repartition(6),
-                       num_partitions=4)
+    got = page_hinkley(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -2755,7 +2688,7 @@ def test_page_hinkley_bruteforce_and_shift(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.where(np.arange(n) < n // 2, 0.0, shift)})
-    out = page_hinkley(ray.data.from_pandas(step), num_partitions=2)
+    out = page_hinkley(ray.data.from_pandas(step))
     # the step makes a V-shaped cumsum: full ascent n·shift/4 on the
     # up side, the same descent less the first step on the down side
     expect = shift * n / 4.0
@@ -2767,8 +2700,7 @@ def test_grubbs_stat_bruteforce_and_outlier(ray_session):
     from cesium_ray.stages.tsmath import grubbs_stat
 
     ev = _valued(seed=317, n=2000, nusers=15)
-    got = grubbs_stat(ray.data.from_pandas(ev).repartition(6),
-                      num_partitions=4)
+    got = grubbs_stat(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.float64)
         n = len(x)
@@ -2789,7 +2721,7 @@ def test_grubbs_stat_bruteforce_and_outlier(ray_session):
                        "value": base + np.round(
                            np.random.default_rng(3).uniform(
                                -0.5, 0.5, 500), 2)})
-    out = grubbs_stat(ray.data.from_pandas(pl), num_partitions=2)
+    out = grubbs_stat(ray.data.from_pandas(pl))
     assert out["grubbs_g"].iloc[0] > 20.0
     assert abs(out["max_dev"].iloc[0] - (500.0 - out["max_dev"].iloc[0]
                * 0 - 10.0)) < 2.0
@@ -2799,8 +2731,7 @@ def test_rfm_segmentation_bruteforce(ray_session):
     from cesium_ray.stages.analytics import rfm_segmentation
 
     ev = _valued(seed=331, n=2500, nusers=20)
-    got = rfm_segmentation(ray.data.from_pandas(ev).repartition(6),
-                           num_partitions=4)
+    got = rfm_segmentation(ray.data.from_pandas(ev).repartition(6))
     agg = ev.assign(k=np.rint(ev["value"] * 100).astype(np.int64),
                     t=ev["ts"].astype("datetime64[us]").astype(
                         np.int64)) \
@@ -2839,8 +2770,7 @@ def test_monotone_runs_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import monotone_runs
 
     ev = _valued(seed=337, n=2400, nusers=15)
-    got = monotone_runs(ray.data.from_pandas(ev).repartition(6),
-                        num_partitions=4)
+    got = monotone_runs(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -2875,7 +2805,7 @@ def test_monotone_runs_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.arange(n) * 0.25})
-    out = monotone_runs(ray.data.from_pandas(ramp), num_partitions=2)
+    out = monotone_runs(ray.data.from_pandas(ramp))
     assert out["longest_up"].iloc[0] == n - 1
     assert out["n_runs"].iloc[0] == 1
     assert out["longest_down"].iloc[0] == 0
@@ -2885,8 +2815,7 @@ def test_variogram_bruteforce_and_walk(ray_session):
     from cesium_ray.stages.tsmath import variogram
 
     ev = _valued(seed=347, n=2400, nusers=15)
-    got = variogram(ray.data.from_pandas(ev).repartition(6),
-                    num_partitions=4)
+    got = variogram(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for h in (1, 2, 4, 8):
         ss, npair = 0, 0
@@ -2912,7 +2841,7 @@ def test_variogram_bruteforce_and_walk(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": walk})
-    out = variogram(ray.data.from_pandas(wdf), num_partitions=2)
+    out = variogram(ray.data.from_pandas(wdf))
     g1 = out[out["lag"] == 1]["gamma"].iloc[0]
     g8 = out[out["lag"] == 8]["gamma"].iloc[0]
     assert 5.0 < g8 / g1 < 11.0       # ideal random walk: ratio 8
@@ -2985,8 +2914,7 @@ def test_time_reversal_bruteforce_and_sawtooth(ray_session):
     from cesium_ray.stages.tsmath import time_reversal
 
     ev = _valued(seed=359, n=2200, nusers=15)
-    got = time_reversal(ray.data.from_pandas(ev).repartition(6),
-                        num_partitions=4)
+    got = time_reversal(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -3011,7 +2939,7 @@ def test_time_reversal_bruteforce_and_sawtooth(ray_session):
         "ts": pd.to_datetime(np.arange(len(saw)) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": saw})
-    out = time_reversal(ray.data.from_pandas(pl), num_partitions=2)
+    out = time_reversal(ray.data.from_pandas(pl))
     assert out["trev"].iloc[0] < -1.0
 
 
@@ -3019,8 +2947,7 @@ def test_c3_nonlinearity_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import c3_nonlinearity
 
     ev = _valued(seed=367, n=2000, nusers=15)
-    got = c3_nonlinearity(ray.data.from_pandas(ev).repartition(6),
-                          lag=1, num_partitions=4)
+    got = c3_nonlinearity(ray.data.from_pandas(ev).repartition(6), lag=1)
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -3041,8 +2968,7 @@ def test_c3_nonlinearity_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(100) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.full(100, 7.0)})
-    out = c3_nonlinearity(ray.data.from_pandas(pl), lag=1,
-                          num_partitions=2)
+    out = c3_nonlinearity(ray.data.from_pandas(pl), lag=1)
     assert abs(out["c3"].iloc[0] - 343.0) < 1e-9
 
 
@@ -3050,8 +2976,7 @@ def test_energy_chunks_bruteforce_and_ramp(ray_session):
     from cesium_ray.stages.tsmath import energy_chunks
 
     ev = _valued(seed=373, n=2000, nusers=12)
-    got = energy_chunks(ray.data.from_pandas(ev).repartition(6),
-                        n_chunks=8, num_partitions=4)
+    got = energy_chunks(ray.data.from_pandas(ev).repartition(6), n_chunks=8)
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -3078,8 +3003,7 @@ def test_energy_chunks_bruteforce_and_ramp(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.arange(n) * 0.1})
-    out = energy_chunks(ray.data.from_pandas(ramp), n_chunks=8,
-                        num_partitions=2)
+    out = energy_chunks(ray.data.from_pandas(ramp), n_chunks=8)
     sh = out.sort_values("chunk")["share"].to_numpy()
     assert sh[-1] > 0.3 and sh[0] < 0.01
     assert (np.diff(sh) > 0).all()
@@ -3089,8 +3013,7 @@ def test_binned_entropy_bruteforce_and_levels(ray_session):
     from cesium_ray.stages.tsmath import binned_entropy
 
     ev = _valued(seed=379, n=2000, nusers=12)
-    got = binned_entropy(ray.data.from_pandas(ev).repartition(6),
-                         n_bins=10, num_partitions=4)
+    got = binned_entropy(ray.data.from_pandas(ev).repartition(6), n_bins=10)
     for uid, g in ev.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
         n = len(x)
@@ -3110,8 +3033,7 @@ def test_binned_entropy_bruteforce_and_levels(ray_session):
                          np.full(5000, 2, dtype=np.int64)],
         "value": np.r_[np.full(500, 3.14),
                        np.round(rng.uniform(0, 100, 5000), 2)]})
-    out = binned_entropy(ray.data.from_pandas(pl), n_bins=10,
-                         num_partitions=2)
+    out = binned_entropy(ray.data.from_pandas(pl), n_bins=10)
     r1 = out[out["user_id"] == 1].iloc[0]
     r2 = out[out["user_id"] == 2].iloc[0]
     assert r1["bins_used"] == 1 and abs(r1["entropy"]) < 1e-12
@@ -3122,8 +3044,7 @@ def test_psd_profile_bruteforce_and_tone(ray_session):
     from cesium_ray.stages.tsmath import psd_profile
 
     ev = _events(seed=383, n=3000, nusers=12)
-    got = psd_profile(ray.data.from_pandas(ev).repartition(6),
-                      n_freqs=8, num_partitions=4)
+    got = psd_profile(ray.data.from_pandas(ev).repartition(6), n_freqs=8)
     hb = ev["ts"].astype("datetime64[us]").astype(np.int64) \
         // 3_600_000_000
     for uid, g in pd.DataFrame({"u": ev["user_id"], "hb": hb}) \
@@ -3164,8 +3085,7 @@ def test_psd_profile_bruteforce_and_tone(ray_session):
         "ts": pd.to_datetime(np.array(hours) * 3_600_000_000
                              + np.arange(len(hours)), unit="us"
                              ).astype("datetime64[us]")})
-    out = psd_profile(ray.data.from_pandas(pl), n_freqs=8,
-                      num_partitions=2)
+    out = psd_profile(ray.data.from_pandas(pl), n_freqs=8)
     assert out[out["j"] == 4]["share"].iloc[0] > 0.9
 
 
@@ -3173,8 +3093,7 @@ def test_extreme_locations_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import extreme_locations
 
     ev = _valued(seed=389, n=2200, nusers=15)
-    got = extreme_locations(ray.data.from_pandas(ev).repartition(6),
-                            num_partitions=4)
+    got = extreme_locations(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
     for uid, g in s.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
@@ -3196,8 +3115,7 @@ def test_weibull_gaps_bruteforce_and_shape(ray_session):
     from cesium_ray.stages.tsmath import weibull_gaps
 
     ev = _events(seed=397, n=2600, nusers=14)
-    got = weibull_gaps(ray.data.from_pandas(ev).repartition(6),
-                       num_partitions=4)
+    got = weibull_gaps(ray.data.from_pandas(ev).repartition(6))
     for uid, g in ev.groupby("user_id"):
         t = np.sort(g["ts"].astype("datetime64[us]")
                     .astype(np.int64).to_numpy())
@@ -3232,8 +3150,7 @@ def test_weibull_gaps_bruteforce_and_shape(ray_session):
             "ts": pd.to_datetime(t * 10**6, unit="us"
                                  ).astype("datetime64[us]")}))
     out = weibull_gaps(
-        ray.data.from_pandas(pd.concat(frames, ignore_index=True)),
-        num_partitions=2)
+        ray.data.from_pandas(pd.concat(frames, ignore_index=True)))
     k1 = out[out["user_id"] == 1]["weibull_k"].iloc[0]
     k2 = out[out["user_id"] == 2]["weibull_k"].iloc[0]
     k3 = out[out["user_id"] == 3]["weibull_k"].iloc[0]
@@ -3246,8 +3163,7 @@ def test_complexity_profile_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import complexity_profile
 
     ev = _valued(seed=409, n=2400, nusers=16)
-    got = complexity_profile(ray.data.from_pandas(ev)
-                             .repartition(6), num_partitions=4)
+    got = complexity_profile(ray.data.from_pandas(ev) .repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"],
                        kind="mergesort")
     for uid, g in s.groupby("user_id"):
@@ -3274,8 +3190,7 @@ def test_complexity_profile_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.arange(n) * 0.05})
-    out = complexity_profile(ray.data.from_pandas(pl),
-                             num_partitions=2)
+    out = complexity_profile(ray.data.from_pandas(pl))
     assert out["msd"].iloc[0] == 0.0
     assert out["sum_abs_change"].iloc[0] == 5 * (n - 1)
 
@@ -3284,8 +3199,7 @@ def test_strike_profile_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import strike_profile
 
     ev = _valued(seed=419, n=2400, nusers=16)
-    got = strike_profile(ray.data.from_pandas(ev).repartition(6),
-                         num_partitions=4)
+    got = strike_profile(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"],
                        kind="mergesort")
 
@@ -3316,8 +3230,7 @@ def test_strike_profile_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.where(np.arange(n) % 2 == 0, 1.0, -1.0)})
-    out = strike_profile(ray.data.from_pandas(pl),
-                         num_partitions=2)
+    out = strike_profile(ray.data.from_pandas(pl))
     assert out["longest_above"].iloc[0] == 1
     assert out["longest_below"].iloc[0] == 1
     assert out["n_cross"].iloc[0] == n - 1
@@ -3327,8 +3240,7 @@ def test_index_mass_quantile_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import index_mass_quantile
 
     ev = _valued(seed=421, n=2400, nusers=16)
-    got = index_mass_quantile(ray.data.from_pandas(ev)
-                              .repartition(6), num_partitions=4)
+    got = index_mass_quantile(ray.data.from_pandas(ev) .repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"],
                        kind="mergesort")
     for uid, g in s.groupby("user_id"):
@@ -3356,8 +3268,7 @@ def test_index_mass_quantile_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": v})
-    out = index_mass_quantile(ray.data.from_pandas(pl),
-                              num_partitions=2)
+    out = index_mass_quantile(ray.data.from_pandas(pl))
     assert (out[["idx_25", "idx_50", "idx_75"]].iloc[0] == 1).all()
 
 
@@ -3365,8 +3276,7 @@ def test_ratio_beyond_sigma_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import ratio_beyond_sigma
 
     ev = _valued(seed=433, n=2400, nusers=16)
-    got = ratio_beyond_sigma(ray.data.from_pandas(ev)
-                             .repartition(6), num_partitions=4)
+    got = ratio_beyond_sigma(ray.data.from_pandas(ev) .repartition(6))
     for uid, g in ev.groupby("user_id"):
         x = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
         n = len(x)
@@ -3388,8 +3298,7 @@ def test_ratio_beyond_sigma_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.full(n, 3.5)})
-    out = ratio_beyond_sigma(ray.data.from_pandas(pl),
-                             num_partitions=2)
+    out = ratio_beyond_sigma(ray.data.from_pandas(pl))
     assert out["n_beyond_1s"].iloc[0] == 0
     assert out["ratio_2s"].iloc[0] == 0.0
 
@@ -3400,8 +3309,7 @@ def test_reoccurrence_profile_bruteforce(ray_session):
     ev = _valued(seed=434, n=2400, nusers=16)
     # force heavy reoccurrence: quantize values to integers
     ev["value"] = np.round(ev["value"])
-    got = reoccurrence_profile(ray.data.from_pandas(ev)
-                               .repartition(6), num_partitions=4)
+    got = reoccurrence_profile(ray.data.from_pandas(ev) .repartition(6))
     for uid, g in ev.groupby("user_id"):
         k = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
         vals, cnts = np.unique(k, return_counts=True)
@@ -3427,8 +3335,7 @@ def test_reoccurrence_profile_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.arange(n, dtype=np.float64)})
-    out = reoccurrence_profile(ray.data.from_pandas(pl),
-                               num_partitions=2)
+    out = reoccurrence_profile(ray.data.from_pandas(pl))
     assert out["n_reocc_vals"].iloc[0] == 0
     assert out["sum_reocc_points"].iloc[0] == 0
     assert out["distinct_ratio"].iloc[0] == 1.0
@@ -3438,9 +3345,7 @@ def test_abs_max_profile_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import abs_max_profile
 
     ev = _valued(seed=435, n=2400, nusers=16)
-    got = abs_max_profile(ray.data.from_pandas(ev)
-                          .repartition(6), top_n=5,
-                          num_partitions=4)
+    got = abs_max_profile(ray.data.from_pandas(ev) .repartition(6), top_n=5)
     for uid, g in ev.groupby("user_id"):
         a = np.abs(np.rint(g["value"].to_numpy() * 100)
                    .astype(np.int64))
@@ -3457,8 +3362,7 @@ def test_abs_max_profile_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(3) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.array([-4.0, 1.0, 2.5])})
-    out = abs_max_profile(ray.data.from_pandas(pl), top_n=5,
-                          num_partitions=2)
+    out = abs_max_profile(ray.data.from_pandas(pl), top_n=5)
     assert out["top_abs_sum"].iloc[0] == 750
     assert abs(out["mean_abs_max"].iloc[0] - 2.5) < 1e-12
 
@@ -3503,8 +3407,7 @@ def test_chunk_trend_profile_bruteforce(ray_session):
     ev = _valued(seed=438, n=2400, nusers=12)
     C = 16
     got = chunk_trend_profile(ray.data.from_pandas(ev)
-                              .repartition(6), chunk_len=C,
-                              num_partitions=4)
+                              .repartition(6), chunk_len=C)
     s = ev.sort_values(["user_id", "ts", "event_id"],
                        kind="mergesort")
     st = C * (C - 1) // 2
@@ -3534,8 +3437,7 @@ def test_chunk_trend_profile_bruteforce(ray_session):
         "ts": pd.to_datetime(np.arange(n) * 10**6, unit="us"
                              ).astype("datetime64[us]"),
         "value": np.arange(n, dtype=np.float64) * 0.5})
-    out = chunk_trend_profile(ray.data.from_pandas(pl),
-                              chunk_len=16, num_partitions=2)
+    out = chunk_trend_profile(ray.data.from_pandas(pl), chunk_len=16)
     assert out["n_chunks"].iloc[0] == 4
     assert out["n_pos_slope"].iloc[0] == 4
     assert abs(out["slope_min"].iloc[0] - 0.5) < 1e-9
@@ -3546,8 +3448,7 @@ def test_diebold_mariano_bruteforce(ray_session):
     from cesium_ray.stages.tsmath import diebold_mariano
 
     ev = _valued(seed=440, n=2400, nusers=16)
-    got = diebold_mariano(ray.data.from_pandas(ev).repartition(6),
-                          num_partitions=4)
+    got = diebold_mariano(ray.data.from_pandas(ev).repartition(6))
     s = ev.sort_values(["user_id", "ts", "event_id"],
                        kind="mergesort")
     Ds = []
@@ -3579,8 +3480,7 @@ def test_diebold_mariano_bruteforce(ray_session):
         "value": np.round(np.arange(n2, dtype=np.float64) * 0.2
                           + np.random.default_rng(7)
                           .normal(0, 0.05, n2), 2)})
-    out = diebold_mariano(ray.data.from_pandas(pl),
-                          num_partitions=2)
+    out = diebold_mariano(ray.data.from_pandas(pl))
     assert out["sum_d"].iloc[0] < 0
 
 
@@ -3690,8 +3590,7 @@ def test_conformal_interval_bruteforce(ray_session):
 
     ev = _valued(seed=444, n=3000, nusers=20)
     got = conformal_interval(ray.data.from_pandas(ev)
-                             .repartition(6), alpha_pct=10,
-                             num_partitions=4)
+                             .repartition(6), alpha_pct=10)
     s = ev.sort_values(["user_id", "ts", "event_id"],
                        kind="mergesort")
     cal, tst = [], []

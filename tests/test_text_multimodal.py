@@ -115,8 +115,7 @@ def test_curate_documents_flags(ray_session):
     ds = ray.data.from_pandas(pd.DataFrame(
         {"doc_id": np.array([r[0] for r in rows], dtype=np.int64),
          "text": [r[1] for r in rows]}))
-    out = (curate_documents(ds, num_partitions=4).to_pandas()
-           .set_index("doc_id").sort_index())
+    out = (curate_documents(ds).to_pandas() .set_index("doc_id").sort_index())
     assert bool(out.loc[1, "is_exact_dup"]) and not bool(out.loc[0, "is_exact_dup"])
     assert bool(out.loc[2, "is_near_dup"]) and not bool(out.loc[2, "is_exact_dup"])
     assert not bool(out.loc[3, "keep"])          # short

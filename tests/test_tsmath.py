@@ -25,7 +25,7 @@ def test_ohlc_matches_duckdb(ray_session):
 
     ev = _events()
     got = (ohlc_rollup(ray.data.from_pandas(ev).repartition(6),
-                       bucket_s=3600, num_partitions=5)
+                       bucket_s=3600)
            .to_pandas().sort_values(["user_id", "bucket_us"])
            .reset_index(drop=True))
     want = duckdb.sql("""
@@ -52,8 +52,7 @@ def test_twa_single_point_and_ties(ray_session):
         ).astype("datetime64[us]"),
         "value": [7.25, 10.0, 20.0, 30.0, 4.0],
     })
-    got = (time_weighted_avg(ray.data.from_pandas(ev), bucket_s=86400,
-                             num_partitions=3)
+    got = (time_weighted_avg(ray.data.from_pandas(ev), bucket_s=86400)
            .to_pandas().set_index("user_id"))
     # single point → plain value; zero-span bucket → mean
     assert got.loc[1, "twa"] == 7.25
@@ -69,7 +68,7 @@ def test_twa_matches_duckdb(ray_session):
 
     ev = _events(seed=3)
     got = (time_weighted_avg(ray.data.from_pandas(ev).repartition(4),
-                             bucket_s=86400, num_partitions=5)
+                             bucket_s=86400)
            .to_pandas().sort_values(["user_id", "bucket_us"])
            .reset_index(drop=True))
     want = duckdb.sql("""
@@ -106,7 +105,7 @@ def test_zscore_flags_planted_outliers(ray_session):
     planted = [5, 777, 1500]
     ev.loc[planted, "value"] = 500.0
     got = (zscore_anomalies(ray.data.from_pandas(ev).repartition(4),
-                            thresh=2.5, num_partitions=4).to_pandas())
+                            thresh=2.5).to_pandas())
     assert set(planted) <= set(got["event_id"])
     # brute force per user
     for uid, g in ev.groupby("user_id"):
@@ -122,7 +121,7 @@ def test_zscore_constant_series_flags_nothing(ray_session):
 
     ev = pd.DataFrame({"event_id": [0, 1, 2], "user_id": [1, 1, 1],
                        "value": [5.0, 5.0, 5.0]})
-    got = zscore_anomalies(ray.data.from_pandas(ev), num_partitions=2).to_pandas()
+    got = zscore_anomalies(ray.data.from_pandas(ev)).to_pandas()
     assert len(got) == 0
 
 
@@ -156,7 +155,7 @@ def test_trend_corr_recovers_monotone_trend(ray_session):
                       "value": np.round(np.linspace(50, 1, n), 2)}),
         pd.DataFrame({"user_id": 3, "ts": ts[:1], "value": [5.0]}),
     ])
-    got = (trend_corr(ray.data.from_pandas(ev), num_partitions=3)
+    got = (trend_corr(ray.data.from_pandas(ev))
            .to_pandas().set_index("user_id"))
     assert got.loc[1, "trend_r"] > 0.999
     assert got.loc[2, "trend_r"] < -0.999
@@ -167,8 +166,7 @@ def test_trend_corr_recovers_monotone_trend(ray_session):
         "user_id": 9,
         "ts": ts,
         "value": np.round(np.linspace(0, 20, n) + rng.normal(0, 5, n), 2)})
-    got9 = trend_corr(ray.data.from_pandas(noisy),
-                      num_partitions=2).to_pandas()
+    got9 = trend_corr(ray.data.from_pandas(noisy)).to_pandas()
     k = np.rint(noisy["value"].to_numpy() * 100)
     y = np.arange(n) * 60.0
     assert abs(got9["trend_r"].iloc[0] - np.corrcoef(k, y)[0, 1]) < 1e-9
@@ -184,8 +182,7 @@ def test_irate_reset_and_single_point(ray_session):
                              unit="us").astype("datetime64[us]"),
         "value": [10.0, 14.0, 50.0, 20.0, 9.0],
     })
-    got = (irate(ray.data.from_pandas(ev), num_partitions=3)
-           .to_pandas().set_index("user_id"))
+    got = (irate(ray.data.from_pandas(ev)) .to_pandas().set_index("user_id"))
     assert got.loc[1, "irate_per_sec"] == (14.0 - 10.0) / 10.0
     # counter reset: contribution is the current value
     assert got.loc[2, "irate_per_sec"] == 20.0 / 5.0
@@ -206,8 +203,7 @@ def test_ewma_matches_pandas_ewm(ray_session):
             "value": np.round(rng.gamma(2, 20, n), 2),
         }))
     ev = pd.concat(frames, ignore_index=True)
-    got = (ewma_last(ray.data.from_pandas(ev).repartition(3), alpha=0.3,
-                     num_partitions=3)
+    got = (ewma_last(ray.data.from_pandas(ev).repartition(3), alpha=0.3)
            .to_pandas().set_index("user_id"))
     for uid, g in ev.groupby("user_id"):
         want = g.sort_values("event_id")["value"].ewm(
@@ -234,8 +230,7 @@ def test_scd2_history_bruteforce(ray_session):
         "event_type": rng.choice(["a", "b", "c"], n),
         "ts": pd.to_datetime(rng.integers(0, 10**6, n), unit="s"),
     })
-    got = scd2_history(ray.data.from_pandas(df).repartition(4),
-                       num_partitions=6)
+    got = scd2_history(ray.data.from_pandas(df).repartition(4))
     rows = []
     for u, g in df.sort_values(["user_id", "ts", "event_id"],
                                kind="mergesort").groupby("user_id"):
@@ -284,8 +279,7 @@ def test_theilsen_trend_bruteforce(ray_session):
             rows.append((u, len(rows), v[i],
                          pd.Timestamp(t[i] * 1000, unit="us")))
     df = pd.DataFrame(rows, columns=["user_id", "event_id", "value", "ts"])
-    got = theilsen_trend(ray.data.from_pandas(df).repartition(3),
-                         num_partitions=4).set_index("user_id")
+    got = theilsen_trend(ray.data.from_pandas(df).repartition(3)).set_index("user_id")
     for u, g in df.groupby("user_id"):
         t = g["ts"].to_numpy("datetime64[us]").view(np.int64)
         v = g["value"].to_numpy(np.float64)
@@ -319,8 +313,7 @@ def test_mann_kendall_bruteforce(ray_session):
             rows.append((u, len(rows), v[i],
                          pd.Timestamp(t[i] * 1000, unit="us")))
     df = pd.DataFrame(rows, columns=["user_id", "event_id", "value", "ts"])
-    got = mann_kendall(ray.data.from_pandas(df).repartition(3),
-                       num_partitions=4).set_index("user_id")
+    got = mann_kendall(ray.data.from_pandas(df).repartition(3)).set_index("user_id")
     for u, g in df.sort_values(["user_id", "ts", "event_id"]).groupby("user_id"):
         vq = np.rint(g["value"].to_numpy(np.float64) * 100).astype(np.int64)
         n = len(vq)
@@ -356,11 +349,11 @@ def test_gini_coefficient_known_answers(ray_session):
         return ray.data.from_pandas(
             pd.DataFrame(rows, columns=["user_id"])).repartition(3)
 
-    uni = gini_coefficient(build([10] * 8), num_partitions=4)
+    uni = gini_coefficient(build([10] * 8))
     assert uni["gini"].iloc[0] == 0.0
-    conc = gini_coefficient(build([1, 1, 1, 197]), num_partitions=4)
+    conc = gini_coefficient(build([1, 1, 1, 197]))
     assert conc["gini"].iloc[0] > 0.7
-    hand = gini_coefficient(build([1, 2, 3, 4]), num_partitions=4)
+    hand = gini_coefficient(build([1, 2, 3, 4]))
     # closed form: sum((2i-n-1)x)/ (n*sum) = (-3*1 -1*2 +1*3 +3*4)/(4*10)
     assert hand["gini"].iloc[0] == 10 / 40
 
@@ -384,8 +377,7 @@ def test_trimmed_mean_bruteforce(ray_session):
             v[0] = 5000.0
         rows += [(u, x) for x in v]
     df = pd.DataFrame(rows, columns=["user_id", "value"])
-    got = trimmed_mean(ray.data.from_pandas(df).repartition(3),
-                       num_partitions=4).set_index("user_id")
+    got = trimmed_mean(ray.data.from_pandas(df).repartition(3)).set_index("user_id")
     for u, g in df.groupby("user_id"):
         vq = np.sort(np.rint(g["value"].to_numpy() * 100).astype(np.int64))
         lo = duck_quantile(vq.astype(float), 0.1)
@@ -416,8 +408,7 @@ def test_robust_anomalies_bruteforce(ray_session):
             v[3] = 900.0
         rows += [(u, x) for x in v]
     df = pd.DataFrame(rows, columns=["user_id", "value"])
-    got = robust_anomalies(ray.data.from_pandas(df).repartition(3),
-                           num_partitions=4).set_index("user_id")
+    got = robust_anomalies(ray.data.from_pandas(df).repartition(3)).set_index("user_id")
     for u, g in df.groupby("user_id"):
         vk = np.rint(g["value"].to_numpy() * 100).astype(np.int64).astype(float)
         med = duck_quantile(np.sort(vk), 0.5)
@@ -451,8 +442,7 @@ def test_spearman_trend_bruteforce(ray_session):
             rows.append((u, len(rows), v[i],
                          pd.Timestamp(t[i] * 1000, unit="us")))
     df = pd.DataFrame(rows, columns=["user_id", "event_id", "value", "ts"])
-    got = spearman_trend(ray.data.from_pandas(df).repartition(3),
-                         num_partitions=4).set_index("user_id")
+    got = spearman_trend(ray.data.from_pandas(df).repartition(3)).set_index("user_id")
     assert got.loc[0, "spearman"] == 1.0
     assert got.loc[1, "spearman"] == -1.0
     for u, g in df.groupby("user_id"):
@@ -497,8 +487,7 @@ def test_cusum_alarms_reflection_identity(ray_session):
             rows.append((u, len(rows), round(float(v[i]), 2),
                          pd.Timestamp(t[i] * 1000, unit="us")))
     df = pd.DataFrame(rows, columns=["user_id", "event_id", "value", "ts"])
-    got = cusum_alarms(ray.data.from_pandas(df).repartition(3),
-                       num_partitions=4).set_index("user_id")
+    got = cusum_alarms(ray.data.from_pandas(df).repartition(3)).set_index("user_id")
     for u, g in df.sort_values(["user_id", "ts", "event_id"]).groupby("user_id"):
         vq = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
         n = len(vq)
