@@ -1350,8 +1350,8 @@ def similarity_join(
     # ``min(a,b) % P``; each member doc's TEXT is routed to every
     # bucket holding one of its pairs (exchange bounded by the
     # candidate set); token sets are rebuilt once per doc per bucket
-    # inside ``map_groups``, so a high-dup-rate crawl never
-    # materializes a corpus-wide pool anywhere ----
+    # inside ``map_groups``.  A bucket holds about 1/P of the
+    # candidate docs' texts, so at P = 1 one task holds all of them ----
     P = partition_count()
 
     def demand_rows(df: pd.DataFrame) -> pd.DataFrame:

@@ -4,7 +4,7 @@ The engine's one wide primitive: add a deterministic ``_part`` column
 (stable hash of the key, mod P) in a stateless ``map_batches``, then
 ``groupby('_part').map_groups(fn)`` where ``fn`` is VECTORIZED pandas
 over the whole partition — so the number of per-group Python calls is
-P (one per cluster CPU, ``partition_count``), not the number of
+P (one per cluster CPU, at least 8: ``partition_count``), not the number of
 conversations (billions at spec scale).  Hot-conversation salting (G6)
 is expressed by including the tier bucket in the partition key where
 semantics allow (rollups: each (conv, channel, bucket) group stays
@@ -30,9 +30,12 @@ def _stable_hash(arr: np.ndarray) -> np.ndarray:
 
 def partition_count() -> int:
     """P for every keyed exchange: one partition per CPU of the running
-    cluster.  No operator takes P; results do not depend on it
-    (``scripts/partition_invariance.py``)."""
-    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    cluster, and at least 8.  A ``map_groups`` call holds its whole
+    partition, so the floor keeps it to 1/8 of the keyed input on small
+    clusters: on one CPU a 4M-row ``rolling_rows_avg`` peaked at 856 MB
+    per worker at P = 8 and 1,717 MB at P = 1.  No operator takes P;
+    results do not depend on it (``scripts/partition_invariance.py``)."""
+    return max(8, int(ray.cluster_resources().get("CPU", 1)))
 
 
 def lpt_assignment(
@@ -139,7 +142,8 @@ def group_apply(
             # actors would reserve every CPU and deadlock the upstream
             # shuffle on small clusters; half-size min starts the stage
             # wide immediately while leaving CPUs for the exchange
-            map_groups_kw["concurrency"] = (max(1, P // 2), P)
+            hi = max(1, min(P, int(ray.cluster_resources().get("CPU", 1))))
+            map_groups_kw["concurrency"] = (max(1, hi // 2), hi)
     elif batch_format == "pyarrow":
         def wrapped(tbl: pa.Table) -> pa.Table:
             return fn(tbl.drop_columns(["_part"]))

@@ -1,87 +1,73 @@
 #!/usr/bin/env python
 """Check that no query result depends on the partition count.
 
-Every keyed exchange takes P from ``partition.partition_count()``, one
-partition per CPU of the running cluster.  This script runs
-``driver_check.py`` twice, in fresh processes whose Ray clusters have 4
-and 7 CPUs, and diffs the (query, result digest) pairs of the two runs:
+Every keyed exchange takes P from ``partition.partition_count()``.  This
+script runs ``driver_check.py`` twice, in fresh processes on a 4-CPU Ray
+cluster, with ``partition_count`` pinned to 1 and to 7, and diffs the
+(query, result digest) pairs of the two runs:
 
     python scripts/partition_invariance.py                  # sf0.01, ~20 min
     python scripts/partition_invariance.py /root/testdata/sf0.001
 
-Not fewer CPUs: on 1 or 2, Ray Data 2.49's hash joins (the lineitem ⋈
-orders queries) hang whatever ``num_partitions`` they get — a read task
-holds a CPU while the join's aggregator actors and the other side's
-read wait for theirs.  P = 1 is covered by
-``tests/test_partition_invariance.py``.
+The cluster has 4 CPUs because on 1 or 2, Ray Data 2.49's hash joins
+(the lineitem ⋈ orders queries) hang whatever ``num_partitions`` they
+get — a read task holds a CPU while the join's aggregator actors and
+the other side's read wait for theirs.
 
-Exit codes: 0 every digest is equal, 1 a digest differs (or a query ran
-on one side only), 2 a run aborted or hung before its ``FAILURES:`` line
-(Ray core aborts happen on small boxes; rerun).
+Exit codes: 0 the pairs are identical, 1 they differ, 2 a run aborted
+or hung before its ``FAILURES:`` line (Ray core aborts happen on small
+boxes; rerun).
 """
 
 from __future__ import annotations
 
+import difflib
 import os
-import re
 import subprocess
 import sys
 
-CPUS = (4, 7)
-TIMEOUT_S = 3600
-_HEX = re.compile(r"^[0-9a-f]{64}$")
+PS = (1, 7)
+# pin P in every cesium_ray module that bound the name, then run
+_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import driver_check
+import cesium_ray.stages.partition
+p = int(sys.argv[3])
+for name, mod in list(sys.modules.items()):
+    if name.startswith("cesium_ray") and hasattr(mod, "partition_count"):
+        mod.partition_count = lambda: p
+driver_check.main(sys.argv[2], None, 4)
+"""
 
 
-def parse(out: str) -> tuple[dict, int | None]:
-    """({query: digest or 'ERROR'}, FAILURES count or None if absent)
-    from one driver_check.py stdout."""
-    digests, failures = {}, None
-    for line in out.splitlines():
-        if line.startswith("FAILURES:"):
-            failures = int(line.split()[1])
-        elif line.startswith("  "):
-            f = line.split()
-            if len(f) >= 2:
-                digests[f[0]] = f[1] if _HEX.match(f[1]) else "ERROR"
-    return digests, failures
+def pairs(out: str) -> list[str] | None:
+    """Sorted "query digest" lines of one driver_check.py stdout, or
+    None when it never printed its ``FAILURES:`` line."""
+    if "FAILURES:" not in out:
+        return None
+    return sorted(" ".join(line.split()[:2]) for line in out.splitlines()
+                  if line.startswith("  "))
 
 
-def compare(outs: dict) -> tuple[int, list[str]]:
-    """Exit code and report lines for ``{num_cpus: stdout}`` of two runs."""
-    (ca, oa), (cb, ob) = sorted(outs.items())
-    (da, fa), (db, fb) = parse(oa), parse(ob)
-    report = [f"{c} CPU(s): {len(d)} queries, FAILURES: "
-              f"{'none (aborted, rerun)' if f is None else f}"
-              for c, d, f in ((ca, da, fa), (cb, db, fb))]
-    diff = sorted(q for q in da.keys() & db.keys() if da[q] != db[q])
-    report += [f"DIGEST DIFFERS {q}: {da[q]} ({ca}) vs {db[q]} ({cb})"
-               for q in diff]
-    if diff:
-        return 1, report
-    if fa is None or fb is None:
-        return 2, report + ["aborted, rerun"]
-    only = sorted(da.keys() ^ db.keys())
-    if only:
-        return 1, report + [f"ran on one side only: {', '.join(only)}"]
-    return 0, report + [f"{len(da)} digests identical"]
-
-
-def run(sf: str, num_cpus: int) -> str:
+def run(sf: str, p: int) -> str:
     here = os.path.dirname(os.path.abspath(__file__))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import driver_check; "
-            "driver_check.main(sys.argv[2], None, int(sys.argv[3]))")
     try:
-        p = subprocess.run([sys.executable, "-c", code, here, sf, str(num_cpus)],
-                           capture_output=True, text=True, timeout=TIMEOUT_S)
+        return subprocess.run([sys.executable, "-c", _RUN, here, sf, str(p)],
+                              capture_output=True, text=True, timeout=3600).stdout
     except subprocess.TimeoutExpired:
         return ""  # a hung run has no summary line: reported as aborted
-    return p.stdout
 
 
 def main(sf="/root/testdata/sf0.01"):
-    rc, report = compare({c: run(sf, c) for c in CPUS})
-    print("\n".join(report))
-    sys.exit(rc)
+    a, b = (pairs(run(sf, p)) for p in PS)
+    if a is None or b is None:
+        print("a run printed no FAILURES: line: aborted, rerun")
+        sys.exit(2)
+    diff = list(difflib.unified_diff(a, b, f"P = {PS[0]}", f"P = {PS[1]}",
+                                     lineterm="", n=0))
+    print("\n".join(diff) or f"{len(a)} (query, digest) pairs identical")
+    sys.exit(1 if diff else 0)
 
 
 if __name__ == "__main__":

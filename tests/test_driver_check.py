@@ -33,24 +33,13 @@ def test_digest_ignores_order_but_not_dtype():
     assert dc.digest(ints) != dc.digest(floats)
 
 
-def _run_output(digests: dict, summary: bool = True) -> str:
-    lines = ["entry(): 3 rows in 1.0s; turns=10, rollup_rows=20"]
-    lines += [f"  {q:24s} {d} OK (1, 1) in 0.1s" for q, d in digests.items()]
-    if summary:
-        lines.append("FAILURES: 0")
-    return "\n".join(lines) + "\n"
-
-
-def test_partition_invariance_compare():
+def test_partition_invariance_pairs():
     pi = _script("partition_invariance")
-    a = {"q1": "0" * 64, "q2": "1" * 64}
-    same = pi.compare({1: _run_output(a), 7: _run_output(a)})
-    assert same[0] == 0
-    differs = pi.compare({1: _run_output(a),
-                          7: _run_output({**a, "q2": "2" * 64})})
-    assert differs[0] == 1
-    assert any("DIGEST DIFFERS q2" in line for line in differs[1])
+    run = ("entry(): 3 rows in 1.0s; turns=10, rollup_rows=20\n"
+           f"  q2 {'1' * 64} OK (1, 1) in 0.1s\n"
+           f"  q1 {'0' * 64} rows-only: (1, 1) in 0.2s\n")
+    want = [f"q1 {'0' * 64}", f"q2 {'1' * 64}"]
+    assert pi.pairs(run + "FAILURES: 0\n") == want
+    assert pi.pairs(run.replace("1" * 64, "2" * 64) + "FAILURES: 0\n") != want
     # a run that died before its summary never counts as a pass
-    aborted = pi.compare({1: _run_output(a), 7: _run_output(a, summary=False)})
-    assert aborted[0] == 2
-    assert "aborted, rerun" in aborted[1]
+    assert pi.pairs(run) is None

@@ -156,7 +156,7 @@ def test_sessionize_gap_semantics(ray_session):
     assert (u2.duration_us == 0).all()
 
 
-def test_stratified_sample_deterministic(ray_session):
+def test_stratified_sample_deterministic(ray_session, monkeypatch):
     import pandas as pd
 
     rng = np.random.default_rng(2)
@@ -169,7 +169,12 @@ def test_stratified_sample_deterministic(ray_session):
     })
     from cesium_ray.stages.sample import lcg_hash, stratified_sample
 
+    from cesium_ray.stages import partition
+
+    # the same rows at P = 4 and P = 8
+    monkeypatch.setattr(partition, "partition_count", lambda: 4)
     a = stratified_sample(ray.data.from_pandas(df), n_per_key=3).to_pandas()
+    monkeypatch.setattr(partition, "partition_count", lambda: 8)
     b = stratified_sample(ray.data.from_pandas(df), n_per_key=3).to_pandas()
     key = ["user_id", "sample_rank"]
     a = a.sort_values(key).reset_index(drop=True)

@@ -434,18 +434,26 @@ def test_time_since_event_bruteforce(ray_session):
     assert got["since_us"].isna().groupby(got["user_id"]).any().all()
 
 
-def test_new_ops_partition_count_invariance(ray_session):
+def _at_p(monkeypatch, p, fn, *args, **kw):
+    """``fn(*args, **kw)`` with every keyed exchange at P = ``p``."""
+    from cesium_ray.stages import partition
+
+    monkeypatch.setattr(partition, "partition_count", lambda: p)
+    return fn(*args, **kw)
+
+
+def test_new_ops_partition_count_invariance(ray_session, monkeypatch):
     """run_stats / time_since_event must be bit-identical across
     partition counts (keys are whole per partition by construction)."""
     from cesium_ray.stages.tsmath import run_stats, time_since_event
 
     ev = _events(seed=101)
     ds = ray.data.from_pandas(ev).repartition(7)
-    a = run_stats(ds)
-    b = run_stats(ds)
+    a = _at_p(monkeypatch, 3, run_stats, ds)
+    b = _at_p(monkeypatch, 11, run_stats, ds)
     pd.testing.assert_frame_equal(a, b, check_exact=True)
-    c = time_since_event(ds, marker="c")
-    d = time_since_event(ds, marker="c")
+    c = _at_p(monkeypatch, 3, time_since_event, ds, marker="c")
+    d = _at_p(monkeypatch, 11, time_since_event, ds, marker="c")
     pd.testing.assert_frame_equal(c, d, check_exact=True)
 
 
@@ -1137,7 +1145,7 @@ def test_decayed_topk_bruteforce(ray_session):
     assert (np.diff(got["decayed"].to_numpy()) <= 1e-12).all()
 
 
-def test_session6_ops_partition_count_invariance(ray_session):
+def test_session6_ops_partition_count_invariance(ray_session, monkeypatch):
     """The session-6 batch must be bit-identical across partition
     counts and input block counts."""
     from cesium_ray.stages.analytics import decayed_topk, pagerank_types
@@ -1148,11 +1156,11 @@ def test_session6_ops_partition_count_invariance(ray_session):
     d1 = ray.data.from_pandas(ev).repartition(3)
     d2 = ray.data.from_pandas(ev).repartition(13)
     pd.testing.assert_frame_equal(
-        changepoint_split(d1),
-        changepoint_split(d2), check_exact=True)
+        _at_p(monkeypatch, 3, changepoint_split, d1),
+        _at_p(monkeypatch, 11, changepoint_split, d2), check_exact=True)
     pd.testing.assert_frame_equal(
-        pagerank_types(d1),
-        pagerank_types(d2), check_exact=True)
+        _at_p(monkeypatch, 3, pagerank_types, d1),
+        _at_p(monkeypatch, 11, pagerank_types, d2), check_exact=True)
     pd.testing.assert_frame_equal(
         seasonal_anomaly(d1), seasonal_anomaly(d2), check_exact=True)
     pd.testing.assert_frame_equal(
@@ -1160,8 +1168,8 @@ def test_session6_ops_partition_count_invariance(ray_session):
         finalize_windows(d2, n_arrival_buckets=9), check_exact=True)
     # decayed sums are float partials: identical key set/order, exact
     # int columns, sums equal to ~1e-13 (blocking changes sum order)
-    a = decayed_topk(d1)
-    b = decayed_topk(d2)
+    a = _at_p(monkeypatch, 3, decayed_topk, d1)
+    b = _at_p(monkeypatch, 11, decayed_topk, d2)
     assert (a["user_id"].to_numpy() == b["user_id"].to_numpy()).all()
     assert (a["n"].to_numpy() == b["n"].to_numpy()).all()
     assert np.allclose(a["decayed"], b["decayed"], rtol=1e-12)
