@@ -4,12 +4,12 @@ The engine's one wide primitive: add a deterministic ``_part`` column
 (stable hash of the key, mod P) in a stateless ``map_batches``, then
 ``groupby('_part').map_groups(fn)`` where ``fn`` is VECTORIZED pandas
 over the whole partition — so the number of per-group Python calls is
-P (one per cluster CPU, at least 8: ``partition_count``), not the number of
-conversations (billions at spec scale).  Hot-conversation salting (G6)
-is expressed by including the tier bucket in the partition key where
-semantics allow (rollups: each (conv, channel, bucket) group stays
-intact within one partition, so exact quantiles survive — SURVEY §7
-hard-part (a)).
+P (``partition_count``: one per cluster CPU, at least 8), not the
+number of conversations (billions at spec scale).  Hot-conversation
+salting (G6) is expressed by including the tier bucket in the partition
+key where semantics allow (rollups: each (conv, channel, bucket) group
+stays intact within one partition, so exact quantiles survive — SURVEY
+§7 hard-part (a)).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ script runs ``driver_check.py`` twice, in fresh processes on a 4-CPU Ray
 cluster, with ``partition_count`` pinned to 1 and to 7, and diffs the
 (query, result digest) pairs of the two runs:
 
-    python scripts/partition_invariance.py                  # sf0.01, ~20 min
+    python scripts/partition_invariance.py                  # sf0.01, ~10 min
     python scripts/partition_invariance.py /root/testdata/sf0.001
 
 The cluster has 4 CPUs because on 1 or 2, Ray Data 2.49's hash joins

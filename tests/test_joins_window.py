@@ -167,9 +167,8 @@ def test_stratified_sample_deterministic(ray_session, monkeypatch):
                              unit="us").astype("datetime64[us]"),
         "value": np.round(rng.normal(0, 1, 2000), 2),
     })
-    from cesium_ray.stages.sample import lcg_hash, stratified_sample
-
     from cesium_ray.stages import partition
+    from cesium_ray.stages.sample import lcg_hash, stratified_sample
 
     # the same rows at P = 4 and P = 8
     monkeypatch.setattr(partition, "partition_count", lambda: 4)
