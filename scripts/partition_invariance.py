@@ -7,7 +7,7 @@ cluster, with ``partition_count`` pinned to 1 and to 7, and diffs the
 (query, result digest) pairs of the two runs:
 
     python scripts/partition_invariance.py                  # sf0.01, ~10 min
-    python scripts/partition_invariance.py /root/testdata/sf0.001
+    python scripts/partition_invariance.py SF_DIR           # another scale factor
 
 The cluster has 4 CPUs because on 1 or 2, Ray Data 2.49's hash joins
 (the lineitem ⋈ orders queries) hang whatever ``num_partitions`` they
