@@ -10,9 +10,19 @@ salting (G6) is expressed by including the tier bucket in the partition
 key where semantics allow (rollups: each (conv, channel, bucket) group
 stays intact within one partition, so exact quantiles survive — SURVEY
 §7 hard-part (a)).
+
+Exchange once per file: when ``group_apply`` is handed a bare Parquet
+read (``_bare_parquet_read``), it keeps the keyed partitions of all
+the file's columns in the object store and runs later calls over the
+same files, key and P as one ``map_batches`` over them, with no read
+and no exchange (``_keyed_partitions``).  Many operators over one
+events table then share a single exchange, as the flagship's products
+share one partition visit.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 import pandas as pd
@@ -119,6 +129,131 @@ def with_partition(
     return ds.map_batches(add_part, batch_format="pyarrow")
 
 
+def _bare_parquet_read(ds: ray.data.Dataset):
+    """``(filesystem, paths, columns)`` when ``ds`` is a bare Parquet
+    read, else None.  Bare: ``ray.data.read_parquet`` of files,
+    optionally narrowed by ``columns=`` or one ``select_columns``, with
+    no map, filter, limit, schema, read options, path columns
+    (``include_paths``, hive ``k=v`` directories) or block UDF.
+    ``columns`` is None when every file column is read.  The one place
+    that looks inside a Ray Data plan."""
+    from ray.data._internal.datasource.parquet_datasource import (
+        ParquetDatasource)
+    from ray.data._internal.logical.operators.map_operator import Project
+    from ray.data.datasource.partitioning import PathPartitionParser
+
+    op, cols = ds._logical_plan.dag, None
+    if isinstance(op, Project):
+        if op.cols is None or op.cols_rename or op.exprs:
+            return None
+        op, cols = op.input_dependencies[0], op.cols
+    src = getattr(op, "_datasource", None)
+    if (op.input_dependencies or not isinstance(src, ParquetDatasource)
+            or src._block_udf is not None or src._read_schema is not None
+            or src._include_paths
+            or any(v is not None for v in src._to_batches_kwargs.values())):
+        return None
+    if src._partitioning is not None:
+        parse = PathPartitionParser(src._partitioning)
+        if any(parse(p) for p in src._pq_paths):
+            return None
+    return src._filesystem, list(src._pq_paths), cols or src._data_columns
+
+
+@ray.remote
+def _split_block(block: pa.Table, key: str, P: int, nb: int):
+    """Tag one read block with ``_part``, sort it by ``_part`` (stable)
+    and cut it into ``nb`` tables; table b holds partitions
+    [b·P/nb, (b+1)·P/nb).  Ray Data reads an empty file as blocks with
+    no columns, which give empty tables."""
+    part = np.zeros(0, np.int32)
+    if block.num_rows:
+        part = (_stable_hash(block[key].to_numpy(zero_copy_only=False))
+                % np.uint64(P)).astype(np.int32)
+    order = np.argsort(part, kind="stable")
+    tbl = block.append_column("_part", pa.array(part)).take(order)
+    cut = np.searchsorted(part[order], [b * P // nb for b in range(nb + 1)])
+    out = tuple(tbl.slice(a, b - a) for a, b in zip(cut[:-1], cut[1:]))
+    return out if nb > 1 else out[0]
+
+
+@ray.remote
+def _concat_parts(*pieces: pa.Table) -> pa.Table:
+    tbl = pa.concat_tables(pieces, promote_options="permissive")
+    return tbl.take(np.argsort(tbl["_part"].to_numpy(), kind="stable"))
+
+
+def _build_keyed(fs, paths: list, key: str, P: int):
+    """Read every column of ``paths`` and hash-partition the rows by
+    ``key`` into P partitions, materialized as one block per cluster
+    CPU (at most P), each holding whole partitions sorted by ``_part``.
+    Within a partition rows keep their read order."""
+    nb = max(1, min(P, int(ray.cluster_resources().get("CPU", 1))))
+    reads = ray.data.read_parquet(paths, filesystem=fs).to_arrow_refs()
+    split = _split_block.options(num_returns=nb)
+    pieces = [split.remote(r, key, P, nb) for r in reads]
+    pieces = [ps if nb > 1 else [ps] for ps in pieces]
+    blocks = (pieces[0] if len(pieces) == 1 else
+              [_concat_parts.remote(*ps) for ps in zip(*pieces)])
+    return ray.data.from_arrow_refs(list(blocks))
+
+
+# keyed partitions of bare Parquet reads: (files, key, P) → (dataset,
+# bytes), least recently used first; emptied when the Ray session changes
+_KEYED: OrderedDict = OrderedDict()
+_KEYED_SESSION: list = [None]
+
+
+def _keyed_partitions(fs, paths: list, key: str, P: int):
+    """The kept keyed partitions of ``paths`` (built on first use), or
+    None when the files alone exceed the budget (``group_apply`` has the
+    rule).  A rewrite that keeps a file's size within the filesystem's
+    timestamp granularity is not seen.  A new Ray session (node id, job
+    id; a fresh local cluster can reuse the job id) empties the cache,
+    since its object refs died with the old one."""
+    ctx = ray.get_runtime_context()
+    session = (ctx.get_node_id(), ctx.get_job_id())
+    if _KEYED_SESSION[0] != session:
+        _KEYED.clear()
+        _KEYED_SESSION[0] = session
+    infos = fs.get_file_info(paths)
+    fp = (tuple((i.path, i.size, i.mtime_ns) for i in infos), key, P)
+    if fp in _KEYED:
+        _KEYED.move_to_end(fp)
+        return _KEYED[fp][0]
+    budget = int(ray.cluster_resources().get("object_store_memory", 0)) // 4
+    if sum(i.size for i in infos) > budget:
+        return None
+    keyed = _build_keyed(fs, paths, key, P)
+    nbytes = keyed.size_bytes()
+    if nbytes <= budget:
+        while _KEYED and sum(n for _, n in _KEYED.values()) + nbytes > budget:
+            _KEYED.popitem(last=False)
+        _KEYED[fp] = (keyed, nbytes)
+    return keyed
+
+
+def _map_partitions(keyed, fn, cols, batch_format: str, map_batches_kw):
+    """Run ``fn`` once per partition of ``keyed`` (``_build_keyed``):
+    one ``map_batches`` over whole blocks, each split at its ``_part``
+    boundaries.  ``fn`` sees ``cols`` (every column when None), converted
+    as ``map_groups`` converts a group."""
+    from ray.data.block import BlockAccessor
+
+    def per_block(tbl: pa.Table):
+        part = tbl["_part"].to_numpy()
+        if not len(part):
+            return
+        tbl = tbl.select(cols) if cols else tbl.drop_columns(["_part"])
+        cut = np.r_[0, np.flatnonzero(part[1:] != part[:-1]) + 1, len(part)]
+        for a, b in zip(cut[:-1], cut[1:]):
+            acc = BlockAccessor.for_block(tbl.slice(a, b - a))
+            yield fn(acc.to_batch_format(batch_format))
+
+    return keyed.map_batches(per_block, batch_size=None,
+                             batch_format="pyarrow", **map_batches_kw)
+
+
 def group_apply(
     ds: ray.data.Dataset,
     fn,
@@ -131,8 +266,28 @@ def group_apply(
     and run ``fn(partition) -> block`` once per partition (vectorized
     inside).  ``batch_format="pyarrow"`` hands ``fn`` the partition as
     a ``pa.Table`` (no pandas conversion — int-with-null columns keep
-    their Arrow types instead of float64-roundtripping)."""
+    their Arrow types instead of float64-roundtripping).
+
+    When ``ds`` is a bare Parquet read (``_bare_parquet_read``: files
+    read with at most a column subset) and ``fn`` is a function with no
+    ``salt_tier_s``, the exchange is reused.  The first call over the
+    files at this ``key`` and P (the build) reads every column, runs
+    one exchange and keeps the keyed partitions in the object store;
+    later calls project their columns and run ``fn`` on each kept
+    partition, with no read and no exchange.  Kept partitions are found
+    by each file's (path, size, mtime_ns), ``key``, P and the Ray
+    session.  The least recently used are evicted to keep the cache
+    under a quarter of the cluster's ``object_store_memory``, and a
+    table larger than that is used once and not kept.  A one-off query
+    pays the build, which reads columns it may not need.  Any other
+    input, or a callable class, takes the exchange every time."""
     P = partition_count()
+    if not isinstance(fn, type) and salt_tier_s is None:
+        bare = _bare_parquet_read(ds)
+        keyed = bare and _keyed_partitions(bare[0], bare[1], key, P)
+        if keyed is not None:
+            return _map_partitions(keyed, fn, bare[2], batch_format,
+                                   map_groups_kw)
     parted = with_partition(ds, P, key=key, salt_tier_s=salt_tier_s)
 
     if isinstance(fn, type):  # callable class → actor pool

@@ -46,7 +46,9 @@ def main(sf="/root/testdata/sf0.01", only=None, num_cpus=None):
     import ray
 
     if num_cpus is None:
-        num_cpus = min(16, len(os.sched_getaffinity(0)))
+        # at least 4 logical CPUs: Ray Data's hash joins and the
+        # curate_docs actor pools hang on a 1- or 2-CPU cluster
+        num_cpus = max(4, min(16, len(os.sched_getaffinity(0))))
     ray.init(address="local", num_cpus=int(num_cpus),
              include_dashboard=False, ignore_reinit_error=True,
              logging_level="ERROR")
