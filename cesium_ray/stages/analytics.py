@@ -22,7 +22,7 @@ import pandas as pd
 import ray.data
 
 from ..schema import EVENT_ID, EVENT_TYPE, TS, USER_ID, VALUE
-from .partition import group_apply
+from .partition import Segments, collect_sorted, empty_frame, group_apply
 
 _DAY_US = np.int64(86_400_000_000)
 
@@ -34,18 +34,14 @@ def cohort_retention(ds: ray.data.Dataset) -> pd.DataFrame:
     days."""
 
     def per_user_cells(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([USER_ID, TS], kind="mergesort")
-        g = df[USER_ID].to_numpy()
-        day = df[TS].to_numpy("datetime64[us]").view(np.int64) // _DAY_US
-        new = np.r_[True, g[1:] != g[:-1]]
-        gid = np.cumsum(new) - 1
-        cohort = day[new][gid]  # first row per user is its min day (sorted)
-        age = day - cohort
+        sg = Segments(df, order=(TS,))
+        day = sg[TS] // _DAY_US
+        cohort = sg.first(day)  # first row per user is its min day
+        age = day - cohort[sg.gid]
         # distinct (user, age) cells, then partial-count per (cohort, age)
-        cell = np.stack([gid, age])
-        uniq = np.unique(cell, axis=1)
+        uniq = np.unique(np.stack([sg.gid, age]), axis=1)
         out = (pd.DataFrame({
-            "cohort_day": cohort[new][uniq[0]],
+            "cohort_day": cohort[uniq[0]],
             "age_days": uniq[1],
         }).groupby(["cohort_day", "age_days"], as_index=False)
             .size().rename(columns={"size": "_n"}))
@@ -69,13 +65,9 @@ def funnel_steps(
     steps = tuple(steps)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([USER_ID], kind="mergesort")
-        g = df[USER_ID].to_numpy()
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        et = df[EVENT_TYPE].to_numpy()
-        new = np.r_[True, g[1:] != g[:-1]]
-        gid = np.cumsum(new) - 1
-        n_users = int(gid[-1]) + 1 if len(gid) else 0
+        sg = Segments(df, order=())
+        tus, et, gid = sg[TS], sg[EVENT_TYPE], sg.gid
+        n_users = len(sg.n)
         prev = np.full(n_users, -(2**62), np.int64)  # step-0 gate: -inf
         alive = np.ones(n_users, bool)
         counts = []
@@ -129,24 +121,17 @@ def percent_rank_in_group(ds: ray.data.Dataset) -> ray.data.Dataset:
     single-row groups.  One sort + run-boundary scan per partition."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([USER_ID, VALUE, EVENT_ID], kind="mergesort")
-        if not len(df):
-            return df[[USER_ID, EVENT_ID, VALUE]].assign(pr=np.zeros(0))
-        g = df[USER_ID].to_numpy()
-        v = df[VALUE].to_numpy()
-        new_k = np.r_[True, g[1:] != g[:-1]]
-        new_v = np.r_[True, new_k[1:] | (v[1:] != v[:-1])]
-        idx = np.arange(len(g))
-        kstart = idx[new_k][np.cumsum(new_k) - 1]       # group start idx
+        sg = Segments(df, order=(VALUE, EVENT_ID))
+        v = sg[VALUE]
+        new_v = ~sg.same() | np.r_[True, v[1:] != v[:-1]]
+        idx = np.arange(len(v))
         vstart = idx[new_v][np.cumsum(new_v) - 1]       # value-run start
-        starts = np.flatnonzero(new_k)
-        n = (np.r_[starts[1:], len(g)] - starts)[np.cumsum(new_k) - 1]
-        r = (vstart - kstart).astype(np.float64)
+        r = (vstart - sg.starts[sg.gid]).astype(np.float64)
+        n = sg.n[sg.gid]
         with np.errstate(invalid="ignore", divide="ignore"):
             pr = np.where(n > 1, r / (n - 1).astype(np.float64), 0.0)
-        out = df[[USER_ID, EVENT_ID, VALUE]].copy()
-        out["pr"] = pr
-        return out.reset_index(drop=True)
+        return (df[[USER_ID, EVENT_ID, VALUE]].iloc[sg.perm]
+                .assign(pr=pr).reset_index(drop=True))
 
     return group_apply(ds, fn, key=USER_ID)
 
@@ -159,21 +144,17 @@ def group_profile(ds: ray.data.Dataset) -> ray.data.Dataset:
     first/last SQL aggregates)."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([USER_ID, TS, EVENT_ID], kind="mergesort")
-        g = df[USER_ID].to_numpy()
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        a = df[EVENT_TYPE].to_numpy()
-        new = np.r_[True, g[1:] != g[:-1]]
-        starts = np.flatnonzero(new)
-        ends = np.r_[starts[1:], len(g)] - 1
+        sg = Segments(df)
+        tus, a, ts = sg[TS], sg[EVENT_TYPE], sg[df[TS].to_numpy()]
         return pd.DataFrame({
-            USER_ID: g[starts],
-            "n": (np.r_[starts[1:], len(g)] - starts).astype(np.int64),
-            "first_ts": df[TS].to_numpy()[starts],
-            "last_ts": df[TS].to_numpy()[ends],
-            "first_" + EVENT_TYPE: a[starts],
-            "last_" + EVENT_TYPE: a[ends],
-            "span_s": ((tus[ends] - tus[starts]) // 1_000_000).astype(np.int64),
+            USER_ID: sg.keys,
+            "n": sg.n,
+            "first_ts": sg.first(ts),
+            "last_ts": sg.last(ts),
+            "first_" + EVENT_TYPE: sg.first(a),
+            "last_" + EVENT_TYPE: sg.last(a),
+            "span_s": ((sg.last(tus) - sg.first(tus)) // 1_000_000
+                       ).astype(np.int64),
         })
 
     return group_apply(ds, fn, key=USER_ID)
@@ -311,21 +292,13 @@ def transition_matrix(ds: ray.data.Dataset) -> pd.DataFrame:
     driver-side combine.  Assumes a broadcast-small attr alphabet."""
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"type_from": pd.Series(dtype=object),
-                                 "type_to": pd.Series(dtype=object),
-                                 "_n": pd.Series(dtype="int64")})
-        codes, _ = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, codes))
-        c = codes[perm]
+        sg = Segments(df)
         # integer-code the alphabet once; pair cells via bincount on
         # from*|A|+to (the object-dtype pair groupby was the hot spot:
         # 3x the whole-kernel cost at 2M rows)
         acode, alphabet = pd.factorize(df[EVENT_TYPE])
-        a = acode[perm]
-        same = c[1:] == c[:-1]  # consecutive rows of the same key
+        a = sg[acode]
+        same = sg.same()[1:]  # consecutive rows of the same key
         na = len(alphabet)
         pair = a[:-1][same].astype(np.int64) * na + a[1:][same]
         cnt = np.bincount(pair, minlength=na * na)
@@ -478,18 +451,13 @@ def sequence_pattern_count(ds: ray.data.Dataset, pattern: str) -> pd.DataFrame:
 
     rx = re.compile(pattern)
 
+    cols = {USER_ID: "int64", "seq_len": "int64", "n_matches": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
-                                 "seq_len": pd.Series(dtype="int64"),
-                                 "n_matches": pd.Series(dtype="int64")})
         nonempty = df[EVENT_TYPE].astype(str).str.len() > 0
         df = df[nonempty] if not nonempty.all() else df
         if not len(df):
-            return pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
-                                 "seq_len": pd.Series(dtype="int64"),
-                                 "n_matches": pd.Series(dtype="int64")})
-        kc, kuniq = pd.factorize(df[USER_ID])
+            return empty_frame(cols)
         ac, auniq = pd.factorize(df[EVENT_TYPE])
         heads = "".join(str(v)[0] for v in auniq)
         try:
@@ -499,28 +467,14 @@ def sequence_pattern_count(ds: ray.data.Dataset, pattern: str) -> pd.DataFrame:
                 "sequence_pattern_count needs ASCII attr first "
                 f"characters (got {heads!r})") from e
         first_char = np.frombuffer(encoded, dtype=np.uint8)
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        k = kc[perm]
-        chars = first_char[ac[perm]]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
-        buf = chars.tobytes()
-        keys, lens, hits = [], [], []
-        for s, e in zip(starts, ends):
-            seq = buf[s:e].decode("ascii")
-            keys.append(kuniq[k[s]])
-            lens.append(e - s)
-            hits.append(len(rx.findall(seq)))
-        return pd.DataFrame({USER_ID: np.asarray(keys),
-                             "seq_len": np.asarray(lens, dtype=np.int64),
+        sg = Segments(df)
+        buf = first_char[sg[ac]].tobytes()
+        hits = [len(rx.findall(buf[s:e].decode("ascii")))
+                for s, e in zip(sg.starts, sg.ends)]
+        return pd.DataFrame({USER_ID: sg.keys, "seq_len": sg.n,
                              "n_matches": np.asarray(hits, dtype=np.int64)})
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def lateness_report(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -535,21 +489,17 @@ def lateness_report(ds: ray.data.Dataset) -> pd.DataFrame:
     values live in a disjoint band, so the cummax resets at key
     boundaries without a loop)."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "n_late": "int64",
+            "max_late_us": "int64",
+            "frac_late": "float64"}
+
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "n_late": pd.Series(dtype="int64"),
-                "max_late_us": pd.Series(dtype="int64"),
-                "frac_late": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, _ = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        arr = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((arr, kc))
-        k, t = kc[perm], tus[perm]
+        sg = Segments(df, order=(EVENT_ID,))
+        k, t = sg.codes, sg[TS]
         tn = t - t.min()
-        band = np.int64(tn.max()) + 1 if len(tn) else np.int64(1)
+        band = np.int64(tn.max()) + 1
         # guard in PYTHON ints — an int64 product here would itself
         # wrap and wave the oversized input through
         if (int(k.max()) + 1) * int(band) >= 2**62:
@@ -558,26 +508,18 @@ def lateness_report(ds: ray.data.Dataset) -> pd.DataFrame:
         shifted = tn + k.astype(np.int64) * band
         run = np.maximum.accumulate(shifted)
         prev = np.r_[np.int64(-1), run[:-1]]
-        new_key = np.r_[True, k[1:] != k[:-1]]
-        late = (~new_key) & (shifted < prev)
+        late = sg.same() & (shifted < prev)
         lateness = np.where(late, prev - shifted, 0)
-        gid = np.cumsum(new_key) - 1
-        ng = int(gid[-1]) + 1
-        key_start = np.flatnonzero(new_key)
-        n = np.bincount(gid, minlength=ng).astype(np.int64)
-        nl = np.bincount(gid, weights=late, minlength=ng).astype(np.int64)
-        # rows are key-sorted: reduceat beats the slow ufunc.at scatter
-        ml = np.maximum.reduceat(lateness, key_start).astype(np.int64)
+        n = sg.n
+        nl = sg.sum(late.astype(np.int64))
+        ml = sg.max(lateness).astype(np.int64)
         return pd.DataFrame({
-            USER_ID: df[USER_ID].to_numpy()[perm][new_key],
+            USER_ID: sg.keys,
             "n": n, "n_late": nl, "max_late_us": ml,
             "frac_late": nl.astype(np.float64) / n.astype(np.float64),
         })
 
-    out = group_apply(ds, fn, key=USER_ID).to_pandas()
-    if out.empty:
-        return fn(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, fn, key=USER_ID), cols)
 
 
 def profile_columns(ds: ray.data.Dataset, columns: dict) -> pd.DataFrame:
@@ -662,19 +604,16 @@ def type_entropy(ds: ray.data.Dataset) -> pd.DataFrame:
     One key-hash exchange; per partition: one lexsort to (key, type)
     cells, then per-key ``add.reduceat`` over c·ln(c) terms."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "n_types": "int64",
+            "entropy": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "n_types": pd.Series(dtype="int64"),
-                "entropy": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
         ac, _ = pd.factorize(df[EVENT_TYPE])
-        perm = np.lexsort((ac, kc))
-        k, a = kc[perm], ac[perm]
-        cell = np.flatnonzero(np.r_[True, (k[1:] != k[:-1])
-                                    | (a[1:] != a[:-1])])
+        sg = Segments(df, order=(ac,))
+        k, a = sg.codes, sg[ac]
+        cell = np.flatnonzero(~sg.same() | np.r_[True, a[1:] != a[:-1]])
         c = np.diff(np.r_[cell, len(k)]).astype(np.int64)
         ck = k[cell]
         kstart = np.flatnonzero(np.r_[True, ck[1:] != ck[:-1]])
@@ -683,16 +622,13 @@ def type_entropy(ds: ray.data.Dataset) -> pd.DataFrame:
         s = np.add.reduceat(cf * np.log(cf), kstart)
         nf = n.astype(np.float64)
         return pd.DataFrame({
-            USER_ID: np.asarray(kuniq)[ck[kstart]],
+            USER_ID: sg.keys,
             "n": n.astype(np.int64),
             "n_types": np.diff(np.r_[kstart, len(c)]).astype(np.int64),
             "entropy": np.log(nf) - s / nf,
         })
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def pagerank_types(ds: ray.data.Dataset, iters: int = 10) -> pd.DataFrame:
@@ -779,6 +715,9 @@ def decayed_topk(
         lambda df: df.groupby(USER_ID, as_index=False).agg(
             w=("w", "sum"), n=("n", "sum")),
         key=USER_ID).to_pandas()
+    if merged.empty:
+        return empty_frame({USER_ID: "int64", "n": "int64",
+                            "decayed": "float64"})
     merged["n"] = merged["n"].astype(np.int64)
     out = merged.rename(columns={"w": "decayed"})
     return (out.sort_values(["decayed", USER_ID],
@@ -880,17 +819,8 @@ def touch_attribution(
     for both models by construction)."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {EVENT_TYPE: pd.Series(dtype=object),
-                "first_touch": pd.Series(dtype="int64"),
-                "last_touch": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, _ = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        av = df[EVENT_TYPE].to_numpy()
-        perm = np.lexsort((oid, tus, kc))
-        k, t, a = kc[perm], tus[perm], av[perm]
+        sg = Segments(df)
+        t, a = sg[TS], sg[EVENT_TYPE]
         is_conv = a == conversion
         look = np.int64(lookback_s) * 1_000_000
         ac, auniq = pd.factorize(a)
@@ -898,9 +828,7 @@ def touch_attribution(
         lcnt = np.zeros(len(auniq), np.int64)
         # per key: touches = non-conversion rows; window bounds for
         # ALL of the key's conversions in two vectorized searchsorteds
-        key_start = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        key_end = np.r_[key_start[1:], len(k)]
-        for s, e in zip(key_start, key_end):
+        for s, e in zip(sg.starts, sg.ends):
             c_k = is_conv[s:e]
             touch_ts = t[s:e][~c_k]
             if not len(touch_ts):
@@ -1052,35 +980,24 @@ def record_highs(ds: ray.data.Dataset) -> pd.DataFrame:
     event is a record), plus the final maximum.  Exact int-quantized
     comparisons; one key-hash exchange + a prefix-max per key."""
 
+    cols = {USER_ID: "int64",
+            "n_events": "int64",
+            "n_records": "int64",
+            "final_max": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "n_records": pd.Series(dtype="int64"),
-                "final_max": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
-            np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        k, v = kc[perm], vq[perm]
-        new_key = np.r_[True, k[1:] != k[:-1]]
-        starts = np.flatnonzero(new_key)
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df)
+        v = np.rint(sg[VALUE].astype(np.float64) * 100.0).astype(np.int64)
         out = []
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             vk = v[s:e]
             pmax = np.maximum.accumulate(vk)
             rec = np.r_[True, vk[1:] > pmax[:-1]]
-            out.append((int(np.asarray(kuniq)[k[s]]),
-                        np.int64(e - s), np.int64(int(rec.sum())),
+            out.append((int(key), np.int64(e - s), np.int64(int(rec.sum())),
                         float(pmax[-1] / 100.0)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
-            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def k_anonymity(
@@ -1136,23 +1053,16 @@ def _survival_cells(df: pd.DataFrame, key: str, type_col: str,
     tmax = its latest time over ALL events (a key without a start
     event still sets the global censor time).  One stable sort by key,
     then min/max ``reduceat`` over the key segments — no per-key loop."""
-    k = df[key].to_numpy()
-    order = np.argsort(k, kind="stable")
-    k = k[order]
-    tus = df[ts_col].to_numpy("datetime64[us]").view(np.int64)[order]
-    et = df[type_col].to_numpy()[order]
-    new = np.r_[True, k[1:] != k[:-1]]
-    starts = np.flatnonzero(new)
-    gid = np.cumsum(new) - 1
-    t0 = np.minimum.reduceat(
-        np.where(et == start_type, tus, _NO_TIME), starts)
-    tp = np.minimum.reduceat(
-        np.where((et == event_type) & (tus > t0[gid]), tus, _NO_TIME),
-        starts)
-    return pd.DataFrame({key: k[starts].astype(np.int64),
+    sg = Segments(df, key=key, order=())
+    tus = sg[df[ts_col].to_numpy("datetime64[us]").view(np.int64)]
+    et = sg[type_col]
+    t0 = sg.min(np.where(et == start_type, tus, _NO_TIME))
+    tp = sg.min(np.where((et == event_type) & (tus > t0[sg.gid]), tus,
+                         _NO_TIME))
+    return pd.DataFrame({key: sg.keys.astype(np.int64),
                          "t0": np.where(t0 == _NO_TIME, -1, t0),
                          "tp": np.where(tp == _NO_TIME, -1, tp),
-                         "tmax": np.maximum.reduceat(tus, starts)})
+                         "tmax": sg.max(tus)})
 
 
 def _survival_durations(ds):
@@ -1417,32 +1327,23 @@ def runs_test(ds: ray.data.Dataset) -> pd.DataFrame:
     σ² = 2n₊n₋(2n₊n₋ − n)/(n²(n−1)) is the mirrored float."""
     from ..oracle.rollup import duck_quantile
 
+    cols = {USER_ID: "int64",
+            "n_used": "int64",
+            "n_runs": "int64",
+            "z_runs": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_used": pd.Series(dtype="int64"),
-                "n_runs": pd.Series(dtype="int64"),
-                "z_runs": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
-            np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        k, v = kc[perm], vq[perm]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
-        for s, e in zip(starts, ends):
+        sg = Segments(df)
+        v = np.rint(sg[VALUE].astype(np.float64) * 100.0).astype(np.int64)
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             vk = v[s:e].astype(np.float64)
             med = duck_quantile(np.sort(vk, kind="mergesort"), 0.5)
             sign = vk[vk != med] > med
             n = len(sign)
             np_, nn_ = int(sign.sum()), int((~sign).sum())
             if n < 2 or not np_ or not nn_:
-                out.append((int(np.asarray(kuniq)[k[s]]),
-                            np.int64(n), np.int64(1 if n else 0),
+                out.append((int(key), np.int64(n), np.int64(1 if n else 0),
                             np.nan))
                 continue
             runs = 1 + int((sign[1:] != sign[:-1]).sum())
@@ -1450,12 +1351,10 @@ def runs_test(ds: ray.data.Dataset) -> pd.DataFrame:
             var = (2.0 * np_ * nn_ * (2.0 * np_ * nn_ - n)
                    / (float(n) * n * (n - 1)))
             z = (runs - mu) / np.sqrt(var) if var > 0 else np.nan
-            out.append((int(np.asarray(kuniq)[k[s]]), np.int64(n),
-                        np.int64(runs), float(z)))
+            out.append((int(key), np.int64(n), np.int64(runs), float(z)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
-            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def ks_drift(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1528,24 +1427,18 @@ def bootstrap_mean_ci(ds: ray.data.Dataset, n_boot: int = 200) -> pd.DataFrame:
     from ..oracle.rollup import duck_quantile
     from ..stages.dedup import _splitmix64
 
+    cols = {USER_ID: "int64",
+            "n_events": "int64",
+            "mean_all": "float64",
+            "ci_lo": "float64",
+            "ci_hi": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "mean_all": pd.Series(dtype="float64"),
-                "ci_lo": pd.Series(dtype="float64"),
-                "ci_hi": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[USER_ID])
-        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
-            np.int64)
-        order = np.argsort(kc, kind="stable")
-        k, v = kc[order], vq[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
-        for s, e in zip(starts, ends):
-            uid = int(np.asarray(kuniq)[k[s]])
+        sg = Segments(df, order=())
+        v = np.rint(sg[VALUE].astype(np.float64) * 100.0).astype(np.int64)
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
+            uid = int(key)
             # canonical value order: sorted ascending (resampling
             # must address the same multiset arrangement in SQL)
             vk = np.sort(v[s:e], kind="mergesort")
@@ -1566,8 +1459,7 @@ def bootstrap_mean_ci(ds: ray.data.Dataset, n_boot: int = 200) -> pd.DataFrame:
                         float(duck_quantile(ms, 0.975))))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
-            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def jarque_bera(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1585,41 +1477,32 @@ def jarque_bera(ds: ray.data.Dataset) -> pd.DataFrame:
     with n < 4 or m2 = 0 are dropped on both sides.  One key-hash
     exchange; per partition one factorize + reduceat."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "skew_g1": "float64",
+            "kurt_g2": "float64",
+            "jb": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "skew_g1": pd.Series(dtype="float64"),
-                "kurt_g2": pd.Series(dtype="float64"),
-                "jb": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        order = np.argsort(kc, kind="stable")
-        k = kc[order]
-        v = df[VALUE].to_numpy(np.float64)[order]
+        sg = Segments(df, order=())
+        v = sg[VALUE].astype(np.float64)
         x = np.rint(v * 100.0).astype(np.int64)
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
+        n = sg.n
         nf = n.astype(np.float64)
-        mu = (np.add.reduceat(x, starts).astype(np.float64)
-              / 100.0) / nf
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        d = v - mu[gid]
-        m2 = np.add.reduceat(d * d, starts) / nf
-        m3 = np.add.reduceat(d * d * d, starts) / nf
-        m4 = np.add.reduceat(d * d * d * d, starts) / nf
+        mu = (sg.sum(x).astype(np.float64) / 100.0) / nf
+        d = v - mu[sg.gid]
+        m2 = sg.sum(d * d) / nf
+        m3 = sg.sum(d * d * d) / nf
+        m4 = sg.sum(d * d * d * d) / nf
         with np.errstate(invalid="ignore", divide="ignore"):
             g1 = m3 / m2 ** 1.5
             g2 = m4 / (m2 * m2)
             jb = nf / 6.0 * (g1 * g1 + 0.25 * (g2 - 3.0) * (g2 - 3.0))
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n,
                             "skew_g1": g1, "kurt_g2": g2, "jb": jb})
         return res[(res["n"] >= 4) & (m2 > 0.0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def welch_ttest(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1639,16 +1522,15 @@ def welch_ttest(ds: ray.data.Dataset) -> pd.DataFrame:
     so round-6 outputs are bit-equal.  Keys need ≥ 2 weekday and ≥ 2
     weekend rows and a positive pooled standard error."""
 
+    cols = {USER_ID: "int64",
+            "n_wd": "int64",
+            "n_we": "int64",
+            "mean_wd": "float64",
+            "mean_we": "float64",
+            "t_stat": "float64",
+            "df_w": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_wd": pd.Series(dtype="int64"),
-                "n_we": pd.Series(dtype="int64"),
-                "mean_wd": pd.Series(dtype="float64"),
-                "mean_we": pd.Series(dtype="float64"),
-                "t_stat": pd.Series(dtype="float64"),
-                "df_w": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         kc, kuniq = pd.factorize(df[USER_ID])
         tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         dow = (tus // _DAY_US + 4) % 7
@@ -1682,10 +1564,7 @@ def welch_ttest(ds: ray.data.Dataset) -> pd.DataFrame:
                 "t_stat": t, "df_w": dfw})
         return res[(res["n_wd"] >= 2) & (res["n_we"] >= 2) & (se2 > 0.0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def markov_entropy_rate(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1704,21 +1583,17 @@ def markov_entropy_rate(ds: ray.data.Dataset) -> pd.DataFrame:
     robust: ln terms sit far from rounding boundaries).  Keys need
     T ≥ 1 transition.  One key-hash exchange; no per-key Python."""
 
+    cols = {USER_ID: "int64",
+            "n_trans": "int64",
+            "entropy_rate": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_trans": pd.Series(dtype="int64"),
-                "entropy_rate": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
         acode, alphabet = pd.factorize(df[EVENT_TYPE])
-        perm = np.lexsort((oid, tus, kc))
-        k, a = kc[perm], acode[perm].astype(np.int64)
-        same = k[1:] == k[:-1]
+        sg = Segments(df)
+        k, a = sg.codes, sg[acode].astype(np.int64)
+        same = sg.same()[1:]
         na = len(alphabet)
-        nk = len(kuniq)
+        nk = len(sg.n)
         kf = k[:-1][same]
         af, at = a[:-1][same], a[1:][same]
         trip = (kf * na + af) * na + at
@@ -1733,14 +1608,11 @@ def markov_entropy_rate(ds: ray.data.Dataset) -> pd.DataFrame:
                            minlength=nk)
         with np.errstate(invalid="ignore", divide="ignore"):
             h = -(sumw) / tt.astype(np.float64)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq),
+        res = pd.DataFrame({USER_ID: sg.keys,
                             "n_trans": tt, "entropy_rate": h})
         return res[res["n_trans"] >= 1]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def theil_index(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1756,10 +1628,6 @@ def theil_index(ds: ray.data.Dataset) -> pd.DataFrame:
     partition; single-row output."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"u": pd.Series(dtype="int64"),
-                                 "c": pd.Series(dtype="int64"),
-                                 "s1": pd.Series(dtype="float64")})
         cnt = df.groupby(USER_ID, sort=False).size().to_numpy(np.int64)
         cf = cnt.astype(np.float64)
         return pd.DataFrame({"u": [len(cnt)], "c": [int(cnt.sum())],
@@ -1800,10 +1668,6 @@ def rising_keys(ds: ray.data.Dataset) -> pd.DataFrame:
     mid = (lo + hi) // 2
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
-                                 "c1": pd.Series(dtype="int64"),
-                                 "c2": pd.Series(dtype="int64")})
         kc, kuniq = pd.factorize(df[USER_ID])
         t = df[TS].to_numpy("datetime64[us]").view(np.int64)
         second = t > mid
@@ -1814,13 +1678,13 @@ def rising_keys(ds: ray.data.Dataset) -> pd.DataFrame:
                              "c1": c1, "c2": c2})
 
     per = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    cols = {USER_ID: pd.Series(dtype="int64"),
-            "c1": pd.Series(dtype="int64"),
-            "c2": pd.Series(dtype="int64"),
-            "score": pd.Series(dtype="int64"),
-            "share_delta": pd.Series(dtype="float64")}
+    cols = {USER_ID: "int64",
+            "c1": "int64",
+            "c2": "int64",
+            "score": "int64",
+            "share_delta": "float64"}
     if per.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     t1 = int(per["c1"].sum())
     t2 = int(per["c2"].sum())
     c1 = per["c1"].to_numpy(np.int64)
@@ -1868,16 +1732,16 @@ def rfm_segmentation(ds: ray.data.Dataset) -> pd.DataFrame:
         ds.select_columns([USER_ID, TS, VALUE]),
         per_key, key=USER_ID,
     ).to_pandas()
-    cols = {USER_ID: pd.Series(dtype="int64"),
-            "recency_us": pd.Series(dtype="int64"),
-            "freq": pd.Series(dtype="int64"),
-            "monetary": pd.Series(dtype="float64"),
-            "r_score": pd.Series(dtype="int64"),
-            "f_score": pd.Series(dtype="int64"),
-            "m_score": pd.Series(dtype="int64"),
-            "rfm": pd.Series(dtype="int64")}
+    cols = {USER_ID: "int64",
+            "recency_us": "int64",
+            "freq": "int64",
+            "monetary": "float64",
+            "r_score": "int64",
+            "f_score": "int64",
+            "m_score": "int64",
+            "rfm": "int64"}
     if not len(cells):
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     hi = int(cells["last_t"].max())
     uid = cells[USER_ID].to_numpy()
     rec = hi - cells["last_t"].to_numpy(np.int64)
@@ -1945,15 +1809,15 @@ def basket_lift(ds: ray.data.Dataset) -> pd.DataFrame:
             distinct_partial, batch_format="pandas"),
         cells, key=USER_ID,
     ).to_pandas()
-    cols = {"type_a": pd.Series(dtype=object),
-            "type_b": pd.Series(dtype=object),
-            "n_a": pd.Series(dtype="int64"),
-            "n_b": pd.Series(dtype="int64"),
-            "n_both": pd.Series(dtype="int64"),
-            "support": pd.Series(dtype="float64"),
-            "lift": pd.Series(dtype="float64")}
+    cols = {"type_a": object,
+            "type_b": object,
+            "n_a": "int64",
+            "n_b": "int64",
+            "n_both": "int64",
+            "support": "float64",
+            "lift": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     agg = parts.groupby(["kind", "a", "b"], as_index=False,
                         observed=True)["cnt"].sum()
     n_users = int(agg.loc[agg["kind"] == "n", "cnt"].sum())
@@ -1961,7 +1825,7 @@ def basket_lift(ds: ray.data.Dataset) -> pd.DataFrame:
                        agg.loc[agg["kind"] == "s", "cnt"]))
     pr = agg[agg["kind"] == "p"]
     if pr.empty or n_users == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     na = pr["a"].map(singles).to_numpy(np.int64)
     nb = pr["b"].map(singles).to_numpy(np.int64)
     nboth = pr["cnt"].to_numpy(np.int64)
@@ -2001,12 +1865,12 @@ def pareto_concentration(ds: ray.data.Dataset) -> pd.DataFrame:
                               observed=True)["cnt"].sum(),
         key=USER_ID,
     ).to_pandas()
-    cols = {"pct": pd.Series(dtype="int64"),
-            "n_top_keys": pd.Series(dtype="int64"),
-            "top_events": pd.Series(dtype="int64"),
-            "share": pd.Series(dtype="float64")}
+    cols = {"pct": "int64",
+            "n_top_keys": "int64",
+            "top_events": "int64",
+            "share": "float64"}
     if counts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     c = counts["cnt"].to_numpy(np.int64)
     uid = counts[USER_ID].to_numpy()
     perm = np.lexsort((uid, -c))
@@ -2050,18 +1914,18 @@ def rank_compare(ds: ray.data.Dataset) -> pd.DataFrame:
 
     parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {"type_a": pd.Series(dtype=object),
-            "type_b": pd.Series(dtype=object),
-            "n_a": pd.Series(dtype="int64"),
-            "n_b": pd.Series(dtype="int64"),
-            "u_twice": pd.Series(dtype="int64"),
-            "gt_pairs": pd.Series(dtype="int64"),
-            "lt_pairs": pd.Series(dtype="int64"),
-            "eq_pairs": pd.Series(dtype="int64"),
-            "z_score": pd.Series(dtype="float64"),
-            "cliffs_delta": pd.Series(dtype="float64")}
+    cols = {"type_a": object,
+            "type_b": object,
+            "n_a": "int64",
+            "n_b": "int64",
+            "u_twice": "int64",
+            "gt_pairs": "int64",
+            "lt_pairs": "int64",
+            "eq_pairs": "int64",
+            "z_score": "float64",
+            "cliffs_delta": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cells = parts.groupby(["t", "k"], as_index=False,
                           observed=True)["c"].sum()
     types = sorted(cells["t"].unique())
@@ -2096,7 +1960,7 @@ def rank_compare(ds: ray.data.Dataset) -> pd.DataFrame:
                          np.int64(u2), np.int64(gt), np.int64(lt),
                          np.int64(eq), z, delta))
     if not rows:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     return pd.DataFrame(rows, columns=list(cols))
 
 
@@ -2127,14 +1991,14 @@ def kruskal_wallis(ds: ray.data.Dataset) -> pd.DataFrame:
 
     parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {"event_type": pd.Series(dtype=object),
-            "n_i": pd.Series(dtype="int64"),
-            "r_twice": pd.Series(dtype="int64"),
-            "n_total": pd.Series(dtype="int64"),
-            "h_stat": pd.Series(dtype="float64"),
-            "h_tie": pd.Series(dtype="float64")}
+    cols = {"event_type": object,
+            "n_i": "int64",
+            "r_twice": "int64",
+            "n_total": "int64",
+            "h_stat": "float64",
+            "h_tie": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cells = parts.groupby(["t", "k"], as_index=False,
                           observed=True)["c"].sum()
     gk = cells.groupby("k")["c"].sum().sort_index()
@@ -2150,7 +2014,7 @@ def kruskal_wallis(ds: ray.data.Dataset) -> pd.DataFrame:
     r = r.sort_values("t").reset_index(drop=True)
     n = int(r["n_i"].sum())
     if n < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     nf = float(n)
     r2 = r["r_twice"].to_numpy(np.int64)
     ni = r["n_i"].to_numpy(np.int64)
@@ -2195,13 +2059,13 @@ def activity_corr_pairs(ds: ray.data.Dataset, top_n: int = 20) -> pd.DataFrame:
                               observed=True)["cnt"].sum(),
         key=USER_ID,
     ).to_pandas()
-    cols = {"user_a": pd.Series(dtype="int64"),
-            "user_b": pd.Series(dtype="int64"),
-            "n_hours": pd.Series(dtype="int64"),
-            "sxy": pd.Series(dtype="int64"),
-            "r": pd.Series(dtype="float64")}
+    cols = {"user_a": "int64",
+            "user_b": "int64",
+            "n_hours": "int64",
+            "sxy": "int64",
+            "r": "float64"}
     if counts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     c = counts["cnt"].to_numpy(np.int64)
     u = counts[USER_ID].to_numpy(np.int64)
     perm = np.lexsort((u, -c))[:top_n]
@@ -2225,7 +2089,7 @@ def activity_corr_pairs(ds: ray.data.Dataset, top_n: int = 20) -> pd.DataFrame:
         key=USER_ID,
     ).to_pandas()
     if cells.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     H = int(cells["hb"].max() - cells["hb"].min() + 1)
     per = {}
     for uid, g in cells.groupby(USER_ID):
@@ -2255,7 +2119,7 @@ def activity_corr_pairs(ds: ray.data.Dataset, top_n: int = 20) -> pd.DataFrame:
             rows.append((np.int64(ua), np.int64(ub), np.int64(H),
                          np.int64(sxy), r))
     if not rows:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     return pd.DataFrame(rows, columns=list(cols))
 
 
@@ -2285,21 +2149,21 @@ def anova_f(ds: ray.data.Dataset) -> pd.DataFrame:
 
     parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {"event_type": pd.Series(dtype=object),
-            "n_i": pd.Series(dtype="int64"),
-            "s_i": pd.Series(dtype="int64"),
-            "q_i": pd.Series(dtype="int64"),
-            "f_stat": pd.Series(dtype="float64"),
-            "eta_sq": pd.Series(dtype="float64")}
+    cols = {"event_type": object,
+            "n_i": "int64",
+            "s_i": "int64",
+            "q_i": "int64",
+            "f_stat": "float64",
+            "eta_sq": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     g = parts.groupby("t", as_index=False).agg(
         n_i=("n", "sum"), s_i=("s", "sum"), q_i=("q", "sum"))
     g = g.sort_values("t").reset_index(drop=True)
     kg = len(g)
     N = int(g["n_i"].sum())
     if kg < 2 or N <= kg:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     sf_ = g["s_i"].to_numpy(np.int64).astype(np.float64)
     nf_ = g["n_i"].to_numpy(np.int64).astype(np.float64)
     tsum = float(np.sum(sf_ * sf_ / nf_))
@@ -2310,7 +2174,7 @@ def anova_f(ds: ray.data.Dataset) -> pd.DataFrame:
     sst = Q - S * S / Nf
     ssw = Q - tsum
     if ssw <= 0 or sst <= 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     f = (ssb / (kg - 1.0)) / (ssw / (Nf - kg))
     eta = ssb / sst
     return pd.DataFrame({
@@ -2345,14 +2209,14 @@ def cramers_v(
 
     parts = ds.select_columns([col_a, col_b]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {"n_rows": pd.Series(dtype="int64"),
-            "n_classes_a": pd.Series(dtype="int64"),
-            "n_classes_b": pd.Series(dtype="int64"),
-            "dof": pd.Series(dtype="int64"),
-            "chi2": pd.Series(dtype="float64"),
-            "cramers_v": pd.Series(dtype="float64")}
+    cols = {"n_rows": "int64",
+            "n_classes_a": "int64",
+            "n_classes_b": "int64",
+            "dof": "int64",
+            "chi2": "float64",
+            "cramers_v": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cells = parts.groupby([col_a, col_b], as_index=False,
                           observed=True)["o"].sum()
     piv = cells.pivot_table(index=col_a, columns=col_b, values="o",
@@ -2363,7 +2227,7 @@ def cramers_v(
     n = int(o.sum())
     ra, cb = len(r), len(c)
     if n == 0 or ra < 2 or cb < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     nf = float(n)
     e = r.astype(np.float64)[:, None] * c.astype(np.float64)[None, :] \
         / nf
@@ -2401,14 +2265,14 @@ def levene_bf(ds: ray.data.Dataset) -> pd.DataFrame:
 
     parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {"event_type": pd.Series(dtype=object),
-            "n_i": pd.Series(dtype="int64"),
-            "med2": pd.Series(dtype="int64"),
-            "s_i": pd.Series(dtype="int64"),
-            "q_i": pd.Series(dtype="int64"),
-            "w_stat": pd.Series(dtype="float64")}
+    cols = {"event_type": object,
+            "n_i": "int64",
+            "med2": "int64",
+            "s_i": "int64",
+            "q_i": "int64",
+            "w_stat": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cells = parts.groupby(["t", "k"], as_index=False,
                           observed=True)["c"].sum()
     rows = []
@@ -2430,7 +2294,7 @@ def levene_bf(ds: ray.data.Dataset) -> pd.DataFrame:
     kg = len(r)
     N = int(r["n_i"].sum())
     if kg < 2 or N <= kg:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     sf_ = r["s_i"].to_numpy(np.int64).astype(np.float64)
     nf_ = r["n_i"].to_numpy(np.int64).astype(np.float64)
     tsum = float(np.sum(sf_ * sf_ / nf_))
@@ -2440,7 +2304,7 @@ def levene_bf(ds: ray.data.Dataset) -> pd.DataFrame:
     ssb = tsum - S * S / Nf
     ssw = Q - tsum
     if ssw <= 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     w = (ssb / (kg - 1.0)) / (ssw / (Nf - kg))
     return pd.DataFrame({
         "event_type": r["t"].to_numpy(object),
@@ -2493,18 +2357,18 @@ def wilcoxon_shift(ds: ray.data.Dataset) -> pd.DataFrame:
                               observed=True)[["c1", "c2"]].sum(),
         key=USER_ID,
     ).to_pandas()
-    cols = {"m": pd.Series(dtype="int64"),
-            "n_pos": pd.Series(dtype="int64"),
-            "n_neg": pd.Series(dtype="int64"),
-            "w2_pos": pd.Series(dtype="int64"),
-            "z_score": pd.Series(dtype="float64")}
+    cols = {"m": "int64",
+            "n_pos": "int64",
+            "n_neg": "int64",
+            "w2_pos": "int64",
+            "z_score": "float64"}
     if cells.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     d = cells["c2"].to_numpy(np.int64) - cells["c1"].to_numpy(np.int64)
     d = d[d != 0]
     m = len(d)
     if m == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     ad = np.abs(d)
     vals, cnts = np.unique(ad, return_counts=True)
     less = np.cumsum(cnts) - cnts
@@ -2538,22 +2402,9 @@ def trigram_entropy(ds: ray.data.Dataset) -> pd.DataFrame:
     H₂ and perplexity close in mirrored float expressions."""
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
-        out = {"a": pd.Series(dtype=object),
-               "b": pd.Series(dtype=object),
-               "c": pd.Series(dtype=object),
-               "cnt": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(out)
-        kc, _ = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        k = kc[perm]
-        t = df[EVENT_TYPE].to_numpy(object)[perm]
-        if len(t) < 3:
-            return pd.DataFrame(out)
-        same = k[1:] == k[:-1]
-        ok = same[1:] & same[:-1]
+        sg = Segments(df)
+        t = sg[df[EVENT_TYPE].to_numpy(object)]
+        ok = sg.same(2)[2:]
         g = pd.DataFrame({"a": t[:-2][ok], "b": t[1:-1][ok],
                           "c": t[2:][ok]}).groupby(
             ["a", "b", "c"], as_index=False, observed=True).size()
@@ -2563,18 +2414,18 @@ def trigram_entropy(ds: ray.data.Dataset) -> pd.DataFrame:
         ds.select_columns([USER_ID, EVENT_TYPE, TS, EVENT_ID]),
         cells, key=USER_ID,
     ).to_pandas()
-    cols = {"n_trigrams": pd.Series(dtype="int64"),
-            "n_cells": pd.Series(dtype="int64"),
-            "n_contexts": pd.Series(dtype="int64"),
-            "h2": pd.Series(dtype="float64"),
-            "perplexity": pd.Series(dtype="float64")}
+    cols = {"n_trigrams": "int64",
+            "n_cells": "int64",
+            "n_contexts": "int64",
+            "h2": "float64",
+            "perplexity": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     g = parts.groupby(["a", "b", "c"], as_index=False,
                       observed=True)["cnt"].sum()
     N = int(g["cnt"].sum())
     if N == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     ctx = g.groupby(["a", "b"])["cnt"].transform("sum") \
         .to_numpy(np.int64)
     nabc = g["cnt"].to_numpy(np.int64)
@@ -2615,13 +2466,13 @@ def median_test(ds: ray.data.Dataset) -> pd.DataFrame:
 
     parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {"event_type": pd.Series(dtype=object),
-            "n_above": pd.Series(dtype="int64"),
-            "n_below": pd.Series(dtype="int64"),
-            "med2": pd.Series(dtype="int64"),
-            "chi2": pd.Series(dtype="float64")}
+    cols = {"event_type": object,
+            "n_above": "int64",
+            "n_below": "int64",
+            "med2": "int64",
+            "chi2": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cells = parts.groupby(["t", "k"], as_index=False,
                           observed=True)["c"].sum()
     gk = cells.groupby("k")["c"].sum().sort_index()
@@ -2629,7 +2480,7 @@ def median_test(ds: ray.data.Dataset) -> pd.DataFrame:
     cc = gk.to_numpy(np.int64)
     n = int(cc.sum())
     if n < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cum = np.cumsum(cc)
     lo = int(ks[np.searchsorted(cum, (n - 1) // 2 + 1)])
     hi = int(ks[np.searchsorted(cum, n // 2 + 1)])
@@ -2645,7 +2496,7 @@ def median_test(ds: ray.data.Dataset) -> pd.DataFrame:
     ra = int(a.sum())
     rb = int(b.sum())
     if ra == 0 or rb == 0 or len(g) < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     nf = float(n)
     o = np.stack([a, b], axis=1).astype(np.float64)
     colt = np.array([float(ra), float(rb)])
@@ -2686,14 +2537,14 @@ def bartlett_test(ds: ray.data.Dataset) -> pd.DataFrame:
 
     parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {"event_type": pd.Series(dtype=object),
-            "n_i": pd.Series(dtype="int64"),
-            "s_i": pd.Series(dtype="int64"),
-            "q_i": pd.Series(dtype="int64"),
-            "var_i": pd.Series(dtype="float64"),
-            "bartlett_t": pd.Series(dtype="float64")}
+    cols = {"event_type": object,
+            "n_i": "int64",
+            "s_i": "int64",
+            "q_i": "int64",
+            "var_i": "float64",
+            "bartlett_t": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     g = parts.groupby("t", as_index=False).agg(
         n_i=("n", "sum"), s_i=("s", "sum"), q_i=("q", "sum"))
     g = g[g["n_i"] >= 2].sort_values("t").reset_index(drop=True)
@@ -2710,7 +2561,7 @@ def bartlett_test(ds: ray.data.Dataset) -> pd.DataFrame:
     kg = len(g)
     N = int(ni.sum())
     if kg < 2 or N <= kg:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     Nf, kf = float(N), float(kg)
     sp2 = float(np.sum((nf - 1.0) * vi)) / (Nf - kf)
     tnum = (Nf - kf) * np.log(sp2) \
@@ -2763,23 +2614,17 @@ def friedman_test(ds: ray.data.Dataset) -> pd.DataFrame:
         .to_pandas()[EVENT_TYPE].unique().tolist())
     kg = len(types)
     t_index = {t: i for i, t in enumerate(types)}
-    cols = {"event_type": pd.Series(dtype=object),
-            "rank_sum_2x": pd.Series(dtype="int64"),
-            "n_blocks": pd.Series(dtype="int64"),
-            "n_types": pd.Series(dtype="int64"),
-            "tie_term": pd.Series(dtype="int64"),
-            "chi2_stat": pd.Series(dtype="float64"),
-            "chi2_tie": pd.Series(dtype="float64")}
+    cols = {"event_type": object,
+            "rank_sum_2x": "int64",
+            "n_blocks": "int64",
+            "n_types": "int64",
+            "tie_term": "int64",
+            "chi2_stat": "float64",
+            "chi2_tie": "float64"}
     if kg < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        out = {"t": pd.Series(dtype=object),
-               "s2x": pd.Series(dtype="int64"),
-               "tie": pd.Series(dtype="int64"),
-               "nu": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(out)
         g = df.groupby([USER_ID, EVENT_TYPE], as_index=False,
                        observed=True)["c"].sum()
         uc, uu = pd.factorize(g[USER_ID])
@@ -2801,14 +2646,14 @@ def friedman_test(ds: ray.data.Dataset) -> pd.DataFrame:
 
     parts = group_apply(cells_ds, per_part, key=USER_ID).to_pandas()
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     agg = parts.groupby("t", as_index=False).agg(
         s2x=("s2x", "sum"))
     agg = agg.sort_values("t").reset_index(drop=True)
     n = int(parts["nu"].sum())
     tie = int(parts["tie"].sum())
     if n < 2 or kg < 2 or tie >= n * (kg * kg * kg - kg):
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     s2x = agg["s2x"].to_numpy(np.int64)
     nf, kf = float(n), float(kg)
     ssq = float(np.sum(s2x.astype(np.float64)
@@ -2858,20 +2703,20 @@ def jonckheere_terpstra(ds: ray.data.Dataset) -> pd.DataFrame:
 
     parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {"event_type": pd.Series(dtype=object),
-            "n_i": pd.Series(dtype="int64"),
-            "n_total": pd.Series(dtype="int64"),
-            "jt_twice": pd.Series(dtype="int64"),
-            "jt_mean_twice": pd.Series(dtype="int64"),
-            "z_score": pd.Series(dtype="float64")}
+    cols = {"event_type": object,
+            "n_i": "int64",
+            "n_total": "int64",
+            "jt_twice": "int64",
+            "jt_mean_twice": "int64",
+            "z_score": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cells = parts.groupby(["t", "k"], as_index=False,
                           observed=True)["c"].sum()
     types = np.sort(cells["t"].unique())
     kg = len(types)
     if kg < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     ks = np.sort(cells["k"].unique())
     G = np.zeros((len(ks), kg), np.int64)
     ti = pd.Series(np.arange(kg), index=types)
@@ -2889,7 +2734,7 @@ def jonckheere_terpstra(ds: ray.data.Dataset) -> pd.DataFrame:
     N = int(nj.sum())
     cross = (N * N - int((nj * nj).sum())) // 2
     if N < 3:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     a1 = int((nj * (nj - 1) * (2 * nj + 5)).sum())
     b1 = int((row * (row - 1) * (2 * row + 5)).sum())
     t1 = N * (N - 1) * (2 * N + 5) - a1 - b1
@@ -2903,7 +2748,7 @@ def jonckheere_terpstra(ds: ray.data.Dataset) -> pd.DataFrame:
         / (36.0 * Nf * (Nf - 1.0) * (Nf - 2.0)) \
         + float(a3) * float(b3) / (8.0 * Nf * (Nf - 1.0))
     if var <= 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     z = (float(jt2) - float(cross)) / (2.0 * np.sqrt(var))
     return pd.DataFrame({
         "event_type": types.astype(object),
@@ -2948,13 +2793,6 @@ def cochran_q(
         cell_partial, batch_format="pandas")
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        out = {"t": pd.Series(dtype=object),
-               "g": pd.Series(dtype="int64"),
-               "r1": pd.Series(dtype="int64"),
-               "r2": pd.Series(dtype="int64"),
-               "nb": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(out)
         u = df[[USER_ID, EVENT_TYPE]].drop_duplicates()
         gj = u.groupby(EVENT_TYPE, as_index=False).size() \
             .rename(columns={"size": "g"})
@@ -2970,14 +2808,14 @@ def cochran_q(
         return res
 
     parts = group_apply(cells, per_part, key=USER_ID).to_pandas()
-    cols = {"event_type": pd.Series(dtype=object),
-            "g_count": pd.Series(dtype="int64"),
-            "n_blocks": pd.Series(dtype="int64"),
-            "n_types": pd.Series(dtype="int64"),
-            "n_total": pd.Series(dtype="int64"),
-            "q_stat": pd.Series(dtype="float64")}
+    cols = {"event_type": object,
+            "g_count": "int64",
+            "n_blocks": "int64",
+            "n_types": "int64",
+            "n_total": "int64",
+            "q_stat": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     agg = parts.groupby("t", as_index=False)["g"].sum() \
         .sort_values("t").reset_index(drop=True)
     kg = len(agg)
@@ -2988,7 +2826,7 @@ def cochran_q(
               * agg["g"].to_numpy(np.int64)).sum())
     den = kg * n - r2
     if kg < 2 or den <= 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     kf = float(kg)
     q = (kf - 1.0) * (kf * float(gg) - float(n) * float(n)) \
         / (kf * float(n) - float(r2))
@@ -3038,12 +2876,6 @@ def mcnemar_halves(ds: ray.data.Dataset) -> pd.DataFrame:
         cnt_partial, batch_format="pandas")
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "a": pd.Series(dtype="int64"),
-                "b": pd.Series(dtype="int64"),
-                "c": pd.Series(dtype="int64"),
-                "d": pd.Series(dtype="int64")})
         g = df.groupby(USER_ID, as_index=False)[
             ["a1", "b1", "a2", "b2"]].sum()
         x1 = (g["a1"].to_numpy(np.int64)
@@ -3057,20 +2889,20 @@ def mcnemar_halves(ds: ray.data.Dataset) -> pd.DataFrame:
             "d": [int(((1 - x1) & (1 - x2)).sum())]})
 
     parts = group_apply(cells, per_part, key=USER_ID).to_pandas()
-    cols = {"n_both": pd.Series(dtype="int64"),
-            "n_first_only": pd.Series(dtype="int64"),
-            "n_second_only": pd.Series(dtype="int64"),
-            "n_neither": pd.Series(dtype="int64"),
-            "chi2_plain": pd.Series(dtype="float64"),
-            "chi2_corrected": pd.Series(dtype="float64")}
+    cols = {"n_both": "int64",
+            "n_first_only": "int64",
+            "n_second_only": "int64",
+            "n_neither": "int64",
+            "chi2_plain": "float64",
+            "chi2_corrected": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     a = int(parts["a"].sum())
     b = int(parts["b"].sum())
     c = int(parts["c"].sum())
     d = int(parts["d"].sum())
     if b + c == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     num_p = (b - c) * (b - c)
     num_c = (abs(b - c) - 1) * (abs(b - c) - 1)
     return pd.DataFrame({
@@ -3111,11 +2943,6 @@ def sign_test_halves(ds: ray.data.Dataset) -> pd.DataFrame:
         cnt_partial, batch_format="pandas")
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "p": pd.Series(dtype="int64"),
-                "m": pd.Series(dtype="int64"),
-                "t": pd.Series(dtype="int64")})
         g = df.groupby(USER_ID, as_index=False)[["c1", "c2"]].sum()
         c1 = g["c1"].to_numpy(np.int64)
         c2 = g["c2"].to_numpy(np.int64)
@@ -3125,18 +2952,18 @@ def sign_test_halves(ds: ray.data.Dataset) -> pd.DataFrame:
             "t": [int((c1 == c2).sum())]})
 
     parts = group_apply(cells, per_part, key=USER_ID).to_pandas()
-    cols = {"n_plus": pd.Series(dtype="int64"),
-            "n_minus": pd.Series(dtype="int64"),
-            "n_ties": pd.Series(dtype="int64"),
-            "z_stat": pd.Series(dtype="float64")}
+    cols = {"n_plus": "int64",
+            "n_minus": "int64",
+            "n_ties": "int64",
+            "z_stat": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     p = int(parts["p"].sum())
     m = int(parts["m"].sum())
     t = int(parts["t"].sum())
     n = p + m
     if n == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     z = (2.0 * float(max(p, m)) - float(n) - 1.0) \
         / float(np.sqrt(float(n)))
     return pd.DataFrame({
@@ -3184,16 +3011,16 @@ def cvm_two_sample(ds: ray.data.Dataset) -> pd.DataFrame:
     histogram and the oracle mirrors in HUGEINT; the single closing
     division is the only float."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "t_stat": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "t_stat": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cx = [int(v) for v in hist["cx"]]
     cy = [int(v) for v in hist["cy"]]
     n, m = sum(cx), sum(cy)
     if n == 0 or m == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     num = 0
     CX = CY = 0
     for cxk, cyk in zip(cx, cy):
@@ -3223,18 +3050,18 @@ def ansari_bradley(ds: ray.data.Dataset) -> pd.DataFrame:
     Completes the scale ladder next to levene_bf/bartlett (moment
     tests) with a fully nonparametric member."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "w_twice": pd.Series(dtype="int64"),
-            "z_stat": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "w_twice": "int64",
+            "z_stat": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cx = [int(v) for v in hist["cx"]]
     cy = [int(v) for v in hist["cy"]]
     n_x, n_y = sum(cx), sum(cy)
     N = n_x + n_y
     if n_x == 0 or n_y == 0 or N < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     w2 = s1 = s2 = 0
     less = 0
     for cxk, cyk in zip(cx, cy):
@@ -3247,7 +3074,7 @@ def ansari_bradley(ds: ray.data.Dataset) -> pd.DataFrame:
         less += lk
     var_num = n_x * n_y * (N * s2 - s1 * s1)
     if var_num <= 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     z = float(N * w2 - n_x * s1) \
         / float(np.sqrt(float(var_num) / float(N - 1)))
     return pd.DataFrame({
@@ -3267,18 +3094,18 @@ def mood_scale(ds: ray.data.Dataset) -> pd.DataFrame:
     squared-deviation sibling of ansari_bradley (different score
     function, same machinery)."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "t_quad": pd.Series(dtype="int64"),
-            "z_stat": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "t_quad": "int64",
+            "z_stat": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cx = [int(v) for v in hist["cx"]]
     cy = [int(v) for v in hist["cy"]]
     n_x, n_y = sum(cx), sum(cy)
     N = n_x + n_y
     if n_x == 0 or n_y == 0 or N < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     t4 = s1 = s2 = 0
     less = 0
     for cxk, cyk in zip(cx, cy):
@@ -3291,7 +3118,7 @@ def mood_scale(ds: ray.data.Dataset) -> pd.DataFrame:
         less += lk
     var_num = n_x * n_y * (N * s2 - s1 * s1)
     if var_num <= 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     z = float(N * t4 - n_x * s1) \
         / float(np.sqrt(float(var_num) / float(N - 1)))
     return pd.DataFrame({
@@ -3317,18 +3144,18 @@ def brunner_munzel(ds: ray.data.Dataset) -> pd.DataFrame:
     VY/(m²(m−1)))·... standard scipy form) are the mirrored float
     expressions."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "p_hat": pd.Series(dtype="float64"),
-            "w_stat": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "p_hat": "float64",
+            "w_stat": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cx = [int(v) for v in hist["cx"]]
     cy = [int(v) for v in hist["cy"]]
     n, m = sum(cx), sum(cy)
     N = n + m
     if n < 2 or m < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cxlt = cylt = 0
     px = py = 0          # Σ cx·p2x, Σ cy·p2y (doubled placements)
     sx_r = sy_r = 0      # Σ cx·r2, Σ cy·r2 (doubled pooled ranks)
@@ -3352,7 +3179,7 @@ def brunner_munzel(ds: ray.data.Dataset) -> pd.DataFrame:
         vy += cyk * dy * dy
     num2 = n * sy_r - m * sx_r
     if vx == 0 and vy == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     p_hat = float(py) / float(2 * n * m)
     # scipy form: W = nm(R̄y−R̄x)/((n+m)·sqrt(n·Sx + m·Sy)) with
     # Sx = VX/(4n²(n−1)); nm(R̄y−R̄x) = num2/2 ⇒ the 2s cancel:
@@ -3384,19 +3211,19 @@ def cucconi_test(ds: ray.data.Dataset) -> pd.DataFrame:
     D = mn(N+1)(2N+1)(8N+11)/5 and
     ρ = 2(N²−4)/((2N+1)(8N+11)) − 1 close as mirrored floats."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "u_stat": pd.Series(dtype="float64"),
-            "v_stat": pd.Series(dtype="float64"),
-            "c_stat": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "u_stat": "float64",
+            "v_stat": "float64",
+            "c_stat": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cx = [int(v) for v in hist["cx"]]
     cy = [int(v) for v in hist["cy"]]
     n, m = sum(cx), sum(cy)
     N = n + m
     if n == 0 or m == 0 or N < 3:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     less = 0
     s1 = s2 = 0
     for cxk, cyk in zip(cx, cy):
@@ -3454,15 +3281,15 @@ def dagostino_k2(ds: ray.data.Dataset) -> pd.DataFrame:
 
     parts = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {EVENT_TYPE: pd.Series(dtype=object),
-            "n": pd.Series(dtype="int64"),
-            "skew_g1": pd.Series(dtype="float64"),
-            "kurt_b2": pd.Series(dtype="float64"),
-            "z_skew": pd.Series(dtype="float64"),
-            "z_kurt": pd.Series(dtype="float64"),
-            "k2_stat": pd.Series(dtype="float64")}
+    cols = {EVENT_TYPE: object,
+            "n": "int64",
+            "skew_g1": "float64",
+            "kurt_b2": "float64",
+            "z_skew": "float64",
+            "z_kurt": "float64",
+            "k2_stat": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     rows = []
     for gname, g in parts.groupby(EVENT_TYPE):
         n = int(g["n"].sum())
@@ -3517,7 +3344,7 @@ def dagostino_k2(ds: ray.data.Dataset) -> pd.DataFrame:
                      float(z1), float(z2),
                      float(z1 * z1 + z2 * z2)))
     if not rows:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     return pd.DataFrame(rows, columns=list(cols)) \
         .sort_values(EVENT_TYPE).reset_index(drop=True)
 
@@ -3532,26 +3359,17 @@ def cox_stuart(ds: ray.data.Dataset) -> pd.DataFrame:
     Cox–Stuart; the one closing is the continuity-corrected
     z = (2·n_plus − mtot)/√mtot over mtot = n_plus + n_minus."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "n_plus": "int64",
+            "n_minus": "int64",
+            "z_stat": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "n_plus": pd.Series(dtype="int64"),
-                "n_minus": pd.Series(dtype="int64"),
-                "z_stat": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        s = df.sort_values([USER_ID, TS, EVENT_ID],
-                           kind="mergesort")
-        kc, kuniq = pd.factorize(s[USER_ID])
-        x = np.rint(s[VALUE].to_numpy(np.float64) * 100.0) \
-            .astype(np.int64)
-        order = np.argsort(kc, kind="stable")
-        k, xs = kc[order], x[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
+        sg = Segments(df)
+        xs = np.rint(sg[VALUE].astype(np.float64) * 100.0).astype(np.int64)
         rows = []
-        for i, st in enumerate(starts):
-            ni = int(n[i])
+        for st, ni, key in zip(sg.starts, sg.n.tolist(), sg.keys):
             half = ni // 2
             if half == 0:
                 continue
@@ -3564,24 +3382,15 @@ def cox_stuart(ds: ray.data.Dataset) -> pd.DataFrame:
             if mtot == 0:
                 continue
             z = float(2 * plus - mtot) / float(np.sqrt(float(mtot)))
-            rows.append((int(np.asarray(kuniq)[k[st]]),
-                         np.int64(ni), np.int64(plus),
+            rows.append((int(key), np.int64(ni), np.int64(plus),
                          np.int64(minus), z))
         if not rows:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         return pd.DataFrame(rows, columns=list(cols))
 
-    out = group_apply(
+    return collect_sorted(group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, key=USER_ID,
-    ).to_pandas()
-    if out.empty:
-        return pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
-                             "n": pd.Series(dtype="int64"),
-                             "n_plus": pd.Series(dtype="int64"),
-                             "n_minus": pd.Series(dtype="int64"),
-                             "z_stat": pd.Series(dtype="float64")})
-    return out.sort_values(USER_ID).reset_index(drop=True)
+        per_key, key=USER_ID), cols)
 
 
 def hodges_lehmann(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3611,16 +3420,16 @@ def hodges_lehmann(ds: ray.data.Dataset) -> pd.DataFrame:
 
     hist = ds.select_columns([EVENT_TYPE, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "hl2": pd.Series(dtype="int64"),
-            "hl_shift": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "hl2": "int64",
+            "hl_shift": "float64"}
     if hist.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     hist = hist.groupby("k", as_index=False)[["cx", "cy"]].sum()
     n, m = int(hist["cx"].sum()), int(hist["cy"].sum())
     if n == 0 or m == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     kmin, kmax = int(hist["k"].min()), int(hist["k"].max())
     width = kmax - kmin + 1
     dx = np.zeros(width, np.int64)
@@ -3675,12 +3484,12 @@ def page_trend(ds: ray.data.Dataset, num_quarters: int = 4) -> pd.DataFrame:
 
     cells = ds.select_columns([USER_ID, TS]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {"n_blocks": pd.Series(dtype="int64"),
-            "n_quarters": pd.Series(dtype="int64"),
-            "l2": pd.Series(dtype="int64"),
-            "z_stat": pd.Series(dtype="float64")}
+    cols = {"n_blocks": "int64",
+            "n_quarters": "int64",
+            "l2": "int64",
+            "z_stat": "float64"}
     if cells.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cells = cells.groupby([USER_ID, "qt"], as_index=False)["c"].sum()
     uc, uu = pd.factorize(cells[USER_ID])
     M = np.zeros((len(uu), k), np.int64)
@@ -3742,14 +3551,14 @@ def hbos_anomalies(ds: ray.data.Dataset, top: int = 20) -> pd.DataFrame:
     cells = feats.map_batches(cell_partial, batch_format="pandas") \
         .to_pandas().groupby(["dim", "cell"], as_index=False)["c"] \
         .sum()
-    cols = {EVENT_ID: pd.Series(dtype="int64"),
-            "vbin": pd.Series(dtype="int64"),
-            "hour": pd.Series(dtype="int64"),
-            "c_vbin": pd.Series(dtype="int64"),
-            "c_hour": pd.Series(dtype="int64"),
-            "hbos_score": pd.Series(dtype="float64")}
+    cols = {EVENT_ID: "int64",
+            "vbin": "int64",
+            "hour": "int64",
+            "c_vbin": "int64",
+            "c_hour": "int64",
+            "hbos_score": "float64"}
     if cells.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     n = int(cells.loc[cells["dim"] == 0, "c"].sum())
     cv = dict(zip(cells.loc[cells["dim"] == 0, "cell"],
                   cells.loc[cells["dim"] == 0, "c"]))
@@ -3794,18 +3603,18 @@ def kuiper_test(ds: ray.data.Dataset) -> pd.DataFrame:
     the shared value histogram and the two closings are the only
     floats."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "d_plus": pd.Series(dtype="float64"),
-            "d_minus": pd.Series(dtype="float64"),
-            "v_stat": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "d_plus": "float64",
+            "d_minus": "float64",
+            "v_stat": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cx = hist["cx"].to_numpy(np.int64)
     cy = hist["cy"].to_numpy(np.int64)
     n, m = int(cx.sum()), int(cy.sum())
     if n == 0 or m == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     d = m * np.cumsum(cx) - n * np.cumsum(cy)
     # include the empty prefix (deviation 0) like the EDF does
     dp = max(0, int(d.max()))
@@ -3831,17 +3640,17 @@ def wasserstein1(ds: ray.data.Dataset) -> pd.DataFrame:
     (HUGEINT oracle), and W₁ = num/(n·m·100) — descaled back to
     value units — is the single closing."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "w1_dist": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "w1_dist": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     k = hist["k"].to_numpy(np.int64)
     cx = hist["cx"].to_numpy(np.int64)
     cy = hist["cy"].to_numpy(np.int64)
     n, m = int(cx.sum()), int(cy.sum())
     if n == 0 or m == 0 or len(k) < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     d = m * np.cumsum(cx) - n * np.cumsum(cy)
     gaps = np.diff(k)
     num = sum(int(g) * abs(int(dd))
@@ -3866,20 +3675,20 @@ def energy_distance(ds: ray.data.Dataset) -> pd.DataFrame:
     and D² = 2A/(nm·100) − B/(n²·100) − C/(m²·100) is the one
     mirrored float expression."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "e_xy": pd.Series(dtype="float64"),
-            "e_xx": pd.Series(dtype="float64"),
-            "e_yy": pd.Series(dtype="float64"),
-            "energy_d2": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "e_xy": "float64",
+            "e_xx": "float64",
+            "e_yy": "float64",
+            "energy_d2": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     k = hist["k"].to_numpy(np.int64)
     cx = hist["cx"].to_numpy(np.int64)
     cy = hist["cy"].to_numpy(np.int64)
     n, m = int(cx.sum()), int(cy.sum())
     if n == 0 or m == 0 or len(k) < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     CX = np.cumsum(cx)
     CY = np.cumsum(cy)
     gaps = np.diff(k)
@@ -3912,19 +3721,19 @@ def lepage_test(ds: ray.data.Dataset) -> pd.DataFrame:
     moments S1/S2 are exact Python ints (HUGEINT oracle); the two
     z closings and L are the mirrored float expressions."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "z_wilcoxon": pd.Series(dtype="float64"),
-            "z_ansari": pd.Series(dtype="float64"),
-            "lepage_l": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "z_wilcoxon": "float64",
+            "z_ansari": "float64",
+            "lepage_l": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cx = [int(v) for v in hist["cx"]]
     cy = [int(v) for v in hist["cy"]]
     n, m = sum(cx), sum(cy)
     N = n + m
     if n == 0 or m == 0 or N < 3:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     less = 0
     w2 = 0          # doubled Wilcoxon rank sum of X
     tie3 = 0        # Σ (l³ − l)
@@ -3942,13 +3751,13 @@ def lepage_test(ds: ray.data.Dataset) -> pd.DataFrame:
     # Wilcoxon: var·12·N·(N−1) = n·m·((N+1)·N·(N−1) − T)
     aa = (N + 1) * N * (N - 1) - tie3
     if aa <= 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     zw = float(w2 - n * (N + 1)) \
         / (2.0 * np.sqrt(float(n * m * aa)
                          / float(12 * N * (N - 1))))
     var_num = n * m * (N * s2 - s1 * s1)
     if var_num <= 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     za = float(N * aw2 - n * s1) \
         / float(np.sqrt(float(var_num) / float(N - 1)))
     return pd.DataFrame({
@@ -3969,25 +3778,25 @@ def qte_profile(ds: ray.data.Dataset) -> pd.DataFrame:
     cum ≥ ⌈p·n⌉ on the shared integer histogram; the three
     qte_* closings descale the integer differences by /100."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "q25_x": pd.Series(dtype="int64"),
-            "q50_x": pd.Series(dtype="int64"),
-            "q75_x": pd.Series(dtype="int64"),
-            "q25_y": pd.Series(dtype="int64"),
-            "q50_y": pd.Series(dtype="int64"),
-            "q75_y": pd.Series(dtype="int64"),
-            "qte_25": pd.Series(dtype="float64"),
-            "qte_50": pd.Series(dtype="float64"),
-            "qte_75": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "q25_x": "int64",
+            "q50_x": "int64",
+            "q75_x": "int64",
+            "q25_y": "int64",
+            "q50_y": "int64",
+            "q75_y": "int64",
+            "qte_25": "float64",
+            "qte_50": "float64",
+            "qte_75": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     k = hist["k"].to_numpy(np.int64)
     cx = hist["cx"].to_numpy(np.int64)
     cy = hist["cy"].to_numpy(np.int64)
     n, m = int(cx.sum()), int(cy.sum())
     if n == 0 or m == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     CX, CY = np.cumsum(cx), np.cumsum(cy)
 
     def q(cum, tot, pnum, pden):
@@ -4026,15 +3835,15 @@ def yuen_trimmed(ds: ray.data.Dataset) -> pd.DataFrame:
     d = SSw/(h(h−1)), t = (St_x/h_x − St_y/h_y)/(100·√(d_x+d_y))
     — descaled to value units."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "h_x": pd.Series(dtype="int64"),
-            "h_y": pd.Series(dtype="int64"),
-            "tmean_x": pd.Series(dtype="float64"),
-            "tmean_y": pd.Series(dtype="float64"),
-            "yuen_t": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "h_x": "int64",
+            "h_y": "int64",
+            "tmean_x": "float64",
+            "tmean_y": "float64",
+            "yuen_t": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     k = hist["k"].to_numpy(np.int64)
 
     def side(c):
@@ -4062,11 +3871,11 @@ def yuen_trimmed(ds: ray.data.Dataset) -> pd.DataFrame:
     sx = side(hist["cx"].to_numpy(np.int64))
     sy = side(hist["cy"].to_numpy(np.int64))
     if sx is None or sy is None:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     n_x, h_x, st_x, d_x = sx
     n_y, h_y, st_y, d_y = sy
     if d_x + d_y <= 0.0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     tm_x = float(st_x) / float(h_x)
     tm_y = float(st_y) / float(h_y)
     # t is scale-free (the /100 descales cancel) — mirror the
@@ -4105,20 +3914,20 @@ def hill_tail(ds: ray.data.Dataset, tail_k: int = 100) -> pd.DataFrame:
 
     hist = ds.select_columns([VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {"n_pos": pd.Series(dtype="int64"),
-            "tail_k": pd.Series(dtype="int64"),
-            "x_ref": pd.Series(dtype="int64"),
-            "hill_h": pd.Series(dtype="float64"),
-            "alpha": pd.Series(dtype="float64")}
+    cols = {"n_pos": "int64",
+            "tail_k": "int64",
+            "x_ref": "int64",
+            "hill_h": "float64",
+            "alpha": "float64"}
     if hist.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     hist = hist.groupby("k", as_index=False)["c"].sum() \
         .sort_values("k", ascending=False).reset_index(drop=True)
     k = hist["k"].to_numpy(np.int64)
     c = hist["c"].to_numpy(np.int64)
     n = int(c.sum())
     if n < tail_k + 1:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cum = np.cumsum(c)
     # k largest values, clipped per descending cell
     tc = np.maximum(0, np.minimum(cum, tail_k)
@@ -4131,7 +3940,7 @@ def hill_tail(ds: ray.data.Dataset, tail_k: int = 100) -> pd.DataFrame:
     h = (sln - float(tail_k) * float(np.log(float(ref)))) \
         / float(tail_k)
     if h <= 0.0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     return pd.DataFrame({
         "n_pos": np.array([n], np.int64),
         "tail_k": np.array([tail_k], np.int64),
@@ -4153,18 +3962,18 @@ def rmst(ds: ray.data.Dataset) -> pd.DataFrame:
     uses), so engine and SQL walk identical float op sequences;
     durations, τ and all counts are exact int64."""
     got = _survival_durations(ds)
-    cols = {"n_durations": pd.Series(dtype="int64"),
-            "n_events": pd.Series(dtype="int64"),
-            "tau_us": pd.Series(dtype="int64"),
-            "rmst_days": pd.Series(dtype="float64"),
-            "rmst_share": pd.Series(dtype="float64")}
+    cols = {"n_durations": "int64",
+            "n_events": "int64",
+            "tau_us": "int64",
+            "rmst_days": "float64",
+            "rmst_share": "float64"}
     if got is None:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     _, dur, obs = got
     tau = int(dur.max())
     evt_times, _, _, surv = _km_steps(dur, obs)
     if not len(evt_times) or tau <= 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     acc = 0.0
     s_prev = 1.0
     t_prev = 0
@@ -4202,17 +4011,17 @@ def gehan_wilcoxon(ds: ray.data.Dataset) -> pd.DataFrame:
     O(N²), overflows int64 at ~10⁵ subjects); z = W/√Var is the
     one closing."""
     got = _survival_durations(ds)
-    cols = {"n_a": pd.Series(dtype="int64"),
-            "n_b": pd.Series(dtype="int64"),
-            "w_gehan": pd.Series(dtype="int64"),
-            "z_stat": pd.Series(dtype="float64")}
+    cols = {"n_a": "int64",
+            "n_b": "int64",
+            "w_gehan": "int64",
+            "z_stat": "float64"}
     if got is None:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     kid, dur, obs = got
     grp_a = (kid % 2) == 0
     n, m = int(grp_a.sum()), int((~grp_a).sum())
     if n == 0 or m == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     N = n + m
     s_all, s_obs = np.sort(dur), np.sort(dur[obs])
     obs_lt = np.searchsorted(s_obs, dur, "left")   # observed with t < t_i
@@ -4231,7 +4040,7 @@ def gehan_wilcoxon(ds: ray.data.Dataset) -> pd.DataFrame:
     sg2 = sum(int(g) * int(g) for g in G)
     var_num = n * m * sg2
     if var_num <= 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     z = float(W) / float(np.sqrt(float(var_num)
                                  / float(N * (N - 1))))
     return pd.DataFrame({
@@ -4287,14 +4096,14 @@ def cuped_effect(ds: ray.data.Dataset) -> pd.DataFrame:
         ds.select_columns([USER_ID, TS, VALUE]),
         per_key, key=USER_ID,
     ).to_pandas()
-    cols = {"n_users": pd.Series(dtype="int64"),
-            "n_treat": pd.Series(dtype="int64"),
-            "theta": pd.Series(dtype="float64"),
-            "raw_effect": pd.Series(dtype="float64"),
-            "cuped_effect": pd.Series(dtype="float64"),
-            "rho2": pd.Series(dtype="float64")}
+    cols = {"n_users": "int64",
+            "n_treat": "int64",
+            "theta": "float64",
+            "raw_effect": "float64",
+            "cuped_effect": "float64",
+            "rho2": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     nu = int(parts["nu"].sum())
     sx = sum(int(v) for v in parts["sx"])
     sy = sum(int(v) for v in parts["sy"])
@@ -4310,7 +4119,7 @@ def cuped_effect(ds: ray.data.Dataset) -> pd.DataFrame:
     vx = nu * sx2 - sx * sx
     vy = nu * sy2 - sy * sy
     if n_t == 0 or n_c == 0 or vx <= 0 or vy <= 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cxy = nu * sxy - sx * sy
     theta = float(cxy) / float(vx)
     raw_k = float(sy_t) / float(n_t) - float(sy_c) / float(n_c)
@@ -4355,13 +4164,13 @@ def did_effect(ds: ray.data.Dataset) -> pd.DataFrame:
     cells = ds.select_columns([USER_ID, TS, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas() \
         .groupby(["t", "p"], as_index=False)[["s", "n"]].sum()
-    cols = {"mean_pre_c": pd.Series(dtype="float64"),
-            "mean_post_c": pd.Series(dtype="float64"),
-            "mean_pre_t": pd.Series(dtype="float64"),
-            "mean_post_t": pd.Series(dtype="float64"),
-            "did": pd.Series(dtype="float64")}
+    cols = {"mean_pre_c": "float64",
+            "mean_post_c": "float64",
+            "mean_pre_t": "float64",
+            "mean_post_t": "float64",
+            "did": "float64"}
     if len(cells) < 4:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     m = {}
     for _, r in cells.iterrows():
         m[(int(r["t"]), int(r["p"]))] = \
@@ -4397,13 +4206,13 @@ def sprt_conversion(ds: ray.data.Dataset) -> pd.DataFrame:
         partial, batch_format="pandas").to_pandas() \
         .groupby(USER_ID, as_index=False)["c"].max() \
         .sort_values(USER_ID).reset_index(drop=True)
-    cols = {"n_keys": pd.Series(dtype="int64"),
-            "n_conversions": pd.Series(dtype="int64"),
-            "decision": pd.Series(dtype=object),
-            "n_at_decision": pd.Series(dtype="int64"),
-            "llr_final": pd.Series(dtype="float64")}
+    cols = {"n_keys": "int64",
+            "n_conversions": "int64",
+            "decision": object,
+            "n_at_decision": "int64",
+            "llr_final": "float64"}
     if users.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     la = float(np.log(0.4 / 0.3))
     lb = float(np.log((1.0 - 0.4) / (1.0 - 0.3)))
     up = float(np.log((1.0 - 0.05) / 0.05))
@@ -4455,15 +4264,15 @@ def mutual_information(ds: ray.data.Dataset) -> pd.DataFrame:
     cells = ds.select_columns([EVENT_TYPE, TS]).map_batches(
         partial, batch_format="pandas").to_pandas() \
         .groupby(["a", "b"], as_index=False)["c"].sum()
-    cols = {"n": pd.Series(dtype="int64"),
-            "h_a": pd.Series(dtype="float64"),
-            "h_b": pd.Series(dtype="float64"),
-            "h_ab": pd.Series(dtype="float64"),
-            "mi": pd.Series(dtype="float64"),
-            "u_a_given_b": pd.Series(dtype="float64"),
-            "u_b_given_a": pd.Series(dtype="float64")}
+    cols = {"n": "int64",
+            "h_a": "float64",
+            "h_b": "float64",
+            "h_ab": "float64",
+            "mi": "float64",
+            "u_a_given_b": "float64",
+            "u_b_given_a": "float64"}
     if cells.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     n = int(cells["c"].sum())
     nf = float(n)
     lnn = float(np.log(nf))
@@ -4482,7 +4291,7 @@ def mutual_information(ds: ray.data.Dataset) -> pd.DataFrame:
     hab = ent(cells, ["a", "b"])
     mi = ha + hb - hab
     if ha <= 0.0 or hb <= 0.0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     return pd.DataFrame({
         "n": np.array([n], np.int64),
         "h_a": [ha], "h_b": [hb], "h_ab": [hab], "mi": [mi],
@@ -4517,12 +4326,12 @@ def peacock_ks2d(ds: ray.data.Dataset) -> pd.DataFrame:
     cells = ds.select_columns([EVENT_TYPE, VALUE, TS]) \
         .map_batches(partial, batch_format="pandas").to_pandas() \
         .groupby(["k", "h"], as_index=False)[["cx", "cy"]].sum()
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "d_max_nm": pd.Series(dtype="int64"),
-            "d_stat": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "d_max_nm": "int64",
+            "d_stat": "float64"}
     if cells.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     ks = np.sort(cells["k"].unique())
     hs = np.sort(cells["h"].unique())
     ki = {v: i for i, v in enumerate(ks)}
@@ -4535,7 +4344,7 @@ def peacock_ks2d(ds: ray.data.Dataset) -> pd.DataFrame:
         = cells["cy"].to_numpy(np.int64)
     n, m = int(X.sum()), int(Y.sum())
     if n == 0 or m == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     best = 0
     for fk in (False, True):
         for fh in (False, True):
@@ -4569,17 +4378,17 @@ def anderson_darling_2s(ds: ray.data.Dataset) -> pd.DataFrame:
     ascending cell order — the ordered-prefix float device — then
     closed as A² = (Σx/n + Σy/m)·(N−1)/N²."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "a2_stat": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "a2_stat": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cx = [int(v) for v in hist["cx"]]
     cy = [int(v) for v in hist["cy"]]
     n, m = sum(cx), sum(cy)
     N = n + m
     if n == 0 or m == 0 or N < 3:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     cum_x = cum_y = cum = 0
     sx = sy = 0.0
     for fx, fy in zip(cx, cy):
@@ -4633,29 +4442,29 @@ def two_proportion(ds: ray.data.Dataset) -> pd.DataFrame:
         USER_ID: agg[USER_ID].to_numpy(np.int64),
         "c": (agg["p"].to_numpy(np.int64)
               > agg["e"].to_numpy(np.int64)).astype(np.int64)})
-    cols = {"n_a": pd.Series(dtype="int64"),
-            "n_b": pd.Series(dtype="int64"),
-            "conv_a": pd.Series(dtype="int64"),
-            "conv_b": pd.Series(dtype="int64"),
-            "z_stat": pd.Series(dtype="float64"),
-            "wilson_lo_a": pd.Series(dtype="float64"),
-            "wilson_hi_a": pd.Series(dtype="float64"),
-            "wilson_lo_b": pd.Series(dtype="float64"),
-            "wilson_hi_b": pd.Series(dtype="float64")}
+    cols = {"n_a": "int64",
+            "n_b": "int64",
+            "conv_a": "int64",
+            "conv_b": "int64",
+            "z_stat": "float64",
+            "wilson_lo_a": "float64",
+            "wilson_hi_a": "float64",
+            "wilson_lo_b": "float64",
+            "wilson_hi_b": "float64"}
     if users.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     even = (users[USER_ID].to_numpy(np.int64) % 2) == 0
     c = users["c"].to_numpy(np.int64)
     na, nb = int(even.sum()), int((~even).sum())
     ca, cb = int(c[even].sum()), int(c[~even].sum())
     if na == 0 or nb == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     pa = float(ca) / float(na)
     pb = float(cb) / float(nb)
     pp = float(ca + cb) / float(na + nb)
     se2 = pp * (1.0 - pp) * (1.0 / float(na) + 1.0 / float(nb))
     if se2 <= 0.0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     z = (pa - pb) / np.sqrt(se2)
     zs = 1.96
 
@@ -4705,19 +4514,19 @@ def lincoln_petersen(ds: ray.data.Dataset) -> pd.DataFrame:
     users = ds.select_columns([USER_ID, TS]).map_batches(
         partial, batch_format="pandas").to_pandas() \
         .groupby(USER_ID, as_index=False)[["a", "b"]].max()
-    cols = {"n_first": pd.Series(dtype="int64"),
-            "n_second": pd.Series(dtype="int64"),
-            "n_both": pd.Series(dtype="int64"),
-            "n_hat": pd.Series(dtype="float64"),
-            "var_hat": pd.Series(dtype="float64")}
+    cols = {"n_first": "int64",
+            "n_second": "int64",
+            "n_both": "int64",
+            "n_hat": "float64",
+            "var_hat": "float64"}
     if users.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     a = users["a"].to_numpy(np.int64)
     b = users["b"].to_numpy(np.int64)
     n1, n2 = int(a.sum()), int(b.sum())
     mboth = int((a & b).sum())
     if n1 == 0 or n2 == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     nhat = float((n1 + 1) * (n2 + 1)) / float(mboth + 1) - 1.0
     var = (float((n1 + 1) * (n2 + 1))
            * float((n1 - mboth) * (n2 - mboth))
@@ -4743,19 +4552,19 @@ def effect_sizes(ds: ray.data.Dataset) -> pd.DataFrame:
     mirrored float closings (δ's numerator 2·#{y>x} − … is exact
     before its single /2nm division)."""
     hist = _two_sample_hist(ds)
-    cols = {"n_x": pd.Series(dtype="int64"),
-            "n_y": pd.Series(dtype="int64"),
-            "cohens_d": pd.Series(dtype="float64"),
-            "hedges_g": pd.Series(dtype="float64"),
-            "cliffs_delta": pd.Series(dtype="float64")}
+    cols = {"n_x": "int64",
+            "n_y": "int64",
+            "cohens_d": "float64",
+            "hedges_g": "float64",
+            "cliffs_delta": "float64"}
     if len(hist) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     k = hist["k"].to_numpy(np.int64)
     cx = hist["cx"].to_numpy(np.int64)
     cy = hist["cy"].to_numpy(np.int64)
     n, m = int(cx.sum()), int(cy.sum())
     if n < 2 or m < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     sx = int((k * cx).sum())
     sy = int((k * cy).sum())
     qx = sum(int(kk) * int(kk) * int(c) for kk, c in zip(k, cx))
@@ -4766,7 +4575,7 @@ def effect_sizes(ds: ray.data.Dataset) -> pd.DataFrame:
     ssy = float(qy) - float(sy) * float(sy) / float(m)
     sp2 = (ssx + ssy) / float(n + m - 2)
     if sp2 <= 0.0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     d = (float(sx) / float(n) - float(sy) / float(m)) \
         / np.sqrt(sp2)
     g = d * (1.0 - 3.0 / (4.0 * float(n + m - 2) - 1.0))
@@ -4812,18 +4621,18 @@ def risk_ratios(ds: ray.data.Dataset) -> pd.DataFrame:
     agg = ds.select_columns([USER_ID, EVENT_TYPE]).map_batches(
         partial, batch_format="pandas").to_pandas() \
         .groupby(USER_ID, as_index=False)[["p", "e"]].sum()
-    cols = {"a": pd.Series(dtype="int64"),
-            "b": pd.Series(dtype="int64"),
-            "c": pd.Series(dtype="int64"),
-            "d": pd.Series(dtype="int64"),
-            "odds_ratio": pd.Series(dtype="float64"),
-            "or_lo": pd.Series(dtype="float64"),
-            "or_hi": pd.Series(dtype="float64"),
-            "rel_risk": pd.Series(dtype="float64"),
-            "rr_lo": pd.Series(dtype="float64"),
-            "rr_hi": pd.Series(dtype="float64")}
+    cols = {"a": "int64",
+            "b": "int64",
+            "c": "int64",
+            "d": "int64",
+            "odds_ratio": "float64",
+            "or_lo": "float64",
+            "or_hi": "float64",
+            "rel_risk": "float64",
+            "rr_lo": "float64",
+            "rr_hi": "float64"}
     if agg.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     even = (agg[USER_ID].to_numpy(np.int64) % 2) == 0
     succ = agg["p"].to_numpy(np.int64) > agg["e"].to_numpy(np.int64)
     a = int((even & succ).sum())       # exposed (even) success
@@ -4831,7 +4640,7 @@ def risk_ratios(ds: ray.data.Dataset) -> pd.DataFrame:
     c = int((~even & succ).sum())
     d = int((~even & ~succ).sum())
     if min(a, b, c, d) == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     orr = (float(a) * float(d)) / (float(b) * float(c))
     se_or = np.sqrt(1.0 / float(a) + 1.0 / float(b)
                     + 1.0 / float(c) + 1.0 / float(d))
@@ -4864,20 +4673,20 @@ def logrank_test(ds: ray.data.Dataset) -> pd.DataFrame:
     in ascending event-time order (the ordered-prefix device) —
     z = (O−E)/√V closes."""
     got = _survival_durations(ds)
-    cols = {"n_a": pd.Series(dtype="int64"),
-            "n_b": pd.Series(dtype="int64"),
-            "o_minus_e": pd.Series(dtype="float64"),
-            "z_stat": pd.Series(dtype="float64")}
+    cols = {"n_a": "int64",
+            "n_b": "int64",
+            "o_minus_e": "float64",
+            "z_stat": "float64"}
     if got is None:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     kid, dur, obs = got
     grp_a = (kid % 2) == 0
     na, nb = int(grp_a.sum()), int((~grp_a).sum())
     if na == 0 or nb == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     evt_times = np.unique(dur[obs])
     if not len(evt_times):
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     n_all, d_all = _event_counts(evt_times, dur, obs)
     n_a, d_a = _event_counts(evt_times, dur[grp_a], obs[grp_a])
     ome = 0.0
@@ -4893,7 +4702,7 @@ def logrank_test(ds: ray.data.Dataset) -> pd.DataFrame:
         ome = ome + (float(d1) - e1)
         var = var + v1
     if var <= 0.0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     return pd.DataFrame({
         "n_a": np.array([na], np.int64),
         "n_b": np.array([nb], np.int64),

@@ -18,6 +18,13 @@ same files, key and P as one ``map_batches`` over them, with no read
 and no exchange (``_keyed_partitions``).  Many operators over one
 events table then share a single exchange, as the flagship's products
 share one partition visit.
+
+The per-key kernel frame: a kernel that ``group_apply`` runs on a
+partition sorts it once with ``Segments`` (key, then time order) and
+reduces each key's rows with its methods; the operator hands the
+result dataset to ``collect_sorted``, which types an empty result and
+orders a non-empty one.  ``group_apply`` never calls a kernel on zero
+rows, so kernels carry no empty branch.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+
+from ..schema import EVENT_ID, TS, USER_ID
 
 
 def _stable_hash(arr: np.ndarray) -> np.ndarray:
@@ -263,10 +272,14 @@ def group_apply(
     **map_groups_kw,
 ) -> ray.data.Dataset:
     """Hash-partition by ``key`` into ``partition_count()`` partitions
-    and run ``fn(partition) -> block`` once per partition (vectorized
-    inside).  ``batch_format="pyarrow"`` hands ``fn`` the partition as
-    a ``pa.Table`` (no pandas conversion — int-with-null columns keep
-    their Arrow types instead of float64-roundtripping).
+    and run ``fn(partition) -> block`` once per non-empty partition
+    (vectorized inside).  ``fn`` never sees zero rows: ``map_groups``
+    finds no group in an empty block, and ``_map_partitions`` skips
+    one; an operator that must answer for an empty input types its
+    empty result on the driver (``collect_sorted``), so a kernel has
+    no zero-row branch.  ``batch_format="pyarrow"`` hands ``fn`` the
+    partition as a ``pa.Table`` (no pandas conversion — int-with-null
+    columns keep their Arrow types instead of float64-roundtripping).
 
     When ``ds`` is a bare Parquet read (``_bare_parquet_read``: files
     read with at most a column subset) and ``fn`` is a function with no
@@ -309,6 +322,101 @@ def group_apply(
     return parted.groupby("_part").map_groups(
         wrapped, batch_format=batch_format, **map_groups_kw
     )
+
+
+class Segments:
+    """One sort of a partition into per-key segments: rows ordered by
+    ``key``, then by the ``order`` columns (default (ts, event_id)).
+    Keys are factorized in value order, so segments come out ascending
+    by key.  ``order`` entries are column names (``ts`` is read as
+    int64 µs) or arrays aligned with the frame's rows; the sort is
+    stable, so ``order=()`` keeps each key's rows in frame order.
+
+    ``perm`` maps sorted rows to frame rows; ``codes`` is the sorted
+    segment code of each row; ``starts``/``ends`` bound each segment,
+    ``n`` counts its rows and ``keys`` holds its key value.  The
+    reductions take arrays in sorted order (as indexing returns them)
+    and give one value per segment; ``same`` and ``diff`` give one
+    value per row, masking pairs of rows that cross a segment edge."""
+
+    def __init__(self, df: pd.DataFrame, key: str = USER_ID,
+                 order: tuple = (TS, EVENT_ID)):
+        codes, uniq = pd.factorize(df[key], sort=True)
+        self._df = df
+        self.perm = np.lexsort(
+            [self._column(c) for c in reversed(order)] + [codes])
+        self.codes = codes[self.perm]
+        self.starts = np.flatnonzero(
+            np.r_[True, self.codes[1:] != self.codes[:-1]])
+        self.ends = np.r_[self.starts[1:], len(self.codes)]
+        self.n = (self.ends - self.starts).astype(np.int64)
+        self.keys = np.asarray(uniq)[self.codes[self.starts]]
+
+    def _column(self, c) -> np.ndarray:
+        if not isinstance(c, str):
+            return np.asarray(c)
+        if c == TS:
+            return self._df[TS].to_numpy("datetime64[us]").view(np.int64)
+        return self._df[c].to_numpy()
+
+    def __getitem__(self, c) -> np.ndarray:
+        """Column ``c`` (a name or a row-aligned array) in sorted order."""
+        return self._column(c)[self.perm]
+
+    @property
+    def gid(self) -> np.ndarray:
+        """Segment id (0, 1, …) of every sorted row."""
+        return np.repeat(np.arange(len(self.starts)), self.n)
+
+    @property
+    def pos(self) -> np.ndarray:
+        """0-based position of every sorted row within its segment."""
+        return np.arange(len(self.codes)) - np.repeat(self.starts, self.n)
+
+    def same(self, lag: int = 1) -> np.ndarray:
+        """True where sorted row i and row i − lag are in one segment."""
+        out = np.zeros(len(self.codes), bool)
+        out[lag:] = self.codes[lag:] == self.codes[:-lag]
+        return out
+
+    def diff(self, a: np.ndarray, lag: int = 1) -> np.ndarray:
+        """a[i] − a[i − lag] where both rows are in one segment, else 0."""
+        out = np.zeros_like(a)
+        out[lag:] = a[lag:] - a[:-lag]
+        return np.where(self.same(lag), out, 0)
+
+    def sum(self, a: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(a, self.starts)
+
+    def min(self, a: np.ndarray) -> np.ndarray:
+        return np.minimum.reduceat(a, self.starts)
+
+    def max(self, a: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(a, self.starts)
+
+    def first(self, a: np.ndarray) -> np.ndarray:
+        return a[self.starts]
+
+    def last(self, a: np.ndarray) -> np.ndarray:
+        return a[self.ends - 1]
+
+
+def empty_frame(dtypes: dict) -> pd.DataFrame:
+    """Zero rows with ``dtypes``' column names and dtypes."""
+    return pd.DataFrame({c: pd.Series(dtype=d) for c, d in dtypes.items()})
+
+
+def collect_sorted(res: ray.data.Dataset, dtypes: dict,
+                   by=USER_ID) -> pd.DataFrame:
+    """The driver-side tail of a per-key operator: ``res`` (what its
+    ``group_apply`` returned) as one frame ordered by ``by``, or
+    ``empty_frame(dtypes)`` when it holds no rows.  It takes the dataset
+    rather than calling ``group_apply``: traces charge kernel time to
+    the module that calls ``group_apply``."""
+    out = res.to_pandas()
+    if out.empty:
+        return empty_frame(dtypes)
+    return out.sort_values(by, kind="mergesort").reset_index(drop=True)
 
 
 _DAY_US = np.int64(86_400_000_000)

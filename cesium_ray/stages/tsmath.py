@@ -3,13 +3,15 @@ time-weighted averages (LOCF integral), population z-score anomaly
 flagging, diurnal (hour-of-day) profiles, and per-series trend
 correlation.
 
-All five ride the engine's one wide primitive (``group_apply``
-conv-hash exchange — stages/partition.py) with fully vectorized
-per-partition kernels (lexsort + reduceat / bincount), and all are
-defined in exact integer space — values are k/100-quantized doubles
-and timestamps are int64 microseconds — so every emitted number is
-bit-reproducible by a DuckDB oracle that mirrors the same operation
-order (SURVEY.md §2.12).
+Every keyed operator here (and in analytics.py and window.py) rides
+the engine's one wide primitive (``group_apply``, a key-hash exchange)
+inside one per-key kernel frame (stages/partition.py): the kernel sorts
+its partition once with ``Segments`` and reduces each key's segment
+with its methods or a bincount, and the operator hands the result to
+``collect_sorted``.  All are defined in exact integer space — values
+are k/100-quantized doubles and timestamps are int64 microseconds — so
+every emitted number is bit-reproducible by a DuckDB oracle that
+mirrors the same operation order (SURVEY.md §2.12).
 
 Scale notes: each operator performs exactly one hash exchange keyed
 on the series id; per-partition work is O(n log n) in the partition,
@@ -24,7 +26,7 @@ import pandas as pd
 import ray.data
 
 from ..schema import EVENT_ID, EVENT_TYPE, TS, USER_ID, VALUE
-from .partition import group_apply
+from .partition import Segments, collect_sorted, empty_frame, group_apply
 
 _US = np.int64(1_000_000)
 
@@ -45,22 +47,19 @@ def ohlc_rollup(
     step = np.int64(bucket_s) * _US
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([USER_ID, TS, EVENT_ID], kind="mergesort")
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        b = (tus // step) * step
-        g = df[USER_ID].to_numpy()
-        v = df[VALUE].to_numpy(np.float64)
-        new = np.r_[True, (g[1:] != g[:-1]) | (b[1:] != b[:-1])]
-        starts = np.flatnonzero(new)
-        ends = np.r_[starts[1:], len(g)] - 1
+        sg = Segments(df)
+        b = (sg[TS] // step) * step
+        v = sg[VALUE]
+        starts = np.flatnonzero(~sg.same() | np.r_[True, b[1:] != b[:-1]])
+        ends = np.r_[starts[1:], len(v)]
         return pd.DataFrame({
-            USER_ID: g[starts],
+            USER_ID: sg[USER_ID][starts],
             "bucket_us": b[starts],
             "open": v[starts],
-            "high": np.maximum.reduceat(v, starts) if len(starts) else v[:0],
-            "low": np.minimum.reduceat(v, starts) if len(starts) else v[:0],
-            "close": v[ends],
-            "n": (np.r_[starts[1:], len(g)] - starts).astype(np.int64),
+            "high": np.maximum.reduceat(v, starts),
+            "low": np.minimum.reduceat(v, starts),
+            "close": v[ends - 1],
+            "n": (ends - starts).astype(np.int64),
         })
 
     return group_apply(ds, fn, key=USER_ID)
@@ -78,24 +77,20 @@ def time_weighted_avg(
     step = np.int64(bucket_s) * _US
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([USER_ID, TS, EVENT_ID], kind="mergesort")
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
+        sg = Segments(df)
+        tus = sg[TS]
         b = (tus // step) * step
-        g = df[USER_ID].to_numpy()
-        k = _quantize(df[VALUE].to_numpy())
-        new = np.r_[True, (g[1:] != g[:-1]) | (b[1:] != b[:-1])]
-        starts = np.flatnonzero(new)
-        n = len(starts)
-        counts = np.r_[starts[1:], len(g)] - starts
+        k = _quantize(sg[VALUE])
+        starts = np.flatnonzero(~sg.same() | np.r_[True, b[1:] != b[:-1]])
+        ends = np.r_[starts[1:], len(k)]
         # Δt to the NEXT point inside the same (series, bucket); last
         # point of each bucket contributes 0 (its value ends the span).
         dt = np.r_[tus[1:] - tus[:-1], np.int64(0)]
-        last = np.zeros(len(g), bool)
-        last[np.r_[starts[1:], len(g)] - 1] = True
-        dt[last] = 0
-        kdt = np.add.reduceat(k * dt, starts) if n else k[:0]
-        span = np.add.reduceat(dt, starts) if n else dt[:0]
-        sk = np.add.reduceat(k, starts) if n else k[:0]
+        dt[ends - 1] = 0
+        kdt = np.add.reduceat(k * dt, starts)
+        span = np.add.reduceat(dt, starts)
+        sk = np.add.reduceat(k, starts)
+        counts = ends - starts
         with np.errstate(invalid="ignore", divide="ignore"):
             twa = np.where(
                 span > 0,
@@ -103,7 +98,7 @@ def time_weighted_avg(
                 sk.astype(np.float64) / (counts.astype(np.float64) * 100.0),
             )
         return pd.DataFrame({
-            USER_ID: g[starts],
+            USER_ID: sg[USER_ID][starts],
             "bucket_us": b[starts],
             "twa": twa,
             "span_us": span.astype(np.int64),
@@ -123,29 +118,23 @@ def zscore_anomalies(
     (skk/n − (sk/n)², IEEE-identical); σ = 0 series flag nothing."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([USER_ID, EVENT_ID], kind="mergesort")
-        if not len(df):
-            return df[[USER_ID, EVENT_ID, VALUE]].assign(z=np.zeros(0))
-        g = df[USER_ID].to_numpy()
-        k = _quantize(df[VALUE].to_numpy())
-        new = np.r_[True, g[1:] != g[:-1]]
-        gid = np.cumsum(new) - 1
-        starts = np.flatnonzero(new)
+        sg = Segments(df, order=(EVENT_ID,))
+        k = _quantize(sg[VALUE])
+        gid = sg.gid
         # exact int64 accumulation (reduceat, not float bincount) so
         # the one cast-to-double matches SQL's sum(BIGINT)→DOUBLE even
         # when a series' Σk² exceeds 2^53
-        cnt = (np.r_[starts[1:], len(g)] - starts).astype(np.float64)
-        sk = np.add.reduceat(k, starts).astype(np.float64)
-        skk = np.add.reduceat(k * k, starts).astype(np.float64)
+        cnt = sg.n.astype(np.float64)
+        sk = sg.sum(k).astype(np.float64)
+        skk = sg.sum(k * k).astype(np.float64)
         mu = sk / cnt
         var = skk / cnt - (sk / cnt) * (sk / cnt)
         with np.errstate(invalid="ignore", divide="ignore"):
             sigma = np.sqrt(var)
             z = (k - mu[gid]) / sigma[gid]
         keep = (sigma[gid] > 0.0) & (np.abs(z) > thresh)
-        out = df.loc[keep, [USER_ID, EVENT_ID, VALUE]].copy()
-        out["z"] = z[keep]
-        return out.reset_index(drop=True)
+        return (df[[USER_ID, EVENT_ID, VALUE]].iloc[sg.perm[keep]]
+                .assign(z=z[keep]).reset_index(drop=True))
 
     return group_apply(ds, fn, key=USER_ID)
 
@@ -197,36 +186,23 @@ def trend_corr(ds: ray.data.Dataset) -> ray.data.Dataset:
     point) emit NaN."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([USER_ID, TS], kind="mergesort")
-        if not len(df):
-            return pd.DataFrame({USER_ID: df[USER_ID],
-                                 "n": np.zeros(0, np.int64),
-                                 "trend_r": np.zeros(0)})
-        g = df[USER_ID].to_numpy()
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        x = _quantize(df[VALUE].to_numpy())
-        new = np.r_[True, g[1:] != g[:-1]]
-        gid = np.cumsum(new) - 1
-        starts = np.flatnonzero(new)
-        t0 = np.minimum.reduceat(tus, starts)
-        y = (tus - t0[gid]) // _US  # whole seconds, exact
+        sg = Segments(df, order=(TS,))
+        tus = sg[TS]
+        x = _quantize(sg[VALUE])
+        y = (tus - sg.min(tus)[sg.gid]) // _US  # whole seconds, exact
         # exact int64 sums via reduceat (sorted runs), one cast each —
         # mirrors SQL sum(BIGINT)→CAST(DOUBLE); per-series bound:
         # Σy² < 2^63 (span_s² × n), comfortably true for µs-era series
-        n = (np.r_[starts[1:], len(g)] - starts).astype(np.float64)
-        sx = np.add.reduceat(x, starts).astype(np.float64)
-        sy = np.add.reduceat(y, starts).astype(np.float64)
-        sxx = np.add.reduceat(x * x, starts).astype(np.float64)
-        syy = np.add.reduceat(y * y, starts).astype(np.float64)
-        sxy = np.add.reduceat(x * y, starts).astype(np.float64)
+        n = sg.n.astype(np.float64)
+        sx = sg.sum(x).astype(np.float64)
+        sy = sg.sum(y).astype(np.float64)
+        sxx = sg.sum(x * x).astype(np.float64)
+        syy = sg.sum(y * y).astype(np.float64)
+        sxy = sg.sum(x * y).astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             denom = np.sqrt(n * sxx - sx * sx) * np.sqrt(n * syy - sy * sy)
             r = np.where(denom > 0.0, (n * sxy - sx * sy) / denom, np.nan)
-        return pd.DataFrame({
-            USER_ID: g[new],
-            "n": n.astype(np.int64),
-            "trend_r": r,
-        })
+        return pd.DataFrame({USER_ID: sg.keys, "n": sg.n, "trend_r": r})
 
     return group_apply(ds, fn, key=USER_ID)
 
@@ -239,14 +215,11 @@ def irate(ds: ray.data.Dataset) -> ray.data.Dataset:
     row_number-based SQL twin is bit-identical."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([USER_ID, TS, EVENT_ID], kind="mergesort")
-        g = df[USER_ID].to_numpy()
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        k = _quantize(df[VALUE].to_numpy())
-        new = np.r_[True, g[1:] != g[:-1]]
-        last = np.r_[new[1:], True]
-        li = np.flatnonzero(last)            # last row per series
-        multi = ~new[li]                     # series with ≥ 2 points
+        sg = Segments(df)
+        tus = sg[TS]
+        k = _quantize(sg[VALUE])
+        li = sg.ends - 1                     # last row per series
+        multi = sg.n > 1                     # series with ≥ 2 points
         pi = li - 1                          # previous row (valid iff multi)
         d = np.where(multi, k[li] - k[np.maximum(pi, 0)], 0)
         inc = np.where(d >= 0, d, k[li])     # reset → current value
@@ -255,8 +228,8 @@ def irate(ds: ray.data.Dataset) -> ray.data.Dataset:
             r = np.where(multi & (dt_s > 0),
                          (inc.astype(np.float64) / 100.0) / dt_s, np.nan)
         return pd.DataFrame({
-            USER_ID: g[li],
-            "last_ts": df[TS].to_numpy()[li],
+            USER_ID: sg.keys,
+            "last_ts": sg.last(sg[df[TS].to_numpy()]),
             "irate_per_sec": r,
         })
 
@@ -274,22 +247,15 @@ def ewma_last(ds: ray.data.Dataset, alpha: float = 0.3) -> ray.data.Dataset:
         raise ValueError("alpha in (0, 1]")
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([USER_ID, TS, EVENT_ID], kind="mergesort")
-        g = df[USER_ID].to_numpy()
-        v = df[VALUE].to_numpy(np.float64)
-        new = np.r_[True, g[1:] != g[:-1]]
-        gid = np.cumsum(new) - 1
-        ng = int(gid[-1]) + 1 if len(gid) else 0
-        starts = np.flatnonzero(new)
-        counts = np.r_[starts[1:], len(g)] - starts
+        sg = Segments(df)
+        v = sg[VALUE]
+        gid, counts = sg.gid, sg.n
         # position from the END of each series: n-1-j
-        pos = np.arange(len(g)) - starts[gid]
-        from_end = (counts[gid] - 1) - pos
+        from_end = (counts[gid] - 1) - (np.arange(len(v)) - sg.starts[gid])
         w = alpha * np.power(1.0 - alpha, from_end)
-        w[new] = np.power(1.0 - alpha, counts[gid[new]] - 1)  # y0 term
-        lvl = np.bincount(gid, weights=w * v, minlength=ng)
-        return pd.DataFrame({USER_ID: g[new], "ewma": lvl,
-                             "n": counts.astype(np.int64)})
+        w[sg.starts] = np.power(1.0 - alpha, counts - 1)  # y0 term
+        lvl = np.bincount(gid, weights=w * v, minlength=len(counts))
+        return pd.DataFrame({USER_ID: sg.keys, "ewma": lvl, "n": counts})
 
     return group_apply(ds, fn, key=USER_ID)
 
@@ -298,16 +264,10 @@ def _deltas(df: pd.DataFrame) -> pd.DataFrame:
     """Per-partition kernel: (event_type, int64-µs lead-delta) rows for
     consecutive same-(user_id, event_type) events in (ts, event_id)
     order."""
-    if not len(df):
-        return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
-                             "_dt": pd.Series(dtype="int64")})
-    kc, _ = pd.factorize(df[USER_ID])
     ac, auniq = pd.factorize(df[EVENT_TYPE])
-    tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-    oid = df[EVENT_ID].to_numpy(np.int64)
-    perm = np.lexsort((oid, tus, ac, kc))
-    k, a, t = kc[perm], ac[perm], tus[perm]
-    same = (k[1:] == k[:-1]) & (a[1:] == a[:-1])
+    sg = Segments(df, order=(ac, TS, EVENT_ID))
+    a, t = sg[ac], sg[TS]
+    same = sg.same()[1:] & (a[1:] == a[:-1])
     return pd.DataFrame({EVENT_TYPE: np.asarray(auniq)[a[:-1][same]],
                          "_dt": t[1:][same] - t[:-1][same]})
 
@@ -380,17 +340,10 @@ def dwell_time(ds: ray.data.Dataset) -> pd.DataFrame:
     ≤ |alphabet| exact-int64 cells before the driver combine."""
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
-                                 "_n": pd.Series(dtype="int64"),
-                                 "_us": pd.Series(dtype="int64")})
-        kc, _ = pd.factorize(df[USER_ID])
         ac, auniq = pd.factorize(df[EVENT_TYPE])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        k, a, t = kc[perm], ac[perm], tus[perm]
-        same = k[1:] == k[:-1]
+        sg = Segments(df)
+        a, t = sg[ac], sg[TS]
+        same = sg.same()[1:]
         src = a[:-1][same]
         dt = (t[1:] - t[:-1])[same]
         na = len(auniq)
@@ -486,26 +439,19 @@ def run_stats(ds: ray.data.Dataset) -> pd.DataFrame:
     ``maximum.reduceat`` over run lengths — no per-row Python.
     """
 
+    cols = {USER_ID: "int64",
+            "n_events": "int64",
+            "n_runs": "int64",
+            "max_run": "int64",
+            "first_type": object,
+            "last_type": object,
+            "mean_run_len": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "n_runs": pd.Series(dtype="int64"),
-                "max_run": pd.Series(dtype="int64"),
-                "first_type": pd.Series(dtype=object),
-                "last_type": pd.Series(dtype=object),
-                "mean_run_len": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
         ac, auniq = pd.factorize(df[EVENT_TYPE])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        k, a = kc[perm], ac[perm]
-        new_key = np.r_[True, k[1:] != k[:-1]]
-        run_brk = new_key | np.r_[True, a[1:] != a[:-1]]
-        key_start = np.flatnonzero(new_key)
-        n_events = np.diff(np.r_[key_start, len(k)])
+        sg = Segments(df)
+        k, a = sg.codes, sg[ac]
+        run_brk = ~sg.same() | np.r_[True, a[1:] != a[:-1]]
         run_start = np.flatnonzero(run_brk)
         run_len = np.diff(np.r_[run_start, len(k)])
         run_key = k[run_start]
@@ -514,23 +460,19 @@ def run_stats(ds: ray.data.Dataset) -> pd.DataFrame:
         first_run = np.flatnonzero(np.r_[True, run_key[1:] != run_key[:-1]])
         max_run = np.maximum.reduceat(run_len, first_run)
         n_runs = np.diff(np.r_[first_run, len(run_len)])
-        last_idx = np.r_[key_start[1:] - 1, len(k) - 1]
         au = np.asarray(auniq, dtype=object)
         return pd.DataFrame({
-            USER_ID: np.asarray(kuniq)[k[key_start]],
-            "n_events": n_events.astype(np.int64),
+            USER_ID: sg.keys,
+            "n_events": sg.n,
             "n_runs": n_runs.astype(np.int64),
             "max_run": max_run.astype(np.int64),
-            "first_type": au[a[key_start]],
-            "last_type": au[a[last_idx]],
-            "mean_run_len": (n_events.astype(np.float64)
+            "first_type": au[sg.first(a)],
+            "last_type": au[sg.last(a)],
+            "mean_run_len": (sg.n.astype(np.float64)
                              / n_runs.astype(np.float64)),
         })
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def time_since_event(ds: ray.data.Dataset, marker: str) -> pd.DataFrame:
@@ -545,35 +487,23 @@ def time_since_event(ds: ray.data.Dataset, marker: str) -> pd.DataFrame:
     falls out of comparing the carried index against each row's key
     segment start, no per-key loop."""
 
+    cols = {USER_ID: "int64", EVENT_ID: "int64", "since_us": "float64"}
+
     def enrich(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                USER_ID: pd.Series(dtype="int64"),
-                EVENT_ID: pd.Series(dtype="int64"),
-                "since_us": pd.Series(dtype="float64")})
-        kc, _ = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        mark = (df[EVENT_TYPE].to_numpy() == marker)
-        perm = np.lexsort((oid, tus, kc))
-        k, t, m = kc[perm], tus[perm], mark[perm]
-        n = len(k)
-        new_key = np.r_[True, k[1:] != k[:-1]]
-        seg_start = np.repeat(np.flatnonzero(new_key),
-                              np.diff(np.r_[np.flatnonzero(new_key), n]))
+        sg = Segments(df)
+        t, m = sg[TS], sg[df[EVENT_TYPE].to_numpy() == marker]
+        n = len(t)
         last_mark = np.maximum.accumulate(np.where(m, np.arange(n), -1))
         prior = np.r_[-1, last_mark[:-1]]  # strictly earlier
-        valid = prior >= seg_start
+        valid = prior >= sg.starts[sg.gid]
         since = np.full(n, np.nan)
         since[valid] = (t[valid] - t[prior[valid]]).astype(np.float64)
-        return pd.DataFrame({USER_ID: df[USER_ID].to_numpy()[perm],
-                             EVENT_ID: oid[perm],
+        return pd.DataFrame({USER_ID: sg[USER_ID],
+                             EVENT_ID: sg[EVENT_ID],
                              "since_us": since})
 
-    out = group_apply(ds, enrich, key=USER_ID).to_pandas()
-    if out.empty:
-        return enrich(pd.DataFrame())
-    return out.sort_values([USER_ID, EVENT_ID]).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, enrich, key=USER_ID), cols,
+                          by=[USER_ID, EVENT_ID])
 
 
 def lttb_downsample(ds: ray.data.Dataset, n_out: int = 10) -> pd.DataFrame:
@@ -600,13 +530,9 @@ def lttb_downsample(ds: ray.data.Dataset, n_out: int = 10) -> pd.DataFrame:
         raise ValueError("n_out must be ≥ 3")
     M = n_out - 2
 
+    cols = {USER_ID: "int64", "rn": "int64", "x_us": "int64", "k": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
-                              "rn": pd.Series(dtype="int64"),
-                              "x_us": pd.Series(dtype="int64"),
-                              "k": pd.Series(dtype="int64")})
-        if not len(df):
-            return empty
         # null values carry no shape: drop BEFORE rn assignment
         # (mirror: WHERE value IS NOT NULL) — an unfiltered NaN would
         # rint→INT64_MIN and hijack every bucket's area argmax
@@ -614,19 +540,12 @@ def lttb_downsample(ds: ray.data.Dataset, n_out: int = 10) -> pd.DataFrame:
         if not ok.all():
             df = df[ok]
             if not len(df):
-                return empty
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        kv = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        kcode, t, y = kc[perm], tus[perm], kv[perm]
-        starts = np.flatnonzero(np.r_[True, kcode[1:] != kcode[:-1]])
-        ends = np.r_[starts[1:], len(kcode)]
+                return empty_frame(cols)
+        sg = Segments(df)
+        t, y = sg[TS], _quantize(sg[VALUE])
         out_key, out_rn, out_x, out_y = [], [], [], []
-        for s, e in zip(starts, ends):
+        for s, e, uid in zip(sg.starts, sg.ends, sg.keys):
             n = e - s
-            uid = kuniq[kcode[s]]
             x = (t[s:e] - t[s]).astype(np.float64)  # exact int-valued
             yy = y[s:e].astype(np.float64)
             if n <= n_out:
@@ -662,10 +581,8 @@ def lttb_downsample(ds: ray.data.Dataset, n_out: int = 10) -> pd.DataFrame:
                              "x_us": np.asarray(out_x, dtype=np.int64),
                              "k": np.asarray(out_y, dtype=np.int64)})
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values([USER_ID, "rn"]).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols,
+                          by=[USER_ID, "rn"])
 
 
 def linear_trend_per_key(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -679,39 +596,26 @@ def linear_trend_per_key(ds: ray.data.Dataset) -> pd.DataFrame:
     intercept — bit-reproducible in SQL.  Zero time spread → NaN.
     NaN values propagate (SQL twin emits NULL for those keys)."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "slope_per_s": "float64",
+            "intercept": "float64"}
+
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "slope_per_s": pd.Series(dtype="float64"),
-                "intercept": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        df = df.sort_values([USER_ID, TS], kind="mergesort")
-        g = df[USER_ID].to_numpy()
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        v = df[VALUE].to_numpy(np.float64)
-        new = np.r_[True, g[1:] != g[:-1]]
-        gid = np.cumsum(new) - 1
-        starts = np.flatnonzero(new)
-        x = (tus - tus[starts[gid]]) // 1_000_000  # whole-second offsets
-        has_nan = np.zeros(int(gid[-1]) + 1, dtype=bool)
-        np.logical_or.at(has_nan, gid, np.isnan(v))
+        sg = Segments(df, order=(TS,))
+        tus, v = sg[TS], sg[VALUE]
+        x = (tus - sg.first(tus)[sg.gid]) // 1_000_000  # whole seconds
+        nan = np.isnan(v)
         k = np.zeros(len(v), dtype=np.int64)
-        ok = ~np.isnan(v)
-        k[ok] = np.rint(v[ok] * 100.0).astype(np.int64)
-        n = np.diff(np.r_[starts, len(g)]).astype(np.int64)
-        sx = np.add.reduceat(x, starts)
-        sy = np.add.reduceat(k, starts)
-        sxy = np.add.reduceat(x * k, starts)
-        sxx = np.add.reduceat(x * x, starts)
+        k[~nan] = np.rint(v[~nan] * 100.0).astype(np.int64)
+        n = sg.n
+        sx, sy, sxy, sxx = sg.sum(x), sg.sum(k), sg.sum(x * k), sg.sum(x * x)
         # int64 products wrap silently past 2^63 — guard in Python
         # ints (the SQL twin would raise a DuckDB overflow instead)
-        bound = max(
-            (int(n.max()) * int(np.abs(sxy).max()) if len(n) else 0),
-            (int(np.abs(sx).max()) * int(np.abs(sy).max()) if len(n) else 0),
-            (int(n.max()) * int(sxx.max()) if len(n) else 0),
-            (int(np.abs(sx).max()) ** 2 if len(n) else 0),
-        )
+        bound = max(int(n.max()) * int(np.abs(sxy).max()),
+                    int(np.abs(sx).max()) * int(np.abs(sy).max()),
+                    int(n.max()) * int(sxx.max()),
+                    int(np.abs(sx).max()) ** 2)
         if bound >= 2**62:
             raise OverflowError(
                 "linear_trend moment products exceed int64 — rescale "
@@ -724,17 +628,14 @@ def linear_trend_per_key(ds: ray.data.Dataset) -> pd.DataFrame:
             intercept = (sy.astype(np.float64)
                          - slope_cents * sx.astype(np.float64)) \
                 / (n.astype(np.float64) * 100.0)
-        bad = has_nan | (den == 0.0)
+        bad = sg.max(nan) | (den == 0.0)
         slope[bad] = np.nan
         intercept[bad] = np.nan
-        return pd.DataFrame({USER_ID: g[starts], "n": n,
+        return pd.DataFrame({USER_ID: sg.keys, "n": n,
                              "slope_per_s": slope,
                              "intercept": intercept})
 
-    out = group_apply(ds, fn, key=USER_ID).to_pandas()
-    if out.empty:
-        return fn(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, fn, key=USER_ID), cols)
 
 
 def weighted_value_quantiles(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -753,38 +654,27 @@ def weighted_value_quantiles(ds: ray.data.Dataset) -> pd.DataFrame:
     attr-keyed exchange sorts and cumsums each attr's cells."""
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({EVENT_TYPE: pd.Series(dtype=object),
-                                 "y": pd.Series(dtype="int64"),
-                                 "_w": pd.Series(dtype="int64"),
-                                 "_c": pd.Series(dtype="int64")})
-        kc, _ = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        v = df[VALUE].to_numpy(np.float64)
-        perm = np.lexsort((oid, tus, kc))
-        k, t = kc[perm], tus[perm]
-        vv = v[perm]
-        same = k[1:] == k[:-1]
+        sg = Segments(df)
+        t, vv = sg[TS], sg[VALUE]
+        same = sg.same()[1:]
         w = (t[1:] - t[:-1])[same]
         y = vv[:-1][same]
         ok = ~np.isnan(y)
         g = pd.DataFrame({
-            EVENT_TYPE: df[EVENT_TYPE].to_numpy()[perm][:-1][same][ok],
+            EVENT_TYPE: sg[EVENT_TYPE][:-1][same][ok],
             "y": np.rint(y[ok] * 100.0).astype(np.int64),
             "_w": w[ok],
             "_c": np.ones(int(ok.sum()), dtype=np.int64),
         })
         return g.groupby([EVENT_TYPE, "y"], as_index=False).sum()
 
+    cols = {EVENT_TYPE: object,
+            "n": "int64",
+            "total_w_us": "int64",
+            "w_p50": "float64",
+            "w_p90": "float64"}
+
     def per_attr(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {EVENT_TYPE: pd.Series(dtype=object),
-                "n": pd.Series(dtype="int64"),
-                "total_w_us": pd.Series(dtype="int64"),
-                "w_p50": pd.Series(dtype="float64"),
-                "w_p90": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         out = []
         for a, g in df.groupby(EVENT_TYPE):
             g = (g[["y", "_w", "_c"]].groupby("y", as_index=False)
@@ -801,12 +691,9 @@ def weighted_value_quantiles(ds: ray.data.Dataset) -> pd.DataFrame:
                                           "w_p50", "w_p90"])
 
     cell_ds = group_apply(ds, cells, key=USER_ID)
-    out = group_apply(cell_ds, per_attr, key=EVENT_TYPE).to_pandas()
-    if out.empty:
-        return per_attr(pd.DataFrame())
-    out["n"] = out["n"].astype(np.int64)
-    out["total_w_us"] = out["total_w_us"].astype(np.int64)
-    return out.sort_values(EVENT_TYPE).reset_index(drop=True)
+    out = collect_sorted(group_apply(cell_ds, per_attr, key=EVENT_TYPE),
+                         cols, by=EVENT_TYPE)
+    return out.astype({"n": np.int64, "total_w_us": np.int64})
 
 
 def max_drawdown(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -822,36 +709,24 @@ def max_drawdown(ds: ray.data.Dataset) -> pd.DataFrame:
     cummax (pandas C kernel) + ``maximum.reduceat`` — no per-key
     Python loop."""
 
+    cols = {USER_ID: "int64",
+            "max_drawdown": "float64",
+            "peak_value": "float64",
+            "n_events": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "max_drawdown": pd.Series(dtype="float64"),
-                "peak_value": pd.Series(dtype="float64"),
-                "n_events": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        k = kc[perm]
-        v = _quantize(df[VALUE].to_numpy())[perm]
-        rmax = pd.Series(v).groupby(k).cummax().to_numpy(np.int64)
+        sg = Segments(df)
+        v = _quantize(sg[VALUE])
+        rmax = pd.Series(v).groupby(sg.codes).cummax().to_numpy(np.int64)
         dd = rmax - v                       # int64, ≥ 0
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)])
         return pd.DataFrame({
-            USER_ID: np.asarray(kuniq)[k[starts]],
-            "max_drawdown": np.maximum.reduceat(dd, starts)
-                              .astype(np.float64) / 100.0,
-            "peak_value": np.maximum.reduceat(v, starts)
-                              .astype(np.float64) / 100.0,
-            "n_events": n.astype(np.int64),
+            USER_ID: sg.keys,
+            "max_drawdown": sg.max(dd).astype(np.float64) / 100.0,
+            "peak_value": sg.max(v).astype(np.float64) / 100.0,
+            "n_events": sg.n,
         })
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def longest_streak(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -866,21 +741,18 @@ def longest_streak(ds: ray.data.Dataset) -> pd.DataFrame:
     vectorized."""
     day_us = np.int64(86_400) * _US
 
+    cols = {USER_ID: "int64",
+            "n_active_days": "int64",
+            "n_streaks": "int64",
+            "longest_streak": "int64",
+            "first_day": "int64",
+            "last_day": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_active_days": pd.Series(dtype="int64"),
-                "n_streaks": pd.Series(dtype="int64"),
-                "longest_streak": pd.Series(dtype="int64"),
-                "first_day": pd.Series(dtype="int64"),
-                "last_day": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        day = (df[TS].to_numpy("datetime64[us]").view(np.int64)
-               // day_us)
-        perm = np.lexsort((day, kc))
-        k, d = kc[perm], day[perm]
-        keep = np.r_[True, (k[1:] != k[:-1]) | (d[1:] != d[:-1])]
+        day = df[TS].to_numpy("datetime64[us]").view(np.int64) // day_us
+        sg = Segments(df, order=(day,))
+        k, d = sg.codes, sg[day]
+        keep = ~sg.same() | np.r_[True, d[1:] != d[:-1]]
         k, d = k[keep], d[keep]             # distinct (key, day), sorted
         new_key = np.r_[True, k[1:] != k[:-1]]
         brk = new_key | np.r_[True, d[1:] != d[:-1] + 1]
@@ -891,7 +763,7 @@ def longest_streak(ds: ray.data.Dataset) -> pd.DataFrame:
         key_start = np.flatnonzero(new_key)
         key_end = np.r_[key_start[1:], len(k)] - 1
         return pd.DataFrame({
-            USER_ID: np.asarray(kuniq)[k[key_start]],
+            USER_ID: sg.keys,
             "n_active_days": np.diff(np.r_[key_start, len(k)])
                                .astype(np.int64),
             "n_streaks": np.diff(np.r_[first_run, len(run_len)])
@@ -902,10 +774,7 @@ def longest_streak(ds: ray.data.Dataset) -> pd.DataFrame:
             "last_day": d[key_end].astype(np.int64),
         })
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def burst_detect(ds: ray.data.Dataset, window_s: int = 300) -> pd.DataFrame:
@@ -921,17 +790,14 @@ def burst_detect(ds: ray.data.Dataset, window_s: int = 300) -> pd.DataFrame:
     array serves every key) — no per-key loop."""
     win = np.int64(window_s) * _US
 
+    cols = {USER_ID: "int64",
+            "max_burst": "int64",
+            "burst_ts_us": "int64",
+            "n_events": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "max_burst": pd.Series(dtype="int64"),
-                "burst_ts_us": pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        perm = np.lexsort((tus, kc))
-        k, t = kc[perm], tus[perm]
+        sg = Segments(df, order=(TS,))
+        k, t = sg.codes, sg[TS]
         # shift each key's times into a disjoint range: offset by
         # key_code · (span + window + 2) relative to the global min
         t0 = t.min()
@@ -940,26 +806,19 @@ def burst_detect(ds: ray.data.Dataset, window_s: int = 300) -> pd.DataFrame:
         hi = np.searchsorted(axis, axis, side="right")
         lo = np.searchsorted(axis, axis - win, side="left")
         cnt = (hi - lo).astype(np.int64)
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        mx = np.maximum.reduceat(cnt, starts)
-        n = np.diff(np.r_[starts, len(k)])
+        mx = sg.max(cnt)
         # earliest window-end ts attaining the per-key max: t is
         # ascending within each key, so it's the FIRST hit per segment
-        seg = np.repeat(np.arange(len(starts)), n)
-        hid = np.flatnonzero(cnt == mx[seg])
-        _, firsts = np.unique(seg[hid], return_index=True)
-        at = t[hid[firsts]]
+        hid = np.flatnonzero(cnt == mx[sg.gid])
+        _, firsts = np.unique(sg.gid[hid], return_index=True)
         return pd.DataFrame({
-            USER_ID: np.asarray(kuniq)[k[starts]],
+            USER_ID: sg.keys,
             "max_burst": mx.astype(np.int64),
-            "burst_ts_us": at.astype(np.int64),
-            "n_events": n.astype(np.int64),
+            "burst_ts_us": t[hid[firsts]].astype(np.int64),
+            "n_events": sg.n,
         })
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def acf_lags(ds: ray.data.Dataset, max_lag: int = 3) -> pd.DataFrame:
@@ -980,30 +839,22 @@ def acf_lags(ds: ray.data.Dataset, max_lag: int = 3) -> pd.DataFrame:
     One key-hash exchange; per partition one lexsort + shifted
     elementwise products + ``add.reduceat`` — no per-key loop."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64"}
+    for L in range(1, max_lag + 1):
+        cols[f"acf{L}"] = "float64"
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64")}
-        for L in range(1, max_lag + 1):
-            cols[f"acf{L}"] = pd.Series(dtype="float64")
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        k = kc[perm]
-        x = _quantize(df[VALUE].to_numpy())[perm]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
-        s = np.add.reduceat(x, starts)
-        q = np.add.reduceat(x * x, starts)
+        sg = Segments(df)
+        x = _quantize(sg[VALUE])
+        n = sg.n
+        s = sg.sum(x)
         mu = s.astype(np.float64) / n.astype(np.float64)
-        den = q.astype(np.float64) - mu * s.astype(np.float64)
-        out = {USER_ID: np.asarray(kuniq)[k[starts]], "n": n}
+        den = sg.sum(x * x).astype(np.float64) - mu * s.astype(np.float64)
+        out = {USER_ID: sg.keys, "n": n}
         m = len(x)
         for L in range(1, max_lag + 1):
-            valid = np.zeros(m, bool)
-            valid[L:] = k[L:] == k[:-L]
+            valid = sg.same(L)
             prod = np.zeros(m, np.int64)
             prod[L:] = x[L:] * x[:-L]
             head = np.zeros(m, np.int64)
@@ -1011,9 +862,7 @@ def acf_lags(ds: ray.data.Dataset, max_lag: int = 3) -> pd.DataFrame:
             prod[~valid] = 0
             head[~valid] = 0
             tail = np.where(valid, x, np.int64(0))
-            sxy = np.add.reduceat(prod, starts)
-            sh = np.add.reduceat(head, starts)
-            st = np.add.reduceat(tail, starts)
+            sxy, sh, st = sg.sum(prod), sg.sum(head), sg.sum(tail)
             nl = np.maximum(n - L, 0).astype(np.float64)
             num = (sxy.astype(np.float64) - mu * st.astype(np.float64)
                    - mu * sh.astype(np.float64) + nl * mu * mu)
@@ -1023,10 +872,7 @@ def acf_lags(ds: ray.data.Dataset, max_lag: int = 3) -> pd.DataFrame:
         res = pd.DataFrame(out)
         return res[(res["n"] > max_lag) & (den != 0.0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def changepoint_split(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1052,41 +898,31 @@ def changepoint_split(ds: ray.data.Dataset) -> pd.DataFrame:
     One key-hash exchange; per partition one lexsort, one global
     cumsum, and reduceat argmax — no per-key loop."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "split_t": "int64",
+            "split_ts_us": "int64",
+            "mean_left": "float64",
+            "mean_right": "float64",
+            "delta": "float64",
+            "score": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "split_t": pd.Series(dtype="int64"),
-                "split_ts_us": pd.Series(dtype="int64"),
-                "mean_left": pd.Series(dtype="float64"),
-                "mean_right": pd.Series(dtype="float64"),
-                "delta": pd.Series(dtype="float64"),
-                "score": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        x = _quantize(df[VALUE].to_numpy())
-        perm = np.lexsort((oid, tus, kc))
-        k, t_us, xv = kc[perm], tus[perm], x[perm]
-        kstart = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        nseg = len(kstart)
-        npk = np.diff(np.r_[kstart, len(k)]).astype(np.int64)
-        seg = np.repeat(np.arange(nseg), npk)
+        sg = Segments(df)
+        t_us, xv, seg = sg[TS], _quantize(sg[VALUE]), sg.gid
         csum = np.cumsum(xv)
-        base = np.r_[np.int64(0), csum[kstart[1:] - 1]]
+        base = np.r_[np.int64(0), csum[sg.starts[1:] - 1]]
         sl = csum - base[seg]                    # prefix sum within key
-        s = np.add.reduceat(xv, kstart)[seg]     # key total
-        t = np.arange(len(k), dtype=np.int64) - kstart[seg] + 1
-        n = npk[seg]
+        s = sg.sum(xv)[seg]                      # key total
+        t = sg.pos + 1
+        n = sg.n[seg]
         score = np.abs(sl * (n - t) - (s - sl) * t)
         score[t == n] = -1                       # last row: no split
-        best = np.maximum.reduceat(score, kstart)
+        best = sg.max(score)
         # first index achieving the per-key max (tie -> smallest t)
-        idx = np.arange(len(k), dtype=np.int64)
-        masked = np.where(score == best[seg], idx, np.int64(len(k)))
-        win = np.minimum.reduceat(masked, kstart)
-        keep = npk >= 2
+        idx = np.arange(len(xv), dtype=np.int64)
+        win = sg.min(np.where(score == best[seg], idx, np.int64(len(xv))))
+        keep = sg.n >= 2
         win = win[keep]
         nw, tw, slw = n[win], t[win], sl[win]
         sw = s[win]
@@ -1094,7 +930,7 @@ def changepoint_split(ds: ray.data.Dataset) -> pd.DataFrame:
         mean_r = ((sw - slw).astype(np.float64)
                   / (nw - tw).astype(np.float64)) / 100.0
         return pd.DataFrame({
-            USER_ID: np.asarray(kuniq)[k[win]],
+            USER_ID: sg[USER_ID][win],
             "n": nw,
             "split_t": tw,
             "split_ts_us": t_us[win],
@@ -1104,10 +940,7 @@ def changepoint_split(ds: ray.data.Dataset) -> pd.DataFrame:
             "score": score[win],
         })
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def seasonal_anomaly(ds: ray.data.Dataset, sigma: float = 3.0) -> pd.DataFrame:
@@ -1184,25 +1017,19 @@ def scd2_history(ds: ray.data.Dataset) -> pd.DataFrame:
     exchange, each key whole inside its partition, one lexsort +
     boolean diffs per partition — no per-row Python."""
 
+    cols = {USER_ID: "int64",
+            EVENT_TYPE: object,
+            "valid_from": "datetime64[us]",
+            "valid_to": "datetime64[us]",
+            "version_no": "int64",
+            "is_current": bool}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                EVENT_TYPE: pd.Series(dtype=object),
-                "valid_from": pd.Series(dtype="datetime64[us]"),
-                "valid_to": pd.Series(dtype="datetime64[us]"),
-                "version_no": pd.Series(dtype="int64"),
-                "is_current": pd.Series(dtype=bool)}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
         ac, auniq = pd.factorize(df[EVENT_TYPE])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        k, a, t = kc[perm], ac[perm], tus[perm]
-        new_key = np.r_[True, k[1:] != k[:-1]]
-        run_brk = new_key | np.r_[True, a[1:] != a[:-1]]
-        rs = np.flatnonzero(run_brk)
-        rk, ra, rt = k[rs], a[rs], t[rs]
+        sg = Segments(df)
+        a, t = sg[ac], sg[TS]
+        rs = np.flatnonzero(~sg.same() | np.r_[True, a[1:] != a[:-1]])
+        rk, ra, rt = sg[USER_ID][rs], a[rs], t[rs]
         nk = np.r_[True, rk[1:] != rk[:-1]]
         # version_no: 1-based index of the run within its key
         first = np.maximum.accumulate(np.where(nk, np.arange(len(rs)), 0))
@@ -1213,7 +1040,7 @@ def scd2_history(ds: ray.data.Dataset) -> pd.DataFrame:
         valid_to = vt.view("datetime64[us]").copy()
         valid_to[~nxt_same] = np.datetime64("NaT")
         return pd.DataFrame({
-            USER_ID: np.asarray(kuniq)[rk].astype(np.int64),
+            USER_ID: rk.astype(np.int64),
             EVENT_TYPE: np.asarray(auniq)[ra],
             "valid_from": rt.view("datetime64[us]"),
             "valid_to": valid_to,
@@ -1221,9 +1048,8 @@ def scd2_history(ds: ray.data.Dataset) -> pd.DataFrame:
             "is_current": ~nxt_same,
         })
 
-    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
-            .sort_values([USER_ID, "version_no"], kind="mergesort")
-            .reset_index(drop=True))
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols,
+                          by=[USER_ID, "version_no"])
 
 
 def theilsen_trend(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1238,24 +1064,17 @@ def theilsen_trend(ds: ray.data.Dataset) -> pd.DataFrame:
     ``duck_quantile`` kernel (bit-exact to SQL quantile_cont)."""
     from ..oracle.rollup import duck_quantile
 
+    cols = {USER_ID: "int64",
+            "n_events": "int64",
+            "n_pairs": "int64",
+            "ts_slope_per_s": "float64",
+            "capped": bool}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "n_pairs": pd.Series(dtype="int64"),
-                "ts_slope_per_s": pd.Series(dtype="float64"),
-                "capped": pd.Series(dtype=bool)}
-        if not len(df):
-            return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        vals = df[VALUE].to_numpy(np.float64)
-        perm = np.lexsort((oid, tus, kc))
-        k, t, v = kc[perm], tus[perm], vals[perm]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
-        for s, e in zip(starts, ends):
+        sg = Segments(df)
+        t, v = sg[TS], sg[VALUE]
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             n_all = e - s
             capped = n_all > 2000
             e2 = s + min(n_all, 2000)
@@ -1266,15 +1085,13 @@ def theilsen_trend(ds: ray.data.Dataset) -> pd.DataFrame:
             slopes = ((vk[ju] - vk[iu])[ok]
                       / (dt_us[ok].astype(np.float64) / 1_000_000.0))
             slopes.sort(kind="mergesort")
-            out.append((int(np.asarray(kuniq)[k[s]]), np.int64(n_all),
-                        np.int64(len(slopes)),
+            out.append((int(key), np.int64(n_all), np.int64(len(slopes)),
                         float(duck_quantile(slopes, 0.5))
                         if len(slopes) else np.nan,
                         bool(capped)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
-            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def mann_kendall(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1286,28 +1103,20 @@ def mann_kendall(ds: ray.data.Dataset) -> pd.DataFrame:
     int64; Z is one mirrored float expression.  Same capped-pairs
     guard and partitioning contract as theilsen_trend."""
 
+    cols = {USER_ID: "int64",
+            "n_events": "int64",
+            "s_stat": "int64",
+            "var_s18": "int64",
+            "z_stat": "float64",
+            "capped": bool}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "s_stat": pd.Series(dtype="int64"),
-                "var_s18": pd.Series(dtype="int64"),
-                "z_stat": pd.Series(dtype="float64"),
-                "capped": pd.Series(dtype=bool)}
-        if not len(df):
-            return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
+        sg = Segments(df)
         # int-space values (the driver data is 2-decimal quantized):
         # sign comparisons in exact int64, like the oracle
-        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
-            np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        k, v = kc[perm], vq[perm]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
-        for s, e in zip(starts, ends):
+        v = _quantize(sg[VALUE])
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             n_all = e - s
             capped = n_all > 2000
             e2 = s + min(n_all, 2000)
@@ -1324,13 +1133,12 @@ def mann_kendall(ds: ray.data.Dataset) -> pd.DataFrame:
                 z = (S + 1) / np.sqrt(var18 / 18.0) if var18 else 0.0
             else:
                 z = 0.0
-            out.append((int(np.asarray(kuniq)[k[s]]), np.int64(n_all),
+            out.append((int(key), np.int64(n_all),
                         np.int64(S), np.int64(var18), float(z),
                         bool(capped)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
-            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def trimmed_mean(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1343,39 +1151,31 @@ def trimmed_mean(ds: ray.data.Dataset) -> pd.DataFrame:
     O(1) quantile reads + one masked exact-int sum."""
     from ..oracle.rollup import duck_quantile
 
+    cols = {USER_ID: "int64",
+            "n_events": "int64",
+            "n_kept": "int64",
+            "mean_all": "float64",
+            "trimmed_mean": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "n_kept": pd.Series(dtype="int64"),
-                "mean_all": pd.Series(dtype="float64"),
-                "trimmed_mean": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[USER_ID])
-        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
-            np.int64)
-        order = np.argsort(kc, kind="stable")
-        k, v = kc[order], vq[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
-        for s, e in zip(starts, ends):
+        sg = Segments(df, order=())
+        v = _quantize(sg[VALUE])
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             vk = np.sort(v[s:e], kind="mergesort")
             n = len(vk)
             lo = duck_quantile(vk.astype(np.float64), 0.1)
             hi = duck_quantile(vk.astype(np.float64), 0.9)
             keep = vk[(vk >= lo) & (vk <= hi)]
             out.append((
-                int(np.asarray(kuniq)[k[s]]), np.int64(n),
-                np.int64(len(keep)),
+                int(key), np.int64(n), np.int64(len(keep)),
                 float(int(vk.sum())) / n / 100.0,
                 float(int(keep.sum())) / len(keep) / 100.0
                 if len(keep) else np.nan,
             ))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
-            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def robust_anomalies(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1388,23 +1188,17 @@ def robust_anomalies(ds: ray.data.Dataset) -> pd.DataFrame:
     report 0 anomalies (constant-valued key)."""
     from ..oracle.rollup import duck_quantile
 
+    cols = {USER_ID: "int64",
+            "n_events": "int64",
+            "med": "float64",
+            "mad": "float64",
+            "n_anomalies": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "med": pd.Series(dtype="float64"),
-                "mad": pd.Series(dtype="float64"),
-                "n_anomalies": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[USER_ID])
-        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
-            np.int64)
-        order = np.argsort(kc, kind="stable")
-        k, v = kc[order], vq[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
-        for s, e in zip(starts, ends):
+        sg = Segments(df, order=())
+        v = _quantize(sg[VALUE])
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             vk = v[s:e].astype(np.float64)
             med = duck_quantile(np.sort(vk, kind="mergesort"), 0.5)
             ad = np.abs(vk - med)
@@ -1414,13 +1208,11 @@ def robust_anomalies(ds: ray.data.Dataset) -> pd.DataFrame:
                 n_anom = int((np.abs(mz) > 3.5).sum())
             else:
                 n_anom = 0
-            out.append((int(np.asarray(kuniq)[k[s]]),
-                        np.int64(e - s), float(med / 100.0),
+            out.append((int(key), np.int64(e - s), float(med / 100.0),
                         float(mad / 100.0), np.int64(n_anom)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
-            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def spearman_trend(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1445,22 +1237,15 @@ def spearman_trend(ds: ray.data.Dataset) -> pd.DataFrame:
         out[order] = dr
         return out
 
+    cols = {USER_ID: "int64",
+            "n_events": "int64",
+            "spearman": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "spearman": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
-            np.int64)
-        order = np.argsort(kc, kind="stable")
-        k, t, v = kc[order], tus[order], vq[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
-        for s, e in zip(starts, ends):
+        sg = Segments(df, order=())
+        t, v = sg[TS], _quantize(sg[VALUE])
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             n = e - s
             rx = _dranks(t[s:e])
             ry = _dranks(v[s:e])
@@ -1473,12 +1258,10 @@ def spearman_trend(ds: ray.data.Dataset) -> pd.DataFrame:
             dy = n * syy - sy * sy
             rho = (float(num) / np.sqrt(float(dx) * float(dy))
                    if dx > 0 and dy > 0 else np.nan)
-            out.append((int(np.asarray(kuniq)[k[s]]), np.int64(n),
-                        float(rho)))
+            out.append((int(key), np.int64(n), float(rho)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
-            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def cusum_alarms(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1493,24 +1276,16 @@ def cusum_alarms(ds: ray.data.Dataset) -> pd.DataFrame:
     means), k and h scale accordingly.  Emits per key: n, the max
     CUSUM (scaled), and the alarm count (S > h·n)."""
 
+    cols = {USER_ID: "int64",
+            "n_events": "int64",
+            "max_cusum_scaled": "int64",
+            "n_alarms": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "max_cusum_scaled": pd.Series(dtype="int64"),
-                "n_alarms": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         out = []
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        vq = np.rint(df[VALUE].to_numpy(np.float64) * 100.0).astype(
-            np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        k, v = kc[perm], vq[perm]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
-        for s, e in zip(starts, ends):
+        sg = Segments(df)
+        v = _quantize(sg[VALUE])
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             vk = v[s:e]
             n = len(vk)
             tot = int(vk.sum())
@@ -1523,29 +1298,15 @@ def cusum_alarms(ds: ray.data.Dataset) -> pd.DataFrame:
             run_min = np.minimum.accumulate(np.r_[np.int64(0), p])[1:]
             su = p - run_min
             alarms = int((su > 2000 * n).sum())
-            out.append((int(np.asarray(kuniq)[k[s]]), np.int64(n),
+            out.append((int(key), np.int64(n),
                         np.int64(int(su.max()) if n else 0),
                         np.int64(alarms)))
         return pd.DataFrame(out, columns=list(cols))
 
-    return (group_apply(ds, per_key, key=USER_ID).to_pandas()
-            .sort_values(USER_ID, kind="mergesort").reset_index(drop=True))
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
-def _sorted_streams(df: pd.DataFrame):
-    """Shared prep: factorize user_id, (ts, event_id)-sort within it,
-    return (codes, uniques, sorted codes k, int64-µs ts, quantized
-    int64 x, group starts, group sizes n)."""
-    kc, kuniq = pd.factorize(df[USER_ID])
-    tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-    oid = df[EVENT_ID].to_numpy(np.int64)
-    perm = np.lexsort((oid, tus, kc))
-    k = kc[perm]
-    t = tus[perm]
-    x = _quantize(df[VALUE].to_numpy())[perm]
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-    n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
-    return kuniq, k, t, x, starts, n
+
 
 
 def variance_ratio(ds: ray.data.Dataset, ks: tuple = (2, 4)) -> pd.DataFrame:
@@ -1566,37 +1327,29 @@ def variance_ratio(ds: ray.data.Dataset, ks: tuple = (2, 4)) -> pd.DataFrame:
     exchange; per partition one lexsort + reduceat per lag."""
     lags = (1,) + tuple(ks)
 
+    cols = {USER_ID: "int64",
+            "n": "int64"}
+    for L in ks:
+        cols[f"vr{L}"] = "float64"
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64")}
-        for L in ks:
-            cols[f"vr{L}"] = pd.Series(dtype="float64")
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
-        m = len(x)
+        sg = Segments(df)
+        x, n = _quantize(sg[VALUE]), sg.n
         v = {}
         for L in lags:
-            valid = np.zeros(m, bool)
-            valid[L:] = k[L:] == k[:-L]
-            d = np.zeros(m, np.int64)
-            d[L:] = x[L:] - x[:-L]
-            d[~valid] = 0
-            s = np.add.reduceat(d, starts).astype(np.float64)
-            q = np.add.reduceat(d * d, starts).astype(np.float64)
+            d = sg.diff(x, L)
+            s = sg.sum(d).astype(np.float64)
+            q = sg.sum(d * d).astype(np.float64)
             nl = np.maximum(n - L, 1).astype(np.float64)
             v[L] = (q - s * s / nl) / nl
-        out = {USER_ID: np.asarray(kuniq)[k[starts]], "n": n}
+        out = {USER_ID: sg.keys, "n": n}
         with np.errstate(invalid="ignore", divide="ignore"):
             for L in ks:
                 out[f"vr{L}"] = v[L] / (np.float64(L) * v[1])
         res = pd.DataFrame(out)
         return res[(res["n"] > max(ks)) & (v[1] != 0.0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def xcorr_gap(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1617,31 +1370,28 @@ def xcorr_gap(ds: ray.data.Dataset) -> pd.DataFrame:
     mirrored op-for-op.  Keys with < 3 events or a zero-variance side
     are dropped on both sides."""
 
+    cols = {USER_ID: "int64",
+            "n_pairs": "int64",
+            "r0": "float64",
+            "r1": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_pairs": pd.Series(dtype="int64"),
-                "r0": pd.Series(dtype="float64"),
-                "r1": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, t, x, starts, n = _sorted_streams(df)
+        sg = Segments(df)
+        t, x, n = sg[TS], _quantize(sg[VALUE]), sg.n
         m = len(x)
-        valid = np.zeros(m, bool)
-        valid[1:] = k[1:] == k[:-1]
-        g = np.zeros(m, np.int64)
-        g[1:] = (t[1:] - t[:-1]) // 1_000_000
-        g[~valid] = 0
+        valid = sg.same()
+        g = sg.diff(t) // 1_000_000
         xc = np.where(valid, x, np.int64(0))    # x_t    (t ≥ 2)
         xp = np.zeros(m, np.int64)
         xp[1:] = x[:-1]
         xp[~valid] = 0                           # x_{t-1}
 
         def sums(a):
-            return np.add.reduceat(a, starts).astype(np.float64)
+            return sg.sum(a).astype(np.float64)
 
         nf = (n - 1).astype(np.float64)
         sy, syy = sums(g), sums(g * g)
-        out = {USER_ID: np.asarray(kuniq)[k[starts]],
+        out = {USER_ID: sg.keys,
                "n_pairs": (n - 1)}
         deny = nf * syy - sy * sy
         for name, xi in (("r0", xc), ("r1", xp)):
@@ -1655,10 +1405,7 @@ def xcorr_gap(ds: ray.data.Dataset) -> pd.DataFrame:
                   & (res["_d_r0"] > 0.0) & (res["_d_r1"] > 0.0)]
         return res.drop(columns=["_d_r0", "_d_r1"])
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def perm_entropy(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1678,16 +1425,16 @@ def perm_entropy(ds: ray.data.Dataset) -> pd.DataFrame:
     from exact int64 pattern counts, mirrored op-for-op.  Keys with
     fewer than 3 events are dropped on both sides."""
 
+    cols = {USER_ID: "int64",
+            "n_pat": "int64",
+            "pe": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_pat": pd.Series(dtype="int64"),
-                "pe": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
+        sg = Segments(df)
+        k, x, starts = sg.codes, _quantize(sg[VALUE]), sg.starts
         m = len(x)
         if m < 3:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         a, b, c = x[:-2], x[1:-1], x[2:]
         valid = (k[:-2] == k[1:-1]) & (k[1:-1] == k[2:])
         # stable ranks: later-position ties rank higher
@@ -1695,7 +1442,7 @@ def perm_entropy(ds: ray.data.Dataset) -> pd.DataFrame:
         r1 = (a <= b).astype(np.int64) + (c < b)
         r2 = (a <= c).astype(np.int64) + (b <= c)
         code = r0 * 9 + r1 * 3 + r2            # 6 legal codes
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
+        gid = sg.gid
         cell = gid[:-2][valid] * 27 + code[valid]
         cnt = np.bincount(cell, minlength=len(starts) * 27)
         cnt = cnt.reshape(len(starts), 27)
@@ -1705,15 +1452,12 @@ def perm_entropy(ds: ray.data.Dataset) -> pd.DataFrame:
                 np.maximum(cnt, 1).astype(np.float64)), 0.0)
             h = (np.log(npat.astype(np.float64))
                  - cl.sum(axis=1) / npat.astype(np.float64))
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: sg.keys,
                             "n_pat": npat,
                             "pe": h / np.log(6.0)})
         return res[res["n_pat"] >= 1]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 _HURST_SIZES = (8, 16, 32)
@@ -1742,15 +1486,15 @@ def hurst_rs(ds: ray.data.Dataset) -> pd.DataFrame:
     valid window at EVERY size (so n ≥ 32) on both sides.
     One key-hash exchange; per partition O(n) reduceat per size."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64"}
+    for w in _HURST_SIZES:
+        cols[f"rs{w}"] = "float64"
+    cols["hurst"] = "float64"
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64")}
-        for w in _HURST_SIZES:
-            cols[f"rs{w}"] = pd.Series(dtype="float64")
-        cols["hurst"] = pd.Series(dtype="float64")
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
+        sg = Segments(df)
+        x, starts, n = _quantize(sg[VALUE]), sg.starts, sg.n
         nk = len(starts)
         cs = np.cumsum(x)
         ars = {}
@@ -1791,7 +1535,7 @@ def hurst_rs(ds: ray.data.Dataset) -> pd.DataFrame:
         keep = np.ones(nk, bool)
         for w in _HURST_SIZES:
             keep &= ars[w][1] >= 1
-        out = {USER_ID: np.asarray(kuniq)[k[starts]], "n": n}
+        out = {USER_ID: sg.keys, "n": n}
         lw = np.array([np.log(np.float64(w)) for w in _HURST_SIZES])
         npts = np.float64(len(_HURST_SIZES))
         slw, slw2 = lw.sum(), (lw * lw).sum()
@@ -1808,10 +1552,7 @@ def hurst_rs(ds: ray.data.Dataset) -> pd.DataFrame:
         res = pd.DataFrame(out)
         return res[keep]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def ljung_box(ds: ray.data.Dataset, max_lag: int = 3) -> pd.DataFrame:
@@ -1856,36 +1597,29 @@ def trend_seasonal_strength(ds: ray.data.Dataset) -> pd.DataFrame:
     sums have ≤ 24 terms; ulp-below-round6).  Keys with a degenerate
     time axis or zero detrended variance are dropped on both sides."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "trend_strength": "float64",
+            "seasonal_strength": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "trend_strength": pd.Series(dtype="float64"),
-                "seasonal_strength": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        x = _quantize(df[VALUE].to_numpy())
-        nk = len(kuniq)
+        sg = Segments(df, order=())
+        tus, x, gid, n = sg[TS], _quantize(sg[VALUE]), sg.gid, sg.n
+        nk = len(n)
         # τ = whole seconds since the key's first event (int64)
-        tmin = np.full(nk, np.iinfo(np.int64).max)
-        np.minimum.at(tmin, kc, tus)
-        tau = (tus - tmin[kc]) // 1_000_000
+        tau = (tus - sg.min(tus)[gid]) // 1_000_000
         h = (tus // 3_600_000_000) % 24
-        n = np.bincount(kc, minlength=nk).astype(np.int64)
 
         def ksum(w):
             """Exact int64 accumulation, float-cast AFTER the sum —
             Στ² can pass 2⁵³, where float-weight accumulation stops
             matching the oracle's exact HUGEINT-then-CAST."""
-            acc = np.zeros(nk, np.int64)
-            np.add.at(acc, kc, w)
-            return acc.astype(np.float64)
+            return sg.sum(w).astype(np.float64)
 
         sx, qx = ksum(x), ksum(x * x)
         st, sxt = ksum(tau), ksum(x * tau)
         qt = ksum(tau * tau)
-        cell = kc * 24 + h
+        cell = gid * 24 + h
         nh = np.bincount(cell, minlength=nk * 24).reshape(nk, 24)
 
         def csum(w):
@@ -1913,15 +1647,12 @@ def trend_seasonal_strength(ds: ray.data.Dataset) -> pd.DataFrame:
             vardeseas = (qx - snm2) / nf
             fs = np.maximum(0.0, 1.0 - varrem / varr)
             ft = np.maximum(0.0, 1.0 - varrem / vardeseas)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq), "n": n,
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n,
                             "trend_strength": ft,
                             "seasonal_strength": fs})
         return res[(dent > 0.0) & (varr > 0.0) & (vardeseas > 0.0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def turning_points(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1939,35 +1670,32 @@ def turning_points(ds: ray.data.Dataset) -> pd.DataFrame:
     z = (T − 2·(n−2)/3)/sqrt((16·n − 29)/90).
     Keys with n < 3 are dropped on both sides."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "n_turns": "int64",
+            "z_tp": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "n_turns": pd.Series(dtype="int64"),
-                "z_tp": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
+        sg = Segments(df)
+        k, x, starts, n = sg.codes, _quantize(sg[VALUE]), sg.starts, sg.n
         m = len(x)
         if m < 3:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         a, b, c = x[:-2], x[1:-1], x[2:]
         valid = (k[:-2] == k[1:-1]) & (k[1:-1] == k[2:])
         tp = (((a < b) & (c < b)) | ((b < a) & (b < c))) & valid
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
+        gid = sg.gid
         t = np.bincount(gid[:-2][tp], minlength=len(starts)
                         ).astype(np.int64)
         nf = n.astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             z = ((t.astype(np.float64) - 2.0 * (nf - 2.0) / 3.0)
                  / np.sqrt((16.0 * nf - 29.0) / 90.0))
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n,
                             "n_turns": t, "z_tp": z})
         return res[res["n"] >= 3]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def ar1_fit(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -1984,23 +1712,22 @@ def ar1_fit(ds: ray.data.Dataset) -> pd.DataFrame:
     units), hl = −ln(2)/ln(φ).  Keys with n < 3 or zero variance are
     dropped on both sides."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "phi": "float64",
+            "sigma2_eps": "float64",
+            "half_life": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "phi": pd.Series(dtype="float64"),
-                "sigma2_eps": pd.Series(dtype="float64"),
-                "half_life": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
+        sg = Segments(df)
+        x, n = _quantize(sg[VALUE]), sg.n
         m = len(x)
-        s = np.add.reduceat(x, starts).astype(np.float64)
-        q = np.add.reduceat(x * x, starts).astype(np.float64)
+        s = sg.sum(x).astype(np.float64)
+        q = sg.sum(x * x).astype(np.float64)
         nf = n.astype(np.float64)
         mu = s / nf
         den = q - mu * s
-        valid = np.zeros(m, bool)
-        valid[1:] = k[1:] == k[:-1]
+        valid = sg.same()
         prod = np.zeros(m, np.int64)
         prod[1:] = x[1:] * x[:-1]
         prod[~valid] = 0
@@ -2008,24 +1735,21 @@ def ar1_fit(ds: ray.data.Dataset) -> pd.DataFrame:
         head[1:] = x[:-1]
         head[~valid] = 0
         tail = np.where(valid, x, np.int64(0))
-        sxy = np.add.reduceat(prod, starts).astype(np.float64)
-        sh = np.add.reduceat(head, starts).astype(np.float64)
-        st = np.add.reduceat(tail, starts).astype(np.float64)
+        sxy = sg.sum(prod).astype(np.float64)
+        sh = sg.sum(head).astype(np.float64)
+        st = sg.sum(tail).astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             phi = (sxy - mu * st - mu * sh
                    + (nf - 1.0) * mu * mu) / den
             sig2 = den / nf * (1.0 - phi * phi) / 10000.0
             hl = np.where((phi > 0.0) & (phi < 1.0),
                           -np.log(2.0) / np.log(np.abs(phi)), np.nan)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n,
                             "phi": phi, "sigma2_eps": sig2,
                             "half_life": hl})
         return res[(res["n"] >= 3) & (den != 0.0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def burstiness(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2045,43 +1769,23 @@ def burstiness(ds: ray.data.Dataset) -> pd.DataFrame:
     when either pair variance is zero, B is NULL when σ+μ = 0.
     One key-hash exchange; no per-row Python."""
 
+    cols = {USER_ID: "int64",
+            "n_gaps": "int64",
+            "b_burst": "float64",
+            "m_memory": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_gaps": pd.Series(dtype="int64"),
-                "b_burst": pd.Series(dtype="float64"),
-                "m_memory": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, t, _, starts, n = _sorted_streams(df)
-        ng_len = len(starts)
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        same = k[1:] == k[:-1]
-        d = (t[1:] - t[:-1]) // 1_000_000          # whole seconds
-        gi = gid[:-1][same]
-        dv = d[same]
-        ng = np.zeros(ng_len, np.int64)
-        sd = np.zeros(ng_len, np.int64)
-        qd = np.zeros(ng_len, np.int64)
-        np.add.at(ng, gi, 1)
-        np.add.at(sd, gi, dv)
-        np.add.at(qd, gi, dv * dv)
+        sg = Segments(df)
+        d = sg.diff(sg[TS]) // 1_000_000            # whole-second gaps
+        ng = sg.sum(sg.same().astype(np.int64))
+        sd, qd = sg.sum(d), sg.sum(d * d)
         # consecutive gap pairs (a=d_i, b=d_{i+1}) fully within key
-        pmask = same[:-1] & same[1:]
-        pi = gid[:-2][pmask]
-        a = d[:-1][pmask]
-        b = d[1:][pmask]
-        npair = np.zeros(ng_len, np.int64)
-        sa = np.zeros(ng_len, np.int64)
-        sb = np.zeros(ng_len, np.int64)
-        sab = np.zeros(ng_len, np.int64)
-        qa = np.zeros(ng_len, np.int64)
-        qb = np.zeros(ng_len, np.int64)
-        np.add.at(npair, pi, 1)
-        np.add.at(sa, pi, a)
-        np.add.at(sb, pi, b)
-        np.add.at(sab, pi, a * b)
-        np.add.at(qa, pi, a * a)
-        np.add.at(qb, pi, b * b)
+        pair = sg.same(2)
+        a = np.where(pair, np.r_[0, d[:-1]], 0)
+        b = np.where(pair, d, 0)
+        npair = sg.sum(pair.astype(np.int64))
+        sa, sb, sab = sg.sum(a), sg.sum(b), sg.sum(a * b)
+        qa, qb = sg.sum(a * a), sg.sum(b * b)
         ngf = ng.astype(np.float64)
         npf = npair.astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -2098,15 +1802,12 @@ def burstiness(ds: ray.data.Dataset) -> pd.DataFrame:
                 (npf * sab.astype(np.float64)
                  - sa.astype(np.float64) * sb.astype(np.float64))
                 / (np.sqrt(vx) * np.sqrt(vy)), np.nan)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: sg.keys,
                             "n_gaps": ng, "b_burst": bb,
                             "m_memory": mm})
         return res[(res["n_gaps"] >= 3) & (npair >= 2)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def kendall_tau(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2123,16 +1824,15 @@ def kendall_tau(ds: ray.data.Dataset) -> pd.DataFrame:
     (the Theil–Sen guard: capped keys report their first
     2000 events).  One key-hash exchange."""
 
+    cols = {USER_ID: "int64",
+            "n_events": "int64",
+            "tau_b": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "tau_b": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, t, x, starts, n = _sorted_streams(df)
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df)
+        t, x = sg[TS], _quantize(sg[VALUE])
         rows = []
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             n_all = int(e - s)
             if n_all < 2:
                 continue
@@ -2150,15 +1850,12 @@ def kendall_tau(ds: ray.data.Dataset) -> pd.DataFrame:
                 continue
             tau = (float(c) - float(dcnt)) / np.sqrt(
                 (float(n0) - float(n1)) * (float(n0) - float(n2)))
-            rows.append((np.asarray(kuniq)[k[s]], e2 - s, tau))
+            rows.append((key, e2 - s, tau))
         if not rows:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         return pd.DataFrame(rows, columns=[USER_ID, "n_events", "tau_b"])
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def seasonal_naive_mase(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2178,22 +1875,16 @@ def seasonal_naive_mase(ds: ray.data.Dataset) -> pd.DataFrame:
     Keys need span > 24 hours and a nonzero naive scale.
     One key-hash exchange."""
 
+    cols = {USER_ID: "int64",
+            "n_hours": "int64",
+            "mase": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_hours": pd.Series(dtype="int64"),
-                "mase": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
-            // 3_600_000_000
-        order = np.argsort(kc, kind="stable")
-        k, h = kc[order], hb[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df, order=())
+        h = sg[TS] // 3_600_000_000
         rows = []
         m = 24
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             hk = h[s:e]
             mn, mx = int(hk.min()), int(hk.max())
             span = mx - mn + 1
@@ -2206,15 +1897,12 @@ def seasonal_naive_mase(ds: ray.data.Dataset) -> pd.DataFrame:
                 continue
             ns, nn = span - m, span - 1
             mase = (float(sae) / float(ns)) / (float(nae) / float(nn))
-            rows.append((np.asarray(kuniq)[k[s]], span, mase))
+            rows.append((key, span, mase))
         if not rows:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         return pd.DataFrame(rows, columns=[USER_ID, "n_hours", "mase"])
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def pacf_lags(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2236,17 +1924,17 @@ def pacf_lags(ds: ray.data.Dataset) -> pd.DataFrame:
     n ≤ 3 or zero variance are dropped on both sides.  One key-hash
     exchange; no per-key Python loop."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "pacf1": "float64",
+            "pacf2": "float64",
+            "pacf3": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "pacf1": pd.Series(dtype="float64"),
-                "pacf2": pd.Series(dtype="float64"),
-                "pacf3": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
-        s = np.add.reduceat(x, starts)
-        q = np.add.reduceat(x * x, starts)
+        sg = Segments(df)
+        x, n = _quantize(sg[VALUE]), sg.n
+        s = sg.sum(x)
+        q = sg.sum(x * x)
         nf = n.astype(np.float64)
         mu = s.astype(np.float64) / nf
         den = q.astype(np.float64) - mu * s.astype(np.float64)
@@ -2254,8 +1942,7 @@ def pacf_lags(ds: ray.data.Dataset) -> pd.DataFrame:
         r = {}
         with np.errstate(invalid="ignore", divide="ignore"):
             for L in (1, 2, 3):
-                valid = np.zeros(m, bool)
-                valid[L:] = k[L:] == k[:-L]
+                valid = sg.same(L)
                 prod = np.zeros(m, np.int64)
                 prod[L:] = x[L:] * x[:-L]
                 head = np.zeros(m, np.int64)
@@ -2263,9 +1950,9 @@ def pacf_lags(ds: ray.data.Dataset) -> pd.DataFrame:
                 prod[~valid] = 0
                 head[~valid] = 0
                 tail = np.where(valid, x, np.int64(0))
-                sxy = np.add.reduceat(prod, starts)
-                sh = np.add.reduceat(head, starts)
-                st = np.add.reduceat(tail, starts)
+                sxy = sg.sum(prod)
+                sh = sg.sum(head)
+                st = sg.sum(tail)
                 nl = np.maximum(n - L, 0).astype(np.float64)
                 r[L] = (sxy.astype(np.float64)
                         - mu * st.astype(np.float64)
@@ -2277,14 +1964,11 @@ def pacf_lags(ds: ray.data.Dataset) -> pd.DataFrame:
             d3 = 1.0 - phi21 * r1 - p2 * r2
             p3 = np.where(d3 != 0.0,
                           (r3 - phi21 * r2 - p2 * r1) / d3, np.nan)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n,
                             "pacf1": r1, "pacf2": p2, "pacf3": p3})
         return res[(res["n"] > 3) & (den != 0.0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def durbin_watson(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2300,35 +1984,29 @@ def durbin_watson(ds: ray.data.Dataset) -> pd.DataFrame:
     both close in ONE mirrored float expression each.  Keys need
     n ≥ 2 and nonzero variance.  One key-hash exchange."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "dw": "float64",
+            "vn": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "dw": pd.Series(dtype="float64"),
-                "vn": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
-        s = np.add.reduceat(x, starts)
-        q = np.add.reduceat(x * x, starts)
+        sg = Segments(df)
+        x, n = _quantize(sg[VALUE]), sg.n
+        s = sg.sum(x)
+        q = sg.sum(x * x)
         nf = n.astype(np.float64)
         mu = s.astype(np.float64) / nf
         den = q.astype(np.float64) - mu * s.astype(np.float64)
-        same = k[1:] == k[:-1]
-        d = x[1:] - x[:-1]
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        sd2 = np.zeros(len(starts), np.int64)
-        np.add.at(sd2, gid[:-1][same], d[same] * d[same])
+        d = sg.diff(x)
+        sd2 = sg.sum(d * d)
         with np.errstate(invalid="ignore", divide="ignore"):
             dw = sd2.astype(np.float64) / den
             vn = dw * (nf / (nf - 1.0))
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n,
                             "dw": dw, "vn": vn})
         return res[(res["n"] > 1) & (den != 0.0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def count_dispersion(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2345,22 +2023,16 @@ def count_dispersion(ds: ray.data.Dataset) -> pd.DataFrame:
     retention window); F and AF each close in one mirrored float
     expression.  Keys need span ≥ 2 hours.  One key-hash exchange."""
 
+    cols = {USER_ID: "int64",
+            "n_hours": "int64",
+            "fano": "float64",
+            "allan": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_hours": pd.Series(dtype="int64"),
-                "fano": pd.Series(dtype="float64"),
-                "allan": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
-            // 3_600_000_000
-        order = np.argsort(kc, kind="stable")
-        k, h = kc[order], hb[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df, order=())
+        h = sg[TS] // 3_600_000_000
         rows = []
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             hk = h[s:e]
             mn, mx = int(hk.min()), int(hk.max())
             span = mx - mn + 1
@@ -2375,16 +2047,13 @@ def count_dispersion(ds: ray.data.Dataset) -> pd.DataFrame:
             muc = float(sc) / nf
             fano = (float(qc) / nf - muc * muc) / muc
             allan = (float(sad) / (nf - 1.0)) / (2.0 * muc)
-            rows.append((np.asarray(kuniq)[k[s]], span, fano, allan))
+            rows.append((key, span, fano, allan))
         if not rows:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         return pd.DataFrame(
             rows, columns=[USER_ID, "n_hours", "fano", "allan"])
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def sample_entropy(ds: ray.data.Dataset, tolerance: int = 500) -> pd.DataFrame:
@@ -2404,18 +2073,17 @@ def sample_entropy(ds: ray.data.Dataset, tolerance: int = 500) -> pd.DataFrame:
     events).  Keys need n ≥ 3 and A, B > 0 (keys with no length-2
     match are dropped on both sides).  One key-hash exchange."""
 
+    cols = {USER_ID: "int64",
+            "n_events": "int64",
+            "b_pairs": "int64",
+            "a_pairs": "int64",
+            "sampen": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "b_pairs": pd.Series(dtype="int64"),
-                "a_pairs": pd.Series(dtype="int64"),
-                "sampen": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df)
+        x = _quantize(sg[VALUE])
         rows = []
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             n_all = int(e - s)
             if n_all < 3:
                 continue
@@ -2429,17 +2097,14 @@ def sample_entropy(ds: ray.data.Dataset, tolerance: int = 500) -> pd.DataFrame:
             ap = int(np.count_nonzero(m2))
             if bp == 0 or ap == 0:
                 continue
-            rows.append((np.asarray(kuniq)[k[s]], nk, bp, ap,
+            rows.append((key, nk, bp, ap,
                          -np.log(float(ap) / float(bp))))
         if not rows:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         return pd.DataFrame(rows, columns=[USER_ID, "n_events", "b_pairs",
                                            "a_pairs", "sampen"])
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def peak_rate(ds: ray.data.Dataset, window_s: int = 86400) -> pd.DataFrame:
@@ -2457,32 +2122,23 @@ def peak_rate(ds: ray.data.Dataset, window_s: int = 86400) -> pd.DataFrame:
     per key vs the oracle's O(n·k) self-join.  One key-hash
     exchange."""
 
+    cols = {USER_ID: "int64",
+            "n_events": "int64",
+            "peak_cnt": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_events": pd.Series(dtype="int64"),
-                "peak_cnt": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        perm = np.lexsort((tus, kc))
-        k, t = kc[perm], tus[perm]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df, order=(TS,))
+        t = sg[TS]
         w = np.int64(window_s) * 1_000_000
         rows = []
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             tk = t[s:e]
             hi = np.searchsorted(tk, tk + w, side="left")
             lo = np.searchsorted(tk, tk, side="left")
-            rows.append((np.asarray(kuniq)[k[s]], e - s,
-                         int((hi - lo).max())))
+            rows.append((key, e - s, int((hi - lo).max())))
         return pd.DataFrame(rows, columns=[USER_ID, "n_events", "peak_cnt"])
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def exp_gap_fit(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2500,22 +2156,16 @@ def exp_gap_fit(ds: ray.data.Dataset) -> pd.DataFrame:
     boundaries).  Keys need ≥ 3 gaps and Σd > 0.  One key-hash
     exchange; per key one sort + vectorized scan."""
 
+    cols = {USER_ID: "int64",
+            "n_gaps": "int64",
+            "lam_per_s": "float64",
+            "ks_exp": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_gaps": pd.Series(dtype="int64"),
-                "lam_per_s": pd.Series(dtype="float64"),
-                "ks_exp": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, kc))
-        k, t = kc[perm], tus[perm]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df)
+        t = sg[TS]
         rows = []
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             if e - s < 4:
                 continue
             tk = t[s:e]
@@ -2530,17 +2180,14 @@ def exp_gap_fit(ds: ray.data.Dataset) -> pd.DataFrame:
             i = np.arange(1, n + 1, dtype=np.float64)
             da = float((i / nf - fv).max())
             db = float((fv - (i - 1.0) / nf).max())
-            rows.append((np.asarray(kuniq)[k[s]], n, lam,
+            rows.append((key, n, lam,
                          da if da > db else db))
         if not rows:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         return pd.DataFrame(rows, columns=[USER_ID, "n_gaps", "lam_per_s",
                                            "ks_exp"])
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def day_streak(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2553,34 +2200,25 @@ def day_streak(ds: ray.data.Dataset) -> pd.DataFrame:
     unique+sort + one run-length scan — no float anywhere.  One
     key-hash exchange."""
 
+    cols = {USER_ID: "int64",
+            "n_active_days": "int64",
+            "max_streak": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_active_days": pd.Series(dtype="int64"),
-                "max_streak": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
         day = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 86_400_000_000
-        pair = np.unique(np.stack([kc.astype(np.int64), day], axis=1),
-                         axis=0)
-        k, d = pair[:, 0], pair[:, 1]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df, order=(day,))
+        d = sg[day]
         rows = []
-        for s, e in zip(starts, ends):
-            dk = d[s:e]
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
+            dk = np.unique(d[s:e])
             brk = np.flatnonzero(np.diff(dk) != 1)
             runs = np.diff(np.r_[-1, brk, len(dk) - 1])
-            rows.append((np.asarray(kuniq)[k[s]], e - s,
-                         int(runs.max())))
+            rows.append((key, len(dk), int(runs.max())))
         return pd.DataFrame(rows, columns=[USER_ID, "n_active_days",
                                            "max_streak"])
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def seasonal_power(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2599,22 +2237,16 @@ def seasonal_power(ds: ray.data.Dataset) -> pd.DataFrame:
     doubles on both sides; round-6 robust).  Keys need span > max(P)
     and SS > 0.  One key-hash exchange; one bincount per key."""
 
+    cols = {USER_ID: "int64",
+            "n_hours": "int64"}
+    for p in (24, 12):
+        cols[f"r2_{p}h"] = "float64"
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_hours": pd.Series(dtype="int64")}
-        for p in (24, 12):
-            cols[f"r2_{p}h"] = pd.Series(dtype="float64")
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
-            // 3_600_000_000
-        order = np.argsort(kc, kind="stable")
-        k, h = kc[order], hb[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df, order=())
+        h = sg[TS] // 3_600_000_000
         rows = []
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             hk = h[s:e]
             mn, mx = int(hk.min()), int(hk.max())
             span = mx - mn + 1
@@ -2630,7 +2262,7 @@ def seasonal_power(ds: ray.data.Dataset) -> pd.DataFrame:
                 continue
             cf = cnt.astype(np.float64)
             t = np.arange(span, dtype=np.int64)
-            rec = [np.asarray(kuniq)[k[s]], span]
+            rec = [key, span]
             for p in (24, 12):
                 ph = 2.0 * np.pi * (t % p).astype(np.float64) / float(p)
                 co, si = np.cos(ph), np.sin(ph)
@@ -2639,13 +2271,10 @@ def seasonal_power(ds: ray.data.Dataset) -> pd.DataFrame:
                 rec.append(2.0 * (cq * cq + sq * sq) / (nf * ss))
             rows.append(tuple(rec))
         if not rows:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         return pd.DataFrame(rows, columns=list(cols))
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def haar_energy(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2663,30 +2292,24 @@ def haar_energy(ds: ray.data.Dataset) -> pd.DataFrame:
     left to the caller.  Keys need span ≥ 2^3 hours.  One
     key-hash exchange; one bincount + vectorized halvings per key."""
 
+    cols = {USER_ID: "int64",
+            "n_hours": "int64"}
+    for lv in range(1, 3 + 1):
+        cols[f"e{lv}"] = "int64"
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_hours": pd.Series(dtype="int64")}
-        for lv in range(1, 3 + 1):
-            cols[f"e{lv}"] = pd.Series(dtype="int64")
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
-            // 3_600_000_000
-        order = np.argsort(kc, kind="stable")
-        k, h = kc[order], hb[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df, order=())
+        h = sg[TS] // 3_600_000_000
         need = 1 << 3
         rows = []
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             hk = h[s:e]
             mn, mx = int(hk.min()), int(hk.max())
             span = mx - mn + 1
             if span < need:
                 continue
             a = np.bincount(hk - mn, minlength=span)
-            rec = [np.asarray(kuniq)[k[s]], span]
+            rec = [key, span]
             for _ in range(3):
                 m = len(a) // 2
                 left, right = a[:2 * m:2], a[1:2 * m:2]
@@ -2695,13 +2318,10 @@ def haar_energy(ds: ray.data.Dataset) -> pd.DataFrame:
                 a = left + right
             rows.append(tuple(rec))
         if not rows:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         return pd.DataFrame(rows, columns=list(cols))
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def gumbel_maxima(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2718,22 +2338,16 @@ def gumbel_maxima(ds: ray.data.Dataset) -> pd.DataFrame:
     float expressions.  Keys need ≥ 2 days and s > 0.  One key-hash
     exchange."""
 
+    cols = {USER_ID: "int64",
+            "n_days": "int64",
+            "gum_mu": "float64",
+            "gum_beta": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_days": pd.Series(dtype="int64"),
-                "gum_mu": pd.Series(dtype="float64"),
-                "gum_beta": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
-            // 3_600_000_000
-        order = np.argsort(kc, kind="stable")
-        k, h = kc[order], hb[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df, order=())
+        h = sg[TS] // 3_600_000_000
         rows = []
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             hk = h[s:e]
             dmn, dmx = int(hk.min() // 24), int(hk.max() // 24)
             nd = dmx - dmn + 1
@@ -2752,16 +2366,13 @@ def gumbel_maxima(ds: ray.data.Dataset) -> pd.DataFrame:
             sd = np.sqrt(var)
             beta = sd * np.sqrt(6.0) / np.pi
             mu = m - 0.5772156649015329 * beta
-            rows.append((np.asarray(kuniq)[k[s]], nd, mu, beta))
+            rows.append((key, nd, mu, beta))
         if not rows:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         return pd.DataFrame(rows, columns=[USER_ID, "n_days", "gum_mu",
                                            "gum_beta"])
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def gini_values(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2777,33 +2388,23 @@ def gini_values(ds: ray.data.Dataset) -> pd.DataFrame:
     |num| ≤ n²·max|x| — fine to ~10⁷ rows/key at |v| ≤ 10⁴.
     One key-hash exchange."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "gmd": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "gmd": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
         x = _quantize(df[VALUE].to_numpy())
-        perm = np.lexsort((x, kc))
-        k, xs = kc[perm], x[perm]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
-        pos = np.arange(len(k), dtype=np.int64) \
-            - np.repeat(starts, n) + 1          # 1-indexed in-key rank
-        coef = 2 * pos - np.repeat(n, n) - 1
-        num = np.add.reduceat(coef * xs, starts)
+        sg = Segments(df, order=(x,))
+        xs, n = sg[x], sg.n
+        coef = 2 * (sg.pos + 1) - np.repeat(n, n) - 1
+        num = sg.sum(coef * xs)
         nf = n.astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             gmd = num.astype(np.float64) / (nf * (nf - 1.0) / 2.0)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
-                            "n": n, "gmd": gmd})
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n, "gmd": gmd})
         return res[res["n"] >= 2]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def quartile_cv(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2818,19 +2419,15 @@ def quartile_cv(ds: ray.data.Dataset) -> pd.DataFrame:
     ratio is float (NULL when Q3 + Q1 = 0).  Keys need n ≥ 4.
     One key-hash exchange; one lexsort, no per-key loop."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "iqr": "int64",
+            "cqv": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "iqr": pd.Series(dtype="int64"),
-                "cqv": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
         x = _quantize(df[VALUE].to_numpy())
-        perm = np.lexsort((x, kc))
-        k, xs = kc[perm], x[perm]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
+        sg = Segments(df, order=(x,))
+        xs, starts, n = sg[x], sg.starts, sg.n
         q1 = xs[starts + (n + 3) // 4 - 1]
         q3 = xs[starts + (3 * n + 3) // 4 - 1]
         iqr = q3 - q1
@@ -2838,14 +2435,11 @@ def quartile_cv(ds: ray.data.Dataset) -> pd.DataFrame:
         with np.errstate(invalid="ignore", divide="ignore"):
             cqv = np.where(den != 0.0,
                            iqr.astype(np.float64) / den, np.nan)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
-                            "n": n, "iqr": iqr, "cqv": cqv})
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n, "iqr": iqr,
+                            "cqv": cqv})
         return res[res["n"] >= 4]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def daily_profile_drift(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2863,13 +2457,12 @@ def daily_profile_drift(ds: ray.data.Dataset) -> pd.DataFrame:
     boundaries).  Keys need ≥ 2 active days.  One key-hash
     exchange; no per-key Python loop."""
 
+    cols = {USER_ID: "int64",
+            "n_days": "int64",
+            "max_kl": "float64",
+            "mean_kl": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_days": pd.Series(dtype="int64"),
-                "max_kl": pd.Series(dtype="float64"),
-                "mean_kl": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         kc, kuniq = pd.factorize(df[USER_ID])
         hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             // 3_600_000_000
@@ -2905,10 +2498,7 @@ def daily_profile_drift(ds: ray.data.Dataset) -> pd.DataFrame:
                             "mean_kl": mean})
         return res[res["n_days"] >= 2]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def count_acf(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2924,22 +2514,16 @@ def count_acf(ds: ray.data.Dataset) -> pd.DataFrame:
     closes in the acf_lags mirrored float expression.  Keys need
     span > max(lag) and nonzero variance.  One key-hash exchange."""
 
+    cols = {USER_ID: "int64",
+            "n_hours": "int64"}
+    for lg in (1, 24):
+        cols[f"cacf{lg}"] = "float64"
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_hours": pd.Series(dtype="int64")}
-        for lg in (1, 24):
-            cols[f"cacf{lg}"] = pd.Series(dtype="float64")
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
-            // 3_600_000_000
-        order = np.argsort(kc, kind="stable")
-        k, h = kc[order], hb[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df, order=())
+        h = sg[TS] // 3_600_000_000
         rows = []
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             hk = h[s:e]
             mn, mx = int(hk.min()), int(hk.max())
             span = mx - mn + 1
@@ -2953,7 +2537,7 @@ def count_acf(ds: ray.data.Dataset) -> pd.DataFrame:
             den = float(qc) - mu * float(sc)
             if den == 0.0:
                 continue
-            rec = [np.asarray(kuniq)[k[s]], span]
+            rec = [key, span]
             for lg in (1, 24):
                 sxy = int((c[lg:] * c[:-lg]).sum())
                 sh = int(c[:-lg].sum())
@@ -2963,13 +2547,10 @@ def count_acf(ds: ray.data.Dataset) -> pd.DataFrame:
                             - mu * float(sh) + nl * mu * mu) / den)
             rows.append(tuple(rec))
         if not rows:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         return pd.DataFrame(rows, columns=list(cols))
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def circadian_phase(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -2987,13 +2568,12 @@ def circadian_phase(ds: ray.data.Dataset) -> pd.DataFrame:
     sides — near-uniform keys have no meaningful phase and atan2
     would amplify last-ulp noise).  One key-hash exchange."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "resultant": "float64",
+            "mean_hour": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "resultant": pd.Series(dtype="float64"),
-                "mean_hour": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         kc, kuniq = pd.factorize(df[USER_ID])
         tod = df[TS].to_numpy("datetime64[us]").view(np.int64) \
             % 86_400_000_000
@@ -3012,10 +2592,7 @@ def circadian_phase(ds: ray.data.Dataset) -> pd.DataFrame:
                             "resultant": r, "mean_hour": ph})
         return res[res["n"] >= 1]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def hour_runs(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3032,24 +2609,18 @@ def hour_runs(ds: ray.data.Dataset) -> pd.DataFrame:
     so it begins and ends active and idle runs are interior.  One
     key-hash exchange."""
 
+    cols = {USER_ID: "int64",
+            "n_hours": "int64",
+            "active_runs": "int64",
+            "max_active_run": "int64",
+            "mean_active_run": "float64",
+            "mean_idle_run": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_hours": pd.Series(dtype="int64"),
-                "active_runs": pd.Series(dtype="int64"),
-                "max_active_run": pd.Series(dtype="int64"),
-                "mean_active_run": pd.Series(dtype="float64"),
-                "mean_idle_run": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
-            // 3_600_000_000
-        order = np.argsort(kc, kind="stable")
-        k, h = kc[order], hb[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df, order=())
+        h = sg[TS] // 3_600_000_000
         rows = []
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             hk = h[s:e]
             mn, mx = int(hk.min()), int(hk.max())
             span = mx - mn + 1
@@ -3065,16 +2636,13 @@ def hour_runs(ds: ray.data.Dataset) -> pd.DataFrame:
             tot_i = int(ilen.sum())
             mean_a = float(tot_a) / float(na)
             mean_i = float(tot_i) / float(ni) if ni > 0 else np.nan
-            rows.append((np.asarray(kuniq)[k[s]], span, na,
+            rows.append((key, span, na,
                          int(alen.max()), mean_a, mean_i))
         if not rows:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         return pd.DataFrame(rows, columns=list(cols))
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def lmoments(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3096,29 +2664,20 @@ def lmoments(ds: ray.data.Dataset) -> pd.DataFrame:
     the sandbox keys are ≪ that).  Keys need n ≥ 4 and λ₂ ≠ 0.
     One key-hash exchange; one lexsort, no per-key loop."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "l2": "float64",
+            "t3": "float64",
+            "t4": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "l2": pd.Series(dtype="float64"),
-                "t3": pd.Series(dtype="float64"),
-                "t4": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
         x = _quantize(df[VALUE].to_numpy())
-        perm = np.lexsort((x, kc))
-        k, xs = kc[perm], x[perm]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
-        i = np.arange(len(k), dtype=np.int64) \
-            - np.repeat(starts, n)              # 0-based in-key rank
-        w1 = i
-        w2 = i * (i - 1) // 2
-        w3 = i * (i - 1) * (i - 2) // 6
-        n0 = np.add.reduceat(xs, starts)
-        n1 = np.add.reduceat(w1 * xs, starts)
-        n2 = np.add.reduceat(w2 * xs, starts)
-        n3 = np.add.reduceat(w3 * xs, starts)
+        sg = Segments(df, order=(x,))
+        xs, n, i = sg[x], sg.n, sg.pos
+        n0 = sg.sum(xs)
+        n1 = sg.sum(i * xs)
+        n2 = sg.sum(i * (i - 1) // 2 * xs)
+        n3 = sg.sum(i * (i - 1) * (i - 2) // 6 * xs)
         nf = n.astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             b0 = n0.astype(np.float64) / nf
@@ -3132,14 +2691,11 @@ def lmoments(ds: ray.data.Dataset) -> pd.DataFrame:
             l4 = 20.0 * b3 - 30.0 * b2 + 12.0 * b1 - b0
             t3 = np.where(l2 != 0.0, l3 / l2, np.nan)
             t4 = np.where(l2 != 0.0, l4 / l2, np.nan)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n,
                             "l2": l2, "t3": t3, "t4": t4})
         return res[(res["n"] >= 4) & (l2 != 0.0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def hjorth_params(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3162,32 +2718,21 @@ def hjorth_params(ds: ray.data.Dataset) -> pd.DataFrame:
     scale-free.  Keys need n ≥ 3, Var(x) > 0 and Var(Δx) > 0.
     One key-hash exchange, one lexsort, no per-key loop."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "activity": "float64",
+            "mobility": "float64",
+            "complexity": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "activity": pd.Series(dtype="float64"),
-                "mobility": pd.Series(dtype="float64"),
-                "complexity": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
-        s1 = np.add.reduceat(x, starts)
-        s2 = np.add.reduceat(x * x, starts)
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        same = k[1:] == k[:-1]
-        d = x[1:] - x[:-1]
-        sd1 = np.zeros(len(starts), np.int64)
-        sd2 = np.zeros(len(starts), np.int64)
-        g1 = gid[1:][same]
-        np.add.at(sd1, g1, d[same])
-        np.add.at(sd2, g1, d[same] * d[same])
-        same2 = same[1:] & same[:-1]          # i-2,i-1,i all in-key
-        dd = d[1:] - d[:-1]
-        sdd1 = np.zeros(len(starts), np.int64)
-        sdd2 = np.zeros(len(starts), np.int64)
-        g2 = gid[2:][same2]
-        np.add.at(sdd1, g2, dd[same2])
-        np.add.at(sdd2, g2, dd[same2] * dd[same2])
+        sg = Segments(df)
+        x, n = _quantize(sg[VALUE]), sg.n
+        s1 = sg.sum(x)
+        s2 = sg.sum(x * x)
+        d = sg.diff(x)
+        dd = np.where(sg.same(2), sg.diff(d), 0)    # i-2, i-1, i in-key
+        sd1, sd2 = sg.sum(d), sg.sum(d * d)
+        sdd1, sdd2 = sg.sum(dd), sg.sum(dd * dd)
         nf = n.astype(np.float64)
         nd = nf - 1.0
         ndd = nf - 2.0
@@ -3204,15 +2749,12 @@ def hjorth_params(ds: ray.data.Dataset) -> pd.DataFrame:
             activity = vx / 1e4
             mobility = np.sqrt(vd / vx)
             complexity = np.sqrt(vdd / vd) / mobility
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n,
                             "activity": activity, "mobility": mobility,
                             "complexity": complexity})
         return res[(n >= 3) & (vx > 0) & (vd > 0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def teager_energy(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3229,18 +2771,18 @@ def teager_energy(ds: ray.data.Dataset) -> pd.DataFrame:
     closings, mirrored by the SQL twin's lag/lead window.  Keys need
     n ≥ 3.  One key-hash exchange."""
 
+    cols = {USER_ID: "int64",
+            "n_psi": "int64",
+            "mean_psi": "float64",
+            "neg_share": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_psi": pd.Series(dtype="int64"),
-                "mean_psi": pd.Series(dtype="float64"),
-                "neg_share": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
+        sg = Segments(df)
+        x, starts, n = _quantize(sg[VALUE]), sg.starts, sg.n
         if len(x) < 3:
-            return pd.DataFrame(cols)
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        same = k[1:] == k[:-1]
+            return empty_frame(cols)
+        gid = sg.gid
+        same = sg.same()[1:]
         interior = same[1:] & same[:-1]       # i-1, i, i+1 in-key
         psi = x[1:-1] * x[1:-1] - x[:-2] * x[2:]
         sp = np.zeros(len(starts), np.int64)
@@ -3254,15 +2796,12 @@ def teager_energy(ds: ray.data.Dataset) -> pd.DataFrame:
                 / npsi.astype(np.float64) / 1e4
             neg_share = neg.astype(np.float64) \
                 / npsi.astype(np.float64)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: sg.keys,
                             "n_psi": npsi, "mean_psi": mean_psi,
                             "neg_share": neg_share})
         return res[n >= 3]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def fractal_dims(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3281,30 +2820,22 @@ def fractal_dims(ds: ray.data.Dataset) -> pd.DataFrame:
     twin.  Keys need n ≥ 3, L > 0 and D > 0.  One key-hash
     exchange."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "n_delta": "int64",
+            "pfd": "float64",
+            "katz_fd": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "n_delta": pd.Series(dtype="int64"),
-                "pfd": pd.Series(dtype="float64"),
-                "katz_fd": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        same = k[1:] == k[:-1]
-        d = x[1:] - x[:-1]
-        L = np.zeros(len(starts), np.int64)
-        np.add.at(L, gid[1:][same], np.abs(d[same]))
-        # D = max |x_i - x_first|; broadcast first value per group
-        x0 = np.repeat(x[starts], n)
-        dev = np.abs(x - x0)
-        D = np.zeros(len(starts), np.int64)
-        np.maximum.at(D, gid, dev)
+        sg = Segments(df)
+        x, n = _quantize(sg[VALUE]), sg.n
+        d = sg.diff(x)
+        L = sg.sum(np.abs(d))
+        # D = max |x_i - x_first|
+        D = sg.max(np.abs(x - sg.first(x)[sg.gid]))
         # N_delta: strict sign changes d_i * d_{i+1} < 0, both in-key
-        same2 = same[1:] & same[:-1]
-        sgn = d[1:] * d[:-1] < 0
-        nd = np.zeros(len(starts), np.int64)
-        np.add.at(nd, gid[2:][same2], sgn[same2].astype(np.int64))
+        nd = sg.sum((sg.same(2) & (d * np.r_[0, d[:-1]] < 0))
+                    .astype(np.int64))
         nf = n.astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             lg = np.log10(nf)
@@ -3313,15 +2844,12 @@ def fractal_dims(ds: ray.data.Dataset) -> pd.DataFrame:
             lg1 = np.log10(nf - 1.0)
             katz = lg1 / (lg1 + np.log10(
                 D.astype(np.float64) / L.astype(np.float64)))
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n,
                             "n_delta": nd, "pfd": pfd,
                             "katz_fd": katz})
         return res[(n >= 3) & (L > 0) & (D > 0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def page_hinkley(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3342,16 +2870,16 @@ def page_hinkley(ds: ray.data.Dataset) -> pd.DataFrame:
     key-hash exchange, one lexsort; the running extrema are pandas
     groupby cummin/cummax (C-vectorized), no Python per-key loop."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "ph_up": "float64",
+            "ph_down": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "ph_up": pd.Series(dtype="float64"),
-                "ph_down": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
-        sid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        s1 = np.add.reduceat(x, starts)
+        sg = Segments(df)
+        x, starts, n = _quantize(sg[VALUE]), sg.starts, sg.n
+        sid = sg.gid
+        s1 = sg.sum(x)
         dev = np.repeat(n, n) * x - np.repeat(s1, n)   # n·xᵢ − Σx
         c = np.cumsum(dev)
         carry = np.repeat(np.r_[np.int64(0),
@@ -3361,23 +2889,17 @@ def page_hinkley(ds: ray.data.Dataset) -> pd.DataFrame:
         g = pd.Series(cg).groupby(sid)
         rmin = g.cummin().to_numpy()
         rmax = g.cummax().to_numpy()
-        up = np.zeros(len(starts), np.int64)
-        dn = np.zeros(len(starts), np.int64)
-        np.maximum.at(up, sid, cg - rmin)
-        np.maximum.at(dn, sid, rmax - cg)
+        up, dn = sg.max(cg - rmin), sg.max(rmax - cg)
         with np.errstate(invalid="ignore", divide="ignore"):
             ph_up = up.astype(np.float64) \
                 / (n.astype(np.float64) * 100.0)
             ph_down = dn.astype(np.float64) \
                 / (n.astype(np.float64) * 100.0)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n,
                             "ph_up": ph_up, "ph_down": ph_down})
         return res[n >= 2]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def grubbs_stat(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3397,39 +2919,30 @@ def grubbs_stat(ds: ray.data.Dataset) -> pd.DataFrame:
     (no sort): one key-hash exchange, np.maximum.at over group
     ids."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "max_dev": "float64",
+            "grubbs_g": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "max_dev": pd.Series(dtype="float64"),
-                "grubbs_g": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        x = _quantize(df[VALUE].to_numpy())
-        order = np.argsort(kc, kind="stable")
-        k, xs = kc[order], x[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
-        s1 = np.add.reduceat(xs, starts)
-        s2 = np.add.reduceat(xs * xs, starts)
+        sg = Segments(df, order=())
+        xs, n = _quantize(sg[VALUE]), sg.n
+        s1 = sg.sum(xs)
+        s2 = sg.sum(xs * xs)
         nf = n.astype(np.float64)
         mu = s1.astype(np.float64) / nf
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
+        gid = sg.gid
         dev = np.abs(xs.astype(np.float64) - mu[gid])
-        mx = np.zeros(len(starts), np.float64)
-        np.maximum.at(mx, gid, dev)
+        mx = sg.max(dev)
         with np.errstate(invalid="ignore", divide="ignore"):
             var = (s2.astype(np.float64)
                    - mu * s1.astype(np.float64)) / (nf - 1.0)
             g = mx / np.sqrt(var)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n,
                             "max_dev": mx / 100.0, "grubbs_g": g})
         return res[(n >= 3) & (var > 0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def monotone_runs(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3444,28 +2957,26 @@ def monotone_runs(ds: ray.data.Dataset) -> pd.DataFrame:
     One key-hash exchange, one lexsort, a vectorized boundary scan —
     no per-key loop.  Keys need n ≥ 2 (at least one difference)."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "longest_up": "int64",
+            "longest_down": "int64",
+            "longest_flat": "int64",
+            "n_runs": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "longest_up": pd.Series(dtype="int64"),
-                "longest_down": pd.Series(dtype="int64"),
-                "longest_flat": pd.Series(dtype="int64"),
-                "n_runs": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
+        sg = Segments(df)
+        x, starts, n = _quantize(sg[VALUE]), sg.starts, sg.n
         if len(x) < 2:
-            return pd.DataFrame(cols)
-        same = k[1:] == k[:-1]
+            return empty_frame(cols)
+        same = sg.same()[1:]
         d = x[1:] - x[:-1]
-        sg = np.sign(d).astype(np.int64)
-        gid = (np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1)[1:]
-        valid = same
+        sgn = np.sign(d).astype(np.int64)
         # run id over valid diffs only
-        vi = np.flatnonzero(valid)
+        vi = np.flatnonzero(same)
         if not len(vi):
-            return pd.DataFrame(cols)
-        sgv, gv = sg[vi], gid[vi]
+            return empty_frame(cols)
+        sgv, gv = sgn[vi], sg.gid[1:][vi]
         newrun = np.r_[True, (gv[1:] != gv[:-1])
                        | (sgv[1:] != sgv[:-1])
                        | (vi[1:] != vi[:-1] + 1)]
@@ -3481,15 +2992,12 @@ def monotone_runs(ds: ray.data.Dataset) -> pd.DataFrame:
         np.maximum.at(dn, rgrp[rsign == -1], rlen[rsign == -1])
         np.maximum.at(fl, rgrp[rsign == 0], rlen[rsign == 0])
         np.add.at(nr, rgrp, 1)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
+        res = pd.DataFrame({USER_ID: sg.keys, "n": n,
                             "longest_up": up, "longest_down": dn,
                             "longest_flat": fl, "n_runs": nr})
         return res[n >= 2]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def variogram(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3506,13 +3014,13 @@ def variogram(ds: ray.data.Dataset) -> pd.DataFrame:
     γ descale /(2N_h·10⁴) is the only float closing.  One key-hash
     exchange; cells (4 rows per partition) combine driver-side."""
 
+    cols = {"lag": "int64",
+            "n_pairs": "int64",
+            "ss": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {"lag": pd.Series(dtype="int64"),
-                "n_pairs": pd.Series(dtype="int64"),
-                "ss": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
+        sg = Segments(df)
+        k, x = sg.codes, _quantize(sg[VALUE])
         rows = []
         for h in (1, 2, 4, 8):
             h = int(h)
@@ -3526,12 +3034,12 @@ def variogram(ds: ray.data.Dataset) -> pd.DataFrame:
         return pd.DataFrame(rows, columns=list(cols))
 
     parts = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    cols = {"lag": pd.Series(dtype="int64"),
-            "n_pairs": pd.Series(dtype="int64"),
-            "ss": pd.Series(dtype="int64"),
-            "gamma": pd.Series(dtype="float64")}
+    cols = {"lag": "int64",
+            "n_pairs": "int64",
+            "ss": "int64",
+            "gamma": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     agg = parts.groupby("lag", as_index=False)[["n_pairs",
                                                 "ss"]].sum()
     npair = agg["n_pairs"].to_numpy(np.int64)
@@ -3567,12 +3075,12 @@ def load_factor(ds: ray.data.Dataset) -> pd.DataFrame:
 
     parts = ds.select_columns([TS]).map_batches(
         cells, batch_format="pandas").to_pandas()
-    cols = {"day": pd.Series(dtype="int64"),
-            "n_events": pd.Series(dtype="int64"),
-            "peak_hour_cnt": pd.Series(dtype="int64"),
-            "load_factor": pd.Series(dtype="float64")}
+    cols = {"day": "int64",
+            "n_events": "int64",
+            "peak_hour_cnt": "int64",
+            "load_factor": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     agg = parts.groupby(["day", "hour"], as_index=False)["c"].sum()
     per = agg.groupby("day", as_index=False).agg(
         n_events=("c", "sum"), peak_hour_cnt=("c", "max"))
@@ -3601,36 +3109,28 @@ def time_reversal(ds: ray.data.Dataset) -> pd.DataFrame:
     term-for-term.  Keys need n ≥ 2 and ΣΔ² > 0.  One key-hash
     exchange."""
 
+    cols = {USER_ID: "int64",
+            "n_diff": "int64",
+            "d3_sum": "int64",
+            "trev": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_diff": pd.Series(dtype="int64"),
-                "d3_sum": pd.Series(dtype="int64"),
-                "trev": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
-        same = k[1:] == k[:-1]
-        d = x[1:] - x[:-1]
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        g1 = gid[1:][same]
-        s2 = np.zeros(len(starts), np.int64)
-        s3 = np.zeros(len(starts), np.int64)
-        np.add.at(s2, g1, d[same] * d[same])
-        np.add.at(s3, g1, d[same] * d[same] * d[same])
+        sg = Segments(df)
+        x, n = _quantize(sg[VALUE]), sg.n
+        d = sg.diff(x)
+        s2 = sg.sum(d * d)
+        s3 = sg.sum(d * d * d)
         nd = (n - 1).astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             m2 = s2.astype(np.float64) / nd
             m3 = s3.astype(np.float64) / nd
             trev = m3 / (m2 * np.sqrt(m2))
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: sg.keys,
                             "n_diff": (n - 1), "d3_sum": s3,
                             "trev": trev})
         return res[(n >= 2) & (s2 > 0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def c3_nonlinearity(ds: ray.data.Dataset, lag: int = 1) -> pd.DataFrame:
@@ -3647,34 +3147,28 @@ def c3_nonlinearity(ds: ray.data.Dataset, lag: int = 1) -> pd.DataFrame:
     Keys need n > 2·lag.  One key-hash exchange."""
     h = int(lag)
 
+    cols = {USER_ID: "int64",
+            "n_terms": "int64",
+            "c3_sum": "int64",
+            "c3": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_terms": pd.Series(dtype="int64"),
-                "c3_sum": pd.Series(dtype="int64"),
-                "c3": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
+        sg = Segments(df)
+        x = _quantize(sg[VALUE])
         if len(x) <= 2 * h:
-            return pd.DataFrame(cols)
-        ok = (k[2 * h:] == k[:-2 * h])
-        prod = x[2 * h:] * x[h:-h] * x[:-2 * h]
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        g2 = gid[2 * h:][ok]
-        s = np.zeros(len(starts), np.int64)
-        cnt = np.zeros(len(starts), np.int64)
-        np.add.at(s, g2, prod[ok])
-        np.add.at(cnt, g2, 1)
+            return empty_frame(cols)
+        ok = sg.same(2 * h)
+        prod = np.zeros(len(x), np.int64)
+        prod[2 * h:] = x[2 * h:] * x[h:-h] * x[:-2 * h]
+        s = sg.sum(np.where(ok, prod, 0))
+        cnt = sg.sum(ok.astype(np.int64))
         with np.errstate(invalid="ignore", divide="ignore"):
             c3 = s.astype(np.float64) / cnt.astype(np.float64) / 1e6
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: sg.keys,
                             "n_terms": cnt, "c3_sum": s, "c3": c3})
         return res[cnt > 0]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def energy_chunks(ds: ray.data.Dataset, n_chunks: int = 8) -> pd.DataFrame:
@@ -3690,39 +3184,36 @@ def energy_chunks(ds: ray.data.Dataset, n_chunks: int = 8) -> pd.DataFrame:
     the only float closing.  One key-hash exchange, one lexsort."""
     C = int(n_chunks)
 
+    cols = {USER_ID: "int64",
+            "chunk": "int64",
+            "n_c": "int64",
+            "e_sum": "int64",
+            "share": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "chunk": pd.Series(dtype="int64"),
-                "n_c": pd.Series(dtype="int64"),
-                "e_sum": pd.Series(dtype="int64"),
-                "share": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        rank0 = np.arange(len(k), dtype=np.int64) \
-            - np.repeat(starts, n)
+        sg = Segments(df)
+        x, starts, n = _quantize(sg[VALUE]), sg.starts, sg.n
+        gid = sg.gid
+        rank0 = sg.pos
         chunk = rank0 * C // np.repeat(n, n)
         cell = gid * C + chunk
         e = np.zeros(len(starts) * C, np.int64)
         cnt = np.zeros(len(starts) * C, np.int64)
         np.add.at(e, cell, x * x)
         np.add.at(cnt, cell, 1)
-        tot = np.repeat(np.add.reduceat(x * x, starts), C)
+        tot = np.repeat(sg.sum(x * x), C)
         keep = cnt > 0
         with np.errstate(invalid="ignore", divide="ignore"):
             share = e.astype(np.float64) / tot.astype(np.float64)
         res = pd.DataFrame({
-            USER_ID: np.asarray(kuniq)[k[starts]][
+            USER_ID: sg.keys[
                 np.arange(len(e)) // C],
             "chunk": np.arange(len(e), dtype=np.int64) % C,
             "n_c": cnt, "e_sum": e, "share": share})
         return res[keep & (tot > 0)]
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values([USER_ID, "chunk"]).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols,
+                          by=[USER_ID, "chunk"])
 
 
 def binned_entropy(ds: ray.data.Dataset, n_bins: int = 10) -> pd.DataFrame:
@@ -3739,22 +3230,17 @@ def binned_entropy(ds: ray.data.Dataset, n_bins: int = 10) -> pd.DataFrame:
     exchange, bincount per key segment."""
     B = int(n_bins)
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "bins_used": "int64",
+            "entropy": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "bins_used": pd.Series(dtype="int64"),
-                "entropy": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        x = _quantize(df[VALUE].to_numpy())
-        order = np.argsort(kc, kind="stable")
-        k, xs = kc[order], x[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        mn = np.minimum.reduceat(xs, starts)
-        mx = np.maximum.reduceat(xs, starts)
+        sg = Segments(df, order=())
+        xs, starts, n = _quantize(sg[VALUE]), sg.starts, sg.n
+        gid = sg.gid
+        mn = sg.min(xs)
+        mx = sg.max(xs)
         width = np.repeat(mx - mn + 1, n)
         b = (xs - np.repeat(mn, n)) * B // width
         cell = gid * B + b
@@ -3767,18 +3253,16 @@ def binned_entropy(ds: ray.data.Dataset, n_bins: int = 10) -> pd.DataFrame:
             clc = np.where(cm > 0, cf * np.log(
                 np.where(cm > 0, cf, 1.0)), 0.0)
             h = np.log(nf) - clc.sum(axis=1) / nf
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: sg.keys,
                             "n": n,
                             "bins_used": (cm > 0).sum(axis=1)
                             .astype(np.int64),
                             "entropy": h})
         return res
 
-    out = group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
-                      key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(
+        group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
+                      key=USER_ID), cols)
 
 
 def psd_profile(ds: ray.data.Dataset, n_freqs: int = 8) -> pd.DataFrame:
@@ -3798,24 +3282,18 @@ def psd_profile(ds: ray.data.Dataset, n_freqs: int = 8) -> pd.DataFrame:
     key-hash exchange; per-key work O(span·n_freqs)."""
     J = int(n_freqs)
 
+    cols = {USER_ID: "int64",
+            "j": "int64",
+            "n_hours": "int64",
+            "power": "float64",
+            "share": "float64",
+            "slope": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "j": pd.Series(dtype="int64"),
-                "n_hours": pd.Series(dtype="int64"),
-                "power": pd.Series(dtype="float64"),
-                "share": pd.Series(dtype="float64"),
-                "slope": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        hb = df[TS].to_numpy("datetime64[us]").view(np.int64) \
-            // 3_600_000_000
-        order = np.argsort(kc, kind="stable")
-        k, h = kc[order], hb[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        ends = np.r_[starts[1:], len(k)]
+        sg = Segments(df, order=())
+        h = sg[TS] // 3_600_000_000
         rows = []
-        for s, e in zip(starts, ends):
+        for s, e, key in zip(sg.starts, sg.ends, sg.keys):
             hk = h[s:e]
             mn, mx = int(hk.min()), int(hk.max())
             n = mx - mn + 1
@@ -3846,18 +3324,16 @@ def psd_profile(ds: ray.data.Dataset, n_freqs: int = 8) -> pd.DataFrame:
             jf = float(J)
             slope = (jf * sxy - sx * sy) / (jf * sxx - sx * sx)
             for j in range(1, J + 1):
-                rows.append((np.asarray(kuniq)[k[s]], j, n,
+                rows.append((key, j, n,
                              powers[j - 1], powers[j - 1] / tot,
                              slope))
         if not rows:
-            return pd.DataFrame(cols)
+            return empty_frame(cols)
         return pd.DataFrame(rows, columns=list(cols))
 
-    out = group_apply(ds.select_columns([USER_ID, TS]), per_key,
-                      key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values([USER_ID, "j"]).reset_index(drop=True)
+    return collect_sorted(
+        group_apply(ds.select_columns([USER_ID, TS]), per_key,
+                      key=USER_ID), cols, by=[USER_ID, "j"])
 
 
 def extreme_locations(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3871,23 +3347,22 @@ def extreme_locations(ds: ray.data.Dataset) -> pd.DataFrame:
     group; the four relative positions are the only float
     closings, mirrored by row_number window twins."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "first_max": "int64",
+            "last_max": "int64",
+            "first_min": "int64",
+            "last_min": "int64",
+            "first_max_rel": "float64",
+            "last_min_rel": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "first_max": pd.Series(dtype="int64"),
-                "last_max": pd.Series(dtype="int64"),
-                "first_min": pd.Series(dtype="int64"),
-                "last_min": pd.Series(dtype="int64"),
-                "first_max_rel": pd.Series(dtype="float64"),
-                "last_min_rel": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, _, x, starts, n = _sorted_streams(df)
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        rank0 = np.arange(len(k), dtype=np.int64) \
-            - np.repeat(starts, n)
-        mx = np.maximum.reduceat(x, starts)
-        mn = np.minimum.reduceat(x, starts)
+        sg = Segments(df)
+        x, starts, n = _quantize(sg[VALUE]), sg.starts, sg.n
+        gid = sg.gid
+        rank0 = sg.pos
+        mx = sg.max(x)
+        mn = sg.min(x)
         ismax = x == np.repeat(mx, n)
         ismin = x == np.repeat(mn, n)
         BIG = np.int64(2**62)
@@ -3901,17 +3376,14 @@ def extreme_locations(ds: ray.data.Dataset) -> pd.DataFrame:
         np.maximum.at(lmin, gid[ismin], rank0[ismin])
         nf = n.astype(np.float64)
         res = pd.DataFrame({
-            USER_ID: np.asarray(kuniq)[k[starts]], "n": n,
+            USER_ID: sg.keys, "n": n,
             "first_max": fmax, "last_max": lmax,
             "first_min": fmin, "last_min": lmin,
             "first_max_rel": fmax.astype(np.float64) / nf,
             "last_min_rel": lmin.astype(np.float64) / nf})
         return res
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols)
 
 
 def weibull_gaps(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3933,29 +3405,17 @@ def weibull_gaps(ds: ray.data.Dataset) -> pd.DataFrame:
     cannot sit inside a bit-exact oracle column).  Keys need
     n_gaps ≥ 2, nonzero gap variance and μ > 0."""
 
+    cols = {USER_ID: "int64",
+            "n_gaps": "int64",
+            "mean_gap_s": "float64",
+            "gap_cv": "float64",
+            "weibull_k": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n_gaps": pd.Series(dtype="int64"),
-                "mean_gap_s": pd.Series(dtype="float64"),
-                "gap_cv": pd.Series(dtype="float64"),
-                "weibull_k": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        perm = np.lexsort((tus, kc))
-        k, t = kc[perm], tus[perm]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
-        same = k[1:] == k[:-1]
-        d = (t[1:] - t[:-1]) // 1_000_000          # whole seconds
-        gid = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        g1 = gid[1:][same]
-        dv = d[same]
-        s1 = np.zeros(len(starts), np.int64)
-        s2 = np.zeros(len(starts), np.int64)
-        np.add.at(s1, g1, dv)
-        np.add.at(s2, g1, dv * dv)
+        sg = Segments(df, order=(TS,))
+        t, n = sg[TS], sg.n
+        d = sg.diff(t) // 1_000_000          # whole-second gaps
+        s1, s2 = sg.sum(d), sg.sum(d * d)
         ng = (n - 1).astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             mu = s1.astype(np.float64) / ng
@@ -3964,17 +3424,15 @@ def weibull_gaps(ds: ray.data.Dataset) -> pd.DataFrame:
             # exp/ln composition (not **): the proven mirrored-float
             # idiom — DuckDB twin closes as exp(-1.086*ln(cv))
             kk = np.exp(-1.086 * np.log(cv))
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: sg.keys,
                             "n_gaps": n - 1,
                             "mean_gap_s": mu,
                             "gap_cv": cv, "weibull_k": kk})
         return res[(n >= 3) & (var > 0) & (mu > 0)]
 
-    out = group_apply(ds.select_columns([USER_ID, TS]), per_key,
-                      key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(
+        group_apply(ds.select_columns([USER_ID, TS]), per_key,
+                      key=USER_ID), cols)
 
 
 def complexity_profile(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -3991,18 +3449,18 @@ def complexity_profile(ds: ray.data.Dataset) -> pd.DataFrame:
     mirrored float expressions.  Keys need n ≥ 3.  Int64 bound:
     Σ(Δx)² ≤ n·(2·100·max|v|)² — fine to ~10⁸ rows/key."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "sum_abs_change": "int64",
+            "ce_sq": "int64",
+            "cid": "float64",
+            "mean_abs_change": "float64",
+            "msd": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "sum_abs_change": pd.Series(dtype="int64"),
-                "ce_sq": pd.Series(dtype="int64"),
-                "cid": pd.Series(dtype="float64"),
-                "mean_abs_change": pd.Series(dtype="float64"),
-                "msd": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, t, x, starts, n = _sorted_streams(df)
-        same = k[1:] == k[:-1]
+        sg = Segments(df)
+        k, x, starts, n = sg.codes, _quantize(sg[VALUE]), sg.starts, sg.n
+        same = sg.same()[1:]
         gid = np.cumsum(np.r_[True, ~same]) - 1
         g1 = gid[1:][same]
         dx = (x[1:] - x[:-1])[same]
@@ -4020,18 +3478,16 @@ def complexity_profile(ds: ray.data.Dataset) -> pd.DataFrame:
             cid = np.sqrt(ces.astype(np.float64))
             mac = sac.astype(np.float64) / (nf - 1.0)
             msd = msd_num.astype(np.float64) / (2.0 * (nf - 2.0))
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: sg.keys,
                             "n": n, "sum_abs_change": sac,
                             "ce_sq": ces, "cid": cid,
                             "mean_abs_change": mac, "msd": msd})
         return res[keep]
 
-    out = group_apply(
+    return collect_sorted(
+        group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+        per_key, key=USER_ID), cols)
 
 
 def strike_profile(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -4048,18 +3504,18 @@ def strike_profile(ds: ray.data.Dataset) -> pd.DataFrame:
     DuckDB twin (gaps-and-islands) matches bit-for-bit with no
     float closing at all."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "sum_x": "int64",
+            "n_above": "int64",
+            "longest_above": "int64",
+            "longest_below": "int64",
+            "n_cross": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "sum_x": pd.Series(dtype="int64"),
-                "n_above": pd.Series(dtype="int64"),
-                "longest_above": pd.Series(dtype="int64"),
-                "longest_below": pd.Series(dtype="int64"),
-                "n_cross": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, t, x, starts, n = _sorted_streams(df)
-        S = np.add.reduceat(x, starts)
+        sg = Segments(df)
+        k, x, starts, n = sg.codes, _quantize(sg[VALUE]), sg.starts, sg.n
+        S = sg.sum(x)
         n_r = np.repeat(n, n)
         s_r = np.repeat(S, n)
         lhs = x * n_r
@@ -4074,28 +3530,26 @@ def strike_profile(ds: ray.data.Dataset) -> pd.DataFrame:
                                minlength=rid[-1] + 1 if len(rid)
                                else 0)
             per_pos = np.where(mask, lens[rid], 0)
-            return np.maximum.reduceat(per_pos, starts) \
+            return sg.max(per_pos) \
                 .astype(np.int64)
 
-        nab = np.add.reduceat(above.astype(np.int64), starts)
+        nab = sg.sum(above.astype(np.int64))
         same = ~keybrk[1:]
         gid = np.cumsum(keybrk) - 1
         flips = same & (above[1:] != above[:-1])
         ncross = np.zeros(len(starts), np.int64)
         np.add.at(ncross, gid[1:][flips], 1)
-        return pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
+        return pd.DataFrame({USER_ID: sg.keys,
                              "n": n, "sum_x": S,
                              "n_above": nab,
                              "longest_above": longest(above),
                              "longest_below": longest(below),
                              "n_cross": ncross})
 
-    out = group_apply(
+    return collect_sorted(
+        group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+        per_key, key=USER_ID), cols)
 
 
 def index_mass_quantile(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -4111,25 +3565,25 @@ def index_mass_quantile(ds: ray.data.Dataset) -> pd.DataFrame:
     total |x| mass drop on both sides.  One keyed exchange,
     O(n) per-partition cumsums."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "total_abs": "int64",
+            "idx_25": "int64",
+            "idx_50": "int64",
+            "idx_75": "int64",
+            "rel_25": "float64",
+            "rel_50": "float64",
+            "rel_75": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "total_abs": pd.Series(dtype="int64"),
-                "idx_25": pd.Series(dtype="int64"),
-                "idx_50": pd.Series(dtype="int64"),
-                "idx_75": pd.Series(dtype="int64"),
-                "rel_25": pd.Series(dtype="float64"),
-                "rel_50": pd.Series(dtype="float64"),
-                "rel_75": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kuniq, k, t, x, starts, n = _sorted_streams(df)
+        sg = Segments(df)
+        x, starts, n = _quantize(sg[VALUE]), sg.starts, sg.n
         a = np.abs(x)
         cs = np.cumsum(a)
         base = np.repeat(np.r_[0, cs[np.r_[starts[1:], len(a)] - 1]
                                [:-1]], n)
         cs = cs - base
-        tot = np.add.reduceat(a, starts)
+        tot = sg.sum(a)
         tot_r = np.repeat(tot, n)
         pos1 = np.arange(len(a), dtype=np.int64) \
             - np.repeat(starts, n) + 1
@@ -4138,11 +3592,11 @@ def index_mass_quantile(ds: ray.data.Dataset) -> pd.DataFrame:
         for q in (25, 50, 75):
             hit = 100 * cs >= q * tot_r
             masked = np.where(hit, pos1, big)
-            idx[q] = np.minimum.reduceat(masked, starts) \
+            idx[q] = sg.min(masked) \
                 .astype(np.int64)
         keep = tot > 0
         nf = n.astype(np.float64)
-        res = pd.DataFrame({USER_ID: np.asarray(kuniq)[k[starts]],
+        res = pd.DataFrame({USER_ID: sg.keys,
                             "n": n, "total_abs": tot,
                             "idx_25": idx[25], "idx_50": idx[50],
                             "idx_75": idx[75],
@@ -4151,12 +3605,10 @@ def index_mass_quantile(ds: ray.data.Dataset) -> pd.DataFrame:
                             "rel_75": idx[75] / nf})
         return res[keep]
 
-    out = group_apply(
+    return collect_sorted(
+        group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+        per_key, key=USER_ID), cols)
 
 
 def ratio_beyond_sigma(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -4170,46 +3622,39 @@ def ratio_beyond_sigma(ds: ray.data.Dataset) -> pd.DataFrame:
     Counts are exact; the two shares are the only mirrored float
     divisions.  One key-hash exchange, reduceat per key segment."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "n_beyond_1s": "int64",
+            "n_beyond_2s": "int64",
+            "ratio_1s": "float64",
+            "ratio_2s": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "n_beyond_1s": pd.Series(dtype="int64"),
-                "n_beyond_2s": pd.Series(dtype="int64"),
-                "ratio_1s": pd.Series(dtype="float64"),
-                "ratio_2s": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
-        x = _quantize(df[VALUE].to_numpy())
-        order = np.argsort(kc, kind="stable")
-        k, xs = kc[order], x[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
-        S = np.add.reduceat(xs, starts)
-        Q = np.add.reduceat(xs * xs, starts)
+        sg = Segments(df, order=())
+        xs, starts, n = _quantize(sg[VALUE]), sg.starts, sg.n
+        S = sg.sum(xs)
+        Q = sg.sum(xs * xs)
         nn = np.repeat(n, n)
         dev = nn * xs - np.repeat(S, n)
         dev2 = dev * dev
         var_n = np.repeat(n * Q - S * S, n)
         b1 = dev2 > var_n
         b2 = dev2 > 4 * var_n
-        seg = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
+        seg = sg.gid
         c1 = np.zeros(len(starts), np.int64)
         c2 = np.zeros(len(starts), np.int64)
         np.add.at(c1, seg, b1.astype(np.int64))
         np.add.at(c2, seg, b2.astype(np.int64))
         return pd.DataFrame({
-            USER_ID: np.asarray(kuniq)[k[starts]],
+            USER_ID: sg.keys,
             "n": n, "n_beyond_1s": c1, "n_beyond_2s": c2,
             "ratio_1s": c1.astype(np.float64) / n.astype(np.float64),
             "ratio_2s": c2.astype(np.float64)
             / n.astype(np.float64)})
 
-    out = group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
-                      key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(
+        group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
+                      key=USER_ID), cols)
 
 
 def reoccurrence_profile(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -4226,17 +3671,16 @@ def reoccurrence_profile(ds: ray.data.Dataset) -> pd.DataFrame:
     All sums are exact int64 in k-space over (key, k) histogram
     cells; one key-hash exchange."""
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "n_distinct": "int64",
+            "n_reocc_vals": "int64",
+            "sum_reocc_vals": "int64",
+            "sum_reocc_points": "int64",
+            "pct_reocc_points": "float64",
+            "distinct_ratio": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "n_distinct": pd.Series(dtype="int64"),
-                "n_reocc_vals": pd.Series(dtype="int64"),
-                "sum_reocc_vals": pd.Series(dtype="int64"),
-                "sum_reocc_points": pd.Series(dtype="int64"),
-                "pct_reocc_points": pd.Series(dtype="float64"),
-                "distinct_ratio": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         g = pd.DataFrame({USER_ID: df[USER_ID].to_numpy(),
                           "k": _quantize(df[VALUE].to_numpy())})
         c = g.groupby([USER_ID, "k"], as_index=False).size() \
@@ -4274,11 +3718,9 @@ def reoccurrence_profile(ds: ray.data.Dataset) -> pd.DataFrame:
                 r["n_distinct"].to_numpy(np.int64)
                 .astype(np.float64) / nf})
 
-    out = group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
-                      key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(
+        group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
+                      key=USER_ID), cols)
 
 
 def abs_max_profile(ds: ray.data.Dataset, top_n: int = 5) -> pd.DataFrame:
@@ -4292,36 +3734,26 @@ def abs_max_profile(ds: ray.data.Dataset, top_n: int = 5) -> pd.DataFrame:
 
     T = int(top_n)
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "top_abs_sum": "int64",
+            "mean_abs_max": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "top_abs_sum": pd.Series(dtype="int64"),
-                "mean_abs_max": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        kc, kuniq = pd.factorize(df[USER_ID])
         ak = np.abs(_quantize(df[VALUE].to_numpy()))
-        order = np.lexsort((-ak, kc))
-        k, a = kc[order], ak[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
-        pos = np.arange(len(k)) - np.repeat(starts, n)
-        top = pos < T
-        seg = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        s = np.zeros(len(starts), np.int64)
-        np.add.at(s, seg[top], a[top])
+        sg = Segments(df, order=(-ak,))
+        n = sg.n
+        s = sg.sum(np.where(sg.pos < T, sg[ak], 0))
         denom = np.minimum(n, T).astype(np.float64)
         return pd.DataFrame({
-            USER_ID: np.asarray(kuniq)[k[starts]],
+            USER_ID: sg.keys,
             "n": n, "top_abs_sum": s,
             "mean_abs_max": s.astype(np.float64)
             / (100.0 * denom)})
 
-    out = group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
-                      key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+    return collect_sorted(
+        group_apply(ds.select_columns([USER_ID, VALUE]), per_key,
+                      key=USER_ID), cols)
 
 
 def number_peaks(ds: ray.data.Dataset, max_support: int = 3) -> pd.DataFrame:
@@ -4336,41 +3768,27 @@ def number_peaks(ds: ray.data.Dataset, max_support: int = 3) -> pd.DataFrame:
     S = int(max_support)
     out_cols = [USER_ID, "n"] + [f"n_peaks_{s}" for s in range(1, S + 1)]
 
+    cols = {c: "int64" for c in out_cols}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {c: pd.Series(dtype="int64") for c in out_cols}
-        if not len(df):
-            return pd.DataFrame(cols)
-        srt = df.sort_values([USER_ID, TS, EVENT_ID],
-                             kind="mergesort")
-        kc, kuniq = pd.factorize(srt[USER_ID])
-        x = _quantize(srt[VALUE].to_numpy())
-        order = np.argsort(kc, kind="stable")
-        k, xs = kc[order], x[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
-        pos = np.arange(len(k)) - np.repeat(starts, n)
+        sg = Segments(df)
+        xs, n, pos = _quantize(sg[VALUE]), sg.n, sg.pos
         nn = np.repeat(n, n)
-        seg = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
-        res = {USER_ID: np.asarray(kuniq)[k[starts]], "n": n}
-        ok = np.ones(len(k), bool)
+        res = {USER_ID: sg.keys, "n": n}
+        ok = np.ones(len(xs), bool)
         for s in range(1, S + 1):
             inb = (pos >= s) & (pos < nn - s)
-            gt_l = np.zeros(len(k), bool)
-            gt_r = np.zeros(len(k), bool)
+            gt_l = np.zeros(len(xs), bool)
+            gt_r = np.zeros(len(xs), bool)
             gt_l[s:] = xs[s:] > xs[:-s]
             gt_r[:-s] = xs[:-s] > xs[s:]
             ok = ok & inb & gt_l & gt_r
-            c = np.zeros(len(starts), np.int64)
-            np.add.at(c, seg[ok], 1)
-            res[f"n_peaks_{s}"] = c
+            res[f"n_peaks_{s}"] = sg.sum(ok.astype(np.int64))
         return pd.DataFrame(res)
 
-    out = group_apply(
+    return collect_sorted(group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values(USER_ID).reset_index(drop=True)
+        per_key, key=USER_ID), cols)
 
 
 def chunk_trend_profile(
@@ -4396,28 +3814,19 @@ def chunk_trend_profile(
     st_sq = (C - 1) * C * (2 * C - 1) // 6
     den = C * st_sq - st_sum * st_sum
 
+    cols = {USER_ID: "int64",
+            "n": "int64",
+            "n_chunks": "int64",
+            "n_pos_slope": "int64",
+            "slope_min": "float64",
+            "slope_max": "float64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "n_chunks": pd.Series(dtype="int64"),
-                "n_pos_slope": pd.Series(dtype="int64"),
-                "slope_min": pd.Series(dtype="float64"),
-                "slope_max": pd.Series(dtype="float64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        srt = df.sort_values([USER_ID, TS, EVENT_ID],
-                             kind="mergesort")
-        kc, kuniq = pd.factorize(srt[USER_ID])
-        x = _quantize(srt[VALUE].to_numpy())
-        order = np.argsort(kc, kind="stable")
-        k, xs = kc[order], x[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
-        pos = np.arange(len(k)) - np.repeat(starts, n)
+        sg = Segments(df)
+        xs, n, pos, seg = _quantize(sg[VALUE]), sg.n, sg.pos, sg.gid
         chunk = pos // C
         t = pos % C
         full = chunk < np.repeat(n, n) // C
-        seg = np.cumsum(np.r_[True, k[1:] != k[:-1]]) - 1
         gid = seg * (1 << 32) + chunk        # (key, chunk) packed
         g = pd.DataFrame({
             "gid": gid[full], "seg": seg[full],
@@ -4433,9 +3842,8 @@ def chunk_trend_profile(
         r = per.groupby("seg", as_index=False).agg(
             n_chunks=("num", "size"), n_pos_slope=("pos", "sum"),
             mn=("num", "min"), mx=("num", "max"))
-        segkeys = np.asarray(kuniq)[k[starts]]
         out = pd.DataFrame({
-            USER_ID: segkeys[r["seg"].to_numpy()],
+            USER_ID: sg.keys[r["seg"].to_numpy()],
             "n": n[r["seg"].to_numpy()],
             "n_chunks": r["n_chunks"].to_numpy(np.int64),
             "n_pos_slope": r["n_pos_slope"].to_numpy(np.int64),
@@ -4445,18 +3853,9 @@ def chunk_trend_profile(
             .astype(np.float64) / (float(den) * 100.0)})
         return out
 
-    out = group_apply(
+    return collect_sorted(group_apply(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
-        per_key, key=USER_ID,
-    ).to_pandas()
-    if out.empty:
-        return pd.DataFrame({USER_ID: pd.Series(dtype="int64"),
-                             "n": pd.Series(dtype="int64"),
-                             "n_chunks": pd.Series(dtype="int64"),
-                             "n_pos_slope": pd.Series(dtype="int64"),
-                             "slope_min": pd.Series(dtype="float64"),
-                             "slope_max": pd.Series(dtype="float64")})
-    return out.sort_values(USER_ID).reset_index(drop=True)
+        per_key, key=USER_ID), cols)
 
 
 def diebold_mariano(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -4476,20 +3875,9 @@ def diebold_mariano(ds: ray.data.Dataset) -> pd.DataFrame:
     expression.  D > 0 ⇔ smoothing beats naive at that point."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {"n_pairs": pd.Series(dtype="int64"),
-                "sum_d": pd.Series(dtype=object),
-                "sum_d2": pd.Series(dtype=object)}
-        if not len(df):
-            return pd.DataFrame(cols)
-        s = df.sort_values([USER_ID, TS, EVENT_ID],
-                           kind="mergesort")
-        kc, _ = pd.factorize(s[USER_ID])
-        x = _quantize(s[VALUE].to_numpy())
-        order = np.argsort(kc, kind="stable")
-        k, xs = kc[order], x[order]
-        same2 = np.zeros(len(k), bool)
-        same2[2:] = (k[2:] == k[1:-1]) & (k[1:-1] == k[:-2])
-        i = np.flatnonzero(same2)
+        sg = Segments(df)
+        xs = _quantize(sg[VALUE])
+        i = np.flatnonzero(sg.same(2))
         e1 = xs[i] - xs[i - 1]
         e2 = 2 * xs[i] - xs[i - 1] - xs[i - 2]
         D = 4 * e1 * e1 - e2 * e2
@@ -4502,21 +3890,19 @@ def diebold_mariano(ds: ray.data.Dataset) -> pd.DataFrame:
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
         per_key, key=USER_ID,
     ).to_pandas()
-    cols = {"n_pairs": pd.Series(dtype="int64"),
-            "sum_d": pd.Series(dtype="int64"),
-            "dm_stat": pd.Series(dtype="float64")}
+    cols = {"n_pairs": "int64", "sum_d": "int64", "dm_stat": "float64"}
     if parts.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     n = int(parts["n_pairs"].sum())
     S = sum(int(v) for v in parts["sum_d"])
     Q = sum(int(v) for v in parts["sum_d2"])
     if n < 2:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     nf = float(n)
     dbar = float(S) / nf
     g0 = float(Q) / nf - dbar * dbar
     if g0 <= 0.0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     z = dbar / np.sqrt(g0 / nf)
     return pd.DataFrame({
         "n_pairs": np.array([n], np.int64),
@@ -4541,25 +3927,11 @@ def conformal_interval(
     and coverage = n_covered/n_test is the single float closing."""
 
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {"r": pd.Series(dtype="int64"),
-                "cal": pd.Series(dtype="int64"),
-                "tst": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
-        s = df.sort_values([USER_ID, TS, EVENT_ID],
-                           kind="mergesort")
-        kc, _ = pd.factorize(s[USER_ID])
-        x = _quantize(s[VALUE].to_numpy())
-        order = np.argsort(kc, kind="stable")
-        k, xs = kc[order], x[order]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        n = np.diff(np.r_[starts, len(k)]).astype(np.int64)
-        pos = np.arange(len(k)) - np.repeat(starts, n)
-        same = np.zeros(len(k), bool)
-        same[1:] = k[1:] == k[:-1]
-        i = np.flatnonzero(same)
+        sg = Segments(df)
+        xs = _quantize(sg[VALUE])
+        i = np.flatnonzero(sg.same())
         r = np.abs(xs[i] - xs[i - 1])
-        is_cal = (pos[i] % 2) == 1      # 1-based pair position odd
+        is_cal = (sg.pos[i] % 2) == 1   # 1-based pair position odd
         g = pd.DataFrame({"r": r,
                           "cal": is_cal.astype(np.int64),
                           "tst": 1 - is_cal.astype(np.int64)})
@@ -4569,21 +3941,17 @@ def conformal_interval(
         ds.select_columns([USER_ID, TS, VALUE, EVENT_ID]),
         per_key, key=USER_ID,
     ).to_pandas()
-    cols = {"n_calib": pd.Series(dtype="int64"),
-            "n_test": pd.Series(dtype="int64"),
-            "q_rank": pd.Series(dtype="int64"),
-            "qhat_k": pd.Series(dtype="int64"),
-            "n_covered": pd.Series(dtype="int64"),
-            "coverage": pd.Series(dtype="float64"),
-            "target": pd.Series(dtype="float64")}
+    cols = {"n_calib": "int64", "n_test": "int64", "q_rank": "int64",
+            "qhat_k": "int64", "n_covered": "int64",
+            "coverage": "float64", "target": "float64"}
     if hist.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     hist = hist.groupby("r", as_index=False)[["cal", "tst"]].sum() \
         .sort_values("r").reset_index(drop=True)
     n_cal = int(hist["cal"].sum())
     n_tst = int(hist["tst"].sum())
     if n_cal == 0 or n_tst == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     # ⌈(n_cal+1)(1−α)⌉ in exact non-negative integer arithmetic
     # (sign-free so the SQL twin needn't rely on //'s negative
     # semantics)
@@ -4635,13 +4003,13 @@ def multi_regression(ds: ray.data.Dataset) -> pd.DataFrame:
 
     p = ds.select_columns([TS, VALUE]).map_batches(
         partial, batch_format="pandas").to_pandas()
-    cols = {"n": pd.Series(dtype="int64"),
-            "beta0": pd.Series(dtype="float64"),
-            "beta_hour": pd.Series(dtype="float64"),
-            "beta_dow": pd.Series(dtype="float64"),
-            "r2": pd.Series(dtype="float64")}
+    cols = {"n": "int64",
+            "beta0": "float64",
+            "beta_hour": "float64",
+            "beta_dow": "float64",
+            "r2": "float64"}
     if p.empty:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     n = int(p["n"].sum())
     sh = sum(int(v) for v in p["sh"])
     sd = sum(int(v) for v in p["sd"])
@@ -4653,7 +4021,7 @@ def multi_regression(ds: ray.data.Dataset) -> pd.DataFrame:
     sdy = sum(int(v) for v in p["sdy"])
     syy = sum(int(v) for v in p["syy"])
     if n < 4:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
 
     def det3(a, b, c, d_, e, f, g, h_, i):
         return (a * (e * i - f * h_) - b * (d_ * i - f * g)
@@ -4661,7 +4029,7 @@ def multi_regression(ds: ray.data.Dataset) -> pd.DataFrame:
 
     da = det3(n, sh, sd, sh, shh, shd, sd, shd, sdd)
     if da == 0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     d0 = det3(sy, sh, sd, shy, shh, shd, sdy, shd, sdd)
     d1 = det3(n, sy, sd, sh, shy, shd, sd, sdy, sdd)
     d2 = det3(n, sh, sy, sh, shh, shy, sd, shd, sdy)
@@ -4670,7 +4038,7 @@ def multi_regression(ds: ray.data.Dataset) -> pd.DataFrame:
     b2 = float(d2) / float(da)
     sst = float(syy) - float(sy) * float(sy) / float(n)
     if sst <= 0.0:
-        return pd.DataFrame(cols)
+        return empty_frame(cols)
     ssr = (b0 * float(sy) + b1 * float(shy) + b2 * float(sdy)
            - float(sy) * float(sy) / float(n))
     return pd.DataFrame({

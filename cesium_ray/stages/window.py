@@ -26,7 +26,7 @@ import pandas as pd
 import ray.data
 
 from ..schema import EVENT_ID, EVENT_TYPE, TS, USER_ID, VALUE
-from .partition import group_apply
+from .partition import Segments, collect_sorted, empty_frame, group_apply
 
 
 def window_range_agg_pandas(
@@ -174,28 +174,14 @@ def rolling_rows_avg(ds: ray.data.Dataset, n: int = 5) -> ray.data.Dataset:
     SQL oracle's ``CAST(sum AS DOUBLE)/scale/count``."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                USER_ID: pd.Series(dtype=df[USER_ID].dtype
-                                   if USER_ID in df else "int64"),
-                EVENT_ID: pd.Series(dtype="int64"),
-                "roll_cnt": pd.Series(dtype="int64"),
-                "roll_avg": pd.Series(dtype="float64"),
-            })
-        codes, _ = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, codes))
-        c = codes[perm]
-        v = df[VALUE].to_numpy(np.float64)[perm]
+        sg = Segments(df)
+        v = sg[VALUE].astype(np.float64)
         ok = ~np.isnan(v)
         cents = np.where(ok, np.round(v * 100), 0.0).astype(np.int64)
         psum = np.r_[np.int64(0), np.cumsum(cents)]
         pcnt = np.r_[np.int64(0), np.cumsum(ok.astype(np.int64))]
-        idx = np.arange(len(c), dtype=np.int64)
-        new = np.r_[True, c[1:] != c[:-1]]
-        starts = idx[new][np.cumsum(new) - 1]  # group start, per row
-        lo = np.maximum(idx - (n - 1), starts)
+        idx = np.arange(len(v), dtype=np.int64)
+        lo = np.maximum(idx - (n - 1), sg.starts[sg.gid])
         wsum = psum[idx + 1] - psum[lo]
         wcnt = pcnt[idx + 1] - pcnt[lo]
         avg = np.where(
@@ -203,8 +189,8 @@ def rolling_rows_avg(ds: ray.data.Dataset, n: int = 5) -> ray.data.Dataset:
             (wsum.astype(np.float64) / 100) / np.maximum(wcnt, 1),
             np.nan)
         return pd.DataFrame({
-            USER_ID: df[USER_ID].to_numpy()[perm],
-            EVENT_ID: df[EVENT_ID].to_numpy()[perm],
+            USER_ID: sg[USER_ID],
+            EVENT_ID: sg[EVENT_ID],
             "roll_cnt": wcnt.astype(np.int64),
             "roll_avg": avg,
         })
@@ -225,23 +211,12 @@ def gap_report(
     thr = np.int64(gap_us_threshold)
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                USER_ID: pd.Series(dtype="int64"),
-                "gap_start": pd.Series(dtype="datetime64[us]"),
-                "gap_end": pd.Series(dtype="datetime64[us]"),
-                "gap_us": pd.Series(dtype="int64"),
-            })
-        codes, _ = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, codes))
-        c, t = codes[perm], tus[perm]
-        same = c[1:] == c[:-1]
+        sg = Segments(df)
+        t = sg[TS]
         delta = t[1:] - t[:-1]
-        hit = same & (delta > thr)
+        hit = sg.same()[1:] & (delta > thr)
         return pd.DataFrame({
-            USER_ID: df[USER_ID].to_numpy()[perm][:-1][hit],
+            USER_ID: sg[USER_ID][:-1][hit],
             "gap_start": t[:-1][hit].view("datetime64[us]"),
             "gap_end": t[1:][hit].view("datetime64[us]"),
             "gap_us": delta[hit],
@@ -264,28 +239,15 @@ def rolling_rows_std(ds: ray.data.Dataset, n: int = 5) -> ray.data.Dataset:
     sc2 = sc * sc
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                USER_ID: pd.Series(dtype="int64"),
-                EVENT_ID: pd.Series(dtype="int64"),
-                "roll_cnt": pd.Series(dtype="int64"),
-                "roll_std": pd.Series(dtype="float64"),
-            })
-        codes, _ = pd.factorize(df[USER_ID])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, codes))
-        c = codes[perm]
-        v = df[VALUE].to_numpy(np.float64)[perm]
+        sg = Segments(df)
+        v = sg[VALUE].astype(np.float64)
         ok = ~np.isnan(v)
         cents = np.where(ok, np.round(v * sc), 0.0).astype(np.int64)
         p1 = np.r_[np.int64(0), np.cumsum(cents)]
         p2 = np.r_[np.int64(0), np.cumsum(cents * cents)]
         pc = np.r_[np.int64(0), np.cumsum(ok.astype(np.int64))]
-        idx = np.arange(len(c), dtype=np.int64)
-        new = np.r_[True, c[1:] != c[:-1]]
-        starts = idx[new][np.cumsum(new) - 1]
-        lo = np.maximum(idx - (n - 1), starts)
+        idx = np.arange(len(v), dtype=np.int64)
+        lo = np.maximum(idx - (n - 1), sg.starts[sg.gid])
         s = (p1[idx + 1] - p1[lo]).astype(np.float64)
         s2 = (p2[idx + 1] - p2[lo]).astype(np.float64)
         cnt = pc[idx + 1] - pc[lo]
@@ -294,8 +256,8 @@ def rolling_rows_std(ds: ray.data.Dataset, n: int = 5) -> ray.data.Dataset:
             var = (s2 / sc2 - (s / sc) * (s / sc) / cntf) / (cntf - 1.0)
         std = np.sqrt(np.maximum(var, 0.0))
         return pd.DataFrame({
-            USER_ID: df[USER_ID].to_numpy()[perm],
-            EVENT_ID: oid[perm],
+            USER_ID: sg[USER_ID],
+            EVENT_ID: sg[EVENT_ID],
             "roll_cnt": cnt,
             "roll_std": np.where(cnt > 1, std, np.nan),
         })
@@ -318,21 +280,15 @@ def sliding_distinct(ds: ray.data.Dataset, window_h: int = 24) -> pd.DataFrame:
     W = np.int64(window_h)
 
     def cells(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"h": pd.Series(dtype="int64"),
-                                 "d": pd.Series(dtype="int64")})
         tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
         h = tus // 3_600_000_000
         g = pd.DataFrame({"k": df[USER_ID].to_numpy(),
                           "h": h}).drop_duplicates()
-        g = g.sort_values(["k", "h"], kind="mergesort")
-        kk = g["k"].to_numpy()
-        hh = g["h"].to_numpy(np.int64)
-        newk = np.r_[True, kk[1:] != kk[:-1]]
+        sg = Segments(g, key="k", order=("h",))
+        hh = sg["h"]
         # a run breaks when the next present hour starts a disjoint
         # coverage interval: gap > W-1
-        brk = newk.copy()
-        brk[1:] |= (hh[1:] - hh[:-1]) > (W - 1)
+        brk = ~sg.same() | np.r_[False, (hh[1:] - hh[:-1]) > (W - 1)]
         starts = np.flatnonzero(brk)
         ends = np.r_[starts[1:], len(hh)] - 1
         lo = hh[starts]                # first eval hour covered
@@ -396,29 +352,18 @@ def cooldown_dedup(ds: ray.data.Dataset, cooldown_s: int) -> ray.data.Dataset:
     gap_us = np.int64(cooldown_s) * 1_000_000
 
     def keep(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                USER_ID: pd.Series(dtype="int64"),
-                EVENT_ID: pd.Series(dtype="int64"),
-                EVENT_TYPE: pd.Series(dtype=object),
-                "ts_us": pd.Series(dtype="int64"),
-                "since_prev_us": pd.Series(dtype="float64")})
-        kc, _ = pd.factorize(df[USER_ID])
         ac, _ = pd.factorize(df[EVENT_TYPE])
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        oid = df[EVENT_ID].to_numpy(np.int64)
-        perm = np.lexsort((oid, tus, ac, kc))
-        k, a, t = kc[perm], ac[perm], tus[perm]
-        same = np.r_[False, (k[1:] == k[:-1]) & (a[1:] == a[:-1])]
-        dt = np.full(len(k), np.nan)
+        sg = Segments(df, order=(ac, TS, EVENT_ID))
+        a, t = sg[ac], sg[TS]
+        same = sg.same() & np.r_[False, a[1:] == a[:-1]]
+        dt = np.full(len(t), np.nan)
         dt[1:] = (t[1:] - t[:-1]).astype(np.float64)
         dt[~same] = np.nan
         kept = ~same | (np.nan_to_num(dt, nan=np.inf) > gap_us)
-        sel = perm[kept]
         return pd.DataFrame({
-            USER_ID: df[USER_ID].to_numpy()[sel],
-            EVENT_ID: oid[perm][kept],
-            EVENT_TYPE: df[EVENT_TYPE].to_numpy()[sel],
+            USER_ID: sg[USER_ID][kept],
+            EVENT_ID: sg[EVENT_ID][kept],
+            EVENT_TYPE: sg[EVENT_TYPE][kept],
             "ts_us": t[kept],
             "since_prev_us": dt[kept],
         })
@@ -447,13 +392,12 @@ def rolling_window_median(
     day_us = np.int64(86_400) * np.int64(1_000_000)
     w = np.int64(window_days)
 
+    cols = {USER_ID: "int64",
+            "day": "int64",
+            "p50_7d": "float64",
+            "n_window": "int64"}
+
     def per_key(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {USER_ID: pd.Series(dtype="int64"),
-                "day": pd.Series(dtype="int64"),
-                "p50_7d": pd.Series(dtype="float64"),
-                "n_window": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         kc, kuniq = pd.factorize(df[USER_ID])
         day = (df[TS].to_numpy("datetime64[us]").view(np.int64)
                // day_us)
@@ -489,10 +433,8 @@ def rolling_window_median(
             "n_window": n,
         })
 
-    out = group_apply(ds, per_key, key=USER_ID).to_pandas()
-    if out.empty:
-        return per_key(pd.DataFrame())
-    return out.sort_values([USER_ID, "day"]).reset_index(drop=True)
+    return collect_sorted(group_apply(ds, per_key, key=USER_ID), cols,
+                          by=[USER_ID, "day"])
 
 
 def finalize_windows(
@@ -557,23 +499,19 @@ def finalize_windows(
             np.int64).min else run)
     off_ref = ray.put(excl)
 
+    cols = {"bucket": "int64",
+            "n": "int64",
+            "n_late": "int64",
+            "sum_on_time_k": "int64"}
+
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        cols = {"bucket": pd.Series(dtype="int64"),
-                "n": pd.Series(dtype="int64"),
-                "n_late": pd.Series(dtype="int64"),
-                "sum_on_time_k": pd.Series(dtype="int64")}
-        if not len(df):
-            return pd.DataFrame(cols)
         offs = ray.get(off_ref)
         # a hash partition can hold several arrival buckets — the
         # exclusive cummax resets at bucket boundaries via the
         # key-offset band trick (lateness_report's kernel)
-        df = df.sort_values(["_ab", EVENT_ID], kind="mergesort")
-        ab = df["_ab"].to_numpy(np.int64)
-        tus = df[TS].to_numpy("datetime64[us]").view(np.int64)
-        x = np.rint(df[VALUE].to_numpy(np.float64)
-                    * 100.0).astype(np.int64)
-        code, _ = pd.factorize(ab)
+        sg = Segments(df, key="_ab", order=(EVENT_ID,))
+        ab, code, tus = sg["_ab"], sg.codes, sg[TS]
+        x = np.rint(sg[VALUE].astype(np.float64) * 100.0).astype(np.int64)
         tmin = tus.min()
         tn = tus - tmin
         band = np.int64(tn.max()) + 1
@@ -583,10 +521,9 @@ def finalize_windows(
         shifted = tn + code.astype(np.int64) * band
         run = np.maximum.accumulate(shifted)
         prev = np.r_[np.int64(-1), run[:-1]]
-        new_seg = np.r_[True, code[1:] != code[:-1]]
         SENT = np.iinfo(np.int64).min
         local_excl = np.where(
-            new_seg, SENT,
+            ~sg.same(), SENT,
             prev - code.astype(np.int64) * band + tmin)
         wm = np.maximum(local_excl, offs[ab])
         w = tus // bucket_us
@@ -603,7 +540,7 @@ def finalize_windows(
 
     cells = group_apply(parted, per_bucket, key="_ab").to_pandas()
     if cells.empty:
-        return per_bucket(pd.DataFrame())
+        return empty_frame(cols)
     out = cells.groupby("bucket", as_index=False).agg(
         n=("n", "sum"), n_late=("n_late", "sum"),
         sum_on_time_k=("sum_on_time_k", "sum"))

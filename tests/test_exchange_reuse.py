@@ -96,12 +96,28 @@ def test_three_calls_build_once(builds, tmp_path):
     assert outs[0]["n"].sum() == 600
 
 
-def test_empty_file(builds, tmp_path):
+def test_empty_file(monkeypatch, builds, tmp_path):
+    """``fn`` never sees zero rows on the reuse path: not for an empty
+    file, and not for the empty partitions of a 3-key file at P = 8."""
+    monkeypatch.setattr(partition, "partition_count", lambda: 8)
+
+    def nonempty(df):
+        assert len(df) > 0
+        return pd.DataFrame({"rows": [len(df)]})
+
     path = str(tmp_path / "empty.parquet")
     _write(path, 9).head(0).to_parquet(path, index=False)
-    got = partition.group_apply(ray.data.read_parquet(path), lambda d: d,
+    got = partition.group_apply(ray.data.read_parquet(path), nonempty,
                                 key="user_id").to_pandas()
     assert len(builds) == 1 and len(got) == 0
+    path = str(tmp_path / "three.parquet")
+    df = _write(path, 9, nusers=3)
+    got = partition.group_apply(ray.data.read_parquet(path), nonempty,
+                                key="user_id").to_pandas()
+    parts = np.unique(partition._stable_hash(df["user_id"].unique())
+                      % np.uint64(8))
+    assert len(builds) == 2 and len(got) == len(parts) < 8
+    assert got["rows"].sum() == len(df)
 
 
 def test_columns_are_projected(builds, tmp_path):
